@@ -27,7 +27,7 @@ from .errors import (
     NonFiniteLossError,
     ParseError,
 )
-from .evaluation import EvalReport, evaluate, export_embeddings, predict, run_baselines
+from .evaluation import EvalReport, evaluate, export_embeddings, predict
 from .fake import FakeSourceConfig, FeatureStats, gaussian_fakes, generator_fakes, generator_step
 from .losses import (
     LossReport,
@@ -52,7 +52,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .numerics import Rng, finite_diff_grad, gaussian_kernel_matrix, log_sum_exp, matmul, softmax_rows
+from .numerics import Rng, finite_diff_grad, gaussian_kernel_matrix, log_sum_exp, softmax_rows
 from .optim import OptimizerState
 from .train import LossCombo, TrainConfig, adam_update, fit, resolve_prior, train_step
 
@@ -103,13 +103,11 @@ __all__ = [
     "load_sparse",
     "log_sum_exp",
     "make_prior",
-    "matmul",
     "median_heuristic_gamma",
     "mmd_loss",
     "predict",
     "pseudo_label_select",
     "resolve_prior",
-    "run_baselines",
     "save_checkpoint",
     "save_sparse",
     "softmax_rows",

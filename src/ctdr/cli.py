@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import (
@@ -36,7 +37,7 @@ from .errors import (
     ParseError,
 )
 from .evaluation import evaluate, export_embeddings
-from .fake import FakeSourceConfig
+from .fake import FAKE_MODES, FakeSourceConfig
 from .model import load_checkpoint, save_checkpoint
 from .train import TERMS, LossCombo, TrainConfig, fit
 
@@ -77,7 +78,22 @@ def _choice(*options):
     return parse
 
 
-# key -> (parser, default). Insertion order is the printing order.
+# Parsers for schema entries whose type is that of a config field's default.
+_PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_int_list}
+
+_TRAIN = TrainConfig()
+_FAKE = _TRAIN.fake
+
+
+def _field(owner, name):
+    """(parser, default) of a TrainConfig / FakeSourceConfig field."""
+    value = getattr(owner, name)
+    return _PARSERS[type(value)], value
+
+
+# key -> (parser, default). Insertion order is the printing order. Training
+# keys take their defaults from the config dataclasses; `prior`, `fake_n` and
+# `mmd_gamma` keep text sentinels for the dataclasses' None.
 SCHEMA: dict = {
     # data
     "data": (_choice("two_moons", "gauss_shift", "idx", "sparse"), "two_moons"),
@@ -105,32 +121,27 @@ SCHEMA: dict = {
     "n_target_test": (int, 0),
     "standardize": (_parse_bool, True),
     # training
-    "combo": (str, "ss,tu"),
-    "hidden": (_parse_int_list, (128, 128)),
-    "epochs": (int, 100),
-    "batch": (int, 128),
-    "lr": (float, 0.001),
-    "lr_decay": (float, 0.6),
-    "lr_decay_every": (int, 30),
-    "seed": (int, 0),
+    "combo": (str, ",".join(_TRAIN.combo.names())),
+    "hidden": _field(_TRAIN, "hidden"),
+    "epochs": _field(_TRAIN, "epochs"),
+    "batch": _field(_TRAIN, "batch_size"),
+    "lr": _field(_TRAIN, "lr"),
+    "lr_decay": _field(_TRAIN, "lr_decay"),
+    "lr_decay_every": _field(_TRAIN, "lr_decay_every"),
+    "seed": _field(_TRAIN, "seed"),
     "prior": (str, "assume_source"),
-    "oracle": (_parse_bool, False),
-    "w_ss": (float, 1.0),
-    "w_tu": (float, 1.0),
-    "w_su": (float, 1.0),
-    "w_ta": (float, 1.0),
-    "w_sa": (float, 1.0),
-    "w_ts": (float, 1.0),
+    "oracle": _field(_TRAIN, "oracle"),
+    **{f"w_{t}": (float, _TRAIN.weight(t)) for t in TERMS},
     # fake samples
-    "fake_mode": (_choice("gaussian", "generator"), "gaussian"),
+    "fake_mode": (_choice(*FAKE_MODES), _FAKE.mode),
     "fake_n": (int, 0),
-    "noise_dim": (int, 32),
-    "gen_hidden": (_parse_int_list, (64, 64)),
+    "noise_dim": _field(_FAKE, "noise_dim"),
+    "gen_hidden": _field(_FAKE, "gen_hidden"),
     "mmd_gamma": (str, "median"),
     # output
     "out_dir": (str, "ctdr_out"),
     "export_embeddings": (_parse_bool, False),
-    "timing": (_parse_bool, True),
+    "timing": _field(_TRAIN, "timing"),
 }
 
 
@@ -350,12 +361,10 @@ def cmd_ablate(args) -> int:
     out_dir = _announce(cfg)
     pair, _ = _prepare(cfg)
     base = build_train_config(cfg)
-    from dataclasses import replace as _replace
-
     rows = []
     for combo_text in ABLATION_LADDER:
         combo = LossCombo.parse(combo_text)
-        run_cfg = _replace(base, combo=combo, oracle=combo.ts or base.oracle)
+        run_cfg = replace(base, combo=combo, oracle=combo.ts or base.oracle)
         params, _ = fit(run_cfg, pair)
         rep_target = evaluate(params, pair.target_test)
         rep_source = evaluate(params, pair.source)

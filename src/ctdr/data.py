@@ -103,9 +103,6 @@ class DomainPair:
     def dim(self) -> int:
         return self.source.dim
 
-    def has_target_labels(self) -> bool:
-        return self._target_train_labels is not None
-
     def target_train_labeled(self, oracle: bool = False) -> Dataset:
         """Target-train with labels; evaluation/baseline use only."""
         if not oracle:

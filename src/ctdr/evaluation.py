@@ -1,4 +1,4 @@
-"""Inference, scoring, reference baselines, and embedding export."""
+"""Inference, scoring, and embedding export."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DomainPair
+from .data import Dataset
 from .errors import ConfigError, ContractViolation
 from .model import ParamSet, forward
 
@@ -38,36 +38,11 @@ def evaluate(params: ParamSet, dataset: Dataset) -> EvalReport:
         raise ContractViolation("evaluate needs a labeled dataset")
     k = dataset.num_classes
     pred = predict(params, dataset.features)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(dataset.labels, pred):
-        confusion[t, p] += 1
+    confusion = np.bincount(dataset.labels * k + pred, minlength=k * k).reshape(k, k)
     totals = confusion.sum(axis=1)
     per_class = np.where(totals > 0, confusion.diagonal() / np.maximum(totals, 1), np.nan)
     accuracy = float(confusion.diagonal().sum()) / dataset.n
     return EvalReport(accuracy, per_class, confusion, dataset.n)
-
-
-def run_baselines(pair: DomainPair, config, oracle: bool = False) -> dict:
-    """Train and score BL1 (supervised on target, needs oracle) and BL2 (source only).
-
-    Shares everything with the main path except the loss combo. BL1 is
-    refused unless oracle=True, guarding the no-target-labels invariant.
-    """
-    from dataclasses import replace
-
-    from .train import LossCombo, fit
-
-    reports = {}
-    if oracle:
-        bl1_cfg = replace(config, combo=LossCombo(ts=True), oracle=True)
-        params, _ = fit(bl1_cfg, pair)
-        reports["bl1"] = evaluate(params, pair.target_test)
-    else:
-        reports["bl1"] = None
-    bl2_cfg = replace(config, combo=LossCombo(ss=True), oracle=False)
-    params, _ = fit(bl2_cfg, pair)
-    reports["bl2"] = evaluate(params, pair.target_test)
-    return reports
 
 
 def export_embeddings(params: ParamSet, named_datasets, path) -> None:

@@ -117,14 +117,6 @@ def as_matrix(x, name: str = "array") -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(f"matmul: inner dims differ ({a.shape} @ {b.shape})")
-    return a @ b
-
-
 def softmax_rows(logits) -> np.ndarray:
     """Row-wise softmax with max subtraction; finite for any finite input."""
     z = as_matrix(logits, "logits")

@@ -11,15 +11,18 @@ One classifier is optimized over any combination of loss terms:
   ts  supervised cross-entropy on oracle-labeled target rows; evaluation
       baseline only, exclusive of everything else
 
-Reductions are sums over the batch; enabled terms add with per-term weights
-(default 1). A term with weight 0 is treated as disabled: its code never runs,
-so "weight 0" and "flag off" produce bit-identical trajectories.
+TERM_TABLE says which batch each term reads, its loss and its prior; a step
+walks the table in order. Reductions are sums over the batch; enabled terms
+add with per-term weights (default 1). A term with weight 0 is treated as
+disabled: its code never runs, so "weight 0" and "flag off" produce
+bit-identical trajectories.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +42,39 @@ from .numerics import (
 )
 from .optim import OptimizerState, adam_update
 
-TERMS = ("ss", "tu", "su", "ta", "sa", "ts")
+
+# The adapters name the loss functions at call time, through this module's
+# globals, so patching `ctdr.train.source_ce` (say) reaches every term.
+def _supervised(probs, labels, prior):
+    return source_ce(probs, labels)
+
+
+def _contradist(probs, labels, prior):
+    return contradist_loss(probs, pseudo_label_select(probs, prior), prior)
+
+
+def _adversarial(probs, labels, prior):
+    return adv_bce(probs)
+
+
+@dataclass(frozen=True)
+class Term:
+    batch: str  # "labeled", "target", "fake_target" or "fake_source"
+    loss: Callable  # (probs, labels, prior) -> LossReport
+    prior: str | None = None  # "target" or "source"
+
+
+# Table order is the order of TERMS, of a step's gradient sum and of the loss
+# record. ts is exclusive, so it runs first or last alike.
+TERM_TABLE = {
+    "ss": Term("labeled", _supervised),
+    "tu": Term("target", _contradist, "target"),
+    "su": Term("labeled", _contradist, "source"),
+    "ta": Term("fake_target", _adversarial),
+    "sa": Term("fake_source", _adversarial),
+    "ts": Term("labeled", _supervised),
+}
+TERMS = tuple(TERM_TABLE)
 
 
 @dataclass(frozen=True)
@@ -75,8 +110,8 @@ class LossCombo:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    combo: LossCombo
-    epochs: int
+    combo: LossCombo = LossCombo(ss=True, tu=True)
+    epochs: int = 100
     batch_size: int = 128
     lr: float = 0.001
     lr_decay: float = 0.6
@@ -136,29 +171,37 @@ def build_architecture(config: TrainConfig, feature_dim: int, num_classes: int) 
 
 
 @dataclass
-class StreamBundle:
-    """Long-lived fake-sample streams; one per purpose."""
+class RunState:
+    """What every step of a run reads besides params and batches.
 
-    fake_target: Rng
-    fake_source: Rng
+    labeled: the labeled training set (source, or oracle-labeled target under ts)
+    priors: prior name -> class prior, for the enabled terms that use one
+    fake_stats: fake batch -> FeatureStats its gaussian rows are drawn from
+    streams: fake batch -> the long-lived Rng its rows draw on
+    """
+
+    labeled: Dataset
+    priors: dict
+    fake_stats: dict
+    streams: dict
 
     @classmethod
-    def for_seed(cls, seed: int) -> "StreamBundle":
-        return cls(Rng(seed, STREAM_FAKE_TARGET), Rng(seed, STREAM_FAKE_SOURCE))
-
-
-@dataclass
-class Priors:
-    target: np.ndarray | None = None
-    source: np.ndarray | None = None
-
-
-@dataclass
-class FakeContext:
-    """Per-run inputs for fake-row production in gaussian mode."""
-
-    target_stats: FeatureStats | None = None
-    source_stats: FeatureStats | None = None
+    def build(cls, config: TrainConfig, pair: DomainPair) -> "RunState":
+        enabled = config.enabled()
+        labeled = pair.target_train_labeled(oracle=config.oracle) if "ts" in enabled else pair.source
+        wanted = {TERM_TABLE[t].prior for t in enabled}
+        priors = {}
+        if "target" in wanted:
+            priors["target"] = resolve_prior(config, pair.source)
+        if "source" in wanted:
+            priors["source"] = empirical_prior(labeled)
+        reads = {TERM_TABLE[t].batch for t in enabled}
+        real = {"fake_target": pair.target_train, "fake_source": labeled}
+        fake_stats = {}
+        if config.fake.mode == "gaussian":
+            fake_stats = {b: FeatureStats.from_features(ds.features) for b, ds in real.items() if b in reads}
+        streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
+        return cls(labeled, priors, fake_stats, streams)
 
 
 def _check_finite(term: str, value: float, epoch=None, step=None):
@@ -173,86 +216,58 @@ def train_step(
     sup_batch,
     target_batch,
     config: TrainConfig,
-    streams: StreamBundle,
-    priors: Priors,
-    fake_ctx: FakeContext,
+    run: RunState,
     lr: float,
     epoch=None,
     step=None,
 ):
-    """One optimization step over the enabled terms.
+    """One optimization step over the enabled terms, in TERM_TABLE order.
 
     sup_batch is the labeled batch (source, or oracle-labeled target under
-    ts); target_batch is the unlabeled target batch (None when no enabled
-    term consumes it). Returns (params, opt_theta, opt_phi, reports).
+    ts); target_batch is the unlabeled target batch (None when nothing reads
+    it). Each batch gets one forward, when the first term that reads it
+    comes up. In generator mode one generator MMD step runs before the
+    first adversarial term; its fake rows feed ta. Returns
+    (params, opt_theta, opt_phi, reports).
     """
-    enabled = config.enabled()
+    generator = config.fake.mode == "generator"
+    n_f = config.fake.n_f or config.batch_size
     reports: dict = {}
     total: dict[str, np.ndarray] = {}
+    caches: dict = {}
+    gen_rows = None
 
-    def add(grads: dict, w: float):
-        for name, g in grads.items():
-            total[name] = total[name] + w * g if name in total else w * g
+    def rows(batch: str) -> np.ndarray:
+        if batch == "labeled":
+            return sup_batch.features
+        if batch == "target":
+            return target_batch.features
+        if not generator:
+            return gaussian_fakes(run.fake_stats[batch], n_f, run.streams[batch])
+        if batch == "fake_target":
+            return gen_rows
+        return generator_fakes(params, n_f, run.streams[batch])
 
-    cache_sup = None
-    if any(t in enabled for t in ("ss", "ts", "su", "sa")):
-        cache_sup = forward(params, sup_batch.features)
-
-    for term in ("ss", "ts"):
-        if term in enabled:
-            rep = source_ce(cache_sup.probs, sup_batch.labels)
-            rep.name = term
-            _check_finite(term, rep.value, epoch, step)
-            g, _ = backward(params, cache_sup, grad_logits=rep.grad_logits)
-            add(g, config.weight(term))
-            reports[term] = rep
-
-    cache_target = None
-    if "tu" in enabled:
-        cache_target = forward(params, target_batch.features)
-        pl = pseudo_label_select(cache_target.probs, priors.target)
-        rep = contradist_loss(cache_target.probs, pl, priors.target)
-        rep.name = "tu"
-        _check_finite("tu", rep.value, epoch, step)
-        g, _ = backward(params, cache_target, grad_logits=rep.grad_logits)
-        add(g, config.weight("tu"))
-        reports["tu"] = rep
-
-    if "su" in enabled:
-        pl = pseudo_label_select(cache_sup.probs, priors.source)
-        rep = contradist_loss(cache_sup.probs, pl, priors.source)
-        rep.name = "su"
-        _check_finite("su", rep.value, epoch, step)
-        g, _ = backward(params, cache_sup, grad_logits=rep.grad_logits)
-        add(g, config.weight("su"))
-        reports["su"] = rep
-
-    adv_on = [t for t in ("ta", "sa") if t in enabled]
-    n_f = config.fake.n_f or config.batch_size
-    gen_fakes_target = None
-    if adv_on and config.fake.mode == "generator":
-        # one generator MMD step per classifier step; its fake rows feed ta
-        params, opt_phi, gen_rep, gen_fakes_target = generator_step(
-            params, target_batch.features, n_f, config.fake.gamma, opt_phi, lr, streams.fake_target
-        )
-        _check_finite("gen", gen_rep.value, epoch, step)
-        reports["gen"] = gen_rep
-
-    for term in adv_on:
-        if config.fake.mode == "gaussian":
-            stats = fake_ctx.target_stats if term == "ta" else fake_ctx.source_stats
-            stream = streams.fake_target if term == "ta" else streams.fake_source
-            fakes = gaussian_fakes(stats, n_f, stream)
-        elif term == "ta":
-            fakes = gen_fakes_target
-        else:
-            fakes = generator_fakes(params, n_f, streams.fake_source)
-        cache_fake = forward(params, fakes)
-        rep = adv_bce(cache_fake.probs)
+    for term in config.enabled():
+        spec = TERM_TABLE[term]
+        if generator and spec.batch.startswith("fake") and "gen" not in reports:
+            # one generator MMD step per classifier step
+            params, opt_phi, gen_rep, gen_rows = generator_step(
+                params, target_batch.features, n_f, config.fake.gamma, opt_phi, lr, run.streams["fake_target"]
+            )
+            _check_finite("gen", gen_rep.value, epoch, step)
+            reports["gen"] = gen_rep
+        if spec.batch not in caches:
+            caches[spec.batch] = forward(params, rows(spec.batch))
+        cache = caches[spec.batch]
+        labels = sup_batch.labels if spec.batch == "labeled" else None
+        rep = spec.loss(cache.probs, labels, run.priors.get(spec.prior))
         rep.name = term
         _check_finite(term, rep.value, epoch, step)
-        g, _ = backward(params, cache_fake, grad_logits=rep.grad_logits)
-        add(g, config.weight(term))
+        g, _ = backward(params, cache, grad_logits=rep.grad_logits)
+        w = config.weight(term)
+        for name, gt in g.items():
+            total[name] = total[name] + w * gt if name in total else w * gt
         reports[term] = rep
 
     params, opt_theta = adam_update(params, total, opt_theta, lr)
@@ -263,19 +278,15 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     """Run the full loop; returns (params, list of per-epoch metric records).
 
     Metric records carry epoch, lr, per-term mean batch losses (null when a
-    term is disabled), source-train and target-test accuracy, and seconds
-    (0.0 when config.timing is off). on_epoch, when given, receives each
-    record as it is produced.
+    term is disabled; ts only appears when it runs), source-train and
+    target-test accuracy, and seconds (0.0 when config.timing is off).
+    on_epoch, when given, receives each record as it is produced.
     """
     enabled = config.enabled()
     if not enabled:
         raise ConfigError("no enabled loss terms (all weights zero?)")
 
-    if "ts" in enabled:
-        sup_data = pair.target_train_labeled(oracle=config.oracle)
-    else:
-        sup_data = pair.source
-
+    run = RunState.build(config, pair)
     arch = build_architecture(config, pair.dim, pair.num_classes)
     params = init_params(arch, Rng(config.seed, STREAM_WEIGHT_INIT))
     opt_theta = OptimizerState.for_params(params, theta_names(arch), config.beta1, config.beta2, config.adam_eps)
@@ -284,53 +295,34 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
         if arch.generator
         else None
     )
-    streams = StreamBundle.for_seed(config.seed)
 
-    priors = Priors()
-    if "tu" in enabled:
-        priors.target = resolve_prior(config, pair.source)
-    if "su" in enabled:
-        priors.source = empirical_prior(sup_data)
-
-    fake_ctx = FakeContext()
-    if config.fake.mode == "gaussian":
-        if "ta" in enabled:
-            fake_ctx.target_stats = FeatureStats.from_features(pair.target_train.features)
-        if "sa" in enabled:
-            fake_ctx.source_stats = FeatureStats.from_features(sup_data.features)
-
-    needs_target_batches = "tu" in enabled or (config.fake.mode == "generator" and any(t in enabled for t in ("ta", "sa")))
-    sup_batcher = Batcher(sup_data.n, config.batch_size, config.seed, STREAM_SOURCE_SHUFFLE)
+    # the generator's MMD step reads the target batch too
+    needs_target = arch.generator or any(TERM_TABLE[t].batch == "target" for t in enabled)
+    sup_batcher = Batcher(run.labeled.n, config.batch_size, config.seed, STREAM_SOURCE_SHUFFLE)
     target_batcher = (
-        Batcher(pair.target_train.n, config.batch_size, config.seed, STREAM_TARGET_SHUFFLE)
-        if needs_target_batches
-        else None
+        Batcher(pair.target_train.n, config.batch_size, config.seed, STREAM_TARGET_SHUFFLE) if needs_target else None
     )
     steps_per_epoch = max(sup_batcher.batches_per_epoch, target_batcher.batches_per_epoch if target_batcher else 0)
 
-    term_order = list(enabled) + (["gen"] if arch.generator else [])
+    reported = enabled + (("gen",) if arch.generator else ())
+    record_keys = tuple(t for t in TERMS if t != "ts") + ("gen",) + (("ts",) if "ts" in enabled else ())
     metrics = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         lr = config.lr_at(epoch)
-        sums = {t: 0.0 for t in term_order}
+        sums = dict.fromkeys(reported, 0.0)
         for step in range(steps_per_epoch):
-            idx = sup_batcher.take()
-            sup_batch = _slice(sup_data, idx)
+            sup_batch = _slice(run.labeled, sup_batcher.take())
             target_batch = _slice(pair.target_train, target_batcher.take()) if target_batcher else None
             params, opt_theta, opt_phi, reports = train_step(
-                params, opt_theta, opt_phi, sup_batch, target_batch, config, streams, priors, fake_ctx, lr, epoch, step
+                params, opt_theta, opt_phi, sup_batch, target_batch, config, run, lr, epoch, step
             )
             for t, rep in reports.items():
                 sums[t] += rep.value
-        loss_rec = {t: (sums[t] / steps_per_epoch if t in term_order else None) for t in ("ss", "tu", "su", "ta", "sa")}
-        loss_rec["gen"] = sums["gen"] / steps_per_epoch if "gen" in term_order else None
-        if "ts" in term_order:
-            loss_rec["ts"] = sums["ts"] / steps_per_epoch
         record = {
             "epoch": epoch,
             "lr": lr,
-            "loss": loss_rec,
+            "loss": {t: (sums[t] / steps_per_epoch if t in sums else None) for t in record_keys},
             "acc": {
                 "source_train": evaluate(params, pair.source).accuracy,
                 "target_test": evaluate(params, pair.target_test).accuracy,

@@ -1,18 +1,24 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_data import write_idx_pair
+
 import ctdr.cli
 from ctdr.cli import (
+    build_pair,
     format_config,
     load_config,
     main,
     parse_config_text,
     resolve_config,
 )
+from ctdr.data import load_sparse
 from ctdr.errors import ConfigError, NonFiniteLossError
 
 
@@ -304,3 +310,25 @@ def test_skew_applies_to_two_moons(tmp_path):
     final = json.loads((tmp_path / "out" / "eval.json").read_text())
     conf = np.array(final["confusion"])
     assert conf[0].sum() == 32 and conf[1].sum() == 8
+
+
+def test_readme_data_examples_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    resize_line = re.search(r"`(resize = [^`]+)`", readme).group(1)
+    pixels = np.arange(3 * 16 * 16, dtype=np.uint8).reshape(3, 16, 16)
+    images, labels = write_idx_pair(tmp_path, pixels, [0, 1, 2])
+    raw = parse_config_text(resize_line)
+    raw.update({"data": "idx", "classes": "3"})
+    for split in ("source", "target", "target_test"):
+        raw[f"{split}_images"], raw[f"{split}_labels"] = str(images), str(labels)
+    pair = build_pair(resolve_config(raw))
+    assert pair.source.image_hw == (28, 28)
+    assert pair.target_test.dim == 28 * 28
+
+    header = re.search(r"`(width=\S+ classes=\S+)`", readme).group(1)
+    path = tmp_path / "pair.txt"
+    path.write_text(header.replace("<d>", "3").replace("<k>", "2") + "\n0 0:0.5 2:-1.25\n1 1:2.0\n")
+    ds = load_sparse(path)
+    assert (ds.dim, ds.num_classes) == (3, 2)
+    assert np.array_equal(ds.features, [[0.5, 0.0, -1.25], [0.0, 2.0, 0.0]])

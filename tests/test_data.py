@@ -64,7 +64,6 @@ def test_dataset_validation():
 def test_domain_pair_hides_target_train_labels():
     pair = synth_two_moons(20, 10.0, 0.05, seed=3)
     assert pair.target_train.labels is None
-    assert pair.has_target_labels
     with pytest.raises(ContractViolation):
         pair.target_train_labeled()
     oracle = pair.target_train_labeled(oracle=True)

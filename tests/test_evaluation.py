@@ -1,4 +1,4 @@
-"""Tests for inference, accuracy metrics, baselines, and embedding export."""
+"""Tests for inference, accuracy metrics, and embedding export."""
 
 import csv
 import json
@@ -8,7 +8,7 @@ import pytest
 
 from ctdr.data import Dataset, synth_two_moons
 from ctdr.errors import ContractViolation
-from ctdr.evaluation import EvalReport, evaluate, export_embeddings, predict, run_baselines
+from ctdr.evaluation import EvalReport, evaluate, export_embeddings, predict
 from ctdr.model import Architecture, LayerSpec, ParamSet, init_params
 from ctdr.numerics import Rng, STREAM_WEIGHT_INIT, softmax_rows
 from ctdr.train import LossCombo, TrainConfig, fit
@@ -137,18 +137,6 @@ def test_eval_report_to_json_round_trips():
     assert blob["n_test"] == 2
     assert blob["confusion"] == [[1, 1], [0, 0]]
     assert blob["per_class_accuracy"][1] is None  # nan encodes as null
-
-
-def test_run_baselines_guards_oracle():
-    pair = synth_two_moons(30, 35.0, 0.1, seed=8)
-    cfg = TrainConfig(LossCombo.parse("ss"), epochs=2, hidden=(8,), timing=False)
-    reports = run_baselines(pair, cfg)
-    assert reports["bl1"] is None
-    assert reports["bl2"] is not None
-    reports = run_baselines(pair, cfg, oracle=True)
-    assert reports["bl1"] is not None
-    assert 0.0 <= reports["bl1"].accuracy <= 1.0
-    assert 0.0 <= reports["bl2"].accuracy <= 1.0
 
 
 def test_export_embeddings_round_trip(tmp_path):

@@ -12,7 +12,6 @@ from ctdr.numerics import (
     finite_diff_grad,
     gaussian_kernel_matrix,
     log_sum_exp,
-    matmul,
     relative_error,
     softmax_rows,
     substream,
@@ -159,32 +158,6 @@ def test_substream_packs_purpose_and_index():
     assert substream(2, 5) == (2 << 32) | 5
     assert substream(2, 5) != substream(2, 6)
     assert substream(2, 5) != substream(3, 5)
-
-
-def test_matmul_identity():
-    m = np.array([[1.5, -2.0], [0.25, 4.0]])
-    eye = np.eye(2)
-    assert np.array_equal(matmul(eye, m), m)
-
-
-def test_matmul_hand_example():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[1.0], [1.0]])
-    out = matmul(a, b)
-    assert np.array_equal(out, np.array([[3.0], [7.0]]))
-
-
-def test_matmul_empty_inner_dimension():
-    a = np.zeros((1, 0))
-    b = np.zeros((0, 1))
-    out = matmul(a, b)
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 0.0
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ContractViolation):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_softmax_symmetric_row():

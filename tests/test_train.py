@@ -14,10 +14,8 @@ from ctdr.model import init_params, phi_names, tensor_names, theta_names
 from ctdr.numerics import Rng, STREAM_WEIGHT_INIT
 from ctdr.optim import OptimizerState
 from ctdr.train import (
-    FakeContext,
     LossCombo,
-    Priors,
-    StreamBundle,
+    RunState,
     TERMS,
     TrainConfig,
     build_architecture,
@@ -241,12 +239,10 @@ def test_train_step_zero_lr_keeps_params():
     arch = build_architecture(cfg, 2, 2)
     params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     opt = OptimizerState.for_params(params, theta_names(arch))
-    priors = Priors(target=np.array([0.5, 0.5]))
+    run = RunState.build(cfg, pair)
     sup = Batch(pair.source.features[:8], pair.source.labels[:8])
     tgt = Batch(pair.target_train.features[:8])
-    new, _, _, reports = train_step(
-        params, opt, None, sup, tgt, cfg, StreamBundle.for_seed(0), priors, FakeContext(), 0.0
-    )
+    new, _, _, reports = train_step(params, opt, None, sup, tgt, cfg, run, 0.0)
     assert set(reports) == {"ss", "tu"}
     assert all(np.isfinite(rep.value) for rep in reports.values())
     for name in tensor_names(arch):
@@ -261,9 +257,31 @@ def test_train_step_does_not_mutate_inputs():
     before = {n: t.copy() for n, t in params.tensors.items()}
     opt = OptimizerState.for_params(params, theta_names(arch))
     sup = Batch(pair.source.features[:8], pair.source.labels[:8])
-    train_step(params, opt, None, sup, None, cfg, StreamBundle.for_seed(0), Priors(), FakeContext(), 0.01)
+    train_step(params, opt, None, sup, None, cfg, RunState.build(cfg, pair), 0.01)
     for name, t in before.items():
         assert np.array_equal(params.tensors[name], t)
+
+
+def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
+    # tu reads the target batch and sa the source fakes; no term reads the labeled batch
+    pair = tiny_pair()
+    cfg = quick_config("tu,sa")
+    arch = build_architecture(cfg, 2, 2)
+    params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
+    opt = OptimizerState.for_params(params, theta_names(arch))
+    sup = Batch(pair.source.features[:8], pair.source.labels[:8])
+    tgt = Batch(pair.target_train.features[:5])
+    rows = []
+    real_forward = ctdr.train.forward
+
+    def counting_forward(params, features):
+        rows.append(len(features))
+        return real_forward(params, features)
+
+    monkeypatch.setattr(ctdr.train, "forward", counting_forward)
+    _, _, _, reports = train_step(params, opt, None, sup, tgt, cfg, RunState.build(cfg, pair), 0.01)
+    assert set(reports) == {"tu", "sa"}
+    assert rows == [5, cfg.batch_size]
 
 
 def test_gaussian_adversarial_terms_run():
