@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .data import (
     DomainPair,
+    FeatureTransform,
     load_idx,
     load_sparse,
     resize_bilinear,
@@ -28,14 +29,7 @@ from .data import (
     synth_gauss_shift,
     synth_two_moons,
 )
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    ContractViolation,
-    CtdrError,
-    NonFiniteLossError,
-    ParseError,
-)
+from .errors import ConfigError, CtdrError, NonFiniteLossError
 from .evaluation import evaluate, export_embeddings
 from .fake import FAKE_MODES, FakeSourceConfig
 from .model import load_checkpoint, save_checkpoint
@@ -84,11 +78,20 @@ _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_int_list}
 _TRAIN = TrainConfig()
 _FAKE = _TRAIN.fake
 
+# CLI key -> TrainConfig / FakeSourceConfig field, for the keys that map one to
+# one. SCHEMA takes their defaults from these fields; build_train_config fills
+# the fields from these keys.
+_TRAIN_FIELDS = {
+    **{k: k for k in ("hidden", "epochs", "lr", "lr_decay", "lr_decay_every", "seed", "oracle", "timing")},
+    "batch": "batch_size",
+}
+_FAKE_FIELDS = {"fake_mode": "mode", "noise_dim": "noise_dim", "gen_hidden": "gen_hidden"}
 
-def _field(owner, name):
-    """(parser, default) of a TrainConfig / FakeSourceConfig field."""
-    value = getattr(owner, name)
-    return _PARSERS[type(value)], value
+
+def _field(key, parser=None):
+    """(parser, default) of the config field a key maps to."""
+    value = getattr(_TRAIN, _TRAIN_FIELDS[key]) if key in _TRAIN_FIELDS else getattr(_FAKE, _FAKE_FIELDS[key])
+    return parser or _PARSERS[type(value)], value
 
 
 # key -> (parser, default). Insertion order is the printing order. Training
@@ -122,26 +125,26 @@ SCHEMA: dict = {
     "standardize": (_parse_bool, True),
     # training
     "combo": (str, ",".join(_TRAIN.combo.names())),
-    "hidden": _field(_TRAIN, "hidden"),
-    "epochs": _field(_TRAIN, "epochs"),
-    "batch": _field(_TRAIN, "batch_size"),
-    "lr": _field(_TRAIN, "lr"),
-    "lr_decay": _field(_TRAIN, "lr_decay"),
-    "lr_decay_every": _field(_TRAIN, "lr_decay_every"),
-    "seed": _field(_TRAIN, "seed"),
+    "hidden": _field("hidden"),
+    "epochs": _field("epochs"),
+    "batch": _field("batch"),
+    "lr": _field("lr"),
+    "lr_decay": _field("lr_decay"),
+    "lr_decay_every": _field("lr_decay_every"),
+    "seed": _field("seed"),
     "prior": (str, "assume_source"),
-    "oracle": _field(_TRAIN, "oracle"),
+    "oracle": _field("oracle"),
     **{f"w_{t}": (float, _TRAIN.weight(t)) for t in TERMS},
     # fake samples
-    "fake_mode": (_choice(*FAKE_MODES), _FAKE.mode),
+    "fake_mode": _field("fake_mode", _choice(*FAKE_MODES)),
     "fake_n": (int, 0),
-    "noise_dim": _field(_FAKE, "noise_dim"),
-    "gen_hidden": _field(_FAKE, "gen_hidden"),
+    "noise_dim": _field("noise_dim"),
+    "gen_hidden": _field("gen_hidden"),
     "mmd_gamma": (str, "median"),
     # output
     "out_dir": (str, "ctdr_out"),
     "export_embeddings": (_parse_bool, False),
-    "timing": _field(_TRAIN, "timing"),
+    "timing": _field("timing"),
 }
 
 
@@ -200,6 +203,12 @@ def load_config(args) -> dict:
 # --- config -> runtime objects ---------------------------------------------------
 
 
+def _require_paths(cfg: dict, *kinds):
+    missing = [k for k in (f"{d}_{kind}" for d in ("source", "target", "target_test") for kind in kinds) if not cfg[k]]
+    if missing:
+        raise ConfigError(f"data={cfg['data']} needs paths for {', '.join(missing)}")
+
+
 def build_pair(cfg: dict) -> DomainPair:
     kind = cfg["data"]
     skew = cfg["skew"] or None
@@ -216,10 +225,7 @@ def build_pair(cfg: dict) -> DomainPair:
             seed=cfg["seed"],
         )
     if kind == "idx":
-        needed = ["source_images", "source_labels", "target_images", "target_labels", "target_test_images", "target_test_labels"]
-        missing = [k for k in needed if not cfg[k]]
-        if missing:
-            raise ConfigError(f"data=idx needs paths for {', '.join(missing)}")
+        _require_paths(cfg, "images", "labels")
         k = cfg["classes"]
         source = load_idx(cfg["source_images"], cfg["source_labels"], k, name="source")
         target_train = load_idx(cfg["target_images"], cfg["target_labels"], k, name="target_train")
@@ -241,10 +247,7 @@ def build_pair(cfg: dict) -> DomainPair:
             target_test = subsample(target_test, cfg["n_target_test"], cfg["seed"], variant=2)
         return DomainPair(source, target_train, target_test)
     # sparse
-    needed = ["source_sparse", "target_sparse", "target_test_sparse"]
-    missing = [k for k in needed if not cfg[k]]
-    if missing:
-        raise ConfigError(f"data=sparse needs paths for {', '.join(missing)}")
+    _require_paths(cfg, "sparse")
     return DomainPair(
         load_sparse(cfg["source_sparse"], name="source"),
         load_sparse(cfg["target_sparse"], name="target_train"),
@@ -266,26 +269,16 @@ def build_train_config(cfg: dict) -> TrainConfig:
         except ValueError as exc:
             raise ConfigError(f"mmd_gamma must be `median` or a float: {exc}") from exc
     fake = FakeSourceConfig(
-        mode=cfg["fake_mode"],
         n_f=cfg["fake_n"] or None,
-        noise_dim=cfg["noise_dim"],
-        gen_hidden=cfg["gen_hidden"],
         gamma=gamma,
+        **{name: cfg[key] for key, name in _FAKE_FIELDS.items()},
     )
     return TrainConfig(
         combo=LossCombo.parse(cfg["combo"]),
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch"],
-        lr=cfg["lr"],
-        lr_decay=cfg["lr_decay"],
-        lr_decay_every=cfg["lr_decay_every"],
-        seed=cfg["seed"],
         prior=prior,
-        hidden=cfg["hidden"],
         weights={t: cfg[f"w_{t}"] for t in TERMS},
         fake=fake,
-        timing=cfg["timing"],
-        oracle=cfg["oracle"],
+        **{name: cfg[key] for key, name in _TRAIN_FIELDS.items()},
     )
 
 
@@ -339,8 +332,6 @@ def cmd_eval(args) -> int:
     sys.stdout.write(format_config(cfg))
     params = load_checkpoint(args.checkpoint)
     if getattr(args, "transform", None):
-        from .data import FeatureTransform
-
         tr = FeatureTransform.load(args.transform)
         pair = build_pair(cfg).map_features(tr.apply)
     else:
@@ -432,9 +423,6 @@ def main(argv=None) -> int:
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ParseError, ContractViolation, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CtdrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -378,17 +378,8 @@ def synth_gauss_shift(
     means = mean_rng.normal_matrix(num_classes, dim) * (3.0 / math.sqrt(dim))
 
     def sample(counts, shift, scale, rng):
-        total = int(counts.sum())
-        feats = np.empty((total, dim))
-        labels = np.empty(total, dtype=np.int64)
-        pos = 0
-        for cls in range(num_classes):
-            for _ in range(int(counts[cls])):
-                noise = np.array([rng.normal() for _ in range(dim)])
-                feats[pos] = means[cls] + shift + scale * noise
-                labels[pos] = cls
-                pos += 1
-        return feats, labels
+        labels = np.repeat(np.arange(num_classes), counts)
+        return means[labels] + shift + scale * rng.normal_matrix(labels.size, dim), labels
 
     src = sample(_exact_counts(uniform, n), 0.0, 1.0, Rng(seed, substream(STREAM_DATA, 0)))
     tt = sample(_exact_counts(skew, n), mean_shift, cov_scale, Rng(seed, substream(STREAM_DATA, 1)))
@@ -433,9 +424,17 @@ class FeatureTransform:
 
     @classmethod
     def load(cls, path) -> "FeatureTransform":
-        with open(path, "r", encoding="utf-8") as fh:
-            blob = json.load(fh)
-        return cls(np.array([float(v) for v in blob["mean"]]), np.array([float(v) for v in blob["std"]]))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                blob = json.load(fh)
+            mean, std = (np.array([float(v) for v in blob[key]]) for key in ("mean", "std"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, exc.lineno, f"bad JSON: {exc.msg}") from exc
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers non-UTF-8 bytes
+            raise ParseError(path, 1, f"need `mean` and `std` lists of numbers ({exc!r})") from exc
+        if mean.shape != std.shape or not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std) & (std > 0))):
+            raise ParseError(path, 1, "`mean` and `std` must be finite, of equal length, with `std` > 0")
+        return cls(mean, std)
 
 
 def fit_standardizer(pair: DomainPair) -> FeatureTransform:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation
-from .numerics import as_matrix, gaussian_kernel_matrix, log_sum_exp
+from .numerics import _pairwise_sq_dists, as_matrix, gaussian_kernel_matrix, log_sum_exp
 
 EPS = 1e-12
 
@@ -201,8 +201,7 @@ def median_heuristic_gamma(emb_real) -> float:
     n = r.shape[0]
     if n < 2:
         return 1.0
-    diff = r[:, None, :] - r[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    sq = _pairwise_sq_dists(r, r)
     iu = np.triu_indices(n, k=1)
     med = float(np.median(sq[iu]))
     if med <= EPS:

@@ -6,6 +6,7 @@ functional parameter container, and a little-endian binary checkpoint format.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -422,17 +423,17 @@ def load_checkpoint(path) -> ParamSet:
     tensors = {}
     for idx in range(n_tensors):
         (name_len,) = cur.unpack("<H")
-        name = cur.take(name_len).decode("utf-8")
+        try:
+            name = cur.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor {idx} name is not UTF-8") from exc
         if name != order[idx]:
             raise CheckpointShapeError(f"{path}: tensor {idx} is {name!r}, expected {order[idx]!r}")
         (ndim,) = cur.unpack("<B")
         shape = tuple(cur.unpack("<" + "I" * ndim)) if ndim else ()
         if shape != expected[name]:
             raise CheckpointShapeError(f"{path}: tensor {name}: shape {shape}, architecture says {expected[name]}")
-        count = 1
-        for dim in shape:
-            count *= dim
-        payload = cur.take(8 * count)
+        payload = cur.take(8 * math.prod(shape))
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     if cur.pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - cur.pos} trailing bytes after payload")

@@ -79,16 +79,13 @@ class Rng:
         return r * math.cos(a)
 
     def uniform_matrix(self, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
-        out = np.empty(rows * cols)
-        for i in range(out.size):
-            out[i] = self.uniform(lo, hi)
-        return out.reshape(rows, cols)
+        n = rows * cols
+        return np.fromiter((self.uniform(lo, hi) for _ in range(n)), np.float64, count=n).reshape(rows, cols)
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        out = np.empty(rows * cols)
-        for i in range(out.size):
-            out[i] = self.normal()
-        return out.reshape(rows, cols)
+        """Row-major block of standard normals, the same draws as rows*cols normal() calls."""
+        n = rows * cols
+        return np.fromiter((self.normal() for _ in range(n)), np.float64, count=n).reshape(rows, cols)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), rejection-sampled to kill modulo bias."""
@@ -153,9 +150,13 @@ def gaussian_kernel_matrix(x, y, gamma: float) -> np.ndarray:
         raise ContractViolation("kernel: inputs must be nonempty")
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise ContractViolation(f"kernel: gamma must be finite and > 0, got {gamma}")
+    return np.exp(-gamma * _pairwise_sq_dists(x, y))
+
+
+def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||x_i - y_j||^2 for all row pairs, from explicit differences."""
     diff = x[:, None, :] - y[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    return np.exp(-gamma * sq)
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
 from .model import ParamSet
+
+# Adam's moment decay rates and denominator floor (Kingma & Ba defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -17,16 +22,13 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: ParamSet, names, beta1=0.9, beta2=0.999, eps=1e-8) -> "OptimizerState":
+    def for_params(cls, params: ParamSet, names) -> "OptimizerState":
         names = list(names)
         m = {n: np.zeros_like(params.tensors[n]) for n in names}
         v = {n: np.zeros_like(params.tensors[n]) for n in names}
-        return cls(m, v, 0, beta1, beta2, eps)
+        return cls(m, v, 0)
 
 
 def adam_update(params: ParamSet, grads: dict, state: OptimizerState, lr: float):
@@ -42,19 +44,18 @@ def adam_update(params: ParamSet, grads: dict, state: OptimizerState, lr: float)
     if missing:
         raise ContractViolation(f"adam_update: grads missing {missing}")
     t = state.step + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     new_tensors = dict(params.tensors)
     new_m, new_v = {}, {}
     for name in state.m:
         g = grads[name]
         if g.shape != params.tensors[name].shape:
             raise ContractViolation(f"adam_update: grad shape mismatch for {name}")
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        step_vec = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
+        step_vec = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         new_tensors[name] = params.tensors[name] - step_vec
         new_m[name] = m
         new_v[name] = v
-    return ParamSet(params.arch, new_tensors), OptimizerState(new_m, new_v, t, b1, b2, eps)
+    return ParamSet(params.arch, new_tensors), OptimizerState(new_m, new_v, t)

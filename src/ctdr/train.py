@@ -121,9 +121,6 @@ class TrainConfig:
     hidden: tuple = (128, 128)
     weights: dict = field(default_factory=dict)  # term -> weight, default 1.0
     fake: FakeSourceConfig = field(default_factory=FakeSourceConfig)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     timing: bool = True
     oracle: bool = False  # unlock target-train labels (needed by ts)
 
@@ -289,12 +286,8 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     run = RunState.build(config, pair)
     arch = build_architecture(config, pair.dim, pair.num_classes)
     params = init_params(arch, Rng(config.seed, STREAM_WEIGHT_INIT))
-    opt_theta = OptimizerState.for_params(params, theta_names(arch), config.beta1, config.beta2, config.adam_eps)
-    opt_phi = (
-        OptimizerState.for_params(params, phi_names(arch), config.beta1, config.beta2, config.adam_eps)
-        if arch.generator
-        else None
-    )
+    opt_theta = OptimizerState.for_params(params, theta_names(arch))
+    opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
 
     # the generator's MMD step reads the target batch too
     needs_target = arch.generator or any(TERM_TABLE[t].batch == "target" for t in enabled)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from test_data import write_idx_pair
 import ctdr.cli
 from ctdr.cli import (
     build_pair,
+    build_train_config,
     format_config,
     load_config,
     main,
@@ -20,6 +22,8 @@ from ctdr.cli import (
 )
 from ctdr.data import load_sparse
 from ctdr.errors import ConfigError, NonFiniteLossError
+from ctdr.fake import FakeSourceConfig
+from ctdr.train import TrainConfig
 
 
 def small_train_cfg(tmp_path, name="cfg.txt", **extra):
@@ -89,6 +93,36 @@ def test_format_config_round_trips():
     text = format_config(cfg)
     back = resolve_config(parse_config_text(text))
     assert back == cfg
+
+
+def test_every_config_field_is_reachable_from_a_key():
+    """A TrainConfig / FakeSourceConfig field no key can set is a knob without a caller."""
+    raw = {
+        "combo": "ss,su,ta",
+        "hidden": "16,8",
+        "epochs": "7",
+        "batch": "32",
+        "lr": "0.01",
+        "lr_decay": "0.5",
+        "lr_decay_every": "3",
+        "seed": "9",
+        "prior": "0.7,0.3",
+        "oracle": "true",
+        **{f"w_{t}": "0.5" for t in ("ss", "tu", "su", "ta", "sa", "ts")},
+        "fake_mode": "generator",
+        "fake_n": "12",
+        "noise_dim": "4",
+        "gen_hidden": "8",
+        "mmd_gamma": "0.25",
+        "timing": "false",
+    }
+    config = build_train_config(resolve_config(raw))
+
+    def at_default(obj, default):
+        return [f.name for f in fields(obj) if getattr(obj, f.name) == getattr(default, f.name)]
+
+    assert at_default(config, TrainConfig()) == []
+    assert at_default(config.fake, FakeSourceConfig()) == []
 
 
 def test_overrides_precedence(tmp_path):

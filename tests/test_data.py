@@ -2,6 +2,7 @@
 deterministic batching."""
 
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -308,11 +309,26 @@ def test_two_moons_full_rotation_swaps_classes():
     assert evaluate(params, pair.target_test).accuracy < 0.5
 
 
+# sha256 over features then labels of source, target-train and target-test,
+# for synth_gauss_shift(50, num_classes=3, dim=4, seed=1) at each label_skew.
+GAUSS_GOLDEN_DIGESTS = {
+    None: "534333e1d4f7466cef079b51e8375fa71751297e562c88fa5d789da063b0047a",
+    (0.5, 0.3, 0.2): "be4a80f6e9423266d526f04c36a5792405883e13eecaed0ebf6858461012fe19",
+}
+
+
 def test_gauss_shift_shapes_and_golden_row():
     pair = synth_gauss_shift(50, num_classes=3, dim=4, seed=1)
     assert pair.source.features.shape == (50, 4)
     assert pair.source.num_classes == 3
     assert np.array_equal(pair.source.features[0], GAUSS_GOLDEN_ROW)
+    for label_skew, digest in GAUSS_GOLDEN_DIGESTS.items():
+        pair = synth_gauss_shift(50, num_classes=3, dim=4, seed=1, label_skew=label_skew)
+        h = hashlib.sha256()
+        for ds in (pair.source, pair.target_train_labeled(oracle=True), pair.target_test):
+            h.update(ds.features.tobytes())
+            h.update(ds.labels.tobytes())
+        assert h.hexdigest() == digest, label_skew
 
 
 def test_gauss_shift_zero_shift_is_identity_distribution():
@@ -400,6 +416,30 @@ def test_feature_transform_round_trip(tmp_path):
     assert np.array_equal(back.std, tr.std)
     x = pair.source.features
     assert np.array_equal(back.apply(x), tr.apply(x))
+
+
+@pytest.mark.parametrize(
+    "blob, line_no",
+    [
+        (b'{"mean": ["0.5", "1.5"], "std": [', 1),  # truncated
+        (b'{\n"mean": ["0.5"],\n"std": ["1.0"],\n}', 4),  # trailing comma, reported at the `}` on line 4
+        (b"{}", 1),
+        (b'{"mean": ["0.5"]}', 1),
+        (b'{"mean": ["0.5"], "std": ["one"]}', 1),
+        (b'{"mean": ["0.5"], "std": [{}]}', 1),
+        (b'{"mean": ["0.5"], "std": ["nan"]}', 1),
+        (b'{"mean": ["0.5"], "std": ["0.0"]}', 1),
+        (b'{"mean": ["0.5", "1.5"], "std": ["1.0"]}', 1),
+        (b"[]", 1),
+        (b'\xff{"mean": []}', 1),
+    ],
+)
+def test_feature_transform_load_rejects_malformed(tmp_path, blob, line_no):
+    path = tmp_path / "transform.json"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError) as info:
+        FeatureTransform.load(path)
+    assert (info.value.path, info.value.line_no) == (str(path), line_no)
 
 
 def test_resize_bilinear_constant_image_unchanged(tmp_path):

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from ctdr.cli import main
 from ctdr.errors import (
     CheckpointError,
     CheckpointShapeError,
@@ -427,6 +428,18 @@ def test_checkpoint_tensor_name_mismatch(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(CheckpointShapeError):
         load_checkpoint(bad)
+
+
+def test_checkpoint_tensor_name_not_utf8(tmp_path):
+    raw = checkpoint_bytes(tmp_path)
+    name_off = 28 + 4 + 2
+    assert raw[name_off : name_off + 6] == b"enc0.w"
+    raw[name_off] = 0xFF
+    bad = tmp_path / "bad.ctdr"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=r"bad\.ctdr: tensor 0 name is not UTF-8"):
+        load_checkpoint(bad)
+    assert main(["eval", "--checkpoint", str(bad)]) == 2
 
 
 def test_checkpoint_trailing_bytes(tmp_path):
