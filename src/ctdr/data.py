@@ -203,8 +203,12 @@ def load_sparse(path, name: str = "") -> Dataset:
     with 0-based indices; label -1 marks an unlabeled row (all-or-nothing:
     mixing labeled and unlabeled rows is an error).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw_bytes = fh.read()
+    try:
+        lines = raw_bytes.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, raw_bytes.count(b"\n", 0, exc.start) + 1, f"not UTF-8 (byte {exc.start})") from exc
     header_seen = False
     width = num_classes = None
     rows: list[dict] = []
@@ -247,6 +251,8 @@ def load_sparse(path, name: str = "") -> Dataset:
                 idx, val = int(si), float(sv)
             except ValueError as exc:
                 raise ParseError(path, line_no, f"bad entry {tok!r}: {exc}") from exc
+            if not math.isfinite(val):
+                raise ParseError(path, line_no, f"non-finite value in {tok!r}")
             if idx < 0 or idx >= width:
                 raise ParseError(path, line_no, f"index {idx} out of range [0, {width})")
             if idx in entries:

@@ -435,6 +435,8 @@ def load_checkpoint(path) -> ParamSet:
             raise CheckpointShapeError(f"{path}: tensor {name}: shape {shape}, architecture says {expected[name]}")
         payload = cur.take(8 * math.prod(shape))
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.all(np.isfinite(tensors[name])):
+            raise CheckpointError(f"{path}: tensor {name} has non-finite values")
     if cur.pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - cur.pos} trailing bytes after payload")
     return ParamSet(arch, tensors)

@@ -31,6 +31,27 @@ def substream(purpose: int, k: int) -> int:
 _PCG_MULT = 6364136223846793005
 _M64 = (1 << 64) - 1
 
+# PCG32 outputs per jump-ahead block (2048 Box-Muller pairs); it bounds the
+# jump tables and every per-block temporary.
+_BLOCK = 8192
+
+
+def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A^k and sum_{j<k} A^j (mod 2^64) for k = 0..n, A the PCG multiplier.
+
+    k steps from state s land on A^k * s + (sum_{j<k} A^j) * inc (Brown 1994,
+    "Random number generation with arbitrary strides"). uint64 arithmetic
+    wraps, so the tables and everything computed from them are exact.
+    """
+    mult = np.ones(n + 1, np.uint64)
+    mult[1:] = np.multiply.accumulate(np.full(n, _PCG_MULT, np.uint64))
+    add = np.zeros(n + 1, np.uint64)
+    add[1:] = np.cumsum(mult[:-1], dtype=np.uint64)
+    return mult, add
+
+
+_JUMP_MULT, _JUMP_ADD = _jump_tables(_BLOCK)
+
 
 class Rng:
     """PCG32: 64-bit LCG state, XSH-RR output, explicit stream selection.
@@ -38,6 +59,11 @@ class Rng:
     state <- state * 6364136223846793005 + inc (mod 2^64), inc = 2*stream + 1.
     Output is 32 bits; doubles take 53 random bits from two outputs. The same
     (seed, stream) pair yields the same sequence on every platform.
+
+    uniform_matrix, normal_matrix and permutation take their outputs in
+    blocks by LCG jump-ahead. They give the same values, and leave the same
+    state, as one next_u32/random/normal/below call per draw; those stay the
+    reference and the path for the rare draw a block cannot take.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -78,14 +104,62 @@ class Rng:
         self._spare_normal = r * math.sin(a)
         return r * math.cos(a)
 
+    def _u32_block(self, n: int) -> np.ndarray:
+        """The next n next_u32() outputs (n <= _BLOCK) as uint64, by jump-ahead."""
+        states = _JUMP_MULT[: n + 1] * np.uint64(self._state) + _JUMP_ADD[: n + 1] * np.uint64(self._inc)
+        self._state = int(states[n])
+        old = states[:n]
+        xsh = (((old >> 18) ^ old) >> 27) & 0xFFFFFFFF
+        rot = old >> 59
+        return ((xsh >> rot) | (xsh << ((32 - rot) & 31))) & 0xFFFFFFFF
+
+    def _random_block(self, n: int) -> np.ndarray:
+        """The next n random() doubles (n <= _BLOCK // 2)."""
+        u = self._u32_block(2 * n)
+        return ((u[0::2] >> 5) * 67108864 + (u[1::2] >> 6)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
     def uniform_matrix(self, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
+        """Row-major block, the same draws as rows*cols uniform(lo, hi) calls."""
         n = rows * cols
-        return np.fromiter((self.uniform(lo, hi) for _ in range(n)), np.float64, count=n).reshape(rows, cols)
+        out = np.empty(n)
+        step = _BLOCK // 2
+        for start in range(0, n, step):
+            out[start : start + step] = self._random_block(min(step, n - start))
+        out *= hi - lo
+        out += lo
+        return out.reshape(rows, cols)
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """Row-major block of standard normals, the same draws as rows*cols normal() calls."""
+        """Row-major block of standard normals, the same draws as rows*cols normal() calls.
+
+        Box-Muller runs on whole blocks, but log, cos and sin stay the
+        platform's math functions, as in normal(), so every value matches.
+        """
         n = rows * cols
-        return np.fromiter((self.normal() for _ in range(n)), np.float64, count=n).reshape(rows, cols)
+        saved = self._state, self._spare_normal
+        out = np.empty(n)
+        filled = 0
+        if n and self._spare_normal is not None:
+            out[0], self._spare_normal = self._spare_normal, None
+            filled = 1
+        while filled < n:
+            pairs = min(_BLOCK // 4, (n - filled + 1) // 2)
+            u = self._random_block(2 * pairs)
+            u1, u2 = u[0::2], u[1::2]
+            if (u1 <= 0.0).any():  # normal() would redraw u1: replay the call one draw at a time
+                self._state, self._spare_normal = saved
+                return np.fromiter((self.normal() for _ in range(n)), np.float64, count=n).reshape(rows, cols)
+            r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, count=pairs))
+            a = ((2.0 * math.pi) * u2).tolist()
+            z = np.empty(2 * pairs)
+            z[0::2] = r * np.fromiter(map(math.cos, a), np.float64, count=pairs)
+            z[1::2] = r * np.fromiter(map(math.sin, a), np.float64, count=pairs)
+            take = min(2 * pairs, n - filled)
+            out[filled : filled + take] = z[:take]
+            if take < 2 * pairs:
+                self._spare_normal = float(z[-1])
+            filled += take
+        return out.reshape(rows, cols)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), rejection-sampled to kill modulo bias."""
@@ -98,12 +172,22 @@ class Rng:
                 return x % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        idx = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
+        """Fisher-Yates permutation of range(n), its below() draws taken in blocks."""
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)  # below(i + 1) for i = n-1 .. 1
+        saved = self._state
+        picks = []
+        for start in range(0, bounds.size, _BLOCK):
+            b = bounds[start : start + _BLOCK]
+            x = self._u32_block(b.size)
+            if (x >= 0x100000000 - 0x100000000 % b).any():  # below() would reject: replay one draw at a time
+                self._state = saved
+                picks = [self.below(k) for k in bounds.tolist()]
+                break
+            picks += (x % b).tolist()
+        idx = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), picks):
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        return np.array(idx, dtype=np.int_)
 
 
 def as_matrix(x, name: str = "array") -> np.ndarray:

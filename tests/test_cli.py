@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import re
 from dataclasses import fields
@@ -164,6 +165,35 @@ def test_cmd_train_same_seed_byte_identical(tmp_path):
     assert (tmp_path / "o1" / "model.ctdr").read_bytes() == (
         tmp_path / "o2" / "model.ctdr"
     ).read_bytes()
+
+
+# sha256 of (model.ctdr, metrics.jsonl) for two runs, taken when every draw
+# was one scalar PCG32 call, so a change to the generator or to the order of
+# draws cannot pass unseen (c09 only compares two runs of the same code). The
+# digests also depend on the platform's libm (math.log/sin/cos) and BLAS.
+FROZEN_RUNS = {
+    "gauss64_gaussian_fakes": (
+        {"data": "gauss_shift", "n": 60, "gauss_dim": 64, "gauss_classes": 5,
+         "combo": "ss,tu,su,sa,ta", "fake_mode": "gaussian", "hidden": 16},
+        "642f777ed4d157dda0c40b25f927246ca1d2e3de8465149a588c50ba0e898a00",
+        "622c49efa80dbd975e3b8461b33a0faaceaa3e12dec4dcebd2a2b1bc14bd3e3c",
+    ),
+    "moons_generator": (
+        {"combo": "ss,tu,ta", "fake_mode": "generator"},
+        "a6a5f2ae8663c24566472577ccd9cc61db9fac1137002dc76f898e6aa69ae6f4",
+        "1b19104c25f8af686248ddcf576dbc6163a5d262ea77e2ef94f89293422e3bd0",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(FROZEN_RUNS))
+def test_cmd_train_artifacts_match_frozen_digests(tmp_path, run):
+    extra, model_sha, metrics_sha = FROZEN_RUNS[run]
+    path = small_train_cfg(tmp_path, **extra)
+    assert main(["train", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    assert hashlib.sha256((out / "model.ctdr").read_bytes()).hexdigest() == model_sha
+    assert hashlib.sha256((out / "metrics.jsonl").read_bytes()).hexdigest() == metrics_sha
 
 
 def test_resolved_config_reproduces_run(tmp_path):

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from ctdr.cli import main
 from ctdr.data import (
     Batcher,
     Dataset,
@@ -204,6 +205,29 @@ def test_load_sparse_errors_carry_line_numbers(tmp_path):
 
     p.write_text("0 0:1.0\n")
     with pytest.raises(ParseError, match="header"):
+        load_sparse(p)
+
+
+def test_load_sparse_rejects_non_utf8_bytes(tmp_path):
+    p = tmp_path / "rows.txt"
+    p.write_bytes(b"\xff\xfewidth=3 classes=2\n0 0:1.0\n")
+    with pytest.raises(ParseError, match=r"rows\.txt:1: not UTF-8"):
+        load_sparse(p)
+    p.write_bytes(b"width=3 classes=2\n0 0:1.0\n1 1:\xff\n")
+    with pytest.raises(ParseError) as exc:
+        load_sparse(p)
+    assert exc.value.line_no == 3
+    cfg = tmp_path / "cfg.txt"
+    keys = ("source_sparse", "target_sparse", "target_test_sparse")
+    cfg.write_text("data = sparse\n" + "".join(f"{k} = {p}\n" for k in keys) + f"out_dir = {tmp_path / 'out'}\n")
+    assert main(["train", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_load_sparse_rejects_non_finite_values(tmp_path, value):
+    p = tmp_path / "rows.txt"
+    p.write_text(f"width=3 classes=2\n0 0:1.0\n1 2:{value}\n")
+    with pytest.raises(ParseError, match=r"rows\.txt:3: non-finite value"):
         load_sparse(p)
 
 

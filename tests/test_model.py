@@ -442,6 +442,20 @@ def test_checkpoint_tensor_name_not_utf8(tmp_path):
     assert main(["eval", "--checkpoint", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_checkpoint_non_finite_tensor(tmp_path, value):
+    raw = checkpoint_bytes(tmp_path)
+    name_off = 28 + 4 + 2
+    assert raw[name_off : name_off + 6] == b"enc0.w"
+    payload_off = name_off + 6 + 1 + 2 * 4  # name, ndim, two u32 dims
+    raw[payload_off + 8 : payload_off + 16] = struct.pack("<d", value)
+    bad = tmp_path / "bad.ctdr"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=r"bad\.ctdr: tensor enc0\.w has non-finite values"):
+        load_checkpoint(bad)
+    assert main(["eval", "--checkpoint", str(bad)]) == 2
+
+
 def test_checkpoint_trailing_bytes(tmp_path):
     raw = checkpoint_bytes(tmp_path)
     bad = tmp_path / "bad.ctdr"

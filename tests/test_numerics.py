@@ -153,6 +153,119 @@ def test_permutation_is_permutation_and_seed_pure():
     assert not np.array_equal(p1, p3)
 
 
+# Block draws against the scalar reference. _BLOCK is 8192 outputs: 2048
+# Box-Muller pairs (4096 normals) or 4096 uniforms per block. The high
+# stream has bit 63 set, and bit 62, which becomes bit 63 of the increment.
+HIGH_STREAM = (3 << 62) | 12345
+
+
+def scalar_fisher_yates(rng, n):
+    idx = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+def assert_same_position(block, scalar):
+    assert block._spare_normal == scalar._spare_normal
+    assert type(block._spare_normal) is type(scalar._spare_normal)
+    assert block.next_u32() == scalar.next_u32()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 5), (1, 4096), (1, 4097), (3, 2731), (7, 1201)])
+@pytest.mark.parametrize("seed, stream", [(42, 0), (9, HIGH_STREAM)])
+def test_normal_matrix_equals_scalar_normals(shape, seed, stream):
+    block, scalar = Rng(seed, stream), Rng(seed, stream)
+    got = block.normal_matrix(*shape)
+    want = np.array([scalar.normal() for _ in range(shape[0] * shape[1])]).reshape(shape)
+    assert got.dtype == np.float64 and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert_same_position(block, scalar)
+
+
+def test_normal_matrix_interleaved_with_scalar_calls_carries_the_spare():
+    block, scalar = Rng(3, HIGH_STREAM), Rng(3, HIGH_STREAM)
+    got, want = [], []
+    for rows, cols, singles in [(1, 3, 1), (2, 3, 1), (1, 1, 0), (1, 1, 2), (5, 819, 1), (1, 4097, 0), (0, 4, 1)]:
+        got += block.normal_matrix(rows, cols).ravel().tolist()
+        want += [scalar.normal() for _ in range(rows * cols)]
+        got += [block.normal() for _ in range(singles)]
+        want += [scalar.normal() for _ in range(singles)]
+        assert_same_position(block, scalar)  # both draw one u32 here, and stay in step
+    assert got == want
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (1, 4097), (3, 2731)])
+@pytest.mark.parametrize("seed, stream", [(11, 3), (9, HIGH_STREAM)])
+def test_uniform_matrix_equals_scalar_uniforms(shape, seed, stream):
+    block, scalar = Rng(seed, stream), Rng(seed, stream)
+    got = block.uniform_matrix(*shape, -0.37, 1.25)
+    want = np.array([scalar.uniform(-0.37, 1.25) for _ in range(shape[0] * shape[1])]).reshape(shape)
+    assert got.dtype == np.float64 and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert_same_position(block, scalar)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 500, 8194])
+@pytest.mark.parametrize("seed, stream", [(17, 9), (9, HIGH_STREAM)])
+def test_permutation_equals_scalar_fisher_yates(n, seed, stream):
+    block, scalar = Rng(seed, stream), Rng(seed, stream)
+    got = block.permutation(n)
+    want = scalar_fisher_yates(scalar, n)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert_same_position(block, scalar)
+
+
+def patch_block(monkeypatch, edit):
+    """Make Rng._u32_block return edited outputs; returns the list of calls."""
+    real = Rng._u32_block
+    calls = []
+
+    def patched(self, n):
+        calls.append(n)
+        out = real(self, n)
+        edit(out)
+        return out
+
+    monkeypatch.setattr(Rng, "_u32_block", patched)
+    return calls
+
+
+def test_normal_matrix_zero_u1_falls_back_to_scalar_path(monkeypatch):
+    scalar = Rng(5, HIGH_STREAM)
+    scalar.normal()  # leaves a spare, which the fallback must restore
+    want = [scalar.normal() for _ in range(9)]
+
+    def zero_first_u1(out):
+        out[:2] = 0  # hi = lo = 0: the first pair's u1 is exactly 0.0
+
+    calls = patch_block(monkeypatch, zero_first_u1)
+    block = Rng(5, HIGH_STREAM)
+    block.normal()
+    got = block.normal_matrix(3, 3)
+    assert calls == [16]  # four pairs for the eight normals after the spare
+    assert got.ravel().tolist() == want
+    assert_same_position(block, scalar)
+
+
+@pytest.mark.parametrize("n", [3, 40, 500])
+def test_permutation_rejection_falls_back_to_scalar_path(monkeypatch, n):
+    scalar = Rng(8, HIGH_STREAM)
+    want = scalar_fisher_yates(scalar, n)
+
+    def reject_first(out):
+        out[0] = 0xFFFFFFFF  # at or above below(n)'s limit unless n is a power of two
+
+    calls = patch_block(monkeypatch, reject_first)
+    block = Rng(8, HIGH_STREAM)
+    got = block.permutation(n)
+    assert calls == [n - 1]
+    assert np.array_equal(got, want)
+    assert_same_position(block, scalar)
+
+
 def test_substream_packs_purpose_and_index():
     assert substream(STREAM_WEIGHT_INIT, 0) == (STREAM_WEIGHT_INIT << 32)
     assert substream(2, 5) == (2 << 32) | 5
