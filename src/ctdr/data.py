@@ -41,6 +41,10 @@ class Dataset:
 
     def __post_init__(self):
         self.features = as_matrix(self.features, "features")
+        finite = np.isfinite(self.features)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ContractViolation(f"features row {row} column {col} is not finite ({self.features[row, col]})")
         if self.num_classes < 2:
             raise ContractViolation(f"num_classes must be >= 2, got {self.num_classes}")
         if self.labels is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
-from .losses import median_heuristic_gamma, mmd_loss
+from .losses import mmd_loss
 from .model import ParamSet, backward, forward, generator_backward, generator_forward_cache
 from .numerics import Rng, as_matrix
 
@@ -80,30 +80,27 @@ def generator_fakes(params: ParamSet, n_f: int, rng: Rng) -> np.ndarray:
     return generator_forward_cache(params, noise).out
 
 
-def generator_step(params: ParamSet, real_features, n_f: int, gamma, opt_phi, lr: float, rng: Rng):
+def generator_step(params: ParamSet, real_embeddings, n_f: int, gamma, opt_phi, lr: float, rng: Rng):
     """One MMD descent step on the generator tensors only.
 
-    Fake rows are pushed through the (frozen) encoder and compared with the
-    embeddings of `real_features`; the gradient flows back through the encoder
-    into the generator, but only gen* tensors are updated. Returns
-    (params, opt_phi, report, fake_rows) where fake_rows were produced by the
-    pre-update generator.
+    Fake rows are pushed through the (frozen) encoder and compared with
+    `real_embeddings`, the encoder's embeddings of a real batch under the
+    same params; gamma None takes the median heuristic on them. The gradient
+    flows back through the encoder into the generator, but only gen* tensors
+    are updated. Returns (params, opt_phi, report, fake_cache): fake_cache is
+    the forward pass of the rows the pre-update generator produced, which
+    the returned params give too, as their encoder and classifier are unchanged.
     """
     from .optim import adam_update
 
     if not params.arch.generator:
         raise ConfigError("generator_step: architecture has no generator")
-    real = as_matrix(real_features, "real_features")
     noise = rng.normal_matrix(n_f, params.arch.noise_dim)
     gen_cache = generator_forward_cache(params, noise)
-    fake_rows = gen_cache.out
+    fake_cache = forward(params, gen_cache.out)
+    report = mmd_loss(fake_cache.embeddings, real_embeddings, gamma)
 
-    cache_fake = forward(params, fake_rows)
-    cache_real = forward(params, real)
-    g = median_heuristic_gamma(cache_real.embeddings) if gamma is None else float(gamma)
-    report = mmd_loss(cache_fake.embeddings, cache_real.embeddings, g)
-
-    _, d_fake_rows = backward(params, cache_fake, grad_embeddings=report.grad_embeddings)
+    _, d_fake_rows = backward(params, fake_cache, grad_embeddings=report.grad_embeddings)
     grads = generator_backward(params, gen_cache, d_fake_rows)
     params, opt_phi = adam_update(params, grads, opt_phi, lr)
-    return params, opt_phi, report, fake_rows
+    return params, opt_phi, report, fake_cache

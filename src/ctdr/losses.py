@@ -160,11 +160,13 @@ def adv_bce(probs_fake) -> LossReport:
     return LossReport("adv_bce", value, grad_logits=grad)
 
 
-def mmd_loss(emb_fake, emb_real, gamma: float) -> LossReport:
+def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
     """Biased (V-statistic) squared MMD with a Gaussian kernel.
 
     value = mean k(f,f) + mean k(r,r) - 2 mean k(f,r). The gradient is with
     respect to the fake embeddings only; the real side is a constant.
+    gamma None takes median_heuristic_gamma(emb_real), from the same real-real
+    distances that k(r,r) is built from.
     """
     f = as_matrix(emb_fake, "emb_fake")
     r = as_matrix(emb_real, "emb_real")
@@ -173,8 +175,11 @@ def mmd_loss(emb_fake, emb_real, gamma: float) -> LossReport:
     if f.shape[0] < 1 or r.shape[0] < 1:
         raise ContractViolation("mmd: inputs must be nonempty")
     nf, nr = f.shape[0], r.shape[0]
+    sq_rr = _pairwise_sq_dists(r)
+    if gamma is None:
+        gamma = _median_gamma(sq_rr)
     kff = gaussian_kernel_matrix(f, f, gamma)
-    krr = gaussian_kernel_matrix(r, r, gamma)
+    krr = np.exp(-gamma * sq_rr)  # gaussian_kernel_matrix(r, r, gamma); kff has checked gamma
     kfr = gaussian_kernel_matrix(f, r, gamma)
     value = float(kff.sum()) / (nf * nf) + float(krr.sum()) / (nr * nr) - 2.0 * float(kfr.sum()) / (nf * nr)
 
@@ -197,13 +202,15 @@ def median_heuristic_gamma(emb_real) -> float:
     Median is over unordered pairs i < j of the real rows. A single row (no
     pairs) or an all-identical batch falls back to gamma = 1.
     """
-    r = as_matrix(emb_real, "emb_real")
-    n = r.shape[0]
+    return _median_gamma(_pairwise_sq_dists(as_matrix(emb_real, "emb_real")))
+
+
+def _median_gamma(sq: np.ndarray) -> float:
+    """median_heuristic_gamma from the rows' (n, n) squared-distance matrix."""
+    n = sq.shape[0]
     if n < 2:
         return 1.0
-    sq = _pairwise_sq_dists(r, r)
-    iu = np.triu_indices(n, k=1)
-    med = float(np.median(sq[iu]))
+    med = float(np.median(sq[np.triu_indices(n, k=1)]))
     if med <= EPS:
         return 1.0
     return 1.0 / (2.0 * med)

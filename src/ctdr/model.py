@@ -152,27 +152,6 @@ class ParamSet:
             if t.shape != expected[name] or t.dtype != np.float64:
                 raise ContractViolation(f"tensor {name}: expected float64 {expected[name]}, got {t.dtype} {t.shape}")
 
-    def copy(self) -> "ParamSet":
-        return ParamSet(self.arch, {k: v.copy() for k, v in self.tensors.items()})
-
-    def flat(self, names=None) -> np.ndarray:
-        names = list(names) if names is not None else tensor_names(self.arch)
-        return np.concatenate([self.tensors[n].ravel() for n in names])
-
-    def with_flat(self, vec, names=None) -> "ParamSet":
-        """New ParamSet with the named tensors replaced from a flat vector."""
-        names = list(names) if names is not None else tensor_names(self.arch)
-        vec = np.asarray(vec, dtype=np.float64).ravel()
-        tensors = {k: v.copy() for k, v in self.tensors.items()}
-        pos = 0
-        for n in names:
-            size = tensors[n].size
-            tensors[n] = vec[pos : pos + size].reshape(tensors[n].shape).copy()
-            pos += size
-        if pos != vec.size:
-            raise ContractViolation(f"with_flat: vector length {vec.size}, expected {pos}")
-        return ParamSet(self.arch, tensors)
-
 
 def init_params(arch: Architecture, rng: Rng) -> ParamSet:
     """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases.
@@ -311,22 +290,6 @@ def generator_backward(params: ParamSet, cache: GenCache, grad_out):
         raise ContractViolation("generator_backward: grad shape mismatch")
     grads, _ = _stack_backward(params, "gen", params.arch.generator, cache.noise, cache.pre, cache.act, go)
     return {n: grads[n] for n in phi_names(params.arch)}
-
-
-def finite_diff_param_grad(f, params: ParamSet, names=None, h: float = 1e-5) -> dict:
-    """Central-difference gradient of f(ParamSet) over the named tensors."""
-    from .numerics import finite_diff_grad
-
-    names = list(names) if names is not None else tensor_names(params.arch)
-    base = params.flat(names)
-    g = finite_diff_grad(lambda v: f(params.with_flat(v, names)), base, h=h)
-    out = {}
-    pos = 0
-    for n in names:
-        size = params.tensors[n].size
-        out[n] = g[pos : pos + size].reshape(params.tensors[n].shape)
-        pos += size
-    return out
 
 
 # --- checkpoint format -------------------------------------------------------

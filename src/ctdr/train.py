@@ -224,7 +224,8 @@ def train_step(
     ts); target_batch is the unlabeled target batch (None when nothing reads
     it). Each batch gets one forward, when the first term that reads it
     comes up. In generator mode one generator MMD step runs before the
-    first adversarial term; its fake rows feed ta. Returns
+    first adversarial term, on the target batch's embeddings; the forward of
+    its fake rows is the fake_target batch's, which ta reads. Returns
     (params, opt_theta, opt_phi, reports).
     """
     generator = config.fake.mode == "generator"
@@ -232,7 +233,6 @@ def train_step(
     reports: dict = {}
     total: dict[str, np.ndarray] = {}
     caches: dict = {}
-    gen_rows = None
 
     def rows(batch: str) -> np.ndarray:
         if batch == "labeled":
@@ -241,16 +241,17 @@ def train_step(
             return target_batch.features
         if not generator:
             return gaussian_fakes(run.fake_stats[batch], n_f, run.streams[batch])
-        if batch == "fake_target":
-            return gen_rows
         return generator_fakes(params, n_f, run.streams[batch])
 
     for term in config.enabled():
         spec = TERM_TABLE[term]
         if generator and spec.batch.startswith("fake") and "gen" not in reports:
-            # one generator MMD step per classifier step
-            params, opt_phi, gen_rep, gen_rows = generator_step(
-                params, target_batch.features, n_f, config.fake.gamma, opt_phi, lr, run.streams["fake_target"]
+            # one generator MMD step per classifier step; it changes only gen*
+            # tensors, so the target forward stays valid for the terms after it
+            if "target" not in caches:
+                caches["target"] = forward(params, rows("target"))
+            params, opt_phi, gen_rep, caches["fake_target"] = generator_step(
+                params, caches["target"].embeddings, n_f, config.fake.gamma, opt_phi, lr, run.streams["fake_target"]
             )
             _check_finite("gen", gen_rep.value, epoch, step)
             reports["gen"] = gen_rep

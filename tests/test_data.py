@@ -3,6 +3,7 @@ deterministic batching."""
 
 import gzip
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -61,6 +62,10 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 3)), np.array([0, 5]), 2, "bad-label")
     with pytest.raises(ContractViolation):
         Dataset(np.zeros((2, 3)), np.array([0]), 2, "bad-count")
+    with pytest.raises(ContractViolation, match="row 0 column 1 is not finite"):
+        Dataset(np.array([[0.0, math.nan], [1.0, math.inf]]), None, 2, "nan")
+    with pytest.raises(ContractViolation, match="row 2 column 0 is not finite"):
+        Dataset(np.array([[0.0, 1.0], [2.0, 3.0], [-math.inf, 4.0]]), None, 2, "inf")
 
 
 def test_domain_pair_hides_target_train_labels():

@@ -17,7 +17,6 @@ from ctdr.model import (
     Architecture,
     ParamSet,
     backward,
-    finite_diff_param_grad,
     forward,
     generator_backward,
     generator_forward,
@@ -30,9 +29,9 @@ from ctdr.numerics import (
     Rng,
     STREAM_FAKE_TARGET,
     STREAM_WEIGHT_INIT,
-    relative_error,
 )
 from ctdr.optim import OptimizerState
+from gradcheck import finite_diff_param_grad, relative_error
 
 # First fake rows for fixed stats and Rng(7, STREAM_FAKE_TARGET), frozen at
 # implementation time.
@@ -123,10 +122,10 @@ def test_generator_step_zero_lr_is_noop():
     real = Rng(81, 0).normal_matrix(8, 3)
     opt = OptimizerState.for_params(params, phi_names(arch))
     new, _, report, fakes = generator_step(
-        params, real, 4, None, opt, 0.0, Rng(82, STREAM_FAKE_TARGET)
+        params, forward(params, real).embeddings, 4, None, opt, 0.0, Rng(82, STREAM_FAKE_TARGET)
     )
     assert np.isfinite(report.value)
-    assert fakes.shape == (4, 3)
+    assert fakes.x.shape == (4, 3)
     for name in params.tensors:
         assert np.array_equal(new.tensors[name], params.tensors[name])
 
@@ -138,7 +137,7 @@ def test_generator_step_never_touches_classifier_path():
     rng = Rng(84, STREAM_FAKE_TARGET)
     cur = params
     for _ in range(5):
-        cur, opt, _, _ = generator_step(cur, real, 4, None, opt, 0.01, rng)
+        cur, opt, _, _ = generator_step(cur, forward(cur, real).embeddings, 4, None, opt, 0.01, rng)
     for name in theta_names(arch):
         assert np.array_equal(cur.tensors[name], params.tensors[name])
     moved = [n for n in phi_names(arch) if not np.array_equal(cur.tensors[n], params.tensors[n])]
@@ -152,7 +151,7 @@ def test_generator_step_reduces_mmd():
     rng = Rng(87, STREAM_FAKE_TARGET)
     values = []
     for _ in range(50):
-        params, opt, report, _ = generator_step(params, real, 16, 0.5, opt, 0.01, rng)
+        params, opt, report, _ = generator_step(params, forward(params, real).embeddings, 16, 0.5, opt, 0.01, rng)
         values.append(report.value)
     head = float(np.mean(values[:10]))
     tail = float(np.mean(values[-10:]))
@@ -164,9 +163,9 @@ def test_generator_step_fakes_come_from_pre_update_params():
     real = Rng(89, 0).normal_matrix(6, 3)
     opt = OptimizerState.for_params(params, phi_names(arch))
     seed_rng = Rng(90, STREAM_FAKE_TARGET)
-    _, _, _, fakes = generator_step(params, real, 3, 1.0, opt, 0.05, seed_rng)
+    _, _, _, fakes = generator_step(params, forward(params, real).embeddings, 3, 1.0, opt, 0.05, seed_rng)
     expected = generator_fakes(params, 3, Rng(90, STREAM_FAKE_TARGET))
-    assert np.array_equal(fakes, expected)
+    assert np.array_equal(fakes.x, expected)
 
 
 def test_generator_mmd_gradient_matches_finite_diff():

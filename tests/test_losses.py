@@ -18,7 +18,8 @@ from ctdr.losses import (
     pseudo_label_select,
     source_ce,
 )
-from ctdr.numerics import Rng, finite_diff_grad, relative_error, softmax_rows
+from ctdr.numerics import Rng, softmax_rows
+from gradcheck import finite_diff_grad, relative_error
 
 
 def rand_probs(rng, b, k):
@@ -335,3 +336,28 @@ def test_median_heuristic_degenerate_falls_back():
 def test_median_heuristic_deterministic():
     emb = Rng(75, 0).normal_matrix(10, 4)
     assert median_heuristic_gamma(emb) == median_heuristic_gamma(emb.copy())
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "nr, identical, width",
+    [(1, False, 3), (2, False, 3), (5, True, 3), (9, False, 1), (33, False, 16), (130, False, 128)],
+)
+def test_mmd_none_gamma_is_the_median_heuristic(nr, identical, width):
+    rng = Rng(76, nr)
+    f = rng.normal_matrix(7, width)
+    r = rng.normal_matrix(nr, width) * 2.0 + 0.5
+    if identical:
+        r = np.repeat(r[:1], nr, axis=0)
+    auto = mmd_loss(f, r, None)
+    explicit = mmd_loss(f, r, median_heuristic_gamma(r))
+    assert same_bits(auto.value, explicit.value)
+    assert same_bits(auto.grad_embeddings, explicit.grad_embeddings)
+    assert auto.diagnostics.keys() == explicit.diagnostics.keys()
+    for key in auto.diagnostics:
+        assert same_bits(auto.diagnostics[key], explicit.diagnostics[key])
+    if nr < 2 or identical:
+        assert auto.diagnostics["gamma"] == 1.0

@@ -9,13 +9,13 @@ from ctdr.errors import ContractViolation
 from ctdr.numerics import (
     Rng,
     STREAM_WEIGHT_INIT,
-    finite_diff_grad,
+    _pairwise_sq_dists,
     gaussian_kernel_matrix,
     log_sum_exp,
-    relative_error,
     softmax_rows,
     substream,
 )
+from gradcheck import finite_diff_grad, relative_error
 
 # Reference sequence for PCG32 seeded with (42, 54), from the generator's
 # published known-answer vector.
@@ -361,6 +361,43 @@ def test_kernel_entries_in_unit_interval():
     y = Rng(25, 1).normal_matrix(4, 3)
     k = gaussian_kernel_matrix(x, y, 0.5)
     assert np.all(k > 0.0) and np.all(k <= 1.0)
+
+
+def full_difference_sq_dists(x, y):
+    """Reference: one (n_x, n_y, d) difference tensor under the same einsum."""
+    diff = x[:, None, :] - y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def spread_rows(seed, n, d):
+    # columns several orders of magnitude apart, so any reordered or
+    # regrouped arithmetic shows up in the last bits
+    return Rng(seed, n).normal_matrix(n, d) * np.logspace(-3, 3, d)
+
+
+@pytest.mark.parametrize(
+    "nx, ny, d",
+    [(n, n, 128) for n in (1, 2, 3, 4, 5, 127, 128, 129)] + [(5, 129, 7), (129, 3, 7), (7, 6, 1), (1, 9, 1)],
+)
+def test_pairwise_sq_dists_equals_full_difference_form(nx, ny, d):
+    x = spread_rows(26, nx, d)
+    y = spread_rows(27, ny, d)
+    assert np.array_equal(_pairwise_sq_dists(x, y), full_difference_sq_dists(x, y))
+    sq = _pairwise_sq_dists(x)
+    assert np.array_equal(sq, full_difference_sq_dists(x, x))
+    assert np.array_equal(sq, sq.T)
+    assert np.all(np.diag(sq) == 0.0)
+
+
+def test_pairwise_sq_dists_strided_input():
+    base = spread_rows(30, 40, 33)
+    x = base[::3, ::2]  # 14 x 17, neither axis contiguous
+    y = base[1::2, ::-2]
+    assert not x.flags.c_contiguous and not y.flags.c_contiguous
+    assert np.array_equal(_pairwise_sq_dists(x, y), full_difference_sq_dists(x, y))
+    sq = _pairwise_sq_dists(x)
+    assert np.array_equal(sq, full_difference_sq_dists(x, x))
+    assert np.array_equal(sq, sq.T) and np.all(np.diag(sq) == 0.0)
 
 
 def test_kernel_rejects_width_mismatch_and_bad_gamma():

@@ -24,6 +24,7 @@ from ctdr.train import (
     train_step,
 )
 
+import ctdr.fake
 import ctdr.train
 
 
@@ -263,12 +264,7 @@ def test_train_step_does_not_mutate_inputs():
 
 
 def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
-    # tu reads the target batch and sa the source fakes; no term reads the labeled batch
     pair = tiny_pair()
-    cfg = quick_config("tu,sa")
-    arch = build_architecture(cfg, 2, 2)
-    params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
-    opt = OptimizerState.for_params(params, theta_names(arch))
     sup = Batch(pair.source.features[:8], pair.source.labels[:8])
     tgt = Batch(pair.target_train.features[:5])
     rows = []
@@ -278,10 +274,27 @@ def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
         rows.append(len(features))
         return real_forward(params, features)
 
+    # the generator step forwards its fake rows from ctdr.fake
     monkeypatch.setattr(ctdr.train, "forward", counting_forward)
-    _, _, _, reports = train_step(params, opt, None, sup, tgt, cfg, RunState.build(cfg, pair), 0.01)
-    assert set(reports) == {"tu", "sa"}
-    assert rows == [5, cfg.batch_size]
+    monkeypatch.setattr(ctdr.fake, "forward", counting_forward)
+
+    def step_rows(cfg):
+        arch = build_architecture(cfg, 2, 2)
+        params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
+        opt = OptimizerState.for_params(params, theta_names(arch))
+        opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
+        rows.clear()
+        _, _, _, reports = train_step(params, opt, opt_phi, sup, tgt, cfg, RunState.build(cfg, pair), 0.01)
+        assert set(reports) == set(cfg.enabled()) | ({"gen"} if arch.generator else set())
+        return list(rows)
+
+    # tu reads the target batch and sa the source fakes; no term reads the labeled batch
+    assert step_rows(quick_config("tu,sa")) == [5, 16]
+    # the generator step reuses tu's target forward, and ta reuses the forward of its fake rows
+    gen = FakeSourceConfig(mode="generator", n_f=3, noise_dim=4, gen_hidden=(6,))
+    assert step_rows(quick_config("ss,tu,ta", fake=gen)) == [8, 5, 3]
+    # with no term reading the target batch, the generator step still forwards it once
+    assert step_rows(quick_config("ss,ta", fake=gen)) == [8, 5, 3]
 
 
 def test_gaussian_adversarial_terms_run():
