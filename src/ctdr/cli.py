@@ -5,7 +5,7 @@ Subcommands: train, eval, ablate, synth. Experiments are described by a flat
 Unknown keys are rejected. Every run prints the fully resolved config first;
 feeding those lines back as a config file reproduces the run exactly.
 
-Exit codes: 0 ok, 2 config/parse error, 3 non-finite loss, 4 I/O error.
+Exit codes: 0 ok, 2 config/parse error, 3 non-finite loss, logits or Adam state, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -304,9 +304,9 @@ def _announce(cfg: dict) -> Path:
 
 def cmd_train(args) -> int:
     cfg = load_config(args)
+    train_cfg = build_train_config(cfg)
     out_dir = _announce(cfg)
     pair, transform = _prepare(cfg)
-    train_cfg = build_train_config(cfg)
     if transform is not None:
         transform.save(out_dir / "transform.json")
 
@@ -349,9 +349,9 @@ ABLATION_LADDER = ("ss", "ss,tu", "ss,tu,su", "ss,tu,su,ta", "ss,tu,su,sa", "ss,
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args)
+    base = build_train_config(cfg)
     out_dir = _announce(cfg)
     pair, _ = _prepare(cfg)
-    base = build_train_config(cfg)
     rows = []
     for combo_text in ABLATION_LADDER:
         combo = LossCombo.parse(combo_text)

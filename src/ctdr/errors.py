@@ -1,4 +1,7 @@
-"""Exception taxonomy. Everything raised on purpose derives from CtdrError."""
+"""Exception taxonomy. Everything raised on purpose derives from CtdrError:
+ContractViolation, ConfigError, ParseError, CheckpointError (any malformed
+checkpoint) and NonFiniteLossError (the CLI exits 3 on it, 2 on the rest).
+"""
 
 
 class CtdrError(Exception):
@@ -23,30 +26,20 @@ class ParseError(CtdrError, ValueError):
 
 
 class CheckpointError(CtdrError, ValueError):
-    """Malformed checkpoint file."""
-
-
-class UnsupportedVersionError(CheckpointError):
-    """Checkpoint version is newer (or older) than this code understands."""
-
-
-class TruncatedCheckpointError(CheckpointError):
-    """Checkpoint file ended before the declared payload."""
-
-
-class CheckpointShapeError(CheckpointError):
-    """Tensor table disagrees with the architecture header."""
+    """Malformed checkpoint file. Message carries the file and what is wrong."""
 
 
 class NonFiniteLossError(CtdrError, RuntimeError):
-    """A loss term produced NaN or inf. `term` names the offender."""
+    """Training produced NaN or inf. `term` names the offender, `what` the
+    value: a loss, logits, or (term "adam") one tensor's second moment."""
 
-    def __init__(self, term, value, epoch=None, step=None):
+    def __init__(self, term, value, epoch=None, step=None, what="loss"):
         self.term = term
         self.value = value
         self.epoch = epoch
         self.step = step
+        self.what = what
         where = ""
         if epoch is not None:
             where = f" at epoch {epoch}" + (f" step {step}" if step is not None else "")
-        super().__init__(f"non-finite loss in term '{term}'{where}: {value!r}")
+        super().__init__(f"non-finite {what} in term '{term}'{where}: {value!r}")

@@ -58,7 +58,6 @@ def _check_labels(labels, b, k) -> np.ndarray:
 class LossReport:
     """One term's scalar value, its gradient, and diagnostic numbers."""
 
-    name: str
     value: float
     grad_logits: np.ndarray | None = None
     grad_embeddings: np.ndarray | None = None
@@ -77,7 +76,7 @@ def source_ce(probs, labels) -> LossReport:
     value = -float(np.log(np.maximum(p[rows, y], EPS)).sum())
     grad = p.copy()
     grad[rows, y] -= 1.0
-    return LossReport("source_ce", value, grad_logits=grad)
+    return LossReport(value, grad_logits=grad)
 
 
 def class_mass(probs) -> np.ndarray:
@@ -85,16 +84,8 @@ def class_mass(probs) -> np.ndarray:
     return _check_probs(probs).sum(axis=0)
 
 
-@dataclass
-class PseudoLabels:
-    """Selected labels plus the score table they were picked from."""
-
-    labels: np.ndarray  # (b,) int64
-    scores: np.ndarray  # (b, k)
-
-
-def pseudo_label_select(probs, prior) -> PseudoLabels:
-    """Pick y_j maximizing probs[j, y] * prior[y] / class_mass[y].
+def pseudo_label_select(probs, prior) -> np.ndarray:
+    """Pick y_j maximizing probs[j, y] * prior[y] / class_mass[y]; returns the (b,) int64 labels.
 
     Ties resolve to the lowest class index (argmax convention). Selection is
     a discrete choice: no gradient flows through it.
@@ -103,21 +94,22 @@ def pseudo_label_select(probs, prior) -> PseudoLabels:
     pri = make_prior(prior, p.shape[1])
     mass = np.maximum(p.sum(axis=0), EPS)
     scores = p * (pri / mass)[None, :]
-    return PseudoLabels(scores.argmax(axis=1).astype(np.int64), scores)
+    return scores.argmax(axis=1).astype(np.int64)
 
 
-def contradist_loss(probs, pseudo: PseudoLabels, prior) -> LossReport:
+def contradist_loss(probs, labels, prior) -> LossReport:
     """Prior-enforcing objective on an unlabeled batch, as a minimization.
 
     The maximized quantity is
         V = sum_j log probs[j, y_j] + sum_j log prior[y_j]
             - sum_j log class_mass[y_j]
-    with y_j the fixed pseudo-labels; the report carries value = V and the
-    gradient of -V w.r.t. the logits. The middle term has no logits gradient.
+    with y_j = labels[j], the fixed pseudo-labels; the report carries value = V
+    and the gradient of -V w.r.t. the logits. The middle term has no logits
+    gradient.
     """
     p = _check_probs(probs)
     b, k = p.shape
-    y = _check_labels(pseudo.labels, b, k)
+    y = _check_labels(labels, b, k)
     pri = make_prior(prior, k)
     rows = np.arange(b)
 
@@ -140,7 +132,6 @@ def contradist_loss(probs, pseudo: PseudoLabels, prior) -> LossReport:
     # partner when b=1 (weighted == onehot and srow == 1 there)
     grad = (p + weighted) - (onehot + p * srow)
     return LossReport(
-        "contradist",
         value,
         grad_logits=grad,
         diagnostics={"term_logprob": term1, "term_logprior": term2, "term_logmass": term3},
@@ -157,7 +148,7 @@ def adv_bce(probs_fake) -> LossReport:
     k = p.shape[1]
     value = -float(np.log(np.maximum(p, EPS)).sum())
     grad = k * p - 1.0
-    return LossReport("adv_bce", value, grad_logits=grad)
+    return LossReport(value, grad_logits=grad)
 
 
 def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
@@ -189,7 +180,6 @@ def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
     grad = (-4.0 * gamma / (nf * nf)) * (f * row_ff - kff @ f)
     grad += (4.0 * gamma / (nf * nr)) * (f * row_fr - kfr @ r)
     return LossReport(
-        "mmd",
         value,
         grad_embeddings=grad,
         diagnostics={"gamma": float(gamma), "k_ff": float(kff.mean()), "k_rr": float(krr.mean()), "k_fr": float(kfr.mean())},

@@ -12,14 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CheckpointError,
-    CheckpointShapeError,
-    ConfigError,
-    ContractViolation,
-    TruncatedCheckpointError,
-    UnsupportedVersionError,
-)
+from .errors import CheckpointError, ConfigError, ContractViolation, NonFiniteLossError
 from .numerics import Rng, as_matrix, softmax_rows
 
 ACTIVATIONS = ("relu", "none")
@@ -100,41 +93,37 @@ class Architecture:
         return Architecture(self.encoder, self.classifier, tuple(gen))
 
 
-def _layer_names(prefix, n):
-    out = []
-    for i in range(n):
-        out.append(f"{prefix}{i}.w")
-        out.append(f"{prefix}{i}.b")
-    return out
-
-
-def tensor_names(arch: Architecture) -> list[str]:
-    """Canonical tensor order: encoder, classifier, generator."""
-    names = _layer_names("enc", len(arch.encoder))
-    names += ["cls.w", "cls.b"]
-    names += _layer_names("gen", len(arch.generator))
-    return names
-
-
-def theta_names(arch: Architecture) -> list[str]:
-    """Classifier-path parameters (everything except the generator)."""
-    return _layer_names("enc", len(arch.encoder)) + ["cls.w", "cls.b"]
-
-
-def phi_names(arch: Architecture) -> list[str]:
-    """Generator parameters."""
-    return _layer_names("gen", len(arch.generator))
+def _layers(arch: Architecture) -> list[tuple[str, LayerSpec]]:
+    """(tensor prefix, spec) per layer, in the canonical order: encoder,
+    classifier, generator. Layer `p` owns the tensors `p.w` and `p.b`."""
+    return [
+        *((f"enc{i}", spec) for i, spec in enumerate(arch.encoder)),
+        ("cls", arch.classifier),
+        *((f"gen{i}", spec) for i, spec in enumerate(arch.generator)),
+    ]
 
 
 def _expected_shapes(arch: Architecture) -> dict[str, tuple]:
     shapes = {}
-    for prefix, layers in (("enc", arch.encoder), ("gen", arch.generator)):
-        for i, spec in enumerate(layers):
-            shapes[f"{prefix}{i}.w"] = (spec.in_dim, spec.out_dim)
-            shapes[f"{prefix}{i}.b"] = (spec.out_dim,)
-    shapes["cls.w"] = (arch.classifier.in_dim, arch.classifier.out_dim)
-    shapes["cls.b"] = (arch.classifier.out_dim,)
+    for prefix, spec in _layers(arch):
+        shapes[f"{prefix}.w"] = (spec.in_dim, spec.out_dim)
+        shapes[f"{prefix}.b"] = (spec.out_dim,)
     return shapes
+
+
+def tensor_names(arch: Architecture) -> list[str]:
+    """Canonical tensor order: encoder, classifier, generator."""
+    return list(_expected_shapes(arch))
+
+
+def theta_names(arch: Architecture) -> list[str]:
+    """Classifier-path parameters (everything except the generator)."""
+    return [n for n in tensor_names(arch) if not n.startswith("gen")]
+
+
+def phi_names(arch: Architecture) -> list[str]:
+    """Generator parameters."""
+    return [n for n in tensor_names(arch) if n.startswith("gen")]
 
 
 @dataclass
@@ -146,7 +135,7 @@ class ParamSet:
 
     def __post_init__(self):
         expected = _expected_shapes(self.arch)
-        if list(self.tensors.keys()) != tensor_names(self.arch):
+        if list(self.tensors) != list(expected):
             raise ContractViolation("tensor names/order do not match architecture")
         for name, t in self.tensors.items():
             if t.shape != expected[name] or t.dtype != np.float64:
@@ -156,22 +145,14 @@ class ParamSet:
 def init_params(arch: Architecture, rng: Rng) -> ParamSet:
     """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases.
 
-    Draw order is fixed (encoder, classifier, generator) so theta init does
-    not depend on whether a generator is configured.
+    Draw order is the canonical layer order, so theta init does not depend
+    on whether a generator is configured.
     """
     tensors: dict[str, np.ndarray] = {}
-
-    def draw(prefix, layers):
-        for i, spec in enumerate(layers):
-            bound = 1.0 / np.sqrt(spec.in_dim)
-            tensors[f"{prefix}{i}.w"] = rng.uniform_matrix(spec.in_dim, spec.out_dim, -bound, bound)
-            tensors[f"{prefix}{i}.b"] = np.zeros(spec.out_dim)
-
-    draw("enc", arch.encoder)
-    bound = 1.0 / np.sqrt(arch.classifier.in_dim)
-    tensors["cls.w"] = rng.uniform_matrix(arch.classifier.in_dim, arch.classifier.out_dim, -bound, bound)
-    tensors["cls.b"] = np.zeros(arch.classifier.out_dim)
-    draw("gen", arch.generator)
+    for prefix, spec in _layers(arch):
+        bound = 1.0 / np.sqrt(spec.in_dim)
+        tensors[f"{prefix}.w"] = rng.uniform_matrix(spec.in_dim, spec.out_dim, -bound, bound)
+        tensors[f"{prefix}.b"] = np.zeros(spec.out_dim)
     return ParamSet(arch, tensors)
 
 
@@ -217,13 +198,18 @@ class ForwardCache:
 
 
 def forward(params: ParamSet, x) -> ForwardCache:
-    """Encoder + classifier forward pass on a batch of feature rows."""
+    """Encoder + classifier forward pass on a batch of feature rows.
+
+    Logits that overflowed raise NonFiniteLossError (term "forward").
+    """
     x = as_matrix(x, "x")
     if x.shape[1] != params.arch.feature_dim:
         raise ContractViolation(f"forward: input width {x.shape[1]}, model expects {params.arch.feature_dim}")
     pre, act = _stack_forward(params, "enc", params.arch.encoder, x)
     emb = act[-1] if act else x
     logits = emb @ params.tensors["cls.w"] + params.tensors["cls.b"]
+    if not np.isfinite(logits).all():
+        raise NonFiniteLossError("forward", float(logits[~np.isfinite(logits)][0]), what="logits")
     return ForwardCache(x, pre, act, emb, logits, softmax_rows(logits))
 
 
@@ -343,7 +329,7 @@ class _Cursor:
 
     def take(self, n):
         if self.pos + n > len(self.buf):
-            raise TruncatedCheckpointError(f"checkpoint truncated at byte {self.pos} (wanted {n} more)")
+            raise CheckpointError(f"checkpoint truncated at byte {self.pos} (wanted {n} more)")
         chunk = self.buf[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -360,7 +346,7 @@ def load_checkpoint(path) -> ParamSet:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     (version,) = cur.unpack("<H")
     if version != CHECKPOINT_VERSION:
-        raise UnsupportedVersionError(f"{path}: checkpoint version {version}, this build reads {CHECKPOINT_VERSION}")
+        raise CheckpointError(f"{path}: checkpoint version {version}, this build reads {CHECKPOINT_VERSION}")
 
     def read_layer():
         in_dim, out_dim, act = cur.unpack("<IIB")
@@ -382,7 +368,7 @@ def load_checkpoint(path) -> ParamSet:
     order = tensor_names(arch)
     (n_tensors,) = cur.unpack("<I")
     if n_tensors != len(order):
-        raise CheckpointShapeError(f"{path}: {n_tensors} tensors listed, architecture needs {len(order)}")
+        raise CheckpointError(f"{path}: {n_tensors} tensors listed, architecture needs {len(order)}")
     tensors = {}
     for idx in range(n_tensors):
         (name_len,) = cur.unpack("<H")
@@ -391,11 +377,11 @@ def load_checkpoint(path) -> ParamSet:
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: tensor {idx} name is not UTF-8") from exc
         if name != order[idx]:
-            raise CheckpointShapeError(f"{path}: tensor {idx} is {name!r}, expected {order[idx]!r}")
+            raise CheckpointError(f"{path}: tensor {idx} is {name!r}, expected {order[idx]!r}")
         (ndim,) = cur.unpack("<B")
         shape = tuple(cur.unpack("<" + "I" * ndim)) if ndim else ()
         if shape != expected[name]:
-            raise CheckpointShapeError(f"{path}: tensor {name}: shape {shape}, architecture says {expected[name]}")
+            raise CheckpointError(f"{path}: tensor {name}: shape {shape}, architecture says {expected[name]}")
         payload = cur.take(8 * math.prod(shape))
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
         if not np.all(np.isfinite(tensors[name])):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, NonFiniteLossError
 from .model import ParamSet
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba defaults).
@@ -36,7 +37,9 @@ def adam_update(params: ParamSet, grads: dict, state: OptimizerState, lr: float)
 
     Pure: returns (new ParamSet, new OptimizerState); inputs are not mutated.
     grads must cover every tracked name. Zero gradients leave parameters
-    bit-identical; lr = 0 also leaves them bit-identical.
+    bit-identical; lr = 0 also leaves them bit-identical. A second moment
+    that is not finite raises NonFiniteLossError (term "adam", naming the
+    tensor).
     """
     if not (lr >= 0.0) or not np.isfinite(lr):
         raise ContractViolation(f"adam_update: lr must be finite and >= 0, got {lr}")
@@ -56,6 +59,11 @@ def adam_update(params: ParamSet, grads: dict, state: OptimizerState, lr: float)
         v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
         step_vec = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
         new_tensors[name] = params.tensors[name] - step_vec
+        # an overflowing g*g makes v inf and the step m/inf = 0, freezing the
+        # tensor; v >= 0, so its max is finite only if every entry is
+        v_max = float(v.max())
+        if not math.isfinite(v_max):
+            raise NonFiniteLossError("adam", v_max, what=f"second moment of {name}")
         new_m[name] = m
         new_v[name] = v
     return ParamSet(params.arch, new_tensors), OptimizerState(new_m, new_v, t)

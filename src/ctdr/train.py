@@ -21,6 +21,7 @@ bit-identical trajectories.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -206,6 +207,16 @@ def _check_finite(term: str, value: float, epoch=None, step=None):
         raise NonFiniteLossError(term, value, epoch, step)
 
 
+@contextmanager
+def _blame(term: str, epoch=None, step=None):
+    """Re-raise a NonFiniteLossError from inside (overflowing logits, Adam
+    state) as `term`'s, at this epoch and step."""
+    try:
+        yield
+    except NonFiniteLossError as exc:
+        raise NonFiniteLossError(term, exc.value, epoch, step, exc.what) from exc
+
+
 def train_step(
     params: ParamSet,
     opt_theta: OptimizerState,
@@ -248,19 +259,20 @@ def train_step(
         if generator and spec.batch.startswith("fake") and "gen" not in reports:
             # one generator MMD step per classifier step; it changes only gen*
             # tensors, so the target forward stays valid for the terms after it
-            if "target" not in caches:
-                caches["target"] = forward(params, rows("target"))
-            params, opt_phi, gen_rep, caches["fake_target"] = generator_step(
-                params, caches["target"].embeddings, n_f, config.fake.gamma, opt_phi, lr, run.streams["fake_target"]
-            )
+            with _blame("gen", epoch, step):
+                if "target" not in caches:
+                    caches["target"] = forward(params, rows("target"))
+                params, opt_phi, gen_rep, caches["fake_target"] = generator_step(
+                    params, caches["target"].embeddings, n_f, config.fake.gamma, opt_phi, lr, run.streams["fake_target"]
+                )
             _check_finite("gen", gen_rep.value, epoch, step)
             reports["gen"] = gen_rep
         if spec.batch not in caches:
-            caches[spec.batch] = forward(params, rows(spec.batch))
+            with _blame(term, epoch, step):
+                caches[spec.batch] = forward(params, rows(spec.batch))
         cache = caches[spec.batch]
         labels = sup_batch.labels if spec.batch == "labeled" else None
         rep = spec.loss(cache.probs, labels, run.priors.get(spec.prior))
-        rep.name = term
         _check_finite(term, rep.value, epoch, step)
         g, _ = backward(params, cache, grad_logits=rep.grad_logits)
         w = config.weight(term)
@@ -268,12 +280,18 @@ def train_step(
             total[name] = total[name] + w * gt if name in total else w * gt
         reports[term] = rep
 
-    params, opt_theta = adam_update(params, total, opt_theta, lr)
+    with _blame("adam", epoch, step):
+        params, opt_theta = adam_update(params, total, opt_theta, lr)
     return params, opt_theta, opt_phi, reports
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     """Run the full loop; returns (params, list of per-epoch metric records).
+
+    Overflow prints no numpy warning here: a non-finite term value, logit
+    (in a step or the epoch-end eval) or Adam second moment raises
+    NonFiniteLossError with the term, epoch and step.
 
     Metric records carry epoch, lr, per-term mean batch losses (null when a
     term is disabled; ts only appears when it runs), source-train and
@@ -313,14 +331,16 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
             )
             for t, rep in reports.items():
                 sums[t] += rep.value
+        with _blame("eval", epoch):
+            acc = {
+                "source_train": evaluate(params, pair.source).accuracy,
+                "target_test": evaluate(params, pair.target_test).accuracy,
+            }
         record = {
             "epoch": epoch,
             "lr": lr,
             "loss": {t: (sums[t] / steps_per_epoch if t in sums else None) for t in record_keys},
-            "acc": {
-                "source_train": evaluate(params, pair.source).accuracy,
-                "target_test": evaluate(params, pair.target_test).accuracy,
-            },
+            "acc": acc,
             "seconds": time.perf_counter() - t0 if config.timing else 0.0,
         }
         metrics.append(record)

@@ -234,7 +234,7 @@ def test_c03_pseudo_labels_match_exhaustive_scoring():
             raw = rng.uniform_matrix(1, k, 0.2, 1.0)[0]
             prior = make_prior(raw / raw.sum())
         probs /= probs.sum(axis=1, keepdims=True)
-        got = pseudo_label_select(probs, prior).labels
+        got = pseudo_label_select(probs, prior)
         want = _oracle_select(probs, prior)
         assert np.array_equal(got, want), f"trial {trial}: {got} vs {want}"
     elapsed = time.perf_counter() - t0
@@ -254,7 +254,7 @@ def test_c04_single_sample_batch_collapses_to_prior():
         prior = make_prior(raw / raw.sum())
         pseudo = pseudo_label_select(probs, prior)
         rep = contradist_loss(probs, pseudo, prior)
-        worst = max(worst, abs(rep.value - math.log(prior[pseudo.labels[0]])))
+        worst = max(worst, abs(rep.value - math.log(prior[pseudo[0]])))
         assert np.all(rep.grad_logits == 0.0)
         if case < 20:  # same thing through a real network: every tensor grad is exactly zero
             d = 2 + rng.below(4)

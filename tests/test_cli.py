@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -354,6 +355,34 @@ def test_nonfinite_abort_is_exit_3(tmp_path, monkeypatch):
     lines = read_metrics(tmp_path / "out").splitlines()
     last = json.loads(lines[-1])
     assert last["abort"]["term"] == "tu"
+
+
+@pytest.mark.parametrize(
+    "lr, term, message",
+    [
+        # the second step's logits overflow
+        ("1e200", "ss", "non-finite logits in term 'ss' at epoch 0 step 1: nan"),
+        # g*g overflows Adam's v, which would freeze the tensor
+        ("1e100", "adam", "non-finite second moment of enc0.w in term 'adam' at epoch 0 step 1: inf"),
+    ],
+)
+def test_overflow_is_exit_3_with_abort_record_and_no_numpy_warning(tmp_path, capsys, lr, term, message):
+    path = small_train_cfg(tmp_path, lr=lr, hidden="8,8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(path)]) == 3
+    assert json.loads(read_metrics(tmp_path / "out").splitlines()[-1]) == {"abort": {"term": term, "epoch": 0, "step": 1}}
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("bad", ["combo=zz", "prior=abc", "lr=0", "mmd_gamma=x"])
+def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command, bad):
+    path = small_train_cfg(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(path), "--set", bad]) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_set_override_rejects_unknown_key(tmp_path):

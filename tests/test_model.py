@@ -7,14 +7,7 @@ import numpy as np
 import pytest
 
 from ctdr.cli import main
-from ctdr.errors import (
-    CheckpointError,
-    CheckpointShapeError,
-    ConfigError,
-    ContractViolation,
-    TruncatedCheckpointError,
-    UnsupportedVersionError,
-)
+from ctdr.errors import CheckpointError, ConfigError, ContractViolation, NonFiniteLossError
 from ctdr.model import (
     Architecture,
     LayerSpec,
@@ -173,6 +166,15 @@ def test_forward_rejects_wrong_width():
     _, params = small_net()
     with pytest.raises(ContractViolation):
         forward(params, np.zeros((2, 5)))
+
+
+def test_forward_overflowing_logits_raise_non_finite_loss():
+    arch, params = small_net()
+    huge = ParamSet(arch, {n: t * 1e200 for n, t in params.tensors.items()})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLossError, match="non-finite logits in term 'forward'") as exc:
+            forward(huge, np.full((2, 3), 1e200))
+    assert exc.value.what == "logits"
 
 
 def test_backward_zero_grad_logits():
@@ -392,7 +394,7 @@ def test_checkpoint_unsupported_version(tmp_path):
     raw[4:6] = struct.pack("<H", 2)
     bad = tmp_path / "bad.ctdr"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(UnsupportedVersionError):
+    with pytest.raises(CheckpointError, match="checkpoint version 2, this build reads 1"):
         load_checkpoint(bad)
 
 
@@ -400,10 +402,10 @@ def test_checkpoint_truncated(tmp_path):
     raw = checkpoint_bytes(tmp_path)
     bad = tmp_path / "bad.ctdr"
     bad.write_bytes(bytes(raw[: len(raw) // 2]))
-    with pytest.raises(TruncatedCheckpointError):
+    with pytest.raises(CheckpointError, match="checkpoint truncated at byte"):
         load_checkpoint(bad)
     bad.write_bytes(b"")
-    with pytest.raises(TruncatedCheckpointError):
+    with pytest.raises(CheckpointError, match="checkpoint truncated at byte"):
         load_checkpoint(bad)
 
 
@@ -415,7 +417,7 @@ def test_checkpoint_shape_mismatch(tmp_path):
     struct.pack_into("<I", raw, dim_off, 5)
     bad = tmp_path / "bad.ctdr"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointShapeError):
+    with pytest.raises(CheckpointError, match=r"tensor enc0\.w: shape \(5, 4\), architecture says \(3, 4\)"):
         load_checkpoint(bad)
 
 
@@ -426,7 +428,7 @@ def test_checkpoint_tensor_name_mismatch(tmp_path):
     raw[name_off + 5 : name_off + 6] = b"q"
     bad = tmp_path / "bad.ctdr"
     bad.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointShapeError):
+    with pytest.raises(CheckpointError, match="tensor 0 is 'enc0.q', expected 'enc0.w'"):
         load_checkpoint(bad)
 
 

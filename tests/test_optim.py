@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctdr.errors import ContractViolation
+from ctdr.errors import ContractViolation, NonFiniteLossError
 from ctdr.model import Architecture, LayerSpec, ParamSet, init_params, theta_names
 from ctdr.numerics import Rng, STREAM_WEIGHT_INIT
 from ctdr.optim import OptimizerState, adam_update
@@ -95,3 +95,13 @@ def test_moments_track_gradient_statistics():
     _, state = adam_update(params, {"cls.w": np.full((1, 1), 2.0)}, state, 0.01)
     assert state.m["cls.w"][0, 0] == pytest.approx(0.2, abs=1e-15)
     assert state.v["cls.w"][0, 0] == pytest.approx(0.004, abs=1e-15)
+
+
+@pytest.mark.parametrize("g", [1e200, np.inf, np.nan])
+def test_non_finite_second_moment_raises_naming_the_tensor(g):
+    # 1e200**2 overflows: v would be inf and the step m/inf = 0 would freeze the tensor
+    params, state = scalar_param(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLossError, match=r"non-finite second moment of cls\.w in term 'adam'") as exc:
+            adam_update(params, {"cls.w": np.full((1, 1), g)}, state, 0.001)
+    assert (exc.value.term, exc.value.what) == ("adam", "second moment of cls.w")

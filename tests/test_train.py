@@ -2,6 +2,7 @@
 learning-rate schedule, and determinism contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,13 +331,28 @@ def test_nonfinite_loss_aborts_with_term_name(monkeypatch):
     pair = tiny_pair()
 
     def poisoned(probs, labels):
-        return LossReport("ss", float("nan"), grad_logits=np.zeros_like(probs))
+        return LossReport(float("nan"), grad_logits=np.zeros_like(probs))
 
     monkeypatch.setattr(ctdr.train, "source_ce", poisoned)
     with pytest.raises(NonFiniteLossError) as exc:
         fit(quick_config("ss"), pair)
     assert exc.value.term == "ss"
     assert exc.value.epoch == 0
+
+
+@pytest.mark.parametrize(
+    "batch_size, blamed",
+    [
+        (16, ("ss", 0, 1, "logits")),  # the second step's forward overflows
+        (1000, ("eval", 0, None, "logits")),  # one step per epoch: the epoch-end eval forward overflows first
+    ],
+)
+def test_overflowing_logits_abort_with_the_term_that_forwarded(batch_size, blamed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLossError) as exc:
+            fit(quick_config("ss,tu", lr=1e200, batch_size=batch_size), tiny_pair())
+    assert (exc.value.term, exc.value.epoch, exc.value.step, exc.value.what) == blamed
 
 
 def test_target_test_labels_only_affect_reported_accuracy():
