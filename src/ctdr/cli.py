@@ -33,7 +33,7 @@ from .errors import ConfigError, CtdrError, NonFiniteLossError
 from .evaluation import evaluate, export_embeddings
 from .fake import FAKE_MODES, FakeSourceConfig
 from .model import load_checkpoint, save_checkpoint
-from .train import TERMS, LossCombo, TrainConfig, fit
+from .train import TERMS, LossCombo, RunState, TrainConfig, fit
 
 
 # --- config schema -------------------------------------------------------------
@@ -82,7 +82,7 @@ _FAKE = _TRAIN.fake
 # one. SCHEMA takes their defaults from these fields; build_train_config fills
 # the fields from these keys.
 _TRAIN_FIELDS = {
-    **{k: k for k in ("hidden", "epochs", "lr", "lr_decay", "lr_decay_every", "seed", "oracle", "timing")},
+    **{k: k for k in ("hidden", "epochs", "lr", "lr_decay", "lr_decay_every", "seed", "timing")},
     "batch": "batch_size",
 }
 _FAKE_FIELDS = {"fake_mode": "mode", "noise_dim": "noise_dim", "gen_hidden": "gen_hidden"}
@@ -133,7 +133,6 @@ SCHEMA: dict = {
     "lr_decay_every": _field("lr_decay_every"),
     "seed": _field("seed"),
     "prior": (str, "assume_source"),
-    "oracle": _field("oracle"),
     **{f"w_{t}": (float, _TRAIN.weight(t)) for t in TERMS},
     # fake samples
     "fake_mode": _field("fake_mode", _choice(*FAKE_MODES)),
@@ -290,9 +289,13 @@ def _prepare(cfg: dict):
     return pair, transform
 
 
-def _announce(cfg: dict) -> Path:
+def _announce(cfg: dict) -> str:
     text = format_config(cfg)
     sys.stdout.write(text)
+    return text
+
+
+def _save_config(cfg: dict, text: str) -> Path:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.txt").write_text(text, encoding="utf-8")
@@ -305,8 +308,12 @@ def _announce(cfg: dict) -> Path:
 def cmd_train(args) -> int:
     cfg = load_config(args)
     train_cfg = build_train_config(cfg)
-    out_dir = _announce(cfg)
+    text = _announce(cfg)
     pair, transform = _prepare(cfg)
+    # config errors that need the data (a prior of the wrong length, ts on a
+    # pair without target-train labels) exit 2 before any file is written
+    RunState.build(train_cfg, pair)
+    out_dir = _save_config(cfg, text)
     if transform is not None:
         transform.save(out_dir / "transform.json")
 
@@ -329,7 +336,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args)
-    sys.stdout.write(format_config(cfg))
+    _announce(cfg)
     params = load_checkpoint(args.checkpoint)
     if getattr(args, "transform", None):
         tr = FeatureTransform.load(args.transform)
@@ -350,17 +357,19 @@ ABLATION_LADDER = ("ss", "ss,tu", "ss,tu,su", "ss,tu,su,ta", "ss,tu,su,sa", "ss,
 def cmd_ablate(args) -> int:
     cfg = load_config(args)
     base = build_train_config(cfg)
-    out_dir = _announce(cfg)
+    run_cfgs = [replace(base, combo=LossCombo.parse(combo_text)) for combo_text in ABLATION_LADDER]
+    text = _announce(cfg)
     pair, _ = _prepare(cfg)
+    for run_cfg in run_cfgs:  # every rung's config errors before the first fit or file
+        RunState.build(run_cfg, pair)
+    out_dir = _save_config(cfg, text)
     rows = []
-    for combo_text in ABLATION_LADDER:
-        combo = LossCombo.parse(combo_text)
-        run_cfg = replace(base, combo=combo, oracle=combo.ts or base.oracle)
+    for run_cfg in run_cfgs:
         params, _ = fit(run_cfg, pair)
         rep_target = evaluate(params, pair.target_test)
         rep_source = evaluate(params, pair.source)
-        rows.append((str(combo), rep_target.accuracy, rep_source.accuracy))
-        print(f"[ablate] {combo!s:<16} target_test={rep_target.accuracy:.4f} source_train={rep_source.accuracy:.4f}")
+        rows.append((str(run_cfg.combo), rep_target.accuracy, rep_source.accuracy))
+        print(f"[ablate] {run_cfg.combo!s:<16} target_test={rep_target.accuracy:.4f} source_train={rep_source.accuracy:.4f}")
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["combo", "acc_target_test", "acc_source_train"])
@@ -371,10 +380,11 @@ def cmd_ablate(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args)
-    out_dir = _announce(cfg)
     if cfg["data"] not in ("two_moons", "gauss_shift"):
         raise ConfigError("synth writes synthetic data; set data = two_moons or gauss_shift")
+    text = _announce(cfg)
     pair = build_pair(cfg)
+    out_dir = _save_config(cfg, text)
     save_sparse(pair.source, out_dir / "source.txt")
     save_sparse(pair.target_train_labeled(oracle=True), out_dir / "target_train.txt")
     save_sparse(pair.target_test, out_dir / "target_test.txt")

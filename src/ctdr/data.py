@@ -2,8 +2,8 @@
 
 A DomainPair holds a labeled source set, an unlabeled target-train set, and a
 labeled target-test set. Target-train labels, when known to the generator of
-the data, are kept behind an oracle-only accessor so no training path can
-touch them by accident.
+the data, are kept behind an oracle-only accessor; the one training path that
+reads them is the ts reference run.
 """
 
 from __future__ import annotations
@@ -73,31 +73,24 @@ class Batch:
 class DomainPair:
     """source (labeled), target_train (unlabeled), target_test (labeled).
 
-    If target-train labels are known, pass them as hidden_target_labels (or
-    leave them on the target_train dataset; they are moved aside). They are
-    reachable only through target_train_labeled(oracle=True).
+    If target-train labels are known, leave them on the target_train
+    dataset; they are moved aside, reachable only through
+    target_train_labeled(oracle=True).
     """
 
-    def __init__(self, source: Dataset, target_train: Dataset, target_test: Dataset, hidden_target_labels=None):
+    def __init__(self, source: Dataset, target_train: Dataset, target_test: Dataset):
         if not (source.dim == target_train.dim == target_test.dim):
             raise ContractViolation("domain feature widths differ")
         if not (source.num_classes == target_train.num_classes == target_test.num_classes):
             raise ContractViolation("domain class counts differ")
         if source.labels is None or target_test.labels is None:
             raise ContractViolation("source and target_test must be labeled")
+        self._target_train_labels = target_train.labels
         if target_train.labels is not None:
-            if hidden_target_labels is not None:
-                raise ContractViolation("target labels passed twice")
-            hidden_target_labels = target_train.labels
             target_train = replace(target_train, labels=None)
-        if hidden_target_labels is not None:
-            hidden_target_labels = np.asarray(hidden_target_labels).astype(np.int64)
-            if hidden_target_labels.shape != (target_train.n,):
-                raise ContractViolation("hidden target labels must match target_train rows")
         self.source = source
         self.target_train = target_train
         self.target_test = target_test
-        self._target_train_labels = hidden_target_labels
 
     @property
     def num_classes(self) -> int:
@@ -119,9 +112,8 @@ class DomainPair:
         """New pair with fn applied to every feature matrix; labels untouched."""
         return DomainPair(
             replace(self.source, features=fn(self.source.features)),
-            replace(self.target_train, features=fn(self.target_train.features)),
+            replace(self.target_train, features=fn(self.target_train.features), labels=self._target_train_labels),
             replace(self.target_test, features=fn(self.target_test.features)),
-            self._target_train_labels,
         )
 
 

@@ -16,6 +16,7 @@ from .errors import ConfigError, ContractViolation
 from .losses import mmd_loss
 from .model import ParamSet, backward, forward, generator_backward, generator_forward_cache
 from .numerics import Rng, as_matrix
+from .optim import adam_update
 
 FAKE_MODES = ("gaussian", "generator")
 
@@ -74,8 +75,6 @@ def generator_fakes(params: ParamSet, n_f: int, rng: Rng) -> np.ndarray:
     """n_f fake rows from the generator; deterministic given the rng state."""
     if n_f < 1:
         raise ContractViolation(f"n_f must be >= 1, got {n_f}")
-    if not params.arch.generator:
-        raise ConfigError("generator_fakes: architecture has no generator")
     noise = rng.normal_matrix(n_f, params.arch.noise_dim)
     return generator_forward_cache(params, noise).out
 
@@ -91,10 +90,6 @@ def generator_step(params: ParamSet, real_embeddings, n_f: int, gamma, opt_phi, 
     the forward pass of the rows the pre-update generator produced, which
     the returned params give too, as their encoder and classifier are unchanged.
     """
-    from .optim import adam_update
-
-    if not params.arch.generator:
-        raise ConfigError("generator_step: architecture has no generator")
     noise = rng.normal_matrix(n_f, params.arch.noise_dim)
     gen_cache = generator_forward_cache(params, noise)
     fake_cache = forward(params, gen_cache.out)

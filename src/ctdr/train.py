@@ -8,13 +8,15 @@ One classifier is optimized over any combination of loss terms:
       (always with the empirical source prior)
   ta  adversarial push-to-uniform on fake target rows
   sa  adversarial push-to-uniform on fake source rows
-  ts  supervised cross-entropy on oracle-labeled target rows; evaluation
-      baseline only, exclusive of everything else
+  ts  supervised cross-entropy on the target-train labels; a supervised
+      reference only, combined with no other term
 
 TERM_TABLE says which batch each term reads, its loss and its prior; a step
-walks the table in order. Reductions are sums over the batch; enabled terms
-add with per-term weights (default 1). A term with weight 0 is treated as
-disabled: its code never runs, so "weight 0" and "flag off" produce
+walks the table in order. RunState.build is the one place that turns a
+config and a pair into a run: the enabled terms, the network, the batches a
+step reads and the labeled set. Reductions are sums over the batch; enabled
+terms add with per-term weights (default 1). A term with weight 0 is treated
+as disabled: its code never runs, so "weight 0" and "flag off" produce
 bit-identical trajectories.
 """
 
@@ -123,7 +125,6 @@ class TrainConfig:
     weights: dict = field(default_factory=dict)  # term -> weight, default 1.0
     fake: FakeSourceConfig = field(default_factory=FakeSourceConfig)
     timing: bool = True
-    oracle: bool = False  # unlock target-train labels (needed by ts)
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -160,24 +161,24 @@ def resolve_prior(config: TrainConfig, source: Dataset) -> np.ndarray:
     return empirical_prior(source)
 
 
-def build_architecture(config: TrainConfig, feature_dim: int, num_classes: int) -> Architecture:
-    arch = Architecture.mlp(feature_dim, config.hidden, num_classes)
-    needs_gen = config.fake.mode == "generator" and any(t in config.enabled() for t in ("ta", "sa"))
-    if needs_gen:
-        arch = arch.with_generator(config.fake.noise_dim, config.fake.gen_hidden)
-    return arch
-
-
 @dataclass
 class RunState:
     """What every step of a run reads besides params and batches.
 
-    labeled: the labeled training set (source, or oracle-labeled target under ts)
+    enabled: the terms that run, in TERM_TABLE order
+    arch: the network; it has a generator when generator fakes feed ta or sa
+    reads: the batches a step reads ("target" too when the generator runs)
+    n_f: fake rows per fake batch
+    labeled: the labeled training set (source, or target-train under ts)
     priors: prior name -> class prior, for the enabled terms that use one
     fake_stats: fake batch -> FeatureStats its gaussian rows are drawn from
     streams: fake batch -> the long-lived Rng its rows draw on
     """
 
+    enabled: tuple
+    arch: Architecture
+    reads: frozenset
+    n_f: int
     labeled: Dataset
     priors: dict
     fake_stats: dict
@@ -186,7 +187,10 @@ class RunState:
     @classmethod
     def build(cls, config: TrainConfig, pair: DomainPair) -> "RunState":
         enabled = config.enabled()
-        labeled = pair.target_train_labeled(oracle=config.oracle) if "ts" in enabled else pair.source
+        if not enabled:
+            raise ConfigError("no enabled loss terms (all weights zero?)")
+        # the one training read of target-train labels; ts in the combo unlocks them
+        labeled = pair.target_train_labeled(oracle=True) if "ts" in enabled else pair.source
         wanted = {TERM_TABLE[t].prior for t in enabled}
         priors = {}
         if "target" in wanted:
@@ -194,12 +198,17 @@ class RunState:
         if "source" in wanted:
             priors["source"] = empirical_prior(labeled)
         reads = {TERM_TABLE[t].batch for t in enabled}
-        real = {"fake_target": pair.target_train, "fake_source": labeled}
+        arch = Architecture.mlp(pair.dim, config.hidden, pair.num_classes)
         fake_stats = {}
-        if config.fake.mode == "gaussian":
+        if config.fake.mode == "generator" and reads & {"fake_target", "fake_source"}:
+            arch = arch.with_generator(config.fake.noise_dim, config.fake.gen_hidden)
+            reads.add("target")  # the generator's MMD step reads the target batch
+        else:
+            real = {"fake_target": pair.target_train, "fake_source": labeled}
             fake_stats = {b: FeatureStats.from_features(ds.features) for b, ds in real.items() if b in reads}
         streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
-        return cls(labeled, priors, fake_stats, streams)
+        n_f = config.fake.n_f or config.batch_size
+        return cls(enabled, arch, frozenset(reads), n_f, labeled, priors, fake_stats, streams)
 
 
 def _check_finite(term: str, value: float, epoch=None, step=None):
@@ -231,16 +240,15 @@ def train_step(
 ):
     """One optimization step over the enabled terms, in TERM_TABLE order.
 
-    sup_batch is the labeled batch (source, or oracle-labeled target under
-    ts); target_batch is the unlabeled target batch (None when nothing reads
-    it). Each batch gets one forward, when the first term that reads it
-    comes up. In generator mode one generator MMD step runs before the
-    first adversarial term, on the target batch's embeddings; the forward of
-    its fake rows is the fake_target batch's, which ta reads. Returns
-    (params, opt_theta, opt_phi, reports).
+    sup_batch is the labeled batch (source, or target-train under ts);
+    target_batch is the unlabeled target batch (None when no step reads it).
+    Each batch gets one forward, when the first term that reads it comes up.
+    When the network has a generator, one generator MMD step runs before
+    the first adversarial term, on the target batch's embeddings; the
+    forward of its fake rows is the fake_target batch's, which ta reads.
+    Returns (params, opt_theta, opt_phi, reports).
     """
-    generator = config.fake.mode == "generator"
-    n_f = config.fake.n_f or config.batch_size
+    generator = bool(params.arch.generator)
     reports: dict = {}
     total: dict[str, np.ndarray] = {}
     caches: dict = {}
@@ -251,10 +259,10 @@ def train_step(
         if batch == "target":
             return target_batch.features
         if not generator:
-            return gaussian_fakes(run.fake_stats[batch], n_f, run.streams[batch])
-        return generator_fakes(params, n_f, run.streams[batch])
+            return gaussian_fakes(run.fake_stats[batch], run.n_f, run.streams[batch])
+        return generator_fakes(params, run.n_f, run.streams[batch])
 
-    for term in config.enabled():
+    for term in run.enabled:
         spec = TERM_TABLE[term]
         if generator and spec.batch.startswith("fake") and "gen" not in reports:
             # one generator MMD step per classifier step; it changes only gen*
@@ -263,7 +271,7 @@ def train_step(
                 if "target" not in caches:
                     caches["target"] = forward(params, rows("target"))
                 params, opt_phi, gen_rep, caches["fake_target"] = generator_step(
-                    params, caches["target"].embeddings, n_f, config.fake.gamma, opt_phi, lr, run.streams["fake_target"]
+                    params, caches["target"].embeddings, run.n_f, config.fake.gamma, opt_phi, lr, run.streams["fake_target"]
                 )
             _check_finite("gen", gen_rep.value, epoch, step)
             reports["gen"] = gen_rep
@@ -298,26 +306,22 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     target-test accuracy, and seconds (0.0 when config.timing is off).
     on_epoch, when given, receives each record as it is produced.
     """
-    enabled = config.enabled()
-    if not enabled:
-        raise ConfigError("no enabled loss terms (all weights zero?)")
-
     run = RunState.build(config, pair)
-    arch = build_architecture(config, pair.dim, pair.num_classes)
+    arch = run.arch
     params = init_params(arch, Rng(config.seed, STREAM_WEIGHT_INIT))
     opt_theta = OptimizerState.for_params(params, theta_names(arch))
     opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
 
-    # the generator's MMD step reads the target batch too
-    needs_target = arch.generator or any(TERM_TABLE[t].batch == "target" for t in enabled)
     sup_batcher = Batcher(run.labeled.n, config.batch_size, config.seed, STREAM_SOURCE_SHUFFLE)
     target_batcher = (
-        Batcher(pair.target_train.n, config.batch_size, config.seed, STREAM_TARGET_SHUFFLE) if needs_target else None
+        Batcher(pair.target_train.n, config.batch_size, config.seed, STREAM_TARGET_SHUFFLE)
+        if "target" in run.reads
+        else None
     )
     steps_per_epoch = max(sup_batcher.batches_per_epoch, target_batcher.batches_per_epoch if target_batcher else 0)
 
-    reported = enabled + (("gen",) if arch.generator else ())
-    record_keys = tuple(t for t in TERMS if t != "ts") + ("gen",) + (("ts",) if "ts" in enabled else ())
+    reported = run.enabled + (("gen",) if arch.generator else ())
+    record_keys = tuple(t for t in TERMS if t != "ts") + ("gen",) + (("ts",) if "ts" in run.enabled else ())
     metrics = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

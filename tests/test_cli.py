@@ -22,7 +22,7 @@ from ctdr.cli import (
     parse_config_text,
     resolve_config,
 )
-from ctdr.data import load_sparse
+from ctdr.data import load_sparse, save_sparse, synth_two_moons
 from ctdr.errors import ConfigError, NonFiniteLossError
 from ctdr.fake import FakeSourceConfig
 from ctdr.train import TrainConfig
@@ -109,7 +109,6 @@ def test_every_config_field_is_reachable_from_a_key():
         "lr_decay_every": "3",
         "seed": "9",
         "prior": "0.7,0.3",
-        "oracle": "true",
         **{f"w_{t}": "0.5" for t in ("ss", "tu", "su", "ta", "sa", "ts")},
         "fake_mode": "generator",
         "fake_n": "12",
@@ -299,6 +298,18 @@ def test_cmd_ablate_summary(tmp_path):
     assert ss_acc == final["accuracy"]
 
 
+def test_cmd_ablate_ts_row_matches_a_ts_train_run(tmp_path):
+    path = small_train_cfg(tmp_path, seed=4)
+    assert main(["ablate", "--config", str(path)]) == 0
+    ts_row = (tmp_path / "out" / "summary.csv").read_text().splitlines()[-1].split(",")
+    # ts in the combo is all it takes to train on the target-train labels
+    solo = small_train_cfg(tmp_path, name="ts.txt", seed=4, combo="ts", out_dir=str(tmp_path / "ts"))
+    assert main(["train", "--config", str(solo)]) == 0
+    final = json.loads((tmp_path / "ts" / "eval.json").read_text())
+    assert ts_row[0] == "ts"
+    assert float(ts_row[1]) == final["accuracy"]
+
+
 def test_cmd_synth_deterministic(tmp_path):
     cfg = small_train_cfg(tmp_path, out_dir=str(tmp_path / "s1"))
     assert main(["synth", "--config", str(cfg)]) == 0
@@ -376,13 +387,41 @@ def test_overflow_is_exit_3_with_abort_record_and_no_numpy_warning(tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
-@pytest.mark.parametrize("bad", ["combo=zz", "prior=abc", "lr=0", "mmd_gamma=x"])
+# prior=0.5,0.3,0.2 parses, but two-moons has two classes: only the data shows it
+@pytest.mark.parametrize("bad", ["combo=zz", "prior=abc", "lr=0", "mmd_gamma=x", "prior=0.5,0.3,0.2"])
 def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command, bad):
     path = small_train_cfg(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
     assert main([command, "--config", str(path), "--set", bad]) == 2
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_prior_of_the_wrong_length_creates_no_out_dir(tmp_path, capsys, command):
+    path = small_train_cfg(tmp_path, prior="0.5,0.3,0.2")
+    assert main([command, "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "prior" in capsys.readouterr().err
+
+
+def test_ablate_needs_target_train_labels_before_it_fits_or_writes(tmp_path, monkeypatch):
+    pair = synth_two_moons(40, 35.0, 0.1, seed=0)
+    for name, ds in (("source", pair.source), ("target", pair.target_train), ("test", pair.target_test)):
+        save_sparse(ds, tmp_path / f"{name}.txt")  # target_train is written unlabeled
+    path = small_train_cfg(
+        tmp_path,
+        data="sparse",
+        source_sparse=tmp_path / "source.txt",
+        target_sparse=tmp_path / "target.txt",
+        target_test_sparse=tmp_path / "test.txt",
+    )
+    fits = []
+    monkeypatch.setattr(ctdr.cli, "fit", lambda *args, **kw: fits.append(args))
+    # the ts rung has no labels to train on; the six rungs before it never run
+    assert main(["ablate", "--config", str(path)]) == 2
+    assert fits == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_set_override_rejects_unknown_key(tmp_path):

@@ -117,6 +117,14 @@ def test_generator_fakes_requires_generator():
         generator_fakes(params, 2, Rng(0, 0))
 
 
+def test_generator_step_requires_generator():
+    arch = Architecture.mlp(3, (5,), 2)
+    params = init_params(arch, Rng(5, STREAM_WEIGHT_INIT))
+    real = forward(params, Rng(81, 0).normal_matrix(4, 3)).embeddings
+    with pytest.raises(ConfigError, match="architecture has no generator"):
+        generator_step(params, real, 2, None, None, 0.01, Rng(0, 0))
+
+
 def test_generator_step_zero_lr_is_noop():
     arch, params = gen_net()
     real = Rng(81, 0).normal_matrix(8, 3)

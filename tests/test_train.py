@@ -19,7 +19,6 @@ from ctdr.train import (
     RunState,
     TERMS,
     TrainConfig,
-    build_architecture,
     fit,
     resolve_prior,
     train_step,
@@ -112,16 +111,28 @@ def test_resolve_prior_rejects_wrong_length():
         resolve_prior(cfg, src)
 
 
-def test_build_architecture_generator_only_when_needed():
-    gaussian = quick_config("ss,tu,ta")
-    assert build_architecture(gaussian, 2, 2).generator == ()
+def test_run_state_builds_generator_only_when_needed():
+    pair = tiny_pair()
+    gaussian = RunState.build(quick_config("ss,tu,ta"), pair)
+    assert gaussian.arch.generator == ()
+    assert gaussian.reads == {"labeled", "target", "fake_target"}
     gen_cfg = quick_config("ss,ta", fake=FakeSourceConfig(mode="generator", noise_dim=4, gen_hidden=(6,)))
-    arch = build_architecture(gen_cfg, 2, 2)
-    assert arch.generator
-    assert arch.noise_dim == 4
+    run = RunState.build(gen_cfg, pair)
+    assert run.arch.generator
+    assert run.arch.noise_dim == 4
+    # the generator's MMD step reads the target batch, though no term does
+    assert run.reads == {"labeled", "fake_target", "target"}
+    assert run.fake_stats == {}
     # generator mode without an adversarial term never builds a generator
-    no_adv = quick_config("ss,tu", fake=FakeSourceConfig(mode="generator"))
-    assert build_architecture(no_adv, 2, 2).generator == ()
+    no_adv = RunState.build(quick_config("ss,tu", fake=FakeSourceConfig(mode="generator")), pair)
+    assert no_adv.arch.generator == ()
+    assert no_adv.reads == {"labeled", "target"}
+
+
+def test_run_state_fake_rows_default_to_the_batch_size():
+    pair = tiny_pair()
+    assert RunState.build(quick_config("ss,ta"), pair).n_f == 16
+    assert RunState.build(quick_config("ss,ta", fake=FakeSourceConfig(n_f=5)), pair).n_f == 5
 
 
 def test_fit_zero_epochs_returns_init():
@@ -129,7 +140,7 @@ def test_fit_zero_epochs_returns_init():
     cfg = quick_config(epochs=0)
     params, metrics = fit(cfg, pair)
     assert metrics == []
-    expect = init_params(build_architecture(cfg, 2, 2), Rng(cfg.seed, STREAM_WEIGHT_INIT))
+    expect = init_params(RunState.build(cfg, pair).arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     for name in tensor_names(params.arch):
         assert np.array_equal(params.tensors[name], expect.tensors[name])
 
@@ -172,7 +183,7 @@ def test_metrics_record_schema():
 
 def test_metrics_report_ts_only_when_enabled():
     pair = tiny_pair()
-    _, metrics = fit(quick_config("ts", oracle=True), pair)
+    _, metrics = fit(quick_config("ts"), pair)
     assert "ts" in metrics[0]["loss"]
     _, metrics = fit(quick_config("ss"), pair)
     assert "ts" not in metrics[0]["loss"]
@@ -191,12 +202,15 @@ def test_on_epoch_callback_streams_records():
     assert seen == metrics
 
 
-def test_ts_requires_oracle_flag():
+def test_ts_trains_on_target_labels_with_no_flag():
     pair = tiny_pair()
-    with pytest.raises(ContractViolation):
-        fit(quick_config("ts"), pair)
-    params, metrics = fit(quick_config("ts", oracle=True), pair)
+    run = RunState.build(quick_config("ts"), pair)
+    assert np.array_equal(run.labeled.labels, pair.target_train_labeled(oracle=True).labels)
+    params, metrics = fit(quick_config("ts"), pair)
     assert metrics
+    unlabeled = DomainPair(pair.source, pair.target_train, pair.target_test)
+    with pytest.raises(ContractViolation, match="target-train labels are not available"):
+        fit(quick_config("ts"), unlabeled)
 
 
 def test_all_weights_zero_rejected():
@@ -238,10 +252,10 @@ def test_single_target_row_reduces_to_source_only():
 def test_train_step_zero_lr_keeps_params():
     pair = tiny_pair()
     cfg = quick_config("ss,tu")
-    arch = build_architecture(cfg, 2, 2)
+    run = RunState.build(cfg, pair)
+    arch = run.arch
     params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     opt = OptimizerState.for_params(params, theta_names(arch))
-    run = RunState.build(cfg, pair)
     sup = Batch(pair.source.features[:8], pair.source.labels[:8])
     tgt = Batch(pair.target_train.features[:8])
     new, _, _, reports = train_step(params, opt, None, sup, tgt, cfg, run, 0.0)
@@ -254,7 +268,7 @@ def test_train_step_zero_lr_keeps_params():
 def test_train_step_does_not_mutate_inputs():
     pair = tiny_pair()
     cfg = quick_config("ss")
-    arch = build_architecture(cfg, 2, 2)
+    arch = RunState.build(cfg, pair).arch
     params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     before = {n: t.copy() for n, t in params.tensors.items()}
     opt = OptimizerState.for_params(params, theta_names(arch))
@@ -280,12 +294,13 @@ def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
     monkeypatch.setattr(ctdr.fake, "forward", counting_forward)
 
     def step_rows(cfg):
-        arch = build_architecture(cfg, 2, 2)
+        run = RunState.build(cfg, pair)
+        arch = run.arch
         params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
         opt = OptimizerState.for_params(params, theta_names(arch))
         opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
         rows.clear()
-        _, _, _, reports = train_step(params, opt, opt_phi, sup, tgt, cfg, RunState.build(cfg, pair), 0.01)
+        _, _, _, reports = train_step(params, opt, opt_phi, sup, tgt, cfg, run, 0.01)
         assert set(reports) == set(cfg.enabled()) | ({"gen"} if arch.generator else set())
         return list(rows)
 
