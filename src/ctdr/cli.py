@@ -124,7 +124,7 @@ SCHEMA: dict = {
     "n_target_test": (int, 0),
     "standardize": (_parse_bool, True),
     # training
-    "combo": (str, ",".join(_TRAIN.combo.names())),
+    "combo": (str, ",".join(_TRAIN.combo.names)),
     "hidden": _field("hidden"),
     "epochs": _field("epochs"),
     "batch": _field("batch"),
@@ -186,7 +186,13 @@ def format_config(cfg: dict) -> str:
 def load_config(args) -> dict:
     raw = {}
     if args.config:
-        raw = parse_config_text(Path(args.config).read_text(encoding="utf-8"), origin=str(args.config))
+        raw_bytes = Path(args.config).read_bytes()
+        try:
+            text = raw_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = raw_bytes.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{args.config}:{line_no}: not UTF-8 (byte {exc.start})") from exc
+        raw = parse_config_text(text, origin=str(args.config))
     if getattr(args, "seed", None) is not None:
         raw["seed"] = str(args.seed)
     for item in getattr(args, "set", None) or []:

@@ -340,9 +340,7 @@ def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_ske
     if noise_std < 0.0:
         raise ContractViolation(f"noise_std must be >= 0, got {noise_std}")
     balanced = np.array([0.5, 0.5])
-    skew = balanced if label_skew is None else np.asarray(label_skew, dtype=np.float64)
-    if skew.shape != (2,) or np.any(skew < 0) or abs(skew.sum() - 1.0) > 1e-9:
-        raise ContractViolation("label_skew must be two nonnegative entries summing to 1")
+    skew = balanced if label_skew is None else make_prior(label_skew, 2)
 
     src_f, src_y = _moon_points(n, _exact_counts(balanced, n), noise_std, Rng(seed, substream(STREAM_DATA, 0)))
     tt_f, tt_y = _moon_points(n, _exact_counts(skew, n), noise_std, Rng(seed, substream(STREAM_DATA, 1)))

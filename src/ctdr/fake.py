@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .losses import mmd_loss
-from .model import ParamSet, backward, forward, generator_backward, generator_forward_cache
+from .model import ParamSet, backward, forward, generator_backward, generator_forward, generator_forward_cache
 from .numerics import Rng, as_matrix
 from .optim import adam_update
 
@@ -44,8 +44,8 @@ class FakeSourceConfig:
             raise ConfigError("noise_dim must be >= 1")
         if not self.gen_hidden:
             raise ConfigError("gen_hidden must name at least one width")
-        if self.gamma is not None and not (self.gamma > 0.0):
-            raise ConfigError(f"mmd gamma must be > 0, got {self.gamma}")
+        if self.gamma is not None and not (0.0 < self.gamma < np.inf):
+            raise ConfigError(f"mmd gamma must be finite and > 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def generator_fakes(params: ParamSet, n_f: int, rng: Rng) -> np.ndarray:
     """n_f fake rows from the generator; deterministic given the rng state."""
     if n_f < 1:
         raise ContractViolation(f"n_f must be >= 1, got {n_f}")
-    noise = rng.normal_matrix(n_f, params.arch.noise_dim)
-    return generator_forward_cache(params, noise).out
+    return generator_forward(params, rng.normal_matrix(n_f, params.arch.noise_dim))
 
 
 def generator_step(params: ParamSet, real_embeddings, n_f: int, gamma, opt_phi, lr: float, rng: Rng):

@@ -255,8 +255,6 @@ class GenCache:
 
 
 def generator_forward_cache(params: ParamSet, noise) -> GenCache:
-    if not params.arch.generator:
-        raise ConfigError("no generator configured in this architecture")
     noise = as_matrix(noise, "noise")
     if noise.shape[1] != params.arch.noise_dim:
         raise ContractViolation(f"generator: noise width {noise.shape[1]}, expects {params.arch.noise_dim}")

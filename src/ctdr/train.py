@@ -12,12 +12,13 @@ One classifier is optimized over any combination of loss terms:
       reference only, combined with no other term
 
 TERM_TABLE says which batch each term reads, its loss and its prior; a step
-walks the table in order. RunState.build is the one place that turns a
-config and a pair into a run: the enabled terms, the network, the batches a
-step reads and the labeled set. Reductions are sums over the batch; enabled
-terms add with per-term weights (default 1). A term with weight 0 is treated
-as disabled: its code never runs, so "weight 0" and "flag off" produce
-bit-identical trajectories.
+walks the table in order, after the generator's MMD step when the network
+has a generator. RunState.build is the one place that turns a config and a
+pair into a run: the term weights, the MMD bandwidth, the network, the
+batches a step reads and the labeled set; a step reads no TrainConfig.
+Reductions are sums over the batch; enabled terms add with per-term weights
+(default 1). A term with weight 0 is treated as disabled: its code never
+runs, so "weight 0" and "flag off" produce bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -82,18 +83,14 @@ TERMS = tuple(TERM_TABLE)
 
 @dataclass(frozen=True)
 class LossCombo:
-    ss: bool = False
-    tu: bool = False
-    su: bool = False
-    ta: bool = False
-    sa: bool = False
-    ts: bool = False
+    names: tuple  # the enabled terms, in TERMS order
 
     def __post_init__(self):
-        names = self.names()
-        if not names:
+        if not self.names:
             raise ConfigError("loss combo must enable at least one term")
-        if self.ts and len(names) > 1:
+        if self.names != tuple(t for t in TERMS if t in self.names):
+            raise ConfigError(f"loss combo {self.names} must name distinct terms in the order {', '.join(TERMS)}")
+        if "ts" in self.names and len(self.names) > 1:
             raise ConfigError("ts is an exclusive baseline; combine it with nothing")
 
     @classmethod
@@ -102,18 +99,15 @@ class LossCombo:
         for t in toks:
             if t not in TERMS:
                 raise ConfigError(f"unknown loss term {t!r}; valid: {', '.join(TERMS)}")
-        return cls(**{t: True for t in toks})
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(t for t in TERMS if getattr(self, t))
+        return cls(tuple(t for t in TERMS if t in toks))
 
     def __str__(self) -> str:
-        return "+".join(self.names())
+        return "+".join(self.names)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    combo: LossCombo = LossCombo(ss=True, tu=True)
+    combo: LossCombo = LossCombo(("ss", "tu"))
     epochs: int = 100
     batch_size: int = 128
     lr: float = 0.001
@@ -131,8 +125,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not (self.lr > 0.0):
-            raise ConfigError("lr must be > 0")
+        if not (0.0 < self.lr < np.inf):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ConfigError("lr_decay must be in (0, 1]")
         if self.lr_decay_every < 1:
@@ -140,15 +134,11 @@ class TrainConfig:
         for term, w in self.weights.items():
             if term not in TERMS:
                 raise ConfigError(f"weight for unknown term {term!r}")
-            if w < 0:
-                raise ConfigError(f"weight for {term} must be >= 0, got {w}")
+            if not (0.0 <= w < np.inf):
+                raise ConfigError(f"weight for {term} must be finite and >= 0, got {w}")
 
     def weight(self, term: str) -> float:
         return float(self.weights.get(term, 1.0))
-
-    def enabled(self) -> tuple[str, ...]:
-        """Terms whose flag is on and whose weight is nonzero."""
-        return tuple(t for t in self.combo.names() if self.weight(t) != 0.0)
 
     def lr_at(self, epoch: int) -> float:
         return self.lr * self.lr_decay ** (epoch // self.lr_decay_every)
@@ -165,7 +155,8 @@ def resolve_prior(config: TrainConfig, source: Dataset) -> np.ndarray:
 class RunState:
     """What every step of a run reads besides params and batches.
 
-    enabled: the terms that run, in TERM_TABLE order
+    weights: term -> weight for the terms that run (nonzero), in TERM_TABLE order
+    gamma: the MMD bandwidth of the generator step (None: median heuristic)
     arch: the network; it has a generator when generator fakes feed ta or sa
     reads: the batches a step reads ("target" too when the generator runs)
     n_f: fake rows per fake batch
@@ -175,7 +166,8 @@ class RunState:
     streams: fake batch -> the long-lived Rng its rows draw on
     """
 
-    enabled: tuple
+    weights: dict
+    gamma: float | None
     arch: Architecture
     reads: frozenset
     n_f: int
@@ -186,18 +178,18 @@ class RunState:
 
     @classmethod
     def build(cls, config: TrainConfig, pair: DomainPair) -> "RunState":
-        enabled = config.enabled()
-        if not enabled:
+        weights = {t: config.weight(t) for t in config.combo.names if config.weight(t) != 0.0}
+        if not weights:
             raise ConfigError("no enabled loss terms (all weights zero?)")
         # the one training read of target-train labels; ts in the combo unlocks them
-        labeled = pair.target_train_labeled(oracle=True) if "ts" in enabled else pair.source
-        wanted = {TERM_TABLE[t].prior for t in enabled}
+        labeled = pair.target_train_labeled(oracle=True) if "ts" in weights else pair.source
+        wanted = {TERM_TABLE[t].prior for t in weights}
         priors = {}
         if "target" in wanted:
             priors["target"] = resolve_prior(config, pair.source)
         if "source" in wanted:
             priors["source"] = empirical_prior(labeled)
-        reads = {TERM_TABLE[t].batch for t in enabled}
+        reads = {TERM_TABLE[t].batch for t in weights}
         arch = Architecture.mlp(pair.dim, config.hidden, pair.num_classes)
         fake_stats = {}
         if config.fake.mode == "generator" and reads & {"fake_target", "fake_source"}:
@@ -208,7 +200,7 @@ class RunState:
             fake_stats = {b: FeatureStats.from_features(ds.features) for b, ds in real.items() if b in reads}
         streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
         n_f = config.fake.n_f or config.batch_size
-        return cls(enabled, arch, frozenset(reads), n_f, labeled, priors, fake_stats, streams)
+        return cls(weights, config.fake.gamma, arch, frozenset(reads), n_f, labeled, priors, fake_stats, streams)
 
 
 def _check_finite(term: str, value: float, epoch=None, step=None):
@@ -232,7 +224,6 @@ def train_step(
     opt_phi: OptimizerState | None,
     sup_batch,
     target_batch,
-    config: TrainConfig,
     run: RunState,
     lr: float,
     epoch=None,
@@ -243,15 +234,23 @@ def train_step(
     sup_batch is the labeled batch (source, or target-train under ts);
     target_batch is the unlabeled target batch (None when no step reads it).
     Each batch gets one forward, when the first term that reads it comes up.
-    When the network has a generator, one generator MMD step runs before
-    the first adversarial term, on the target batch's embeddings; the
-    forward of its fake rows is the fake_target batch's, which ta reads.
+    When the network has a generator, its one MMD step runs first: it
+    forwards the target batch and steps on its embeddings, and the forward
+    of its fake rows is the fake_target batch's, which ta reads. The step
+    changes only gen* tensors, so every other forward is the same after it.
     Returns (params, opt_theta, opt_phi, reports).
     """
     generator = bool(params.arch.generator)
     reports: dict = {}
     total: dict[str, np.ndarray] = {}
     caches: dict = {}
+    if generator:
+        with _blame("gen", epoch, step):
+            caches["target"] = forward(params, target_batch.features)
+            params, opt_phi, reports["gen"], caches["fake_target"] = generator_step(
+                params, caches["target"].embeddings, run.n_f, run.gamma, opt_phi, lr, run.streams["fake_target"]
+            )
+        _check_finite("gen", reports["gen"].value, epoch, step)
 
     def rows(batch: str) -> np.ndarray:
         if batch == "labeled":
@@ -262,19 +261,8 @@ def train_step(
             return gaussian_fakes(run.fake_stats[batch], run.n_f, run.streams[batch])
         return generator_fakes(params, run.n_f, run.streams[batch])
 
-    for term in run.enabled:
+    for term, w in run.weights.items():
         spec = TERM_TABLE[term]
-        if generator and spec.batch.startswith("fake") and "gen" not in reports:
-            # one generator MMD step per classifier step; it changes only gen*
-            # tensors, so the target forward stays valid for the terms after it
-            with _blame("gen", epoch, step):
-                if "target" not in caches:
-                    caches["target"] = forward(params, rows("target"))
-                params, opt_phi, gen_rep, caches["fake_target"] = generator_step(
-                    params, caches["target"].embeddings, run.n_f, config.fake.gamma, opt_phi, lr, run.streams["fake_target"]
-                )
-            _check_finite("gen", gen_rep.value, epoch, step)
-            reports["gen"] = gen_rep
         if spec.batch not in caches:
             with _blame(term, epoch, step):
                 caches[spec.batch] = forward(params, rows(spec.batch))
@@ -283,7 +271,6 @@ def train_step(
         rep = spec.loss(cache.probs, labels, run.priors.get(spec.prior))
         _check_finite(term, rep.value, epoch, step)
         g, _ = backward(params, cache, grad_logits=rep.grad_logits)
-        w = config.weight(term)
         for name, gt in g.items():
             total[name] = total[name] + w * gt if name in total else w * gt
         reports[term] = rep
@@ -320,8 +307,8 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     )
     steps_per_epoch = max(sup_batcher.batches_per_epoch, target_batcher.batches_per_epoch if target_batcher else 0)
 
-    reported = run.enabled + (("gen",) if arch.generator else ())
-    record_keys = tuple(t for t in TERMS if t != "ts") + ("gen",) + (("ts",) if "ts" in run.enabled else ())
+    reported = tuple(run.weights) + (("gen",) if arch.generator else ())
+    record_keys = tuple(t for t in TERMS if t != "ts") + ("gen",) + (("ts",) if "ts" in run.weights else ())
     metrics = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -331,7 +318,7 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
             sup_batch = _slice(run.labeled, sup_batcher.take())
             target_batch = _slice(pair.target_train, target_batcher.take()) if target_batcher else None
             params, opt_theta, opt_phi, reports = train_step(
-                params, opt_theta, opt_phi, sup_batch, target_batch, config, run, lr, epoch, step
+                params, opt_theta, opt_phi, sup_batch, target_batch, run, lr, epoch, step
             )
             for t, rep in reports.items():
                 sums[t] += rep.value

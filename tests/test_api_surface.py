@@ -13,7 +13,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ctdr"
 
 # name -> why it stays without a caller in src/
 ALLOWED = {
-    "generator_forward": "perfbench/spans.py patches it by name to trace the generator layer",
     "median_heuristic_gamma": "perfbench/spans.py patches it by name to trace the median bandwidth",
     "class_mass": "acceptance criterion c02 is stated on it",
 }

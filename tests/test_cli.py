@@ -183,6 +183,12 @@ FROZEN_RUNS = {
         "a6a5f2ae8663c24566472577ccd9cc61db9fac1137002dc76f898e6aa69ae6f4",
         "1b19104c25f8af686248ddcf576dbc6163a5d262ea77e2ef94f89293422e3bd0",
     ),
+    # sa on generator rows draws from the fake-source stream after the generator step
+    "moons_generator_sa": (
+        {"combo": "tu,sa,ta", "fake_mode": "generator"},
+        "1e6f8a24334eb81b3337498230f0d0470042a5e1a434ea0a8a2722d893e858c3",
+        "1db10907458a5ec50b5dcfd0c0ae1f2b915982eaa9163e36e4337506fd9aacdb",
+    ),
 }
 
 
@@ -388,7 +394,10 @@ def test_overflow_is_exit_3_with_abort_record_and_no_numpy_warning(tmp_path, cap
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 # prior=0.5,0.3,0.2 parses, but two-moons has two classes: only the data shows it
-@pytest.mark.parametrize("bad", ["combo=zz", "prior=abc", "lr=0", "mmd_gamma=x", "prior=0.5,0.3,0.2"])
+@pytest.mark.parametrize(
+    "bad",
+    ["combo=zz", "prior=abc", "lr=0", "mmd_gamma=x", "prior=0.5,0.3,0.2", "lr=inf", "w_tu=nan", "w_tu=inf", "mmd_gamma=inf"],
+)
 def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command, bad):
     path = small_train_cfg(tmp_path)
     out = tmp_path / "out"
@@ -403,6 +412,23 @@ def test_prior_of_the_wrong_length_creates_no_out_dir(tmp_path, capsys, command)
     assert main([command, "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
     assert "prior" in capsys.readouterr().err
+
+
+def test_nan_label_skew_creates_no_out_dir(tmp_path, capsys):
+    path = small_train_cfg(tmp_path, skew="nan,nan")
+    assert main(["train", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "prior entries must be finite" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_exit_2_naming_file_and_line(tmp_path, capsys):
+    path = small_train_cfg(tmp_path)
+    head = path.read_bytes() + b"combo = ss"
+    path.write_bytes(head + b"\xff\xfe\n")
+    line_no = len(head.splitlines())
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line_no}: not UTF-8 (byte {len(head)})\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_ablate_needs_target_train_labels_before_it_fits_or_writes(tmp_path, monkeypatch):

@@ -294,6 +294,8 @@ def test_two_moons_rejects_bad_arguments():
     with pytest.raises(ContractViolation):
         synth_two_moons(10, 35.0, 0.1, label_skew=(0.7, 0.2))
     with pytest.raises(ContractViolation):
+        synth_two_moons(10, 35.0, 0.1, label_skew=(float("nan"), float("nan")))
+    with pytest.raises(ContractViolation):
         synth_two_moons(1, 35.0, 0.1)
 
 

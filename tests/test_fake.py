@@ -60,6 +60,8 @@ def test_fake_config_validation():
         FakeSourceConfig(noise_dim=0)
     with pytest.raises(ConfigError):
         FakeSourceConfig(gamma=-1.0)
+    with pytest.raises(ConfigError):
+        FakeSourceConfig(gamma=float("inf"))
 
 
 def test_feature_stats_from_features():

@@ -42,11 +42,11 @@ def quick_config(combo="ss,tu", **kw):
 
 
 def test_loss_combo_parsing_variants():
-    assert LossCombo.parse("ss,tu").names() == ("ss", "tu")
-    assert LossCombo.parse("ss+tu").names() == ("ss", "tu")
-    assert LossCombo.parse(" tu , ss ").names() == ("ss", "tu")
+    assert LossCombo.parse("ss,tu").names == ("ss", "tu")
+    assert LossCombo.parse("ss+tu").names == ("ss", "tu")
+    assert LossCombo.parse(" tu , ss ").names == ("ss", "tu")
     assert str(LossCombo.parse("tu,ss")) == "ss+tu"
-    assert LossCombo.parse("ts").names() == ("ts",)
+    assert LossCombo.parse("ts").names == ("ts",)
 
 
 def test_loss_combo_rejects_bad_input():
@@ -56,12 +56,16 @@ def test_loss_combo_rejects_bad_input():
         LossCombo.parse("ss,xx")
     with pytest.raises(ConfigError):
         LossCombo.parse("ts,ss")
+    # the names field itself must be distinct known terms in TERMS order
+    for names in (("tu", "ss"), ("ss", "ss"), ("zz",), ()):
+        with pytest.raises(ConfigError):
+            LossCombo(names)
 
 
 def test_term_order_is_stable():
     assert TERMS == ("ss", "tu", "su", "ta", "sa", "ts")
     combo = LossCombo.parse("sa,ss,tu")
-    assert combo.names() == ("ss", "tu", "sa")
+    assert combo.names == ("ss", "tu", "sa")
 
 
 def test_train_config_validation():
@@ -75,6 +79,12 @@ def test_train_config_validation():
         quick_config(batch_size=0)
     with pytest.raises(ConfigError):
         quick_config(epochs=-1)
+    for lr in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            quick_config(lr=lr)
+    for w in (math.nan, math.inf, -1.0):
+        with pytest.raises(ConfigError):
+            quick_config(weights={"tu": w})
 
 
 def test_learning_rate_schedule_exact():
@@ -86,12 +96,16 @@ def test_learning_rate_schedule_exact():
 
 
 def test_weights_default_to_one_and_zero_disables():
+    pair = tiny_pair()
     cfg = quick_config("ss,tu,ta")
     assert cfg.weight("ss") == 1.0
-    assert cfg.enabled() == ("ss", "tu", "ta")
+    assert tuple(RunState.build(cfg, pair).weights) == ("ss", "tu", "ta")
     cfg = quick_config("ss,tu,ta", weights={"ta": 0.0, "tu": 2.0})
-    assert cfg.enabled() == ("ss", "tu")
+    assert tuple(RunState.build(cfg, pair).weights) == ("ss", "tu")
     assert cfg.weight("tu") == 2.0
+    # the run plan leaves zero-weight terms out and keeps TERM_TABLE order
+    cfg = quick_config("ta,su,tu,ss", weights={"ss": 0.5, "su": 0.0, "ta": 3.0})
+    assert list(RunState.build(cfg, pair).weights.items()) == [("ss", 0.5), ("tu", 1.0), ("ta", 3.0)]
 
 
 def test_resolve_prior_pass_through_and_empirical():
@@ -258,7 +272,7 @@ def test_train_step_zero_lr_keeps_params():
     opt = OptimizerState.for_params(params, theta_names(arch))
     sup = Batch(pair.source.features[:8], pair.source.labels[:8])
     tgt = Batch(pair.target_train.features[:8])
-    new, _, _, reports = train_step(params, opt, None, sup, tgt, cfg, run, 0.0)
+    new, _, _, reports = train_step(params, opt, None, sup, tgt, run, 0.0)
     assert set(reports) == {"ss", "tu"}
     assert all(np.isfinite(rep.value) for rep in reports.values())
     for name in tensor_names(arch):
@@ -273,7 +287,7 @@ def test_train_step_does_not_mutate_inputs():
     before = {n: t.copy() for n, t in params.tensors.items()}
     opt = OptimizerState.for_params(params, theta_names(arch))
     sup = Batch(pair.source.features[:8], pair.source.labels[:8])
-    train_step(params, opt, None, sup, None, cfg, RunState.build(cfg, pair), 0.01)
+    train_step(params, opt, None, sup, None, RunState.build(cfg, pair), 0.01)
     for name, t in before.items():
         assert np.array_equal(params.tensors[name], t)
 
@@ -300,17 +314,18 @@ def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
         opt = OptimizerState.for_params(params, theta_names(arch))
         opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
         rows.clear()
-        _, _, _, reports = train_step(params, opt, opt_phi, sup, tgt, cfg, run, 0.01)
-        assert set(reports) == set(cfg.enabled()) | ({"gen"} if arch.generator else set())
+        _, _, _, reports = train_step(params, opt, opt_phi, sup, tgt, run, 0.01)
+        assert set(reports) == set(run.weights) | ({"gen"} if arch.generator else set())
         return list(rows)
 
     # tu reads the target batch and sa the source fakes; no term reads the labeled batch
     assert step_rows(quick_config("tu,sa")) == [5, 16]
-    # the generator step reuses tu's target forward, and ta reuses the forward of its fake rows
+    # the generator step runs first: it forwards the target batch (which tu
+    # reuses) and its fake rows (which ta reuses); then the labeled batch
     gen = FakeSourceConfig(mode="generator", n_f=3, noise_dim=4, gen_hidden=(6,))
-    assert step_rows(quick_config("ss,tu,ta", fake=gen)) == [8, 5, 3]
+    assert step_rows(quick_config("ss,tu,ta", fake=gen)) == [5, 3, 8]
     # with no term reading the target batch, the generator step still forwards it once
-    assert step_rows(quick_config("ss,ta", fake=gen)) == [8, 5, 3]
+    assert step_rows(quick_config("ss,ta", fake=gen)) == [5, 3, 8]
 
 
 def test_gaussian_adversarial_terms_run():
