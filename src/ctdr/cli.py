@@ -216,6 +216,9 @@ def _require_paths(cfg: dict, *kinds):
 
 def build_pair(cfg: dict) -> DomainPair:
     kind = cfg["data"]
+    for key in ("resize", "n_source", "n_target", "n_target_test"):
+        if kind != "idx" and cfg[key] != SCHEMA[key][1]:
+            raise ConfigError(f"{key} = {cfg[key]} applies only to data = idx, not data = {kind}")
     skew = cfg["skew"] or None
     if kind == "two_moons":
         return synth_two_moons(cfg["n"], cfg["rotation"], cfg["noise"], skew, seed=cfg["seed"])

@@ -13,6 +13,7 @@ import json
 import math
 import struct
 import warnings
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -155,19 +156,27 @@ class Batcher:
 # --- file formats -------------------------------------------------------------
 
 
-def _open_maybe_gzip(path):
+def _read_idx(path, magic: int, n_dims: int, what: str, body: str):
+    """(header dims, payload bytes) of one IDX file, read whole and gunzipped
+    when it starts with the gzip magic. `what` and `body` name the header and
+    the payload in ParseError messages."""
     with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
-def _read_exact(fh, count, path, what):
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise ParseError(path, 0, f"truncated IDX file while reading {what}")
-    return buf
+        buf = fh.read()
+    if buf[:2] == b"\x1f\x8b":
+        try:
+            buf = gzip.decompress(buf)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise ParseError(path, 0, f"bad gzip stream: {exc}") from exc
+    head = 4 * (1 + n_dims)
+    if len(buf) < head:
+        raise ParseError(path, 0, f"truncated IDX file while reading {what} header")
+    found, *dims = struct.unpack(f">{1 + n_dims}I", buf[:head])
+    if found != magic:
+        raise ParseError(path, 0, f"bad {what} magic {found}, expected {magic}")
+    size = math.prod(dims)
+    if len(buf) - head < size:
+        raise ParseError(path, 0, f"truncated IDX file while reading {body}: header declares {dims}")
+    return dims, buf[head : head + size]
 
 
 def load_idx(images_path, labels_path, num_classes: int = 10, name: str = "") -> Dataset:
@@ -175,18 +184,12 @@ def load_idx(images_path, labels_path, num_classes: int = 10, name: str = "") ->
 
     Pixel bytes are scaled to [0, 1]; rows are flattened images.
     """
-    with _open_maybe_gzip(images_path) as fh:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path, "image header"))
-        if magic != IDX_MAGIC_IMAGES:
-            raise ParseError(images_path, 0, f"bad image magic {magic}, expected {IDX_MAGIC_IMAGES}")
-        raw = _read_exact(fh, count * rows * cols, images_path, "pixel data")
+    (count, rows, cols), raw = _read_idx(images_path, IDX_MAGIC_IMAGES, 3, "image", "pixel data")
     images = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
-
-    with _open_maybe_gzip(labels_path) as fh:
-        magic, label_count = struct.unpack(">II", _read_exact(fh, 8, labels_path, "label header"))
-        if magic != IDX_MAGIC_LABELS:
-            raise ParseError(labels_path, 0, f"bad label magic {magic}, expected {IDX_MAGIC_LABELS}")
-        labels = np.frombuffer(_read_exact(fh, label_count, labels_path, "labels"), dtype=np.uint8).astype(np.int64)
+    (label_count,), raw = _read_idx(labels_path, IDX_MAGIC_LABELS, 1, "label", "labels")
+    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    if labels.size and labels.max() >= num_classes:
+        raise ParseError(labels_path, 0, f"label {labels.max()} out of range [0, {num_classes})")
     if label_count != count:
         raise ParseError(labels_path, 0, f"{label_count} labels for {count} images")
     return Dataset(images, labels, num_classes, name=name, image_hw=(rows, cols))

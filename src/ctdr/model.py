@@ -1,14 +1,16 @@
 """Encoder + softmax classifier (and optional fake-sample generator).
 
-Plain MLP stacks over float64 arrays with hand-written backward passes, a
-functional parameter container, and a little-endian binary checkpoint format.
+Each network (classifier path, generator) is one list of (tensor prefix,
+LayerSpec) pairs from `_layers`; one forward and one backward walk over it do
+all the float64 layer arithmetic. Plus a functional parameter container and a
+little-endian binary checkpoint format.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,22 +95,21 @@ class Architecture:
         return Architecture(self.encoder, self.classifier, tuple(gen))
 
 
-def _layers(arch: Architecture) -> list[tuple[str, LayerSpec]]:
-    """(tensor prefix, spec) per layer, in the canonical order: encoder,
-    classifier, generator. Layer `p` owns the tensors `p.w` and `p.b`."""
-    return [
-        *((f"enc{i}", spec) for i, spec in enumerate(arch.encoder)),
-        ("cls", arch.classifier),
-        *((f"gen{i}", spec) for i, spec in enumerate(arch.generator)),
-    ]
+def _layers(arch: Architecture) -> tuple[list, list]:
+    """(tensor prefix, spec) per layer, as two walks: the classifier path
+    (encoder layers, then the classifier) and the generator. Layer `p` owns
+    the tensors `p.w` and `p.b`; the canonical order is path, then generator."""
+    path = [(f"enc{i}", spec) for i, spec in enumerate(arch.encoder)] + [("cls", arch.classifier)]
+    return path, [(f"gen{i}", spec) for i, spec in enumerate(arch.generator)]
+
+
+def _names(layers) -> list[str]:
+    return [f"{prefix}.{t}" for prefix, _ in layers for t in "wb"]
 
 
 def _expected_shapes(arch: Architecture) -> dict[str, tuple]:
-    shapes = {}
-    for prefix, spec in _layers(arch):
-        shapes[f"{prefix}.w"] = (spec.in_dim, spec.out_dim)
-        shapes[f"{prefix}.b"] = (spec.out_dim,)
-    return shapes
+    path, gen = _layers(arch)
+    return {f"{p}.{t}": (s.in_dim, s.out_dim) if t == "w" else (s.out_dim,) for p, s in path + gen for t in "wb"}
 
 
 def tensor_names(arch: Architecture) -> list[str]:
@@ -118,12 +119,12 @@ def tensor_names(arch: Architecture) -> list[str]:
 
 def theta_names(arch: Architecture) -> list[str]:
     """Classifier-path parameters (everything except the generator)."""
-    return [n for n in tensor_names(arch) if not n.startswith("gen")]
+    return _names(_layers(arch)[0])
 
 
 def phi_names(arch: Architecture) -> list[str]:
     """Generator parameters."""
-    return [n for n in tensor_names(arch) if n.startswith("gen")]
+    return _names(_layers(arch)[1])
 
 
 @dataclass
@@ -149,117 +150,103 @@ def init_params(arch: Architecture, rng: Rng) -> ParamSet:
     on whether a generator is configured.
     """
     tensors: dict[str, np.ndarray] = {}
-    for prefix, spec in _layers(arch):
+    path, gen = _layers(arch)
+    for prefix, spec in path + gen:
         bound = 1.0 / np.sqrt(spec.in_dim)
         tensors[f"{prefix}.w"] = rng.uniform_matrix(spec.in_dim, spec.out_dim, -bound, bound)
         tensors[f"{prefix}.b"] = np.zeros(spec.out_dim)
     return ParamSet(arch, tensors)
 
 
-def _stack_forward(params: ParamSet, prefix: str, layers, x: np.ndarray):
-    """Returns (pre_list, act_list); act_list[-1] is the stack output."""
+@dataclass
+class ForwardCache:
+    """One walk's record, kept for the backward walk: the (prefix, spec)
+    layers, the input rows, each layer's pre-activation and output, and the
+    softmax probabilities (classifier path only)."""
+
+    layers: list
+    x: np.ndarray
+    pre: list
+    act: list
+    probs: np.ndarray = None
+
+    @property
+    def out(self) -> np.ndarray:
+        return self.act[-1]
+
+    logits = out
+
+    @property
+    def embeddings(self) -> np.ndarray:  # input rows of the last layer
+        return self.act[-2] if len(self.act) > 1 else self.x
+
+
+def _walk_forward(params: ParamSet, layers, x: np.ndarray) -> ForwardCache:
     pre, act = [], []
     a = x
-    for i, spec in enumerate(layers):
-        z = a @ params.tensors[f"{prefix}{i}.w"] + params.tensors[f"{prefix}{i}.b"]
+    for prefix, spec in layers:
+        z = a @ params.tensors[prefix + ".w"] + params.tensors[prefix + ".b"]
         a = np.maximum(z, 0.0) if spec.activation == "relu" else z
         pre.append(z)
         act.append(a)
-    return pre, act
+    return ForwardCache(layers, x, pre, act)
 
 
-def _stack_backward(params: ParamSet, prefix: str, layers, x, pre, act, d_out):
-    """Grads for one stack. Returns (grads dict, grad wrt stack input).
-
-    ReLU uses the 0 subgradient at exactly 0 (strict > mask).
-    """
+def _walk_backward(params: ParamSet, layers, cache: ForwardCache, d: np.ndarray):
+    """(grads of `layers`, a leading run of cache.layers, in canonical order;
+    grad wrt the input rows). ReLU's subgradient at exactly 0 is 0."""
     grads = {}
-    d = d_out
     for i in range(len(layers) - 1, -1, -1):
-        if layers[i].activation == "relu":
-            d = d * (pre[i] > 0.0)
-        a_in = act[i - 1] if i > 0 else x
-        grads[f"{prefix}{i}.w"] = a_in.T @ d
-        grads[f"{prefix}{i}.b"] = d.sum(axis=0)
-        d = d @ params.tensors[f"{prefix}{i}.w"].T
-    return grads, d
-
-
-@dataclass
-class ForwardCache:
-    """Everything forward() computed, kept for backward()."""
-
-    x: np.ndarray
-    enc_pre: list = field(default_factory=list)
-    enc_act: list = field(default_factory=list)
-    embeddings: np.ndarray = None
-    logits: np.ndarray = None
-    probs: np.ndarray = None
+        prefix, spec = layers[i]
+        if spec.activation == "relu":
+            d = d * (cache.pre[i] > 0.0)
+        grads[prefix + ".b"] = d.sum(axis=0)
+        grads[prefix + ".w"] = (cache.act[i - 1] if i > 0 else cache.x).T @ d
+        d = d @ params.tensors[prefix + ".w"].T
+    return dict(reversed(grads.items())), d
 
 
 def forward(params: ParamSet, x) -> ForwardCache:
-    """Encoder + classifier forward pass on a batch of feature rows.
+    """Classifier-path forward pass on a batch of feature rows.
 
     Logits that overflowed raise NonFiniteLossError (term "forward").
     """
     x = as_matrix(x, "x")
     if x.shape[1] != params.arch.feature_dim:
         raise ContractViolation(f"forward: input width {x.shape[1]}, model expects {params.arch.feature_dim}")
-    pre, act = _stack_forward(params, "enc", params.arch.encoder, x)
-    emb = act[-1] if act else x
-    logits = emb @ params.tensors["cls.w"] + params.tensors["cls.b"]
+    cache = _walk_forward(params, _layers(params.arch)[0], x)
+    logits = cache.logits
     if not np.isfinite(logits).all():
         raise NonFiniteLossError("forward", float(logits[~np.isfinite(logits)][0]), what="logits")
-    return ForwardCache(x, pre, act, emb, logits, softmax_rows(logits))
+    cache.probs = softmax_rows(logits)
+    return cache
 
 
 def backward(params: ParamSet, cache: ForwardCache, grad_logits=None, grad_embeddings=None):
-    """Backprop loss gradients to all classifier-path tensors.
-
-    Pass grad_logits, grad_embeddings, or both (contributions add at the
-    embedding). Returns (grads keyed like theta_names, grad wrt input rows).
-    """
-    if grad_logits is None and grad_embeddings is None:
-        raise ContractViolation("backward: need grad_logits and/or grad_embeddings")
-    grads = {}
+    """Backprop exactly one of grad_logits and grad_embeddings (then the
+    classifier's grads are zero) along the classifier path. Returns (grads
+    keyed like theta_names, grad wrt input rows)."""
+    if (grad_logits is None) == (grad_embeddings is None):
+        raise ContractViolation("backward: pass exactly one of grad_logits and grad_embeddings")
     if grad_logits is not None:
-        gl = as_matrix(grad_logits, "grad_logits")
-        if gl.shape != cache.logits.shape:
+        g = as_matrix(grad_logits, "grad_logits")
+        if g.shape != cache.logits.shape:
             raise ContractViolation("backward: grad_logits shape mismatch")
-        grads["cls.w"] = cache.embeddings.T @ gl
-        grads["cls.b"] = gl.sum(axis=0)
-        d = gl @ params.tensors["cls.w"].T
-    else:
-        grads["cls.w"] = np.zeros_like(params.tensors["cls.w"])
-        grads["cls.b"] = np.zeros_like(params.tensors["cls.b"])
-        d = np.zeros_like(cache.embeddings)
-    if grad_embeddings is not None:
-        ge = as_matrix(grad_embeddings, "grad_embeddings")
-        if ge.shape != cache.embeddings.shape:
-            raise ContractViolation("backward: grad_embeddings shape mismatch")
-        d = d + ge
-    enc_grads, d_in = _stack_backward(params, "enc", params.arch.encoder, cache.x, cache.enc_pre, cache.enc_act, d)
-    grads.update(enc_grads)
-    return {n: grads[n] for n in theta_names(params.arch)}, d_in
+        return _walk_backward(params, cache.layers, cache, g)
+    g = as_matrix(grad_embeddings, "grad_embeddings")
+    if g.shape != cache.embeddings.shape:
+        raise ContractViolation("backward: grad_embeddings shape mismatch")
+    grads, d_in = _walk_backward(params, cache.layers[:-1], cache, g)
+    for name in _names(cache.layers[-1:]):
+        grads[name] = np.zeros_like(params.tensors[name])
+    return grads, d_in
 
 
-@dataclass
-class GenCache:
-    noise: np.ndarray
-    pre: list
-    act: list
-
-    @property
-    def out(self) -> np.ndarray:
-        return self.act[-1]
-
-
-def generator_forward_cache(params: ParamSet, noise) -> GenCache:
+def generator_forward_cache(params: ParamSet, noise) -> ForwardCache:
     noise = as_matrix(noise, "noise")
     if noise.shape[1] != params.arch.noise_dim:
         raise ContractViolation(f"generator: noise width {noise.shape[1]}, expects {params.arch.noise_dim}")
-    pre, act = _stack_forward(params, "gen", params.arch.generator, noise)
-    return GenCache(noise, pre, act)
+    return _walk_forward(params, _layers(params.arch)[1], noise)
 
 
 def generator_forward(params: ParamSet, noise) -> np.ndarray:
@@ -267,13 +254,12 @@ def generator_forward(params: ParamSet, noise) -> np.ndarray:
     return generator_forward_cache(params, noise).out
 
 
-def generator_backward(params: ParamSet, cache: GenCache, grad_out):
+def generator_backward(params: ParamSet, cache: ForwardCache, grad_out):
     """Grads of the generator tensors given d(loss)/d(generator output)."""
     go = as_matrix(grad_out, "grad_out")
     if go.shape != cache.out.shape:
         raise ContractViolation("generator_backward: grad shape mismatch")
-    grads, _ = _stack_backward(params, "gen", params.arch.generator, cache.noise, cache.pre, cache.act, go)
-    return {n: grads[n] for n in phi_names(params.arch)}
+    return _walk_backward(params, cache.layers, cache, go)[0]
 
 
 # --- checkpoint format -------------------------------------------------------
@@ -291,17 +277,14 @@ _ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
 
 def save_checkpoint(params: ParamSet, path) -> None:
     arch = params.arch
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<H", CHECKPOINT_VERSION)
+    out = bytearray(CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION))
 
     def pack_layer(spec):
         return struct.pack("<IIB", spec.in_dim, spec.out_dim, _ACT_CODE[spec.activation])
 
     out += struct.pack("<H", len(arch.encoder))
-    for spec in arch.encoder:
+    for spec in (*arch.encoder, arch.classifier):
         out += pack_layer(spec)
-    out += pack_layer(arch.classifier)
     out += struct.pack("<H", len(arch.generator))
     for spec in arch.generator:
         out += pack_layer(spec)
@@ -311,23 +294,20 @@ def save_checkpoint(params: ParamSet, path) -> None:
     for name in names:
         raw = name.encode("utf-8")
         t = params.tensors[name]
-        out += struct.pack("<H", len(raw)) + raw
-        out += struct.pack("<B", t.ndim)
-        for dim in t.shape:
-            out += struct.pack("<I", dim)
+        out += struct.pack("<H", len(raw)) + raw + struct.pack(f"<B{t.ndim}I", t.ndim, *t.shape)
         out += np.ascontiguousarray(t, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(out))
 
 
 class _Cursor:
-    def __init__(self, buf):
-        self.buf = buf
+    def __init__(self, buf, path):
+        self.buf, self.path = buf, path
         self.pos = 0
 
     def take(self, n):
         if self.pos + n > len(self.buf):
-            raise CheckpointError(f"checkpoint truncated at byte {self.pos} (wanted {n} more)")
+            raise CheckpointError(f"{self.path}: checkpoint truncated at byte {self.pos} (wanted {n} more)")
         chunk = self.buf[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -339,7 +319,7 @@ class _Cursor:
 def load_checkpoint(path) -> ParamSet:
     with open(path, "rb") as fh:
         buf = fh.read()
-    cur = _Cursor(buf)
+    cur = _Cursor(buf, path)
     if cur.take(4) != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
     (version,) = cur.unpack("<H")
@@ -352,12 +332,12 @@ def load_checkpoint(path) -> ParamSet:
             raise CheckpointError(f"{path}: unknown activation code {act}")
         return LayerSpec(in_dim, out_dim, _ACT_NAME[act])
 
-    (n_enc,) = cur.unpack("<H")
-    encoder = tuple(read_layer() for _ in range(n_enc))
-    classifier = read_layer()
-    (n_gen,) = cur.unpack("<H")
-    generator = tuple(read_layer() for _ in range(n_gen))
     try:
+        (n_enc,) = cur.unpack("<H")
+        encoder = tuple(read_layer() for _ in range(n_enc))
+        classifier = read_layer()
+        (n_gen,) = cur.unpack("<H")
+        generator = tuple(read_layer() for _ in range(n_gen))
         arch = Architecture(encoder, classifier, generator)
     except ContractViolation as exc:
         raise CheckpointError(f"{path}: invalid architecture table: {exc}") from exc

@@ -101,7 +101,7 @@ def _jittered(arch, seed):
 def _relu_margin(params, inputs):
     vals = [1.0]
     for x in inputs:
-        for z in forward(params, x).enc_pre:
+        for z in forward(params, x).pre[:-1]:
             vals.append(float(np.min(np.abs(z))))
     return min(vals)
 

@@ -421,6 +421,35 @@ def test_nan_label_skew_creates_no_out_dir(tmp_path, capsys):
     assert "prior entries must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "synth"])
+@pytest.mark.parametrize(
+    "data, key, value",
+    [
+        ("two_moons", "n_target_test", "-5"),
+        ("two_moons", "n_source", "-1"),
+        ("two_moons", "resize", "abc"),
+        ("gauss_shift", "n_target", "3"),
+    ],
+)
+def test_idx_only_keys_elsewhere_are_exit_2_with_no_out_dir(tmp_path, capsys, command, data, key, value):
+    path = small_train_cfg(tmp_path, data=data, **{key: value})
+    assert main([command, "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+    assert f"{key} = {value} applies only to data = idx, not data = {data}" in capsys.readouterr().err
+
+
+def test_malformed_idx_file_is_exit_2_with_no_out_dir(tmp_path, capsys):
+    images, labels = write_idx_pair(tmp_path, np.zeros((3, 2, 2), dtype=np.uint8), [0, 1, 2], gz=True)
+    images.write_bytes(images.read_bytes()[:-12])
+    raw = {"data": "idx", "classes": "3"}
+    for split in ("source", "target", "target_test"):
+        raw[f"{split}_images"], raw[f"{split}_labels"] = str(images), str(labels)
+    path = small_train_cfg(tmp_path, **raw)
+    assert main(["train", "--config", str(path)]) == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.startswith(f"error: {images}:0: bad gzip stream")
+
+
 def test_non_utf8_config_is_exit_2_naming_file_and_line(tmp_path, capsys):
     path = small_train_cfg(tmp_path)
     head = path.read_bytes() + b"combo = ss"

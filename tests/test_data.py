@@ -171,6 +171,41 @@ def test_load_idx_truncated(tmp_path):
         load_idx(ip, lp)
 
 
+def _cut_gzip(raw):
+    return raw[: len(raw) // 2]
+
+
+def _flip_deflate_byte(raw):
+    return raw[:10] + bytes([raw[10] ^ 0xFF]) + raw[11:]  # first byte after the 10-byte gzip header
+
+
+def _huge_header(raw):
+    return struct.pack(">IIII", 2051, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF) + raw[16:]
+
+
+@pytest.mark.parametrize(
+    "gz, damage, message",
+    [
+        (True, _cut_gzip, "bad gzip stream"),
+        (True, _flip_deflate_byte, "bad gzip stream"),
+        (False, _huge_header, "pixel data"),
+    ],
+)
+def test_load_idx_malformed_file_is_a_parse_error_naming_it(tmp_path, gz, damage, message):
+    ip, lp = write_idx_pair(tmp_path, [[[0, 51], [102, 255]]], [1], gz=gz)
+    ip.write_bytes(damage(ip.read_bytes()))
+    with pytest.raises(ParseError, match=message) as exc:
+        load_idx(ip, lp)
+    assert exc.value.path == str(ip)
+
+
+def test_load_idx_label_out_of_range_names_the_label_file(tmp_path):
+    ip, lp = write_idx_pair(tmp_path, [[[0]]], [10])
+    with pytest.raises(ParseError, match=r"label 10 out of range \[0, 10\)") as exc:
+        load_idx(ip, lp)
+    assert exc.value.path == str(lp)
+
+
 def test_load_sparse_direct_parse(tmp_path):
     p = tmp_path / "rows.txt"
     p.write_text("width=5 classes=2\n1 0:2.0 4:1.0\n0 1:3.5\n")

@@ -247,23 +247,17 @@ def test_backward_embedding_grad_path():
         assert relative_error(grads[name], fd[name]) <= 1e-4
 
 
-def test_backward_combined_logit_and_embedding_grads():
+def test_backward_takes_exactly_one_gradient():
     arch = Architecture.mlp(3, (5,), 2)
     params = init_params(arch, Rng(33, STREAM_WEIGHT_INIT))
-    x = Rng(34, 0).normal_matrix(4, 3)
-    coeff = Rng(34, 1).normal_matrix(4, 2)
-
-    def objective(p):
-        cache = forward(p, x)
-        return float(np.sum(cache.logits * coeff) + np.sum(cache.embeddings))
-
-    cache = forward(params, x)
-    grads, _ = backward(
-        params, cache, grad_logits=coeff, grad_embeddings=np.ones_like(cache.embeddings)
-    )
-    fd = finite_diff_param_grad(objective, params)
-    for name in theta_names(arch):
-        assert relative_error(grads[name], fd[name]) <= 1e-4
+    cache = forward(params, Rng(34, 0).normal_matrix(4, 3))
+    with pytest.raises(ContractViolation, match="exactly one"):
+        backward(params, cache, grad_logits=np.zeros((4, 2)), grad_embeddings=np.zeros((4, 5)))
+    with pytest.raises(ContractViolation, match="exactly one"):
+        backward(params, cache)
+    for one in ({"grad_logits": np.zeros((4, 2))}, {"grad_embeddings": np.zeros((4, 5))}):
+        grads, _ = backward(params, cache, **one)
+        assert list(grads) == theta_names(arch)
 
 
 def test_backward_input_gradient_matches_finite_diff():
