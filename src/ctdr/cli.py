@@ -29,7 +29,7 @@ from .data import (
     synth_gauss_shift,
     synth_two_moons,
 )
-from .errors import ConfigError, CtdrError, NonFiniteLossError
+from .errors import ConfigError, ContractViolation, CtdrError, NonFiniteLossError
 from .evaluation import evaluate, export_embeddings
 from .fake import FAKE_MODES, FakeSourceConfig
 from .model import load_checkpoint, save_checkpoint
@@ -352,7 +352,10 @@ def cmd_eval(args) -> int:
         pair = build_pair(cfg).map_features(tr.apply)
     else:
         pair, _ = _prepare(cfg)
-    report = evaluate(params, pair.target_test)
+    try:
+        report = evaluate(params, pair.target_test)
+    except ContractViolation as exc:  # a checkpoint that does not fit the data
+        raise ConfigError(f"checkpoint {args.checkpoint} on the target test set: {exc}") from exc
     blob = json.dumps(report.to_json(), indent=2) + "\n"
     sys.stdout.write(blob)
     if getattr(args, "out", None):

@@ -176,7 +176,9 @@ def _read_idx(path, magic: int, n_dims: int, what: str, body: str):
     size = math.prod(dims)
     if len(buf) - head < size:
         raise ParseError(path, 0, f"truncated IDX file while reading {body}: header declares {dims}")
-    return dims, buf[head : head + size]
+    if len(buf) - head > size:
+        raise ParseError(path, 0, f"{len(buf) - head - size} trailing bytes after {body}: header declares {dims}")
+    return dims, buf[head:]
 
 
 def load_idx(images_path, labels_path, num_classes: int = 10, name: str = "") -> Dataset:

@@ -9,7 +9,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, ContractViolation
-from .model import ParamSet, forward
+from .model import ParamSet, forward, forward_logits
+from .numerics import softmax_rows
 
 
 @dataclass
@@ -30,13 +31,15 @@ class EvalReport:
 
 def predict(params: ParamSet, features) -> np.ndarray:
     """Most probable class per row; ties go to the lowest index."""
-    return forward(params, features).probs.argmax(axis=1).astype(np.int64)
+    return softmax_rows(forward_logits(params, features)).argmax(axis=1).astype(np.int64)
 
 
 def evaluate(params: ParamSet, dataset: Dataset) -> EvalReport:
     if dataset.labels is None:
         raise ContractViolation("evaluate needs a labeled dataset")
     k = dataset.num_classes
+    if params.arch.num_classes != k:
+        raise ContractViolation(f"evaluate: the model has {params.arch.num_classes} classes, the dataset {k}")
     pred = predict(params, dataset.features)
     confusion = np.bincount(dataset.labels * k + pred, minlength=k * k).reshape(k, k)
     totals = confusion.sum(axis=1)

@@ -181,15 +181,20 @@ class ForwardCache:
         return self.act[-2] if len(self.act) > 1 else self.x
 
 
-def _walk_forward(params: ParamSet, layers, x: np.ndarray) -> ForwardCache:
+def _walk_forward(params: ParamSet, layers, x: np.ndarray, record: bool = True):
+    """(output rows of `layers` on `x`, the ForwardCache for a backward walk or
+    None). Without a record, only the current and the previous layer's arrays
+    are alive and ReLU works in place; the values are the same either way."""
     pre, act = [], []
     a = x
     for prefix, spec in layers:
-        z = a @ params.tensors[prefix + ".w"] + params.tensors[prefix + ".b"]
-        a = np.maximum(z, 0.0) if spec.activation == "relu" else z
-        pre.append(z)
-        act.append(a)
-    return ForwardCache(layers, x, pre, act)
+        z = a @ params.tensors[prefix + ".w"]
+        z += params.tensors[prefix + ".b"]
+        a = np.maximum(z, 0.0, out=None if record else z) if spec.activation == "relu" else z
+        if record:
+            pre.append(z)
+            act.append(a)
+    return a, (ForwardCache(layers, x, pre, act) if record else None)
 
 
 def _walk_backward(params: ParamSet, layers, cache: ForwardCache, d: np.ndarray):
@@ -206,20 +211,30 @@ def _walk_backward(params: ParamSet, layers, cache: ForwardCache, d: np.ndarray)
     return dict(reversed(grads.items())), d
 
 
+def _path_forward(params: ParamSet, x, record: bool):
+    x = as_matrix(x, "x")
+    if x.shape[1] != params.arch.feature_dim:
+        raise ContractViolation(f"forward: input width {x.shape[1]}, model expects {params.arch.feature_dim}")
+    logits, cache = _walk_forward(params, _layers(params.arch)[0], x, record)
+    if not np.isfinite(logits).all():
+        raise NonFiniteLossError("forward", float(logits[~np.isfinite(logits)][0]), what="logits")
+    return logits, cache
+
+
 def forward(params: ParamSet, x) -> ForwardCache:
     """Classifier-path forward pass on a batch of feature rows.
 
     Logits that overflowed raise NonFiniteLossError (term "forward").
     """
-    x = as_matrix(x, "x")
-    if x.shape[1] != params.arch.feature_dim:
-        raise ContractViolation(f"forward: input width {x.shape[1]}, model expects {params.arch.feature_dim}")
-    cache = _walk_forward(params, _layers(params.arch)[0], x)
-    logits = cache.logits
-    if not np.isfinite(logits).all():
-        raise NonFiniteLossError("forward", float(logits[~np.isfinite(logits)][0]), what="logits")
+    logits, cache = _path_forward(params, x, record=True)
     cache.probs = softmax_rows(logits)
     return cache
+
+
+def forward_logits(params: ParamSet, x) -> np.ndarray:
+    """forward(params, x).logits, bit for bit, without the record a backward
+    pass would need; the same checks and errors."""
+    return _path_forward(params, x, record=False)[0]
 
 
 def backward(params: ParamSet, cache: ForwardCache, grad_logits=None, grad_embeddings=None):
@@ -246,7 +261,7 @@ def generator_forward_cache(params: ParamSet, noise) -> ForwardCache:
     noise = as_matrix(noise, "noise")
     if noise.shape[1] != params.arch.noise_dim:
         raise ContractViolation(f"generator: noise width {noise.shape[1]}, expects {params.arch.noise_dim}")
-    return _walk_forward(params, _layers(params.arch)[1], noise)
+    return _walk_forward(params, _layers(params.arch)[1], noise)[1]
 
 
 def generator_forward(params: ParamSet, noise) -> np.ndarray:

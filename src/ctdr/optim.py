@@ -35,11 +35,12 @@ class OptimizerState:
 def adam_update(params: ParamSet, grads: dict, state: OptimizerState, lr: float):
     """One Adam step over the tensors tracked by `state`.
 
-    Pure: returns (new ParamSet, new OptimizerState); inputs are not mutated.
-    grads must cover every tracked name. Zero gradients leave parameters
-    bit-identical; lr = 0 also leaves them bit-identical. A second moment
-    that is not finite raises NonFiniteLossError (term "adam", naming the
-    tensor).
+    Pure: returns (new ParamSet, new OptimizerState); inputs are not mutated,
+    and the new tensors and moments are buffers of this call. grads must
+    cover every tracked name, as float64 arrays of the tensors' shapes. Zero
+    gradients leave parameters bit-identical; lr = 0 also leaves them
+    bit-identical. A second moment that is not finite raises
+    NonFiniteLossError (term "adam", naming the tensor).
     """
     if not (lr >= 0.0) or not np.isfinite(lr):
         raise ContractViolation(f"adam_update: lr must be finite and >= 0, got {lr}")
@@ -53,12 +54,25 @@ def adam_update(params: ParamSet, grads: dict, state: OptimizerState, lr: float)
     new_m, new_v = {}, {}
     for name in state.m:
         g = grads[name]
-        if g.shape != params.tensors[name].shape:
-            raise ContractViolation(f"adam_update: grad shape mismatch for {name}")
-        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
-        step_vec = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-        new_tensors[name] = params.tensors[name] - step_vec
+        if g.shape != params.tensors[name].shape or g.dtype != np.float64:
+            raise ContractViolation(f"adam_update: grad for {name} must be float64 {params.tensors[name].shape}")
+        # m = BETA1 * m + (1 - BETA1) * g; v = BETA2 * v + (1 - BETA2) * (g * g);
+        # new = p - lr * (m / c1) / (sqrt(v / c2) + EPS): the same operations
+        # in the same order, on buffers allocated here
+        buf = np.multiply(1.0 - BETA1, g)
+        m = np.multiply(BETA1, state.m[name])
+        m += buf
+        np.multiply(g, g, out=buf)
+        np.multiply(1.0 - BETA2, buf, out=buf)
+        v = np.multiply(BETA2, state.v[name])
+        v += buf
+        step_vec = np.divide(m, c1)
+        np.multiply(lr, step_vec, out=step_vec)
+        np.divide(v, c2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += EPS
+        step_vec /= buf
+        new_tensors[name] = np.subtract(params.tensors[name], step_vec, out=step_vec)
         # an overflowing g*g makes v inf and the step m/inf = 0, freezing the
         # tensor; v >= 0, so its max is finite only if every entry is
         v_max = float(v.max())

@@ -272,7 +272,10 @@ def train_step(
         _check_finite(term, rep.value, epoch, step)
         g, _ = backward(params, cache, grad_logits=rep.grad_logits)
         for name, gt in g.items():
-            total[name] = total[name] + w * gt if name in total else w * gt
+            if name in total:
+                total[name] += w * gt
+            else:
+                total[name] = w * gt
         reports[term] = rep
 
     with _blame("adam", epoch, step):

@@ -262,6 +262,30 @@ def test_cmd_eval_feature_width_mismatch_is_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "train_extra, eval_extra, k_model, k_data",
+    [
+        ({}, {"data": "gauss_shift", "gauss_dim": 2, "gauss_classes": 3}, 2, 3),
+        ({"data": "gauss_shift", "gauss_dim": 2, "gauss_classes": 3}, {}, 3, 2),
+    ],
+)
+def test_cmd_eval_class_count_mismatch_is_exit_2_naming_the_checkpoint(
+    tmp_path, capsys, train_extra, eval_extra, k_model, k_data
+):
+    path = small_train_cfg(tmp_path, **train_extra)
+    assert main(["train", "--config", str(path)]) == 0
+    checkpoint = tmp_path / "out" / "model.ctdr"
+    data_cfg = small_train_cfg(tmp_path, name="eval.txt", out_dir=str(tmp_path / "eval_out"), **eval_extra)
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    code = main(["eval", "--config", str(data_cfg), "--checkpoint", str(checkpoint), "--out", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err
+    assert f"the model has {k_model} classes, the dataset {k_data}" in err
+    assert not report.exists() and not (tmp_path / "eval_out").exists()
+
+
 def test_cmd_eval_with_saved_transform(tmp_path, capsys):
     path = small_train_cfg(tmp_path, standardize="true")
     assert main(["train", "--config", str(path)]) == 0

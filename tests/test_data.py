@@ -199,6 +199,19 @@ def test_load_idx_malformed_file_is_a_parse_error_naming_it(tmp_path, gz, damage
     assert exc.value.path == str(ip)
 
 
+@pytest.mark.parametrize("gz", [False, True])
+@pytest.mark.parametrize("which, extra", [("images", 8), ("labels", 1)])
+def test_load_idx_trailing_bytes_are_a_parse_error_naming_the_file(tmp_path, gz, which, extra):
+    ip, lp = write_idx_pair(tmp_path, [[[0, 51], [102, 255]]], [1], gz=gz)
+    path = ip if which == "images" else lp
+    raw = gzip.decompress(path.read_bytes()) if gz else path.read_bytes()
+    raw += bytes(extra)
+    path.write_bytes(gzip.compress(raw) if gz else raw)
+    with pytest.raises(ParseError, match=f"{extra} trailing bytes") as exc:
+        load_idx(ip, lp)
+    assert exc.value.path == str(path)
+
+
 def test_load_idx_label_out_of_range_names_the_label_file(tmp_path):
     ip, lp = write_idx_pair(tmp_path, [[[0]]], [10])
     with pytest.raises(ParseError, match=r"label 10 out of range \[0, 10\)") as exc:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,34 @@ def test_evaluate_invariant_to_row_order():
     b = evaluate(params, shuffled)
     assert a.accuracy == b.accuracy
     assert np.array_equal(a.confusion, b.confusion)
+
+
+@pytest.mark.parametrize("k_model, k_data", [(3, 2), (2, 3)])
+def test_evaluate_rejects_a_class_count_mismatch(k_model, k_data):
+    # a 3-class net that always says class 2 used to land its 2-class rows in
+    # the wrong confusion row (labels * k + pred wraps)
+    arch = Architecture((), LayerSpec(2, k_model, "none"))
+    bias = np.zeros(k_model)
+    bias[-1] = 1.0
+    params = ParamSet(arch, {"cls.w": np.zeros((2, k_model)), "cls.b": bias})
+    ds = Dataset(np.zeros((10, 2)), np.zeros(10, dtype=np.int64), k_data, "mismatch")
+    with pytest.raises(ContractViolation, match=f"model has {k_model} classes, the dataset {k_data}"):
+        evaluate(params, ds)
+
+
+def test_evaluate_peak_memory_stays_near_two_layer_arrays():
+    # evaluation keeps no backward record: at most the current and previous
+    # layer's (500, 128) arrays are alive (numpy reports its buffers here)
+    params = init_params(Architecture.mlp(2, (128, 128), 2), Rng(65, STREAM_WEIGHT_INIT))
+    ds = Dataset(Rng(66, 0).normal_matrix(500, 2), np.arange(500) % 2, 2, "rows500")
+    evaluate(params, ds)
+    tracemalloc.start()
+    try:
+        evaluate(params, ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 500 * 128 * 8
 
 
 def test_evaluate_requires_labels():

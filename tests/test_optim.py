@@ -54,6 +54,32 @@ def test_update_is_pure():
     assert state.step == 0
 
 
+def test_multi_tensor_update_leaves_every_input_unchanged():
+    # the update works in place on its own buffers; params, both moments and
+    # the grads it was handed keep their bytes, over several steps
+    arch = Architecture.mlp(2, (128, 128), 2)
+    params = init_params(arch, Rng(9, STREAM_WEIGHT_INIT))
+    state = OptimizerState.for_params(params, theta_names(arch))
+    rng = Rng(10, 0)
+    for _ in range(3):
+        grads = {n: rng.normal_matrix(t.size, 1).reshape(t.shape) for n, t in params.tensors.items()}
+        snapshot = [{n: a.copy() for n, a in d.items()} for d in (params.tensors, state.m, state.v, grads)]
+        new, new_state = adam_update(params, grads, state, 0.01)
+        for live, before in zip((params.tensors, state.m, state.v, grads), snapshot):
+            for name, a in before.items():
+                assert live[name].tobytes() == a.tobytes(), name
+        fresh = [*new.tensors.values(), *new_state.m.values(), *new_state.v.values()]
+        inputs = [*params.tensors.values(), *state.m.values(), *state.v.values(), *grads.values()]
+        assert not any(np.shares_memory(a, b) for a in fresh for b in inputs)
+        params, state = new, new_state
+
+
+def test_update_rejects_grads_that_are_not_float64():
+    params, state = scalar_param()
+    with pytest.raises(ContractViolation, match="float64"):
+        adam_update(params, {"cls.w": np.ones((1, 1), dtype=np.float32)}, state, 0.1)
+
+
 def test_update_rejects_missing_or_misshapen_grads():
     params, state = scalar_param()
     with pytest.raises(ContractViolation):

@@ -292,6 +292,35 @@ def test_train_step_does_not_mutate_inputs():
         assert np.array_equal(params.tensors[name], t)
 
 
+def test_train_step_leaves_batches_state_and_logit_grads_unchanged(monkeypatch):
+    # the step sums its terms' gradients in place; nothing it was handed, and
+    # no gradient it handed on, may move
+    pair = tiny_pair()
+    cfg = quick_config("ss,tu,su,ta,sa")
+    run = RunState.build(cfg, pair)
+    params = init_params(run.arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
+    opt = OptimizerState.for_params(params, theta_names(run.arch))
+    opt_before = ({n: a.copy() for n, a in opt.m.items()}, {n: a.copy() for n, a in opt.v.items()})
+    sup = Batch(pair.source.features[:8], pair.source.labels[:8])
+    tgt = Batch(pair.target_train.features[:8])
+    sup_before, tgt_before = sup.features.copy(), tgt.features.copy()
+    passed = []
+    real_backward = ctdr.train.backward
+
+    def recording_backward(params, cache, grad_logits=None, grad_embeddings=None):
+        passed.append((grad_logits, grad_logits.copy()))
+        return real_backward(params, cache, grad_logits=grad_logits, grad_embeddings=grad_embeddings)
+
+    monkeypatch.setattr(ctdr.train, "backward", recording_backward)
+    train_step(params, opt, None, sup, tgt, run, 0.01)
+    assert len(passed) == 5
+    for grad_logits, copy in passed:
+        assert np.array_equal(grad_logits, copy)
+    assert np.array_equal(sup.features, sup_before) and np.array_equal(tgt.features, tgt_before)
+    for moments, before in zip((opt.m, opt.v), opt_before):
+        assert all(np.array_equal(moments[n], before[n]) for n in before)
+
+
 def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
     pair = tiny_pair()
     sup = Batch(pair.source.features[:8], pair.source.labels[:8])
