@@ -147,8 +147,9 @@ SCHEMA: dict = {
 }
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> dict:
-    """Flat `key = value` lines -> raw string values. Rejects unknown keys."""
+def parse_config_text(text: str, origin: str = "<config>", where: dict | None = None) -> dict:
+    """Flat `key = value` lines -> raw string values. Rejects unknown keys.
+    `where`, when given, gets each key's `<origin>:<line>`."""
     raw: dict = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -162,21 +163,37 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
         if key in raw:
             raise ConfigError(f"{origin}:{line_no}: duplicate key {key!r}")
         raw[key] = value
+        if where is not None:
+            where[key] = f"{origin}:{line_no}"
     return raw
 
 
-def resolve_config(raw: dict) -> dict:
-    """Apply defaults and parse values into their runtime types."""
-    cfg = {}
+class _Resolved(dict):
+    """resolve_config's result: runtime values by key, plus `where`, which maps
+    each key given to where it was given (`<file>:<line>`, `--set`, `--seed`)."""
+
+    where: dict
+
+
+def resolve_config(raw: dict, where: dict | None = None) -> dict:
+    """Apply defaults and parse values into their runtime types. A bad value's
+    error names where its key was given, when `where` says."""
+    cfg = _Resolved()
+    cfg.where = dict(where or {})
     for key, (parser, default) in SCHEMA.items():
         if key in raw:
             try:
                 cfg[key] = parser(raw[key])
             except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+                raise ConfigError(f"{_at(cfg, key)}bad value for {key!r}: {exc}") from exc
         else:
             cfg[key] = default
     return cfg
+
+
+def _at(cfg: dict, key: str) -> str:
+    """An error's `<where key was given>: ` prefix ('' for a default)."""
+    return f"{cfg.where[key]}: " if key in cfg.where else ""
 
 
 def format_config(cfg: dict) -> str:
@@ -184,7 +201,7 @@ def format_config(cfg: dict) -> str:
 
 
 def load_config(args) -> dict:
-    raw = {}
+    raw, where = {}, {}
     if args.config:
         raw_bytes = Path(args.config).read_bytes()
         try:
@@ -192,17 +209,17 @@ def load_config(args) -> dict:
         except UnicodeDecodeError as exc:
             line_no = raw_bytes.count(b"\n", 0, exc.start) + 1
             raise ConfigError(f"{args.config}:{line_no}: not UTF-8 (byte {exc.start})") from exc
-        raw = parse_config_text(text, origin=str(args.config))
+        raw = parse_config_text(text, origin=str(args.config), where=where)
     if getattr(args, "seed", None) is not None:
-        raw["seed"] = str(args.seed)
+        raw["seed"], where["seed"] = str(args.seed), "--seed"
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         if key not in SCHEMA:
             raise ConfigError(f"--set: unknown key {key!r}")
-        raw[key] = value
-    return resolve_config(raw)
+        raw[key], where[key] = value, "--set"
+    return resolve_config(raw, where)
 
 
 # --- config -> runtime objects ---------------------------------------------------
@@ -218,7 +235,7 @@ def build_pair(cfg: dict) -> DomainPair:
     kind = cfg["data"]
     for key in ("resize", "n_source", "n_target", "n_target_test"):
         if kind != "idx" and cfg[key] != SCHEMA[key][1]:
-            raise ConfigError(f"{key} = {cfg[key]} applies only to data = idx, not data = {kind}")
+            raise ConfigError(f"{_at(cfg, key)}{key} = {cfg[key]} applies only to data = idx, not data = {kind}")
     skew = cfg["skew"] or None
     if kind == "two_moons":
         return synth_two_moons(cfg["n"], cfg["rotation"], cfg["noise"], skew, seed=cfg["seed"])
@@ -242,7 +259,7 @@ def build_pair(cfg: dict) -> DomainPair:
             try:
                 oh, ow = (int(tok) for tok in cfg["resize"].lower().split("x"))
             except ValueError as exc:
-                raise ConfigError(f"resize must look like 28x28, got {cfg['resize']!r}") from exc
+                raise ConfigError(f"{_at(cfg, 'resize')}resize must look like 28x28, got {cfg['resize']!r}") from exc
             source, target_train, target_test = (
                 ds if ds.image_hw == (oh, ow) else resize_bilinear(ds, (oh, ow))
                 for ds in (source, target_train, target_test)
@@ -264,6 +281,21 @@ def build_pair(cfg: dict) -> DomainPair:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
+    """The TrainConfig of resolve_config's values. A value error names where
+    the key at fault was given: each check reads one key and the defaults
+    pass them all, so that is the first given key that fails among defaults."""
+    try:
+        return _train_config(cfg)
+    except ConfigError as exc:
+        for key, at in cfg.where.items():
+            try:
+                _train_config({**resolve_config({}), key: cfg[key]})
+            except ConfigError as alone:
+                raise ConfigError(f"{at}: {alone}") from exc
+        raise
+
+
+def _train_config(cfg: dict) -> TrainConfig:
     prior = None
     if cfg["prior"] != "assume_source":
         try:

@@ -161,12 +161,11 @@ def init_params(arch: Architecture, rng: Rng) -> ParamSet:
 @dataclass
 class ForwardCache:
     """One walk's record, kept for the backward walk: the (prefix, spec)
-    layers, the input rows, each layer's pre-activation and output, and the
-    softmax probabilities (classifier path only)."""
+    layers, the input rows, each layer's output (a ReLU's mask is its output
+    > 0), and the softmax probabilities (classifier path only)."""
 
     layers: list
     x: np.ndarray
-    pre: list
     act: list
     probs: np.ndarray = None
 
@@ -183,31 +182,32 @@ class ForwardCache:
 
 def _walk_forward(params: ParamSet, layers, x: np.ndarray, record: bool = True):
     """(output rows of `layers` on `x`, the ForwardCache for a backward walk or
-    None). Without a record, only the current and the previous layer's arrays
-    are alive and ReLU works in place; the values are the same either way."""
-    pre, act = [], []
+    None). ReLU works in place; without a record, only the current and the
+    previous layer's arrays are alive. The values are the same either way."""
+    act = []
     a = x
     for prefix, spec in layers:
-        z = a @ params.tensors[prefix + ".w"]
-        z += params.tensors[prefix + ".b"]
-        a = np.maximum(z, 0.0, out=None if record else z) if spec.activation == "relu" else z
+        a = a @ params.tensors[prefix + ".w"]
+        a += params.tensors[prefix + ".b"]
+        if spec.activation == "relu":
+            np.maximum(a, 0.0, out=a)
         if record:
-            pre.append(z)
             act.append(a)
-    return a, (ForwardCache(layers, x, pre, act) if record else None)
+    return a, (ForwardCache(layers, x, act) if record else None)
 
 
-def _walk_backward(params: ParamSet, layers, cache: ForwardCache, d: np.ndarray):
+def _walk_backward(params: ParamSet, layers, cache: ForwardCache, d: np.ndarray, input_grad: bool = True):
     """(grads of `layers`, a leading run of cache.layers, in canonical order;
-    grad wrt the input rows). ReLU's subgradient at exactly 0 is 0."""
+    grad wrt the input rows, None without input_grad). ReLU passes d where its
+    output is > 0, which is where its input is (NaN too): none at exactly 0."""
     grads = {}
     for i in range(len(layers) - 1, -1, -1):
         prefix, spec = layers[i]
         if spec.activation == "relu":
-            d = d * (cache.pre[i] > 0.0)
+            d = d * (cache.act[i] > 0.0)
         grads[prefix + ".b"] = d.sum(axis=0)
         grads[prefix + ".w"] = (cache.act[i - 1] if i > 0 else cache.x).T @ d
-        d = d @ params.tensors[prefix + ".w"].T
+        d = d @ params.tensors[prefix + ".w"].T if i or input_grad else None
     return dict(reversed(grads.items())), d
 
 
@@ -237,21 +237,21 @@ def forward_logits(params: ParamSet, x) -> np.ndarray:
     return _path_forward(params, x, record=False)[0]
 
 
-def backward(params: ParamSet, cache: ForwardCache, grad_logits=None, grad_embeddings=None):
+def backward(params: ParamSet, cache: ForwardCache, grad_logits=None, grad_embeddings=None, input_grad=True):
     """Backprop exactly one of grad_logits and grad_embeddings (then the
     classifier's grads are zero) along the classifier path. Returns (grads
-    keyed like theta_names, grad wrt input rows)."""
+    keyed like theta_names, grad wrt input rows or, without input_grad, None)."""
     if (grad_logits is None) == (grad_embeddings is None):
         raise ContractViolation("backward: pass exactly one of grad_logits and grad_embeddings")
     if grad_logits is not None:
         g = as_matrix(grad_logits, "grad_logits")
         if g.shape != cache.logits.shape:
             raise ContractViolation("backward: grad_logits shape mismatch")
-        return _walk_backward(params, cache.layers, cache, g)
+        return _walk_backward(params, cache.layers, cache, g, input_grad)
     g = as_matrix(grad_embeddings, "grad_embeddings")
     if g.shape != cache.embeddings.shape:
         raise ContractViolation("backward: grad_embeddings shape mismatch")
-    grads, d_in = _walk_backward(params, cache.layers[:-1], cache, g)
+    grads, d_in = _walk_backward(params, cache.layers[:-1], cache, g, input_grad)
     for name in _names(cache.layers[-1:]):
         grads[name] = np.zeros_like(params.tensors[name])
     return grads, d_in
@@ -274,7 +274,7 @@ def generator_backward(params: ParamSet, cache: ForwardCache, grad_out):
     go = as_matrix(grad_out, "grad_out")
     if go.shape != cache.out.shape:
         raise ContractViolation("generator_backward: grad shape mismatch")
-    return _walk_backward(params, cache.layers, cache, go)[0]
+    return _walk_backward(params, cache.layers, cache, go, input_grad=False)[0]
 
 
 # --- checkpoint format -------------------------------------------------------

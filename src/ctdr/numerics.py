@@ -132,8 +132,8 @@ class Rng:
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major block of standard normals, the same draws as rows*cols normal() calls.
 
-        Box-Muller runs on whole blocks, but log, cos and sin stay the
-        platform's math functions, as in normal(), so every value matches.
+        Box-Muller runs on whole blocks; log stays math.log per value, as in normal() (np.log
+        differs in the last bit), and numpy's cos and sin give math's bytes (a test guards it).
         """
         n = rows * cols
         saved = self._state, self._spare_normal
@@ -150,10 +150,10 @@ class Rng:
                 self._state, self._spare_normal = saved
                 return np.fromiter((self.normal() for _ in range(n)), np.float64, count=n).reshape(rows, cols)
             r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, count=pairs))
-            a = ((2.0 * math.pi) * u2).tolist()
+            a = (2.0 * math.pi) * u2
             z = np.empty(2 * pairs)
-            z[0::2] = r * np.fromiter(map(math.cos, a), np.float64, count=pairs)
-            z[1::2] = r * np.fromiter(map(math.sin, a), np.float64, count=pairs)
+            z[0::2] = r * np.cos(a)
+            z[1::2] = r * np.sin(a)
             take = min(2 * pairs, n - filled)
             out[filled : filled + take] = z[:take]
             if take < 2 * pairs:

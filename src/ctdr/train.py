@@ -270,7 +270,7 @@ def train_step(
         labels = sup_batch.labels if spec.batch == "labeled" else None
         rep = spec.loss(cache.probs, labels, run.priors.get(spec.prior))
         _check_finite(term, rep.value, epoch, step)
-        g, _ = backward(params, cache, grad_logits=rep.grad_logits)
+        g, _ = backward(params, cache, grad_logits=rep.grad_logits, input_grad=False)
         for name, gt in g.items():
             if name in total:
                 total[name] += w * gt

@@ -99,9 +99,16 @@ def _jittered(arch, seed):
 
 
 def _relu_margin(params, inputs):
+    """Smallest |pre-activation| of any hidden unit on `inputs`. The backward
+    record keeps layer outputs only, so each hidden layer's pre-activation is
+    rebuilt from the layer's input as `a @ W`, then `+= b`, as the forward walk
+    computes it."""
     vals = [1.0]
     for x in inputs:
-        for z in forward(params, x).pre[:-1]:
+        cache = forward(params, x)
+        for (prefix, _), a in zip(cache.layers[:-1], [cache.x] + cache.act[:-2]):
+            z = a @ params.tensors[prefix + ".w"]
+            z += params.tensors[prefix + ".b"]
             vals.append(float(np.min(np.abs(z))))
     return min(vals)
 

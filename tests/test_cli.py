@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import hashlib
 import json
 import re
@@ -127,8 +128,6 @@ def test_every_config_field_is_reachable_from_a_key():
 
 
 def test_overrides_precedence(tmp_path):
-    import argparse
-
     path = small_train_cfg(tmp_path, epochs=9, seed=1)
     ns = argparse.Namespace(config=str(path), seed=7, set=["epochs=3"])
     cfg = load_config(ns)
@@ -501,6 +500,48 @@ def test_ablate_needs_target_train_labels_before_it_fits_or_writes(tmp_path, mon
     assert main(["ablate", "--config", str(path)]) == 2
     assert fits == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("epochs", "five", "bad value for 'epochs'"),
+        ("data", "imaginary", "bad value for 'data'"),
+        ("lr", "0", "lr must be finite and > 0"),
+        ("w_tu", "nan", "weight for tu must be finite"),
+        ("combo", "ss,ts", "ts is an exclusive baseline"),
+        ("prior", "abc", "prior must be `assume_source`"),
+        ("mmd_gamma", "x", "mmd_gamma must be `median`"),
+        ("noise_dim", "0", "noise_dim must be >= 1"),
+        ("n_source", "-1", "n_source = -1 applies only to data = idx"),
+    ],
+)
+def test_config_value_errors_name_where_the_value_was_given(tmp_path, capsys, key, value, message):
+    path = small_train_cfg(tmp_path, **{key: value})
+    line_no = next(i for i, line in enumerate(path.read_text().splitlines(), 1) if line.startswith(f"{key} ="))
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line_no}: ") and message in err
+    # the same value from --set over a good file names --set, not the file
+    good = small_train_cfg(tmp_path, name="good.txt", lr="0.001")
+    assert main(["train", "--config", str(good), "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --set: ") and message in err
+
+
+def test_config_error_names_the_first_given_key_at_fault(tmp_path):
+    # the file's bad lr is given before --set's bad noise_dim, though the
+    # fake-row config is built, and fails, first
+    path = small_train_cfg(tmp_path, lr="0")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:\d+: lr must be finite"):
+        build_train_config(load_config(argparse.Namespace(config=str(path), seed=3, set=["noise_dim=0"])))
+
+
+def test_resolve_config_without_origins_names_none():
+    with pytest.raises(ConfigError, match="^bad value for 'epochs'"):
+        resolve_config({"epochs": "five"})
+    with pytest.raises(ConfigError, match="^lr must be finite"):
+        build_train_config(resolve_config({"lr": "0"}))
 
 
 def test_set_override_rejects_unknown_key(tmp_path):

@@ -115,8 +115,7 @@ CASES = {
 def test_mutated_files_raise_only_ctdr_errors(tmp_path, case):
     files, load = CASES[case](tmp_path)
     load()  # the unmutated files load
-    # config value errors do not name the file yet; only parse errors do
-    loaded = fuzz(files, load, seed=list(CASES).index(case), located=case != "config")
+    loaded = fuzz(files, load, seed=list(CASES).index(case))
     assert 0 < loaded < MUTANTS  # some mutants still parse, the rest are rejected
 
 

@@ -283,6 +283,50 @@ def test_backward_input_gradient_matches_finite_diff():
     assert relative_error(grad_x, fd) <= 1e-6
 
 
+@pytest.mark.parametrize("net", ["small", "linear"])
+def test_backward_without_input_gradient_gives_the_same_weight_gradients(net):
+    if net == "small":
+        _, params = small_net()
+    else:
+        params = init_params(Architecture((), LayerSpec(3, 2, "none")), Rng(5, STREAM_WEIGHT_INIT))
+    x = Rng(36, 0).normal_matrix(5, 3)
+    coeff = Rng(36, 1).normal_matrix(5, 2)
+    cache = forward(params, x)
+    want, grad_x = backward(params, cache, grad_logits=coeff)
+    got, no_grad_x = backward(params, cache, grad_logits=coeff, input_grad=False)
+    assert grad_x.shape == x.shape and no_grad_x is None
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes()
+
+
+def test_relu_mask_from_outputs_equals_mask_from_pre_activations():
+    # the record keeps ReLU outputs only: output > 0 must be pre-activation > 0
+    # on exact 0, -0.0, negatives and NaN
+    pre = np.array([[0.0, -0.0, -1.5, np.nan, 2.0, 5e-324, -5e-324, -np.inf, np.inf]])
+    out = pre.copy()
+    np.maximum(out, 0.0, out=out)  # the forward walk's in-place ReLU
+    assert np.array_equal(out > 0.0, pre > 0.0)
+
+    # through the walks: a 1-wide noise row through unit weights puts the
+    # bias values into the first row's pre-activations (matmul turns -0.0
+    # into 0.0, so that one comes out as 0.0)
+    arch = Architecture.mlp(3, (4,), 2).with_generator(1, (7,))
+    params = init_params(arch, Rng(46, STREAM_WEIGHT_INIT))
+    bias = np.array([0.0, -0.0, -1.5, np.nan, 2.0, 5e-324, -5e-324])
+    params = ParamSet(arch, dict(params.tensors, **{"gen0.w": np.ones((1, 7)), "gen0.b": bias}))
+    noise = np.array([[-0.0], [1.0], [np.nan], [-3.0]])
+    cache = generator_forward_cache(params, noise)
+    pre = noise @ params.tensors["gen0.w"]
+    pre += params.tensors["gen0.b"]
+    assert np.array_equal(pre[0], bias, equal_nan=True)
+    assert np.array_equal(cache.act[0] > 0.0, pre > 0.0)
+    coeff = Rng(47, 0).normal_matrix(4, 3)
+    grads = generator_backward(params, cache, coeff)
+    d = coeff @ params.tensors["gen1.w"].T
+    assert grads["gen0.b"].tobytes() == (d * (pre > 0.0)).sum(axis=0).tobytes()
+
+
 def test_relu_subgradient_at_zero_is_zero():
     # one hidden unit whose pre-activation is exactly 0 must pass no gradient
     arch = Architecture((LayerSpec(1, 1, "relu"),), LayerSpec(1, 1, "none"))

@@ -184,6 +184,16 @@ def test_normal_matrix_equals_scalar_normals(shape, seed, stream):
     assert_same_position(block, scalar)
 
 
+def test_numpy_cos_sin_equal_math_cos_sin_bit_for_bit():
+    # normal_matrix takes cos and sin of its angles from numpy, normal() from
+    # math; 2^20 Box-Muller angles must give the same bytes both ways
+    rng = Rng(0, HIGH_STREAM)
+    a = (2.0 * math.pi) * np.concatenate([rng._random_block(4096) for _ in range(256)])
+    angles = a.tolist()
+    assert np.cos(a).tobytes() == np.fromiter(map(math.cos, angles), np.float64, count=a.size).tobytes()
+    assert np.sin(a).tobytes() == np.fromiter(map(math.sin, angles), np.float64, count=a.size).tobytes()
+
+
 def test_normal_matrix_interleaved_with_scalar_calls_carries_the_spare():
     block, scalar = Rng(3, HIGH_STREAM), Rng(3, HIGH_STREAM)
     got, want = [], []

@@ -307,9 +307,9 @@ def test_train_step_leaves_batches_state_and_logit_grads_unchanged(monkeypatch):
     passed = []
     real_backward = ctdr.train.backward
 
-    def recording_backward(params, cache, grad_logits=None, grad_embeddings=None):
+    def recording_backward(params, cache, grad_logits=None, grad_embeddings=None, input_grad=True):
         passed.append((grad_logits, grad_logits.copy()))
-        return real_backward(params, cache, grad_logits=grad_logits, grad_embeddings=grad_embeddings)
+        return real_backward(params, cache, grad_logits=grad_logits, grad_embeddings=grad_embeddings, input_grad=input_grad)
 
     monkeypatch.setattr(ctdr.train, "backward", recording_backward)
     train_step(params, opt, None, sup, tgt, run, 0.01)
