@@ -5,6 +5,11 @@ Subcommands: train, eval, ablate, synth. Experiments are described by a flat
 Unknown keys are rejected. Every run prints the fully resolved config first;
 feeding those lines back as a config file reproduces the run exactly.
 
+`train` writes metrics.jsonl, model.ctdr and eval.json to out_dir; `ablate` writes
+them to out_dir/<combo>/ for each rung of its loss ladder, and appends the rung's
+summary.csv row as it finishes. A run that exits 3 ends its metrics.jsonl with
+an abort record.
+
 Exit codes: 0 ok, 2 config/parse error, 3 non-finite loss, logits or Adam state, 4 I/O error.
 """
 
@@ -14,7 +19,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .data import (
@@ -45,12 +49,8 @@ def _parse_bool(s):
     raise ValueError(f"expected true/false, got {s!r}")
 
 
-def _parse_int_list(s):
-    return tuple(int(tok) for tok in s.split(",") if tok.strip()) if s else ()
-
-
-def _parse_float_list(s):
-    return tuple(float(tok) for tok in s.split(",") if tok.strip()) if s else ()
+def _parse_list(cast):
+    return lambda s: tuple(cast(tok) for tok in s.split(",") if tok.strip())
 
 
 def _fmt(value):
@@ -73,7 +73,7 @@ def _choice(*options):
 
 
 # Parsers for schema entries whose type is that of a config field's default.
-_PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_int_list}
+_PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_list(int)}
 
 _TRAIN = TrainConfig()
 _FAKE = _TRAIN.fake
@@ -103,7 +103,7 @@ SCHEMA: dict = {
     "n": (int, 500),
     "rotation": (float, 35.0),
     "noise": (float, 0.12),
-    "skew": (_parse_float_list, ()),
+    "skew": (_parse_list(float), ()),
     "gauss_classes": (int, 3),
     "gauss_dim": (int, 8),
     "gauss_mean_shift": (float, 1.0),
@@ -280,26 +280,27 @@ def build_pair(cfg: dict) -> DomainPair:
     )
 
 
-def build_train_config(cfg: dict) -> TrainConfig:
-    """The TrainConfig of resolve_config's values. A value error names where
-    the key at fault was given: each check reads one key and the defaults
-    pass them all, so that is the first given key that fails among defaults."""
+def build_train_config(cfg: dict, pair: DomainPair | None = None) -> TrainConfig:
+    """The TrainConfig of resolve_config's values; with `pair`, RunState.build
+    checks it on the data too. An error names where the key at fault was given:
+    each check reads one key and the defaults pass them all, so that is the
+    first given key that fails among defaults."""
     try:
-        return _train_config(cfg)
-    except ConfigError as exc:
+        return _train_config(cfg, pair)
+    except (ConfigError, ContractViolation) as exc:
         for key, at in cfg.where.items():
             try:
-                _train_config({**resolve_config({}), key: cfg[key]})
-            except ConfigError as alone:
+                _train_config({**resolve_config({}), key: cfg[key]}, pair)
+            except (ConfigError, ContractViolation) as alone:
                 raise ConfigError(f"{at}: {alone}") from exc
         raise
 
 
-def _train_config(cfg: dict) -> TrainConfig:
+def _train_config(cfg: dict, pair: DomainPair | None) -> TrainConfig:
     prior = None
     if cfg["prior"] != "assume_source":
         try:
-            prior = tuple(float(tok) for tok in cfg["prior"].split(",") if tok.strip())
+            prior = _parse_list(float)(cfg["prior"])
         except ValueError as exc:
             raise ConfigError(f"prior must be `assume_source` or comma-separated floats: {exc}") from exc
     gamma = None
@@ -313,13 +314,16 @@ def _train_config(cfg: dict) -> TrainConfig:
         gamma=gamma,
         **{name: cfg[key] for key, name in _FAKE_FIELDS.items()},
     )
-    return TrainConfig(
+    train_cfg = TrainConfig(
         combo=LossCombo.parse(cfg["combo"]),
         prior=prior,
         weights={t: cfg[f"w_{t}"] for t in TERMS},
         fake=fake,
         **{name: cfg[key] for key, name in _TRAIN_FIELDS.items()},
     )
+    if pair is not None:
+        RunState.build(train_cfg, pair)
+    return train_cfg
 
 
 def _prepare(cfg: dict):
@@ -330,47 +334,61 @@ def _prepare(cfg: dict):
     return pair, transform
 
 
-def _announce(cfg: dict) -> str:
-    text = format_config(cfg)
-    sys.stdout.write(text)
-    return text
+def _announce(cfg: dict) -> None:
+    sys.stdout.write(format_config(cfg))
 
 
-def _save_config(cfg: dict, text: str) -> Path:
+def _save_config(cfg: dict) -> Path:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.txt").write_text(text, encoding="utf-8")
+    (out_dir / "resolved_config.txt").write_text(format_config(cfg), encoding="utf-8")
     return out_dir
 
 
 # --- subcommands -----------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
+def _start(args, ladder=None):
+    """(cfg, pair, out_dir, a TrainConfig for cfg or for each combo of `ladder`).
+    Every config error, those that need the data too, exits 2 before any file."""
     cfg = load_config(args)
-    train_cfg = build_train_config(cfg)
-    text = _announce(cfg)
+    build_train_config(cfg)
+    _announce(cfg)
     pair, transform = _prepare(cfg)
-    # config errors that need the data (a prior of the wrong length, ts on a
-    # pair without target-train labels) exit 2 before any file is written
-    RunState.build(train_cfg, pair)
-    out_dir = _save_config(cfg, text)
+    runs = [cfg]
+    if ladder is not None:
+        runs = [_Resolved(cfg, combo=combo) for combo in ladder]
+        for run in runs:  # errors name a rung's combo as `rung <combo>`
+            run.where = {**cfg.where, "combo": f"rung {run['combo']}"}
+    run_cfgs = [build_train_config(run, pair) for run in runs]
+    out_dir = _save_config(cfg)
     if transform is not None:
         transform.save(out_dir / "transform.json")
+    return cfg, pair, out_dir, run_cfgs
 
-    metrics_path = out_dir / "metrics.jsonl"
-    with open(metrics_path, "w", encoding="utf-8") as fh:
+
+def _run(train_cfg: TrainConfig, pair: DomainPair, run_dir: Path, embeddings: bool, label: str = ""):
+    """Train into run_dir; returns (params, target-test EvalReport). An abort's error starts with `label`."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
         try:
             params, _ = fit(train_cfg, pair, on_epoch=lambda rec: fh.write(json.dumps(rec) + "\n"))
         except NonFiniteLossError as exc:
             fh.write(json.dumps({"abort": {"term": exc.term, "epoch": exc.epoch, "step": exc.step}}) + "\n")
+            exc.args = (f"{label}{exc}",)
             raise
-    save_checkpoint(params, out_dir / "model.ctdr")
+    save_checkpoint(params, run_dir / "model.ctdr")
     report = evaluate(params, pair.target_test)
-    (out_dir / "eval.json").write_text(json.dumps(report.to_json()) + "\n", encoding="utf-8")
-    if cfg["export_embeddings"]:
+    (run_dir / "eval.json").write_text(json.dumps(report.to_json()) + "\n", encoding="utf-8")
+    if embeddings:
         named = [("source", pair.source), ("target_train", pair.target_train), ("target_test", pair.target_test)]
-        export_embeddings(params, named, out_dir / "embeddings.csv")
+        export_embeddings(params, named, run_dir / "embeddings.csv")
+    return params, report
+
+
+def cmd_train(args) -> int:
+    cfg, pair, out_dir, (train_cfg,) = _start(args)
+    _, report = _run(train_cfg, pair, out_dir, cfg["export_embeddings"])
     print(f"[train] combo={train_cfg.combo} target_test_acc={report.accuracy:.4f} -> {out_dir}")
     return 0
 
@@ -395,30 +413,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-ABLATION_LADDER = ("ss", "ss,tu", "ss,tu,su", "ss,tu,su,ta", "ss,tu,su,sa", "ss,tu,su,sa,ta", "ts")
+ABLATION_LADDER = ("ss", "ss+tu", "ss+tu+su", "ss+tu+su+ta", "ss+tu+su+sa", "ss+tu+su+ta+sa", "ts")
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args)
-    base = build_train_config(cfg)
-    run_cfgs = [replace(base, combo=LossCombo.parse(combo_text)) for combo_text in ABLATION_LADDER]
-    text = _announce(cfg)
-    pair, _ = _prepare(cfg)
-    for run_cfg in run_cfgs:  # every rung's config errors before the first fit or file
-        RunState.build(run_cfg, pair)
-    out_dir = _save_config(cfg, text)
-    rows = []
-    for run_cfg in run_cfgs:
-        params, _ = fit(run_cfg, pair)
-        rep_target = evaluate(params, pair.target_test)
-        rep_source = evaluate(params, pair.source)
-        rows.append((str(run_cfg.combo), rep_target.accuracy, rep_source.accuracy))
-        print(f"[ablate] {run_cfg.combo!s:<16} target_test={rep_target.accuracy:.4f} source_train={rep_source.accuracy:.4f}")
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
+    cfg, pair, out_dir, run_cfgs = _start(args, ABLATION_LADDER)
+    # line-buffered, so each row is on disk as its rung finishes
+    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="", buffering=1) as fh:
         writer = csv.writer(fh)
         writer.writerow(["combo", "acc_target_test", "acc_source_train"])
-        for combo_text, acc_t, acc_s in rows:
-            writer.writerow([combo_text, repr(float(acc_t)), repr(float(acc_s))])
+        for combo, run_cfg in zip(ABLATION_LADDER, run_cfgs):
+            params, rep_target = _run(run_cfg, pair, out_dir / combo, cfg["export_embeddings"], f"rung {combo}: ")
+            acc_source = evaluate(params, pair.source).accuracy
+            writer.writerow([combo, repr(float(rep_target.accuracy)), repr(float(acc_source))])
+            print(f"[ablate] {combo:<16} target_test={rep_target.accuracy:.4f} source_train={acc_source:.4f}")
     return 0
 
 
@@ -426,9 +434,9 @@ def cmd_synth(args) -> int:
     cfg = load_config(args)
     if cfg["data"] not in ("two_moons", "gauss_shift"):
         raise ConfigError("synth writes synthetic data; set data = two_moons or gauss_shift")
-    text = _announce(cfg)
+    _announce(cfg)
     pair = build_pair(cfg)
-    out_dir = _save_config(cfg, text)
+    out_dir = _save_config(cfg)
     save_sparse(pair.source, out_dir / "source.txt")
     save_sparse(pair.target_train_labeled(oracle=True), out_dir / "target_train.txt")
     save_sparse(pair.target_test, out_dir / "target_test.txt")

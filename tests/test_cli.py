@@ -201,6 +201,40 @@ def test_cmd_train_artifacts_match_frozen_digests(tmp_path, run):
     assert hashlib.sha256((out / "metrics.jsonl").read_bytes()).hexdigest() == metrics_sha
 
 
+# sha256 of summary.csv, and the printed rows, of an ablation whose seven rows
+# differ, taken when ablate ran its own fit/evaluate loop beside train's
+FROZEN_SUMMARY = "8b350b9c2d837b134ccf0b7da0e6e5ed371d4775f7b342c27b842a46d8d12ca3"
+FROZEN_ABLATE_LINES = [
+    "[ablate] ss               target_test=0.7000 source_train=0.9000",
+    "[ablate] ss+tu            target_test=0.8500 source_train=0.8250",
+    "[ablate] ss+tu+su         target_test=0.8500 source_train=0.8250",
+    "[ablate] ss+tu+su+ta      target_test=0.7250 source_train=0.9250",
+    "[ablate] ss+tu+su+sa      target_test=0.8000 source_train=0.8750",
+    "[ablate] ss+tu+su+ta+sa   target_test=0.7250 source_train=0.9250",
+    "[ablate] ts               target_test=0.8250 source_train=0.7500",
+]
+
+
+def test_cmd_ablate_summary_matches_frozen_digest(tmp_path, capsys):
+    path = small_train_cfg(tmp_path, epochs=15, lr=0.01)
+    assert main(["ablate", "--config", str(path)]) == 0
+    assert hashlib.sha256((tmp_path / "out" / "summary.csv").read_bytes()).hexdigest() == FROZEN_SUMMARY
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("[ablate]")] == FROZEN_ABLATE_LINES
+
+
+@pytest.mark.parametrize("combo", ["ss+tu", "ss+tu+su+ta", "ts"])
+def test_ablate_rung_directory_equals_a_train_run_of_its_combo(tmp_path, combo):
+    path = small_train_cfg(tmp_path, export_embeddings="true", epochs=3)
+    assert main(["ablate", "--config", str(path)]) == 0
+    solo = small_train_cfg(tmp_path, name="solo.txt", export_embeddings="true", epochs=3, combo=combo,
+                           out_dir=str(tmp_path / "solo"))
+    assert main(["train", "--config", str(solo)]) == 0
+    for artifact in ("model.ctdr", "metrics.jsonl", "eval.json", "embeddings.csv"):
+        rung = (tmp_path / "out" / combo / artifact).read_bytes()
+        assert rung == (tmp_path / "solo" / artifact).read_bytes(), artifact
+
+
 def test_resolved_config_reproduces_run(tmp_path):
     path = small_train_cfg(tmp_path)
     assert main(["train", "--config", str(path), "--set", "epochs=3"]) == 0
@@ -307,6 +341,19 @@ def test_cmd_eval_with_saved_transform(tmp_path, capsys):
     final = json.loads((out / "eval.json").read_text())
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["accuracy"] == final["accuracy"]
+
+
+def test_cmd_eval_of_an_ablation_rung_with_its_saved_transform(tmp_path):
+    path = small_train_cfg(tmp_path, standardize="true")
+    assert main(["ablate", "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    rung = out / "ss+tu"
+    report = tmp_path / "report.json"
+    assert main(
+        ["eval", "--config", str(path), "--checkpoint", str(rung / "model.ctdr"),
+         "--transform", str(out / "transform.json"), "--out", str(report)]
+    ) == 0
+    assert json.loads(report.read_text())["accuracy"] == json.loads((rung / "eval.json").read_text())["accuracy"]
 
 
 def test_cmd_ablate_summary(tmp_path):
@@ -432,9 +479,15 @@ def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_prior_of_the_wrong_length_creates_no_out_dir(tmp_path, capsys, command):
     path = small_train_cfg(tmp_path, prior="0.5,0.3,0.2")
+    line_no = len(path.read_text().splitlines())
     assert main([command, "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
-    assert "prior" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}:{line_no}: prior has 3 entries, expected 2\n"
+    # from --set over a good file, the error names --set
+    good = small_train_cfg(tmp_path, name="good.txt")
+    assert main([command, "--config", str(good), "--set", "prior=0.5,0.3,0.2"]) == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == "error: --set: prior has 3 entries, expected 2\n"
 
 
 def test_nan_label_skew_creates_no_out_dir(tmp_path, capsys):
@@ -483,23 +536,78 @@ def test_non_utf8_config_is_exit_2_naming_file_and_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_ablate_needs_target_train_labels_before_it_fits_or_writes(tmp_path, monkeypatch):
+def unlabeled_target_cfg(tmp_path, **extra):
+    """A sparse-data config whose target-train split has no labels."""
     pair = synth_two_moons(40, 35.0, 0.1, seed=0)
     for name, ds in (("source", pair.source), ("target", pair.target_train), ("test", pair.target_test)):
         save_sparse(ds, tmp_path / f"{name}.txt")  # target_train is written unlabeled
-    path = small_train_cfg(
+    return small_train_cfg(
         tmp_path,
         data="sparse",
         source_sparse=tmp_path / "source.txt",
         target_sparse=tmp_path / "target.txt",
         target_test_sparse=tmp_path / "test.txt",
+        **extra,
     )
+
+
+NO_TARGET_LABELS = "target-train labels are not available for this pair\n"
+
+
+def test_ablate_needs_target_train_labels_before_it_fits_or_writes(tmp_path, monkeypatch, capsys):
+    path = unlabeled_target_cfg(tmp_path)
     fits = []
     monkeypatch.setattr(ctdr.cli, "fit", lambda *args, **kw: fits.append(args))
     # the ts rung has no labels to train on; the six rungs before it never run
     assert main(["ablate", "--config", str(path)]) == 2
     assert fits == []
     assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"error: rung ts: {NO_TARGET_LABELS}"
+
+
+def test_train_ts_without_target_train_labels_names_the_combo(tmp_path, capsys):
+    path = unlabeled_target_cfg(tmp_path, combo="ts")
+    line_no = len(path.read_text().splitlines())
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line_no}: {NO_TARGET_LABELS}"
+    assert main(["train", "--config", str(path), "--set", "combo=ts"]) == 2
+    assert capsys.readouterr().err == f"error: --set: {NO_TARGET_LABELS}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_ablate_summary_rows_are_on_disk_as_rungs_finish(tmp_path, monkeypatch):
+    path = small_train_cfg(tmp_path)
+    lines_at_fit, real_fit = [], ctdr.cli.fit
+
+    def fit(config, pair, on_epoch=None):
+        lines_at_fit.append((tmp_path / "out" / "summary.csv").read_text().count("\n"))
+        return real_fit(config, pair, on_epoch)
+
+    monkeypatch.setattr(ctdr.cli, "fit", fit)
+    assert main(["ablate", "--config", str(path)]) == 0
+    assert lines_at_fit == [1, 2, 3, 4, 5, 6, 7]  # the header, then one row per finished rung
+
+
+def test_ablate_abort_keeps_the_finished_rows_and_names_the_rung(tmp_path, capsys):
+    path = small_train_cfg(tmp_path, epochs=15, lr=0.01)
+    # the first ta rung overflows Adam at its first step
+    assert main(["ablate", "--config", str(path), "--set", "w_ta=1e300"]) == 3
+    out = tmp_path / "out"
+    rows = (out / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["combo", "ss", "ss+tu", "ss+tu+su"]
+    last = read_metrics(out / "ss+tu+su+ta").splitlines()[-1]
+    assert json.loads(last) == {"abort": {"term": "adam", "epoch": 0, "step": 0}}
+    assert capsys.readouterr().err.startswith("error: rung ss+tu+su+ta: non-finite second moment")
+    assert not (out / "ss+tu+su+ta" / "model.ctdr").exists()
+
+
+def test_ablate_abort_in_the_first_rung_leaves_the_header(tmp_path, capsys):
+    path = small_train_cfg(tmp_path)
+    assert main(["ablate", "--config", str(path), "--set", "lr=1e200"]) == 3
+    out = tmp_path / "out"
+    assert (out / "summary.csv").read_bytes() == b"combo,acc_target_test,acc_source_train\r\n"
+    assert json.loads(read_metrics(out / "ss").splitlines()[-1]) == {"abort": {"term": "ss", "epoch": 0, "step": 1}}
+    assert capsys.readouterr().err.startswith("error: rung ss: non-finite logits in term 'ss'")
 
 
 @pytest.mark.parametrize(
