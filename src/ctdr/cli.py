@@ -76,26 +76,21 @@ def _choice(*options):
 _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_list(int)}
 
 _TRAIN = TrainConfig()
-_FAKE = _TRAIN.fake
 
-# CLI key -> TrainConfig / FakeSourceConfig field, for the keys that map one to
-# one. SCHEMA takes their defaults from these fields; build_train_config fills
-# the fields from these keys.
-_TRAIN_FIELDS = {
-    **{k: k for k in ("hidden", "epochs", "lr", "lr_decay", "lr_decay_every", "seed", "timing")},
-    "batch": "batch_size",
-}
-_FAKE_FIELDS = {"fake_mode": "mode", "noise_dim": "noise_dim", "gen_hidden": "gen_hidden"}
+# CLI key -> TrainConfig field, for the keys that map one to one. SCHEMA takes
+# their defaults from these fields; build_train_config fills the fields from
+# these keys.
+_TRAIN_FIELDS = {**{k: k for k in ("hidden", "epochs", "lr", "seed", "timing")}, "batch": "batch_size"}
 
 
-def _field(key, parser=None):
-    """(parser, default) of the config field a key maps to."""
-    value = getattr(_TRAIN, _TRAIN_FIELDS[key]) if key in _TRAIN_FIELDS else getattr(_FAKE, _FAKE_FIELDS[key])
-    return parser or _PARSERS[type(value)], value
+def _field(key):
+    """(parser, default) of the TrainConfig field a key maps to."""
+    value = getattr(_TRAIN, _TRAIN_FIELDS[key])
+    return _PARSERS[type(value)], value
 
 
 # key -> (parser, default). Insertion order is the printing order. Training
-# keys take their defaults from the config dataclasses; `prior`, `fake_n` and
+# keys take their defaults from the config dataclasses; `prior` and
 # `mmd_gamma` keep text sentinels for the dataclasses' None.
 SCHEMA: dict = {
     # data
@@ -129,16 +124,11 @@ SCHEMA: dict = {
     "epochs": _field("epochs"),
     "batch": _field("batch"),
     "lr": _field("lr"),
-    "lr_decay": _field("lr_decay"),
-    "lr_decay_every": _field("lr_decay_every"),
     "seed": _field("seed"),
     "prior": (str, "assume_source"),
     **{f"w_{t}": (float, _TRAIN.weight(t)) for t in TERMS},
     # fake samples
-    "fake_mode": _field("fake_mode", _choice(*FAKE_MODES)),
-    "fake_n": (int, 0),
-    "noise_dim": _field("noise_dim"),
-    "gen_hidden": _field("gen_hidden"),
+    "fake_mode": (_choice(*FAKE_MODES), _TRAIN.fake.mode),
     "mmd_gamma": (str, "median"),
     # output
     "out_dir": (str, "ctdr_out"),
@@ -176,24 +166,20 @@ class _Resolved(dict):
 
 
 def resolve_config(raw: dict, where: dict | None = None) -> dict:
-    """Apply defaults and parse values into their runtime types. A bad value's
-    error names where its key was given, when `where` says."""
-    cfg = _Resolved()
+    """Apply defaults and parse values into their runtime types. An unknown
+    key's or a bad value's error names where the key was given, when `where`
+    says."""
+    cfg = _Resolved((key, default) for key, (_, default) in SCHEMA.items())
     cfg.where = dict(where or {})
-    for key, (parser, default) in SCHEMA.items():
-        if key in raw:
-            try:
-                cfg[key] = parser(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"{_at(cfg, key)}bad value for {key!r}: {exc}") from exc
-        else:
-            cfg[key] = default
+    for key, text in raw.items():
+        at = f"{cfg.where[key]}: " if key in cfg.where else ""
+        if key not in SCHEMA:
+            raise ConfigError(f"{at}unknown key {key!r}")
+        try:
+            cfg[key] = SCHEMA[key][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"{at}bad value for {key!r}: {exc}") from exc
     return cfg
-
-
-def _at(cfg: dict, key: str) -> str:
-    """An error's `<where key was given>: ` prefix ('' for a default)."""
-    return f"{cfg.where[key]}: " if key in cfg.where else ""
 
 
 def format_config(cfg: dict) -> str:
@@ -216,8 +202,6 @@ def load_config(args) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key not in SCHEMA:
-            raise ConfigError(f"--set: unknown key {key!r}")
         raw[key], where[key] = value, "--set"
     return resolve_config(raw, where)
 
@@ -225,17 +209,47 @@ def load_config(args) -> dict:
 # --- config -> runtime objects ---------------------------------------------------
 
 
+_PATH_KEYS = tuple(f"{d}_{k}" for d in ("source", "target", "target_test") for k in ("images", "labels", "sparse"))
+# The keys that say which data files to read and how; _located holds them.
+_DATA_KEYS = ("data", "classes", *_PATH_KEYS)
+
+
+def _located(build, cfg: dict):
+    """build(cfg). Its error names where the key at fault was given: each check
+    reads one key and the defaults pass them all, so that is the first given
+    key that fails alone among defaults. The data keys keep their given values
+    throughout; when they fail on their own, no key is named."""
+    try:
+        return build(cfg)
+    except (ConfigError, ContractViolation) as exc:
+        held = {**resolve_config({}), **{k: cfg[k] for k in _DATA_KEYS}}
+        # the first build is of `held` as it is; when that fails, no key is named
+        for key, at in [("data", None), *cfg.where.items()]:
+            try:
+                build({**held, key: cfg[key]})
+            except (ConfigError, ContractViolation) as alone:
+                if at is None:
+                    break
+                raise ConfigError(f"{at}: {alone}") from exc
+        raise
+
+
 def _require_paths(cfg: dict, *kinds):
-    missing = [k for k in (f"{d}_{kind}" for d in ("source", "target", "target_test") for kind in kinds) if not cfg[k]]
+    missing = [k for k in _PATH_KEYS if k.endswith(kinds) and not cfg[k]]
     if missing:
         raise ConfigError(f"data={cfg['data']} needs paths for {', '.join(missing)}")
 
 
 def build_pair(cfg: dict) -> DomainPair:
+    """The DomainPair of resolve_config's values; errors as in _located."""
+    return _located(_pair, cfg)
+
+
+def _pair(cfg: dict) -> DomainPair:
     kind = cfg["data"]
     for key in ("resize", "n_source", "n_target", "n_target_test"):
         if kind != "idx" and cfg[key] != SCHEMA[key][1]:
-            raise ConfigError(f"{_at(cfg, key)}{key} = {cfg[key]} applies only to data = idx, not data = {kind}")
+            raise ConfigError(f"{key} = {cfg[key]} applies only to data = idx, not data = {kind}")
     skew = cfg["skew"] or None
     if kind == "two_moons":
         return synth_two_moons(cfg["n"], cfg["rotation"], cfg["noise"], skew, seed=cfg["seed"])
@@ -259,7 +273,7 @@ def build_pair(cfg: dict) -> DomainPair:
             try:
                 oh, ow = (int(tok) for tok in cfg["resize"].lower().split("x"))
             except ValueError as exc:
-                raise ConfigError(f"{_at(cfg, 'resize')}resize must look like 28x28, got {cfg['resize']!r}") from exc
+                raise ConfigError(f"resize must look like 28x28, got {cfg['resize']!r}") from exc
             source, target_train, target_test = (
                 ds if ds.image_hw == (oh, ow) else resize_bilinear(ds, (oh, ow))
                 for ds in (source, target_train, target_test)
@@ -282,18 +296,8 @@ def build_pair(cfg: dict) -> DomainPair:
 
 def build_train_config(cfg: dict, pair: DomainPair | None = None) -> TrainConfig:
     """The TrainConfig of resolve_config's values; with `pair`, RunState.build
-    checks it on the data too. An error names where the key at fault was given:
-    each check reads one key and the defaults pass them all, so that is the
-    first given key that fails among defaults."""
-    try:
-        return _train_config(cfg, pair)
-    except (ConfigError, ContractViolation) as exc:
-        for key, at in cfg.where.items():
-            try:
-                _train_config({**resolve_config({}), key: cfg[key]}, pair)
-            except (ConfigError, ContractViolation) as alone:
-                raise ConfigError(f"{at}: {alone}") from exc
-        raise
+    checks it on the data too. Errors as in _located."""
+    return _located(lambda c: _train_config(c, pair), cfg)
 
 
 def _train_config(cfg: dict, pair: DomainPair | None) -> TrainConfig:
@@ -309,16 +313,11 @@ def _train_config(cfg: dict, pair: DomainPair | None) -> TrainConfig:
             gamma = float(cfg["mmd_gamma"])
         except ValueError as exc:
             raise ConfigError(f"mmd_gamma must be `median` or a float: {exc}") from exc
-    fake = FakeSourceConfig(
-        n_f=cfg["fake_n"] or None,
-        gamma=gamma,
-        **{name: cfg[key] for key, name in _FAKE_FIELDS.items()},
-    )
     train_cfg = TrainConfig(
         combo=LossCombo.parse(cfg["combo"]),
         prior=prior,
-        weights={t: cfg[f"w_{t}"] for t in TERMS},
-        fake=fake,
+        weights={t: cfg[f"w_{t}"] for t in TERMS if cfg[f"w_{t}"] != _TRAIN.weight(t)},
+        fake=FakeSourceConfig(cfg["fake_mode"], gamma),
         **{name: cfg[key] for key, name in _TRAIN_FIELDS.items()},
     )
     if pair is not None:
@@ -398,8 +397,11 @@ def cmd_eval(args) -> int:
     _announce(cfg)
     params = load_checkpoint(args.checkpoint)
     if getattr(args, "transform", None):
-        tr = FeatureTransform.load(args.transform)
-        pair = build_pair(cfg).map_features(tr.apply)
+        tr, pair = FeatureTransform.load(args.transform), build_pair(cfg)
+        try:
+            pair = pair.map_features(tr.apply)
+        except ContractViolation as exc:
+            raise ConfigError(f"transform {args.transform} on the configured data: {exc}") from exc
     else:
         pair, _ = _prepare(cfg)
     try:

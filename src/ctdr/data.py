@@ -232,8 +232,10 @@ def load_sparse(path, name: str = "") -> Dataset:
                 width, num_classes = int(kv["width"]), int(kv["classes"])
             except ValueError as exc:
                 raise ParseError(path, line_no, f"non-integer header value: {exc}") from exc
-            if width < 1 or num_classes < 2:
-                raise ParseError(path, line_no, f"invalid header width={width} classes={num_classes}")
+            # checkpoints store layer widths as u32
+            if not (1 <= width < 2**32 and 2 <= num_classes < 2**32):
+                msg = f"invalid header width={width} classes={num_classes}: need width in [1, 2^32), classes in [2, 2^32)"
+                raise ParseError(path, line_no, msg)
             header_seen = True
             continue
         parts = line.split()
@@ -419,7 +421,7 @@ class FeatureTransform:
     def apply(self, features) -> np.ndarray:
         x = as_matrix(features, "features")
         if x.shape[1] != self.mean.shape[0]:
-            raise ContractViolation("transform width mismatch")
+            raise ContractViolation(f"the transform has width {self.mean.shape[0]}, the data {x.shape[1]}")
         return (x - self.mean[None, :]) / self.std[None, :]
 
     def save(self, path) -> None:

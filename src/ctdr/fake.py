@@ -23,27 +23,15 @@ FAKE_MODES = ("gaussian", "generator")
 
 @dataclass(frozen=True)
 class FakeSourceConfig:
-    """How fake rows are produced.
-
-    n_f = None means "use the training batch size". gamma = None means the
-    per-batch median heuristic on the real embeddings.
-    """
+    """How fake rows are produced. gamma = None means the per-batch median
+    heuristic on the real embeddings."""
 
     mode: str = "gaussian"
-    n_f: int | None = None
-    noise_dim: int = 32
-    gen_hidden: tuple = (64, 64)
     gamma: float | None = None
 
     def __post_init__(self):
         if self.mode not in FAKE_MODES:
             raise ConfigError(f"fake mode must be one of {FAKE_MODES}, got {self.mode!r}")
-        if self.n_f is not None and self.n_f < 1:
-            raise ConfigError(f"fake n_f must be >= 1, got {self.n_f}")
-        if self.noise_dim < 1:
-            raise ConfigError("noise_dim must be >= 1")
-        if not self.gen_hidden:
-            raise ConfigError("gen_hidden must name at least one width")
         if self.gamma is not None and not (0.0 < self.gamma < np.inf):
             raise ConfigError(f"mmd gamma must be finite and > 0, got {self.gamma}")
 

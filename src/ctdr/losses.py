@@ -29,7 +29,7 @@ def make_prior(values, num_classes=None) -> np.ndarray:
     if np.any(p < 0.0) or not np.all(np.isfinite(p)):
         raise ContractViolation("prior entries must be finite and >= 0")
     if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ContractViolation(f"prior sums to {p.sum()!r}, expected 1")
+        raise ContractViolation(f"prior sums to {float(p.sum())!r}, expected 1")
     return p
 
 

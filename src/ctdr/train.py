@@ -46,6 +46,12 @@ from .numerics import (
 )
 from .optim import OptimizerState, adam_update
 
+# The learning rate is multiplied by LR_DECAY every LR_DECAY_EVERY epochs.
+LR_DECAY = 0.6
+LR_DECAY_EVERY = 30
+# A generator maps NOISE_DIM-d noise through ReLU layers of GEN_HIDDEN widths.
+NOISE_DIM = 32
+GEN_HIDDEN = (64, 64)
 
 # The adapters name the loss functions at call time, through this module's
 # globals, so patching `ctdr.train.source_ce` (say) reaches every term.
@@ -111,8 +117,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 128
     lr: float = 0.001
-    lr_decay: float = 0.6
-    lr_decay_every: int = 30
     seed: int = 0
     prior: tuple | None = None  # None = assume the source prior for the target
     hidden: tuple = (128, 128)
@@ -127,10 +131,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if not (0.0 < self.lr < np.inf):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not (0.0 < self.lr_decay <= 1.0):
-            raise ConfigError("lr_decay must be in (0, 1]")
-        if self.lr_decay_every < 1:
-            raise ConfigError("lr_decay_every must be >= 1")
         for term, w in self.weights.items():
             if term not in TERMS:
                 raise ConfigError(f"weight for unknown term {term!r}")
@@ -141,7 +141,7 @@ class TrainConfig:
         return float(self.weights.get(term, 1.0))
 
     def lr_at(self, epoch: int) -> float:
-        return self.lr * self.lr_decay ** (epoch // self.lr_decay_every)
+        return self.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
 
 def resolve_prior(config: TrainConfig, source: Dataset) -> np.ndarray:
@@ -159,7 +159,7 @@ class RunState:
     gamma: the MMD bandwidth of the generator step (None: median heuristic)
     arch: the network; it has a generator when generator fakes feed ta or sa
     reads: the batches a step reads ("target" too when the generator runs)
-    n_f: fake rows per fake batch
+    n_f: fake rows per fake batch, the batch size
     labeled: the labeled training set (source, or target-train under ts)
     priors: prior name -> class prior, for the enabled terms that use one
     fake_stats: fake batch -> FeatureStats its gaussian rows are drawn from
@@ -193,14 +193,13 @@ class RunState:
         arch = Architecture.mlp(pair.dim, config.hidden, pair.num_classes)
         fake_stats = {}
         if config.fake.mode == "generator" and reads & {"fake_target", "fake_source"}:
-            arch = arch.with_generator(config.fake.noise_dim, config.fake.gen_hidden)
+            arch = arch.with_generator(NOISE_DIM, GEN_HIDDEN)
             reads.add("target")  # the generator's MMD step reads the target batch
         else:
             real = {"fake_target": pair.target_train, "fake_source": labeled}
             fake_stats = {b: FeatureStats.from_features(ds.features) for b, ds in real.items() if b in reads}
         streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
-        n_f = config.fake.n_f or config.batch_size
-        return cls(weights, config.fake.gamma, arch, frozenset(reads), n_f, labeled, priors, fake_stats, streams)
+        return cls(weights, config.fake.gamma, arch, frozenset(reads), config.batch_size, labeled, priors, fake_stats, streams)
 
 
 def _check_finite(term: str, value: float, epoch=None, step=None):

@@ -451,7 +451,7 @@ def test_c10_training_loop_reproduced_from_primitives():
     for epochs in (1, 3, 7):
         config = TrainConfig(
             combo=LossCombo.parse("ss"), epochs=epochs, hidden=hidden, batch_size=batch_size,
-            lr=lr0, lr_decay=decay, lr_decay_every=every, seed=seed, timing=False,
+            lr=lr0, seed=seed, timing=False,
         )
         fitted, _ = fit(config, pair)
         mine = checkpoints[epochs]

@@ -82,6 +82,17 @@ def test_resolve_config_fills_defaults_and_types():
     assert cfg["standardize"] is True
 
 
+def test_resolve_config_rejects_unknown_keys():
+    # a key SCHEMA no longer has (say, from an old resolved_config.txt) fails loudly
+    for key in ("bogus", "lr_decay", "noise_dim"):
+        with pytest.raises(ConfigError, match=f"^unknown key '{key}'$"):
+            resolve_config({"epochs": "5", key: "1"})
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    assert build_train_config(resolve_config({})) == TrainConfig()
+
+
 def test_resolve_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         resolve_config({"epochs": "five"})
@@ -106,15 +117,10 @@ def test_every_config_field_is_reachable_from_a_key():
         "epochs": "7",
         "batch": "32",
         "lr": "0.01",
-        "lr_decay": "0.5",
-        "lr_decay_every": "3",
         "seed": "9",
         "prior": "0.7,0.3",
         **{f"w_{t}": "0.5" for t in ("ss", "tu", "su", "ta", "sa", "ts")},
         "fake_mode": "generator",
-        "fake_n": "12",
-        "noise_dim": "4",
-        "gen_hidden": "8",
         "mmd_gamma": "0.25",
         "timing": "false",
     }
@@ -317,6 +323,19 @@ def test_cmd_eval_class_count_mismatch_is_exit_2_naming_the_checkpoint(
     assert str(checkpoint) in err
     assert f"the model has {k_model} classes, the dataset {k_data}" in err
     assert not report.exists() and not (tmp_path / "eval_out").exists()
+
+
+def test_cmd_eval_transform_width_mismatch_names_the_transform_and_both_widths(tmp_path, capsys):
+    path = small_train_cfg(tmp_path, standardize="true")
+    assert main(["train", "--config", str(path)]) == 0
+    transform = tmp_path / "out" / "transform.json"
+    gauss = small_train_cfg(tmp_path, name="g.txt", data="gauss_shift", gauss_dim=4)
+    capsys.readouterr()
+    code = main(["eval", "--config", str(gauss), "--checkpoint", str(tmp_path / "out" / "model.ctdr"),
+                 "--transform", str(transform)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: transform {transform} ") and "the transform has width 2, the data 4" in err
 
 
 def test_cmd_eval_with_saved_transform(tmp_path, capsys):
@@ -620,29 +639,45 @@ def test_ablate_abort_in_the_first_rung_leaves_the_header(tmp_path, capsys):
         ("combo", "ss,ts", "ts is an exclusive baseline"),
         ("prior", "abc", "prior must be `assume_source`"),
         ("mmd_gamma", "x", "mmd_gamma must be `median`"),
-        ("noise_dim", "0", "noise_dim must be >= 1"),
+        ("batch", "0", "batch_size must be >= 1"),
         ("n_source", "-1", "n_source = -1 applies only to data = idx"),
+        # checks the data builder makes
+        ("rotation", "400", "rotation must be in [0, 360] degrees, got 400.0"),
+        ("gauss_cov_scale", "-1", "cov_scale must be > 0"),
+        ("skew", "0.5,0.6", "prior sums to 1.1, expected 1"),
     ],
 )
 def test_config_value_errors_name_where_the_value_was_given(tmp_path, capsys, key, value, message):
-    path = small_train_cfg(tmp_path, **{key: value})
+    data = {"data": "gauss_shift"} if key.startswith("gauss_") else {}
+    path = small_train_cfg(tmp_path, **{**data, key: value})
     line_no = next(i for i, line in enumerate(path.read_text().splitlines(), 1) if line.startswith(f"{key} ="))
     assert main(["train", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{line_no}: ") and message in err
     # the same value from --set over a good file names --set, not the file
-    good = small_train_cfg(tmp_path, name="good.txt", lr="0.001")
+    good = small_train_cfg(tmp_path, name="good.txt", lr="0.001", **data)
     assert main(["train", "--config", str(good), "--set", f"{key}={value}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --set: ") and message in err
 
 
 def test_config_error_names_the_first_given_key_at_fault(tmp_path):
-    # the file's bad lr is given before --set's bad noise_dim, though the
+    # the file's bad lr is given before --set's bad mmd_gamma, though the
     # fake-row config is built, and fails, first
     path = small_train_cfg(tmp_path, lr="0")
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:\d+: lr must be finite"):
-        build_train_config(load_config(argparse.Namespace(config=str(path), seed=3, set=["noise_dim=0"])))
+        build_train_config(load_config(argparse.Namespace(config=str(path), seed=3, set=["mmd_gamma=-1"])))
+
+
+def test_a_fault_of_the_data_files_names_no_config_key(tmp_path, capsys):
+    # the data keys are held at their given values while the search runs, so a
+    # fault that they give on their own is blamed on no other key
+    wide, narrow = tmp_path / "wide.txt", tmp_path / "narrow.txt"
+    wide.write_text("width=3 classes=2\n0 0:1.0\n1 2:1.0\n")
+    narrow.write_text("width=2 classes=2\n0 0:1.0\n1 1:1.0\n")
+    path = small_train_cfg(tmp_path, data="sparse", source_sparse=wide, target_sparse=narrow, target_test_sparse=narrow)
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: domain feature widths differ\n"
 
 
 def test_resolve_config_without_origins_names_none():
@@ -652,9 +687,10 @@ def test_resolve_config_without_origins_names_none():
         build_train_config(resolve_config({"lr": "0"}))
 
 
-def test_set_override_rejects_unknown_key(tmp_path):
+def test_set_override_rejects_unknown_key(tmp_path, capsys):
     path = small_train_cfg(tmp_path)
     assert main(["train", "--config", str(path), "--set", "bogus=1"]) == 2
+    assert capsys.readouterr().err == "error: --set: unknown key 'bogus'\n"
 
 
 def test_gauss_shift_data_mode(tmp_path):

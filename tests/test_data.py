@@ -261,6 +261,37 @@ def test_load_sparse_errors_carry_line_numbers(tmp_path):
         load_sparse(p)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "width=4611686018427387904 classes=2",
+        "width=4294967296 classes=2",
+        "width=3 classes=100000000000000000000",
+        "width=3 classes=4294967296",
+    ],
+)
+def test_load_sparse_rejects_header_sizes_from_2_to_the_32(tmp_path, capsys, header):
+    # checkpoints store layer widths as u32. With no data rows, a loader
+    # without the bound allocates nothing for these headers either.
+    p = tmp_path / "rows.txt"
+    p.write_text(f"# rows\n{header}\n")
+    with pytest.raises(ParseError, match=r"rows\.txt:2: invalid header .* need width in \[1, 2\^32\)"):
+        load_sparse(p)
+    cfg = tmp_path / "cfg.txt"
+    keys = ("source_sparse", "target_sparse", "target_test_sparse")
+    cfg.write_text("data = sparse\n" + "".join(f"{k} = {p}\n" for k in keys) + f"out_dir = {tmp_path / 'out'}\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {p}:2: invalid header")
+
+
+def test_load_sparse_header_sizes_below_2_to_the_32_parse(tmp_path):
+    p = tmp_path / "rows.txt"
+    p.write_text("width=4294967295 classes=4294967295\n")  # header only: a (0, 2^32 - 1) array
+    ds = load_sparse(p)
+    assert ds.features.shape == (0, 4294967295) and ds.num_classes == 4294967295
+
+
 def test_load_sparse_rejects_non_utf8_bytes(tmp_path):
     p = tmp_path / "rows.txt"
     p.write_bytes(b"\xff\xfewidth=3 classes=2\n0 0:1.0\n")

@@ -51,13 +51,9 @@ def gen_net(seed=80):
 
 def test_fake_config_validation():
     FakeSourceConfig()
-    FakeSourceConfig(mode="generator", n_f=4)
+    FakeSourceConfig(mode="generator", gamma=0.5)
     with pytest.raises(ConfigError):
         FakeSourceConfig(mode="uniform")
-    with pytest.raises(ConfigError):
-        FakeSourceConfig(n_f=0)
-    with pytest.raises(ConfigError):
-        FakeSourceConfig(noise_dim=0)
     with pytest.raises(ConfigError):
         FakeSourceConfig(gamma=-1.0)
     with pytest.raises(ConfigError):
