@@ -46,8 +46,8 @@ class Dataset:
         if not finite.all():
             row, col = np.argwhere(~finite)[0]
             raise ContractViolation(f"features row {row} column {col} is not finite ({self.features[row, col]})")
-        if self.num_classes < 2:
-            raise ContractViolation(f"num_classes must be >= 2, got {self.num_classes}")
+        if not 2 <= self.num_classes < 2**32:  # checkpoints store layer widths as u32
+            raise ContractViolation(f"num_classes must be in [2, 2^32), got {self.num_classes}")
         if self.labels is not None:
             y = np.asarray(self.labels).astype(np.int64)
             if y.ndim != 1 or y.shape[0] != self.features.shape[0]:
@@ -80,6 +80,9 @@ class DomainPair:
     """
 
     def __init__(self, source: Dataset, target_train: Dataset, target_test: Dataset):
+        for split, ds in (("source", source), ("target_train", target_train), ("target_test", target_test)):
+            if ds.n == 0:
+                raise ContractViolation(f"the {split} split has no rows")
         if not (source.dim == target_train.dim == target_test.dim):
             raise ContractViolation("domain feature widths differ")
         if not (source.num_classes == target_train.num_classes == target_test.num_classes):
@@ -266,8 +269,8 @@ def load_sparse(path, name: str = "") -> Dataset:
     if not header_seen:
         raise ParseError(path, 0, "missing header line `width=<d> classes=<k>`")
     if not rows:
-        # legal degenerate input: the dataset is empty and any attempt to
-        # train or evaluate on it fails downstream
+        # legal degenerate input: the dataset is empty, and a DomainPair
+        # rejects it, naming the split
         return Dataset(np.zeros((0, width)), np.zeros(0, dtype=np.int64), num_classes, name=name)
     features = np.zeros((len(rows), width))
     for i, entries in enumerate(rows):

@@ -52,6 +52,28 @@ def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _JUMP_MULT, _JUMP_ADD = _jump_tables(_BLOCK)
 
+# Below this, Box-Muller's log(u1) comes from numpy's complex log, which calls
+# the platform's clog: its real part is libm's log(|z|), and |u1 + 0j| is u1.
+# clog takes a log1p branch near |z| = 1; on [0.5, 0.7) an imaginary part of
+# 2^-52, too small to move hypot(u1, 2^-52) off u1, keeps it on log. Below 0.5
+# it stays 0, since below about 2^-26 it would move hypot. From 1/sqrt(2) up no
+# imaginary part gives log's bytes, so from 0.7 (a margin below it) the values
+# stay math.log. test_numpy_complex_log_equals_math_log_below_0_7 guards this.
+_CLOG_BELOW = 0.7
+
+
+def _log_uniforms(u: np.ndarray) -> np.ndarray:
+    """math.log of each value of u, bit for bit; u holds random() draws in (0, 1)."""
+    z = u.astype(np.complex128)
+    high = u >= _CLOG_BELOW
+    z.imag[(u >= 0.5) & ~high] = 2.0**-52
+    out = np.log(z).real
+    rest = u[high].tolist()
+    # with a count fromiter allocates once; growing its buffer by realloc raised
+    # gauss784_ladder's peak RSS by 2.5-4.6 MB (glibc heap, 2-vCPU host)
+    out[high] = np.fromiter(map(math.log, rest), np.float64, count=len(rest))
+    return out
+
 
 class Rng:
     """PCG32: 64-bit LCG state, XSH-RR output, explicit stream selection.
@@ -132,8 +154,9 @@ class Rng:
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major block of standard normals, the same draws as rows*cols normal() calls.
 
-        Box-Muller runs on whole blocks; log stays math.log per value, as in normal() (np.log
-        differs in the last bit), and numpy's cos and sin give math's bytes (a test guards it).
+        Box-Muller runs on whole blocks. np.log differs from math.log in the last bit, so log
+        comes from _log_uniforms: clog below 0.7, math.log per value above. numpy's cos and sin
+        give math's bytes. Tests guard both.
         """
         n = rows * cols
         saved = self._state, self._spare_normal
@@ -149,7 +172,7 @@ class Rng:
             if (u1 <= 0.0).any():  # normal() would redraw u1: replay the call one draw at a time
                 self._state, self._spare_normal = saved
                 return np.fromiter((self.normal() for _ in range(n)), np.float64, count=n).reshape(rows, cols)
-            r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, count=pairs))
+            r = np.sqrt(-2.0 * _log_uniforms(u1))
             a = (2.0 * math.pi) * u2
             z = np.empty(2 * pairs)
             z[0::2] = r * np.cos(a)

@@ -270,11 +270,13 @@ def train_step(
         rep = spec.loss(cache.probs, labels, run.priors.get(spec.prior))
         _check_finite(term, rep.value, epoch, step)
         g, _ = backward(params, cache, grad_logits=rep.grad_logits, input_grad=False)
-        for name, gt in g.items():
+        for name, gt in g.items():  # gt is this backward's own array: scale and add in place
+            if w != 1.0:
+                gt *= w
             if name in total:
-                total[name] += w * gt
+                total[name] += gt
             else:
-                total[name] = w * gt
+                total[name] = gt
         reports[term] = rep
 
     with _blame("adam", epoch, step):

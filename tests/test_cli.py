@@ -545,6 +545,34 @@ def test_malformed_idx_file_is_exit_2_with_no_out_dir(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {images}:0: bad gzip stream")
 
 
+@pytest.mark.parametrize("classes", ["4294967296", "100000000000000000000"])
+def test_idx_classes_from_2_to_the_32_is_exit_2_with_no_out_dir(tmp_path, capsys, classes):
+    # checkpoints store widths as u32, as load_sparse's header bound says;
+    # without the bound np.bincount ends the run (memory error, OverflowError)
+    images, labels = write_idx_pair(tmp_path, np.zeros((6, 4, 4), dtype=np.uint8), [0, 1, 2, 0, 1, 2])
+    raw = {"data": "idx"}
+    for split in ("source", "target", "target_test"):
+        raw[f"{split}_images"], raw[f"{split}_labels"] = str(images), str(labels)
+    path = small_train_cfg(tmp_path, **raw)
+    assert main(["train", "--config", str(path), "--set", f"classes={classes}"]) == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"error: num_classes must be in [2, 2^32), got {classes}\n"
+
+
+def test_header_only_sparse_split_is_exit_2_naming_it_before_any_file(tmp_path, capsys):
+    path = unlabeled_target_cfg(tmp_path)
+    assert main(["train", "--config", str(path)]) == 0
+    model = tmp_path / "out" / "model.ctdr"
+    empty = tmp_path / "empty.txt"
+    empty.write_text("width=2 classes=2\n")
+    capsys.readouterr()
+    bad = ["--config", str(path), "--set", f"target_test_sparse={empty}", "--set", f"out_dir={tmp_path / 'bad'}"]
+    for command in (["train"], ["ablate"], ["eval", "--checkpoint", str(model), "--out", str(tmp_path / "e.json")]):
+        assert main([*command, *bad]) == 2
+        assert capsys.readouterr().err == "error: the target_test split has no rows\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "empty.txt", "out", "source.txt", "target.txt", "test.txt"]
+
+
 def test_non_utf8_config_is_exit_2_naming_file_and_line(tmp_path, capsys):
     path = small_train_cfg(tmp_path)
     head = path.read_bytes() + b"combo = ss"

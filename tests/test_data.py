@@ -68,6 +68,24 @@ def test_dataset_validation():
         Dataset(np.array([[0.0, 1.0], [2.0, 3.0], [-math.inf, 4.0]]), None, 2, "inf")
 
 
+def test_dataset_num_classes_must_fit_in_u32():
+    # checkpoints store layer widths as u32; 2^32 classes would reach a
+    # 32 GB np.bincount in empirical_prior, 1e20 an OverflowError there
+    assert Dataset(np.zeros((1, 2)), np.array([0]), 2**32 - 1).num_classes == 2**32 - 1
+    for k in (1, 2**32, 10**20):
+        with pytest.raises(ContractViolation, match=rf"^num_classes must be in \[2, 2\^32\), got {k}$"):
+            Dataset(np.zeros((1, 2)), np.array([0]), k)
+
+
+@pytest.mark.parametrize("split", ["source", "target_train", "target_test"])
+def test_domain_pair_rejects_an_empty_split(split):
+    pair = synth_two_moons(12, 10.0, 0.05, seed=4)
+    parts = {"source": pair.source, "target_train": pair.target_train, "target_test": pair.target_test}
+    parts[split] = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
+    with pytest.raises(ContractViolation, match=f"^the {split} split has no rows$"):
+        DomainPair(**parts)
+
+
 def test_domain_pair_hides_target_train_labels():
     pair = synth_two_moons(20, 10.0, 0.05, seed=3)
     assert pair.target_train.labels is None
@@ -320,9 +338,11 @@ def test_load_sparse_header_only_is_empty_dataset(tmp_path):
     p.write_text("width=5 classes=2\n")
     ds = load_sparse(p)
     assert ds.features.shape == (0, 5)
-    # training on it fails downstream, at batching
+    # a run never gets to batch it: a DomainPair rejects it, naming the split
     with pytest.raises(ContractViolation):
         Batcher(ds.features.shape[0], 4, seed=0, purpose=1)
+    with pytest.raises(ContractViolation, match="^the source split has no rows$"):
+        DomainPair(ds, ds, ds)
 
 
 def test_sparse_round_trip(tmp_path):

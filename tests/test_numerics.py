@@ -9,6 +9,7 @@ from ctdr.errors import ContractViolation
 from ctdr.numerics import (
     Rng,
     STREAM_WEIGHT_INIT,
+    _log_uniforms,
     _pairwise_sq_dists,
     gaussian_kernel_matrix,
     log_sum_exp,
@@ -192,6 +193,31 @@ def test_numpy_cos_sin_equal_math_cos_sin_bit_for_bit():
     angles = a.tolist()
     assert np.cos(a).tobytes() == np.fromiter(map(math.cos, angles), np.float64, count=a.size).tobytes()
     assert np.sin(a).tobytes() == np.fromiter(map(math.sin, angles), np.float64, count=a.size).tobytes()
+
+
+def doubles_around(x: float, n: int = 2**20) -> np.ndarray:
+    """The n consecutive doubles centred on x."""
+    return (np.float64(x).view(np.int64) + np.arange(-n // 2, n // 2)).view(np.float64)
+
+
+def test_numpy_complex_log_equals_math_log_below_0_7():
+    # normal_matrix takes log(u1) below 0.7 from numpy's complex log (the
+    # platform's clog), normal() from math.log; each must give the same bytes.
+    # Above 0.7 _log_uniforms calls math.log itself, so the values around
+    # 1/sqrt(2) catch a cut-off moved past the last value clog gets right.
+    rng = Rng(0, HIGH_STREAM)
+    draws = np.concatenate([rng._random_block(4096) for _ in range(256)])
+    cases = {
+        "draws below 0.7": draws[draws < 0.7],
+        "around 0.5": doubles_around(0.5),
+        "around 0.7": doubles_around(0.7),
+        "around 1/sqrt(2)": doubles_around(math.sqrt(0.5)),
+        "tiny draws": np.arange(1, 2**20 + 1) * 2.0**-53,  # random()'s smallest values
+    }
+    for what, u in cases.items():
+        want = np.fromiter(map(math.log, u.tolist()), np.float64, count=u.size)
+        assert _log_uniforms(u).tobytes() == want.tobytes(), what
+    assert cases["draws below 0.7"].size > 0.69 * draws.size
 
 
 def test_normal_matrix_interleaved_with_scalar_calls_carries_the_spare():
