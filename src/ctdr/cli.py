@@ -2,8 +2,8 @@
 
 Subcommands: train, eval, ablate, synth. Experiments are described by a flat
 `key = value` config file (`#` starts a comment, lists are comma-separated).
-Unknown keys are rejected. Every run prints the fully resolved config first;
-feeding those lines back as a config file reproduces the run exactly.
+Unknown keys and non-default keys that no run reads are rejected. Every run prints
+the fully resolved config first; fed back as a config file, it reproduces the run exactly.
 
 `train` writes metrics.jsonl, model.ctdr and eval.json to out_dir; `ablate` writes
 them to out_dir/<combo>/ for each rung of its loss ladder, and appends the rung's
@@ -76,6 +76,8 @@ def _choice(*options):
 _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_list(int)}
 
 _TRAIN = TrainConfig()
+_DATA_MODES = ("two_moons", "gauss_shift", "idx", "sparse")
+_SPLITS = ("source", "target", "target_test")
 
 # CLI key -> TrainConfig field, for the keys that map one to one. SCHEMA takes
 # their defaults from these fields; build_train_config fills the fields from
@@ -84,55 +86,47 @@ _TRAIN_FIELDS = {**{k: k for k in ("hidden", "epochs", "lr", "seed", "timing")},
 
 
 def _field(key):
-    """(parser, default) of the TrainConfig field a key maps to."""
+    """(parser, default, scope None) of the TrainConfig field a key maps to."""
     value = getattr(_TRAIN, _TRAIN_FIELDS[key])
-    return _PARSERS[type(value)], value
+    return _PARSERS[type(value)], value, None
 
 
-# key -> (parser, default). Insertion order is the printing order. Training
-# keys take their defaults from the config dataclasses; `prior` and
-# `mmd_gamma` keep text sentinels for the dataclasses' None.
+# key -> (parser, default, scope). Insertion order is the printing order.
+# Training keys take their defaults from the config dataclasses; `prior` and
+# `mmd_gamma` keep text sentinels for the dataclasses' None. Scope None: every
+# run reads the key; else the tags of the runs that read it (see _accept).
 SCHEMA: dict = {
     # data
-    "data": (_choice("two_moons", "gauss_shift", "idx", "sparse"), "two_moons"),
-    "n": (int, 500),
-    "rotation": (float, 35.0),
-    "noise": (float, 0.12),
-    "skew": (_parse_list(float), ()),
-    "gauss_classes": (int, 3),
-    "gauss_dim": (int, 8),
-    "gauss_mean_shift": (float, 1.0),
-    "gauss_cov_scale": (float, 1.5),
-    "classes": (int, 10),
-    "source_images": (str, ""),
-    "source_labels": (str, ""),
-    "target_images": (str, ""),
-    "target_labels": (str, ""),
-    "target_test_images": (str, ""),
-    "target_test_labels": (str, ""),
-    "source_sparse": (str, ""),
-    "target_sparse": (str, ""),
-    "target_test_sparse": (str, ""),
-    "resize": (str, ""),
-    "n_source": (int, 0),
-    "n_target": (int, 0),
-    "n_target_test": (int, 0),
-    "standardize": (_parse_bool, True),
+    "data": (_choice(*_DATA_MODES), "two_moons", None),
+    "n": (int, 500, _DATA_MODES[:2]),
+    "rotation": (float, 35.0, ("two_moons",)),
+    "noise": (float, 0.12, ("two_moons",)),
+    "skew": (_parse_list(float), (), _DATA_MODES[:2]),
+    "gauss_classes": (int, 3, ("gauss_shift",)),
+    "gauss_dim": (int, 8, ("gauss_shift",)),
+    "gauss_mean_shift": (float, 1.0, ("gauss_shift",)),
+    "gauss_cov_scale": (float, 1.5, ("gauss_shift",)),
+    "classes": (int, 10, ("idx",)),
+    **{f"{split}_{kind}": (str, "", ("idx",)) for split in _SPLITS for kind in ("images", "labels")},
+    **{f"{split}_sparse": (str, "", ("sparse",)) for split in _SPLITS},
+    "resize": (str, "", ("idx",)),
+    **{f"n_{split}": (int, 0, ("idx",)) for split in _SPLITS},
+    "standardize": (_parse_bool, True, None),
     # training
-    "combo": (str, ",".join(_TRAIN.combo.names)),
+    "combo": (str, ",".join(_TRAIN.combo.names), ("train",)),
     "hidden": _field("hidden"),
     "epochs": _field("epochs"),
     "batch": _field("batch"),
     "lr": _field("lr"),
     "seed": _field("seed"),
-    "prior": (str, "assume_source"),
-    **{f"w_{t}": (float, _TRAIN.weight(t)) for t in TERMS},
+    "prior": (str, "assume_source", ("tu",)),
+    **{f"w_{t}": (float, _TRAIN.weight(t), (t,)) for t in TERMS},
     # fake samples
-    "fake_mode": (_choice(*FAKE_MODES), _TRAIN.fake.mode),
-    "mmd_gamma": (str, "median"),
+    "fake_mode": (_choice(*FAKE_MODES), _TRAIN.fake.mode, ("ta", "sa")),
+    "mmd_gamma": (str, "median", ("generator",)),
     # output
-    "out_dir": (str, "ctdr_out"),
-    "export_embeddings": (_parse_bool, False),
+    "out_dir": (str, "ctdr_out", None),
+    "export_embeddings": (_parse_bool, False, None),
     "timing": _field("timing"),
 }
 
@@ -169,7 +163,7 @@ def resolve_config(raw: dict, where: dict | None = None) -> dict:
     """Apply defaults and parse values into their runtime types. An unknown
     key's or a bad value's error names where the key was given, when `where`
     says."""
-    cfg = _Resolved((key, default) for key, (_, default) in SCHEMA.items())
+    cfg = _Resolved((key, default) for key, (_, default, _) in SCHEMA.items())
     cfg.where = dict(where or {})
     for key, text in raw.items():
         at = f"{cfg.where[key]}: " if key in cfg.where else ""
@@ -209,35 +203,30 @@ def load_config(args) -> dict:
 # --- config -> runtime objects ---------------------------------------------------
 
 
-_PATH_KEYS = tuple(f"{d}_{k}" for d in ("source", "target", "target_test") for k in ("images", "labels", "sparse"))
+_PATH_KEYS = tuple(f"{d}_{k}" for d in _SPLITS for k in ("images", "labels", "sparse"))
 # The keys that say which data files to read and how; _located holds them.
 _DATA_KEYS = ("data", "classes", *_PATH_KEYS)
 
 
 def _located(build, cfg: dict):
-    """build(cfg). Its error names where the key at fault was given: each check
-    reads one key and the defaults pass them all, so that is the first given
-    key that fails alone among defaults. The data keys keep their given values
-    throughout; when they fail on their own, no key is named."""
+    """build(cfg). Its error names where the key at fault was given: the given
+    keys join the defaults one at a time, in the order given, and the first whose
+    joining fails is named (of combo = ss, then w_ss = 0: w_ss). The data keys
+    keep their given values throughout; when they fail on their own, none is named."""
     try:
         return build(cfg)
     except (ConfigError, ContractViolation) as exc:
         held = {**resolve_config({}), **{k: cfg[k] for k in _DATA_KEYS}}
         # the first build is of `held` as it is; when that fails, no key is named
         for key, at in [("data", None), *cfg.where.items()]:
+            held[key] = cfg[key]
             try:
-                build({**held, key: cfg[key]})
+                build(held)
             except (ConfigError, ContractViolation) as alone:
                 if at is None:
                     break
                 raise ConfigError(f"{at}: {alone}") from exc
         raise
-
-
-def _require_paths(cfg: dict, *kinds):
-    missing = [k for k in _PATH_KEYS if k.endswith(kinds) and not cfg[k]]
-    if missing:
-        raise ConfigError(f"data={cfg['data']} needs paths for {', '.join(missing)}")
 
 
 def build_pair(cfg: dict) -> DomainPair:
@@ -247,9 +236,9 @@ def build_pair(cfg: dict) -> DomainPair:
 
 def _pair(cfg: dict) -> DomainPair:
     kind = cfg["data"]
-    for key in ("resize", "n_source", "n_target", "n_target_test"):
-        if kind != "idx" and cfg[key] != SCHEMA[key][1]:
-            raise ConfigError(f"{key} = {cfg[key]} applies only to data = idx, not data = {kind}")
+    missing = [k for k in _PATH_KEYS if SCHEMA[k][2] == (kind,) and not cfg[k]]
+    if missing:
+        raise ConfigError(f"data={kind} needs paths for {', '.join(missing)}")
     skew = cfg["skew"] or None
     if kind == "two_moons":
         return synth_two_moons(cfg["n"], cfg["rotation"], cfg["noise"], skew, seed=cfg["seed"])
@@ -264,7 +253,6 @@ def _pair(cfg: dict) -> DomainPair:
             seed=cfg["seed"],
         )
     if kind == "idx":
-        _require_paths(cfg, "images", "labels")
         k = cfg["classes"]
         source = load_idx(cfg["source_images"], cfg["source_labels"], k, name="source")
         target_train = load_idx(cfg["target_images"], cfg["target_labels"], k, name="target_train")
@@ -286,7 +274,6 @@ def _pair(cfg: dict) -> DomainPair:
             target_test = subsample(target_test, cfg["n_target_test"], cfg["seed"], variant=2)
         return DomainPair(source, target_train, target_test)
     # sparse
-    _require_paths(cfg, "sparse")
     return DomainPair(
         load_sparse(cfg["source_sparse"], name="source"),
         load_sparse(cfg["target_sparse"], name="target_train"),
@@ -325,16 +312,34 @@ def _train_config(cfg: dict, pair: DomainPair | None) -> TrainConfig:
     return train_cfg
 
 
+def _accept(cfg: dict, command: str) -> None:
+    """Reject a given non-default key that no run of `command` reads, naming where it
+    was given, then print the resolved config. A run reads a key whose SCHEMA scope
+    has one of its tags: its data mode, `train` under ctdr train, a term that runs,
+    `generator` if it builds one. A key is judged at its own default, as weight 0
+    stops its own term; eval and synth train no run and check data modes only."""
+    combos = {"train": (cfg["combo"],), "ablate": ABLATION_LADDER}.get(command, ())
+    for key, at in cfg.where.items():
+        _, default, scope = SCHEMA[key]
+        if scope is None or cfg[key] == default or not (combos or scope[0] in _DATA_MODES):
+            continue
+        tags = {cfg["data"], command}
+        for combo in combos:
+            terms, generator = _train_config({**cfg, key: default, "combo": combo}, None).run_terms()
+            tags.update(terms, ["generator"] if generator else [])
+        if not tags.intersection(scope):
+            only = (f"data = {' or '.join(scope)}, not data = {cfg['data']}" if scope[0] in _DATA_MODES
+                    else f"{' or '.join(scope)} runs, not this ctdr {command}")
+            raise ConfigError(f"{at}: {key} = {_fmt(cfg[key])} applies only to {only}")
+    sys.stdout.write(format_config(cfg))
+
+
 def _prepare(cfg: dict):
     pair = build_pair(cfg)
     transform = None
     if cfg["standardize"]:
         pair, transform = standardize(pair)
     return pair, transform
-
-
-def _announce(cfg: dict) -> None:
-    sys.stdout.write(format_config(cfg))
 
 
 def _save_config(cfg: dict) -> Path:
@@ -352,7 +357,7 @@ def _start(args, ladder=None):
     Every config error, those that need the data too, exits 2 before any file."""
     cfg = load_config(args)
     build_train_config(cfg)
-    _announce(cfg)
+    _accept(cfg, "train" if ladder is None else "ablate")
     pair, transform = _prepare(cfg)
     runs = [cfg]
     if ladder is not None:
@@ -394,7 +399,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args)
-    _announce(cfg)
+    _accept(cfg, "eval")
     params = load_checkpoint(args.checkpoint)
     if getattr(args, "transform", None):
         tr, pair = FeatureTransform.load(args.transform), build_pair(cfg)
@@ -436,7 +441,7 @@ def cmd_synth(args) -> int:
     cfg = load_config(args)
     if cfg["data"] not in ("two_moons", "gauss_shift"):
         raise ConfigError("synth writes synthetic data; set data = two_moons or gauss_shift")
-    _announce(cfg)
+    _accept(cfg, "synth")
     pair = build_pair(cfg)
     out_dir = _save_config(cfg)
     save_sparse(pair.source, out_dir / "source.txt")

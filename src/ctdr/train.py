@@ -140,6 +140,11 @@ class TrainConfig:
     def weight(self, term: str) -> float:
         return float(self.weights.get(term, 1.0))
 
+    def run_terms(self) -> tuple[dict, bool]:
+        """Which terms run (term -> nonzero weight, in TERM_TABLE order) and whether generator fakes feed one."""
+        weights = {t: self.weight(t) for t in self.combo.names if self.weight(t) != 0.0}
+        return weights, self.fake.mode == "generator" and any(TERM_TABLE[t].batch.startswith("fake_") for t in weights)
+
     def lr_at(self, epoch: int) -> float:
         return self.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
@@ -178,7 +183,7 @@ class RunState:
 
     @classmethod
     def build(cls, config: TrainConfig, pair: DomainPair) -> "RunState":
-        weights = {t: config.weight(t) for t in config.combo.names if config.weight(t) != 0.0}
+        weights, generator = config.run_terms()
         if not weights:
             raise ConfigError("no enabled loss terms (all weights zero?)")
         # the one training read of target-train labels; ts in the combo unlocks them
@@ -192,7 +197,7 @@ class RunState:
         reads = {TERM_TABLE[t].batch for t in weights}
         arch = Architecture.mlp(pair.dim, config.hidden, pair.num_classes)
         fake_stats = {}
-        if config.fake.mode == "generator" and reads & {"fake_target", "fake_source"}:
+        if generator:
             arch = arch.with_generator(NOISE_DIM, GEN_HIDDEN)
             reads.add("target")  # the generator's MMD step reads the target batch
         else:

@@ -30,11 +30,14 @@ from ctdr.train import TrainConfig
 
 
 def small_train_cfg(tmp_path, name="cfg.txt", **extra):
-    """A config file for a fast two-moons training run."""
+    """A config file for a fast training run, on two-moons unless `data` says
+    otherwise. `n` is written only for the synthetic modes and `noise` only
+    for two-moons, as no other mode reads them."""
+    data = extra.get("data", "two_moons")
     lines = {
-        "data": "two_moons",
-        "n": 40,
-        "noise": 0.1,
+        "data": data,
+        **({"n": 40} if data in ("two_moons", "gauss_shift") else {}),
+        **({"noise": 0.1} if data == "two_moons" else {}),
         "epochs": 2,
         "hidden": "8",
         "batch": 16,
@@ -531,6 +534,111 @@ def test_idx_only_keys_elsewhere_are_exit_2_with_no_out_dir(tmp_path, capsys, co
     assert main([command, "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
     assert f"{key} = {value} applies only to data = idx, not data = {data}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, base, key, value, message",
+    [
+        ("train", {}, "gauss_dim", "5", "gauss_dim = 5 applies only to data = gauss_shift, not data = two_moons"),
+        ("train", {}, "classes", "3", "classes = 3 applies only to data = idx, not data = two_moons"),
+        ("train", {"data": "gauss_shift"}, "rotation", "10", "rotation = 10.0 applies only to data = two_moons, not data = gauss_shift"),
+        ("train", {"data": "gauss_shift"}, "noise", "0.3", "noise = 0.3 applies only to data = two_moons, not data = gauss_shift"),
+        ("train", {}, "fake_mode", "generator", "fake_mode = generator applies only to ta or sa runs, not this ctdr train"),
+        ("train", {}, "mmd_gamma", "0.5", "mmd_gamma = 0.5 applies only to generator runs, not this ctdr train"),
+        ("train", {}, "w_ta", "2", "w_ta = 2.0 applies only to ta runs, not this ctdr train"),
+        ("train", {"combo": "ss"}, "prior", "0.5,0.5", "prior = 0.5,0.5 applies only to tu runs, not this ctdr train"),
+        # a term at weight 0 does not run, so what it alone reads applies to nothing
+        ("train", {"w_tu": "0"}, "prior", "0.5,0.5", "prior = 0.5,0.5 applies only to tu runs, not this ctdr train"),
+        ("train", {"combo": "ss,ta", "w_ta": "0"}, "fake_mode", "generator",
+         "fake_mode = generator applies only to ta or sa runs, not this ctdr train"),
+        ("ablate", {}, "combo", "ss,ta", "combo = ss,ta applies only to train runs, not this ctdr ablate"),
+        ("ablate", {}, "mmd_gamma", "0.5", "mmd_gamma = 0.5 applies only to generator runs, not this ctdr ablate"),
+    ],
+)
+def test_a_key_no_run_reads_is_exit_2_naming_where_it_was_given(tmp_path, capsys, command, base, key, value, message):
+    path = small_train_cfg(tmp_path, **base, **{key: value})
+    line_no = next(i for i, line in enumerate(path.read_text().splitlines(), 1) if line.startswith(f"{key} ="))
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line_no}: {message}\n"
+    good = small_train_cfg(tmp_path, name="good.txt", **base)
+    assert main([command, "--config", str(good), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err == f"error: --set: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_weight_zero_of_a_term_in_the_combo_applies(tmp_path):
+    path = small_train_cfg(tmp_path, combo="ss,tu,ta", w_ta="0", epochs=1)
+    assert main(["train", "--config", str(path)]) == 0
+    assert json.loads(read_metrics(tmp_path / "out"))["loss"]["ta"] is None
+
+
+@pytest.mark.parametrize("origin", ["file", "--set"])
+def test_a_fault_of_two_keys_names_the_key_that_completes_it(tmp_path, capsys, origin):
+    # neither combo = ss nor w_ss = 0 fails alone; together no term runs
+    if origin == "file":
+        path = small_train_cfg(tmp_path, combo="ss", w_ss="0")
+        args, at = [], f"{path}:{len(path.read_text().splitlines())}"
+    else:
+        path, args, at = small_train_cfg(tmp_path), ["--set", "combo=ss", "--set", "w_ss=0"], "--set"
+    assert main(["train", "--config", str(path), *args]) == 2
+    assert capsys.readouterr().err == f"error: {at}: no enabled loss terms (all weights zero?)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_eval_and_synth_accept_a_resolved_config(tmp_path, capsys, command):
+    # eval and synth train no run, so the training keys a run read pass through them
+    extra = {"combo": "ss,tu,ta"} if command == "train" else {}
+    path = small_train_cfg(tmp_path, fake_mode="generator", mmd_gamma="0.5", prior="0.5,0.5", w_ta="2", **extra)
+    assert main([command, "--config", str(path)]) == 0
+    out = tmp_path / "out"
+    resolved = out / "resolved_config.txt"
+    model = out / ("model.ctdr" if command == "train" else "ss+tu+su+ta/model.ctdr")
+    assert main(["eval", "--config", str(resolved), "--checkpoint", str(model)]) == 0
+    assert main(["synth", "--config", str(resolved), "--set", f"out_dir={tmp_path / 'synth'}"]) == 0
+    assert (tmp_path / "synth" / "target_test.txt").exists()
+    # they still check the data keys
+    capsys.readouterr()
+    assert main(["eval", "--config", str(resolved), "--checkpoint", str(model), "--set", "gauss_dim=5"]) == 2
+    assert capsys.readouterr().err == "error: --set: gauss_dim = 5 applies only to data = gauss_shift, not data = two_moons\n"
+
+
+# A non-default value of each scoped key, for the guard below
+SCOPED_VALUES = {
+    "n": "30", "rotation": "10", "noise": "0.3", "skew": "0.5,0.5", "gauss_classes": "4", "gauss_dim": "5",
+    "gauss_mean_shift": "2", "gauss_cov_scale": "2", "classes": "3", "resize": "28x28",
+    **{f"{split}_{kind}": "x" for split in ("source", "target", "target_test") for kind in ("images", "labels", "sparse")},
+    **{f"n_{split}": "5" for split in ("source", "target", "target_test")},
+    "combo": "ss", "prior": "0.5,0.5", **{f"w_{t}": "2" for t in ("ss", "tu", "su", "ta", "sa", "ts")},
+    "fake_mode": "generator", "mmd_gamma": "0.5",
+}
+READ_BY_EVERY_RUN = {"data", "standardize", "hidden", "epochs", "batch", "lr", "seed", "out_dir", "export_embeddings", "timing"}
+
+
+def scope_runs(tag):
+    """(command, base keys) of a run that has `tag`, and of one that has not."""
+    if tag in ("two_moons", "gauss_shift", "idx", "sparse"):
+        return ("train", {"data": tag}), ("train", {"data": "sparse" if tag == "idx" else "idx"})
+    if tag == "generator":
+        return ("train", {"combo": "ss,ta", "fake_mode": "generator"}), ("train", {"combo": "ss,ta"})
+    if tag == "train":
+        return ("train", {}), ("ablate", {})
+    return ("train", {"combo": tag}), ("train", {"combo": "tu" if tag == "ss" else "ss"})
+
+
+@pytest.mark.parametrize("key", sorted(SCOPED_VALUES))
+def test_every_scoped_key_is_rejected_where_no_run_reads_it_and_accepted_where_one_does(key):
+    """A new key either states its scope or is read by every run."""
+    assert {k for k, (_, _, scope) in ctdr.cli.SCHEMA.items() if scope is None} == READ_BY_EVERY_RUN
+    assert set(ctdr.cli.SCHEMA) == READ_BY_EVERY_RUN | set(SCOPED_VALUES)
+    def accept(command, keys):
+        sets = [f"{k}={v}" for k, v in {**keys, key: SCOPED_VALUES[key]}.items()]
+        ctdr.cli._accept(load_config(argparse.Namespace(config=None, seed=None, set=sets)), command)
+
+    reads, skips = scope_runs(ctdr.cli.SCHEMA[key][2][0])
+    accept(*reads)
+    with pytest.raises(ConfigError, match=rf"^--set: {key} = \S+ applies only to "):
+        accept(*skips)
 
 
 def test_malformed_idx_file_is_exit_2_with_no_out_dir(tmp_path, capsys):
