@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import (
@@ -37,7 +38,7 @@ from .errors import ConfigError, ContractViolation, CtdrError, NonFiniteLossErro
 from .evaluation import evaluate, export_embeddings
 from .fake import FAKE_MODES, FakeSourceConfig
 from .model import load_checkpoint, save_checkpoint
-from .train import TERMS, LossCombo, RunState, TrainConfig, fit
+from .train import LossCombo, RunState, TrainConfig, fit
 
 
 # --- config schema -------------------------------------------------------------
@@ -120,7 +121,6 @@ SCHEMA: dict = {
     "lr": _field("lr"),
     "seed": _field("seed"),
     "prior": (str, "assume_source", ("tu",)),
-    **{f"w_{t}": (float, _TRAIN.weight(t), (t,)) for t in TERMS},
     # fake samples
     "fake_mode": (_choice(*FAKE_MODES), _TRAIN.fake.mode, ("ta", "sa")),
     "mmd_gamma": (str, "median", ("generator",)),
@@ -211,8 +211,9 @@ _DATA_KEYS = ("data", "classes", *_PATH_KEYS)
 def _located(build, cfg: dict):
     """build(cfg). Its error names where the key at fault was given: the given
     keys join the defaults one at a time, in the order given, and the first whose
-    joining fails is named (of combo = ss, then w_ss = 0: w_ss). The data keys
-    keep their given values throughout; when they fail on their own, none is named."""
+    joining fails is named (under data = gauss_shift, of n = 5, then
+    gauss_classes = 8: gauss_classes). The data keys keep their given values
+    throughout; when they fail on their own, none is named."""
     try:
         return build(cfg)
     except (ConfigError, ContractViolation) as exc:
@@ -303,7 +304,6 @@ def _train_config(cfg: dict, pair: DomainPair | None) -> TrainConfig:
     train_cfg = TrainConfig(
         combo=LossCombo.parse(cfg["combo"]),
         prior=prior,
-        weights={t: cfg[f"w_{t}"] for t in TERMS if cfg[f"w_{t}"] != _TRAIN.weight(t)},
         fake=FakeSourceConfig(cfg["fake_mode"], gamma),
         **{name: cfg[key] for key, name in _TRAIN_FIELDS.items()},
     )
@@ -313,20 +313,22 @@ def _train_config(cfg: dict, pair: DomainPair | None) -> TrainConfig:
 
 
 def _accept(cfg: dict, command: str) -> None:
-    """Reject a given non-default key that no run of `command` reads, naming where it
-    was given, then print the resolved config. A run reads a key whose SCHEMA scope
-    has one of its tags: its data mode, `train` under ctdr train, a term that runs,
-    `generator` if it builds one. A key is judged at its own default, as weight 0
-    stops its own term; eval and synth train no run and check data modes only."""
+    """Check the training keys, whatever the command, so a printed config is valid
+    input to every command. Reject a given non-default key that no run of `command`
+    reads, naming where it was given, then print the resolved config. A run reads a
+    key whose SCHEMA scope has one of its tags: its data mode, `train` under ctdr
+    train, a term of its combo, `generator` if it builds one. eval and synth train
+    no run and check data modes only."""
+    train_cfg = build_train_config(cfg)
     combos = {"train": (cfg["combo"],), "ablate": ABLATION_LADDER}.get(command, ())
+    tags = {cfg["data"], command}
+    for combo in combos:
+        run = replace(train_cfg, combo=LossCombo.parse(combo))
+        tags.update(run.combo.names, ["generator"] if run.uses_generator() else [])
     for key, at in cfg.where.items():
         _, default, scope = SCHEMA[key]
         if scope is None or cfg[key] == default or not (combos or scope[0] in _DATA_MODES):
             continue
-        tags = {cfg["data"], command}
-        for combo in combos:
-            terms, generator = _train_config({**cfg, key: default, "combo": combo}, None).run_terms()
-            tags.update(terms, ["generator"] if generator else [])
         if not tags.intersection(scope):
             only = (f"data = {' or '.join(scope)}, not data = {cfg['data']}" if scope[0] in _DATA_MODES
                     else f"{' or '.join(scope)} runs, not this ctdr {command}")
@@ -356,7 +358,6 @@ def _start(args, ladder=None):
     """(cfg, pair, out_dir, a TrainConfig for cfg or for each combo of `ladder`).
     Every config error, those that need the data too, exits 2 before any file."""
     cfg = load_config(args)
-    build_train_config(cfg)
     _accept(cfg, "train" if ladder is None else "ablate")
     pair, transform = _prepare(cfg)
     runs = [cfg]

@@ -14,11 +14,9 @@ One classifier is optimized over any combination of loss terms:
 TERM_TABLE says which batch each term reads, its loss and its prior; a step
 walks the table in order, after the generator's MMD step when the network
 has a generator. RunState.build is the one place that turns a config and a
-pair into a run: the term weights, the MMD bandwidth, the network, the
-batches a step reads and the labeled set; a step reads no TrainConfig.
-Reductions are sums over the batch; enabled terms add with per-term weights
-(default 1). A term with weight 0 is treated as disabled: its code never
-runs, so "weight 0" and "flag off" produce bit-identical trajectories.
+pair into a run: the terms, the MMD bandwidth, the network, the batches a
+step reads and the labeled set; a step reads no TrainConfig. Reductions are
+sums over the batch; the terms of the combo add with equal weight.
 """
 
 from __future__ import annotations
@@ -120,7 +118,6 @@ class TrainConfig:
     seed: int = 0
     prior: tuple | None = None  # None = assume the source prior for the target
     hidden: tuple = (128, 128)
-    weights: dict = field(default_factory=dict)  # term -> weight, default 1.0
     fake: FakeSourceConfig = field(default_factory=FakeSourceConfig)
     timing: bool = True
 
@@ -131,19 +128,10 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if not (0.0 < self.lr < np.inf):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        for term, w in self.weights.items():
-            if term not in TERMS:
-                raise ConfigError(f"weight for unknown term {term!r}")
-            if not (0.0 <= w < np.inf):
-                raise ConfigError(f"weight for {term} must be finite and >= 0, got {w}")
 
-    def weight(self, term: str) -> float:
-        return float(self.weights.get(term, 1.0))
-
-    def run_terms(self) -> tuple[dict, bool]:
-        """Which terms run (term -> nonzero weight, in TERM_TABLE order) and whether generator fakes feed one."""
-        weights = {t: self.weight(t) for t in self.combo.names if self.weight(t) != 0.0}
-        return weights, self.fake.mode == "generator" and any(TERM_TABLE[t].batch.startswith("fake_") for t in weights)
+    def uses_generator(self) -> bool:
+        """Whether generator fakes feed a term of the combo."""
+        return self.fake.mode == "generator" and any(TERM_TABLE[t].batch.startswith("fake_") for t in self.combo.names)
 
     def lr_at(self, epoch: int) -> float:
         return self.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)
@@ -160,7 +148,7 @@ def resolve_prior(config: TrainConfig, source: Dataset) -> np.ndarray:
 class RunState:
     """What every step of a run reads besides params and batches.
 
-    weights: term -> weight for the terms that run (nonzero), in TERM_TABLE order
+    terms: the terms that run, in TERM_TABLE order
     gamma: the MMD bandwidth of the generator step (None: median heuristic)
     arch: the network; it has a generator when generator fakes feed ta or sa
     reads: the batches a step reads ("target" too when the generator runs)
@@ -171,7 +159,7 @@ class RunState:
     streams: fake batch -> the long-lived Rng its rows draw on
     """
 
-    weights: dict
+    terms: tuple
     gamma: float | None
     arch: Architecture
     reads: frozenset
@@ -183,28 +171,26 @@ class RunState:
 
     @classmethod
     def build(cls, config: TrainConfig, pair: DomainPair) -> "RunState":
-        weights, generator = config.run_terms()
-        if not weights:
-            raise ConfigError("no enabled loss terms (all weights zero?)")
+        terms = config.combo.names
         # the one training read of target-train labels; ts in the combo unlocks them
-        labeled = pair.target_train_labeled(oracle=True) if "ts" in weights else pair.source
-        wanted = {TERM_TABLE[t].prior for t in weights}
+        labeled = pair.target_train_labeled(oracle=True) if "ts" in terms else pair.source
+        wanted = {TERM_TABLE[t].prior for t in terms}
         priors = {}
         if "target" in wanted:
             priors["target"] = resolve_prior(config, pair.source)
         if "source" in wanted:
             priors["source"] = empirical_prior(labeled)
-        reads = {TERM_TABLE[t].batch for t in weights}
+        reads = {TERM_TABLE[t].batch for t in terms}
         arch = Architecture.mlp(pair.dim, config.hidden, pair.num_classes)
         fake_stats = {}
-        if generator:
+        if config.uses_generator():
             arch = arch.with_generator(NOISE_DIM, GEN_HIDDEN)
             reads.add("target")  # the generator's MMD step reads the target batch
         else:
             real = {"fake_target": pair.target_train, "fake_source": labeled}
             fake_stats = {b: FeatureStats.from_features(ds.features) for b, ds in real.items() if b in reads}
         streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
-        return cls(weights, config.fake.gamma, arch, frozenset(reads), config.batch_size, labeled, priors, fake_stats, streams)
+        return cls(terms, config.fake.gamma, arch, frozenset(reads), config.batch_size, labeled, priors, fake_stats, streams)
 
 
 def _check_finite(term: str, value: float, epoch=None, step=None):
@@ -265,7 +251,7 @@ def train_step(
             return gaussian_fakes(run.fake_stats[batch], run.n_f, run.streams[batch])
         return generator_fakes(params, run.n_f, run.streams[batch])
 
-    for term, w in run.weights.items():
+    for term in run.terms:
         spec = TERM_TABLE[term]
         if spec.batch not in caches:
             with _blame(term, epoch, step):
@@ -275,9 +261,7 @@ def train_step(
         rep = spec.loss(cache.probs, labels, run.priors.get(spec.prior))
         _check_finite(term, rep.value, epoch, step)
         g, _ = backward(params, cache, grad_logits=rep.grad_logits, input_grad=False)
-        for name, gt in g.items():  # gt is this backward's own array: scale and add in place
-            if w != 1.0:
-                gt *= w
+        for name, gt in g.items():  # gt is this backward's own array: add in place
             if name in total:
                 total[name] += gt
             else:
@@ -316,8 +300,8 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     )
     steps_per_epoch = max(sup_batcher.batches_per_epoch, target_batcher.batches_per_epoch if target_batcher else 0)
 
-    reported = tuple(run.weights) + (("gen",) if arch.generator else ())
-    record_keys = tuple(t for t in TERMS if t != "ts") + ("gen",) + (("ts",) if "ts" in run.weights else ())
+    reported = run.terms + (("gen",) if arch.generator else ())
+    record_keys = tuple(t for t in TERMS if t != "ts") + ("gen",) + (("ts",) if "ts" in run.terms else ())
     metrics = []
     for epoch in range(config.epochs):
         t0 = time.perf_counter()

@@ -5,7 +5,7 @@ import hashlib
 import json
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 from test_data import write_idx_pair
 
 import ctdr.cli
+import ctdr.train
 from ctdr.cli import (
     build_pair,
     build_train_config,
@@ -122,7 +123,6 @@ def test_every_config_field_is_reachable_from_a_key():
         "lr": "0.01",
         "seed": "9",
         "prior": "0.7,0.3",
-        **{f"w_{t}": "0.5" for t in ("ss", "tu", "su", "ta", "sa", "ts")},
         "fake_mode": "generator",
         "mmd_gamma": "0.25",
         "timing": "false",
@@ -491,11 +491,26 @@ def test_overflow_is_exit_3_with_abort_record_and_no_numpy_warning(tmp_path, cap
     ["combo=zz", "prior=abc", "lr=0", "mmd_gamma=x", "prior=0.5,0.3,0.2", "lr=inf", "w_tu=nan", "w_tu=inf", "mmd_gamma=inf"],
 )
 def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command, bad):
+    # w_tu: the weight line of an older resolved_config.txt is an unknown key
     path = small_train_cfg(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
     assert main([command, "--config", str(path), "--set", bad]) == 2
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["eval", "synth"])
+@pytest.mark.parametrize("bad", ["epochs=-3", "combo=zz", "lr=0", "mmd_gamma=x"])
+def test_eval_and_synth_reject_a_bad_training_key_before_any_file(tmp_path, capsys, command, bad):
+    # a resolved config holds only valid values, so it is valid input to every command
+    path = small_train_cfg(tmp_path)
+    assert main(["train", "--config", str(path), "--set", f"out_dir={tmp_path / 'model'}", "--set", "epochs=0"]) == 0
+    report = tmp_path / "eval.json"
+    args = ["--checkpoint", str(tmp_path / "model" / "model.ctdr"), "--out", str(report)] if command == "eval" else []
+    capsys.readouterr()
+    assert main([command, "--config", str(path), "--set", bad, *args]) == 2
+    assert capsys.readouterr().err.startswith("error: --set: ")
+    assert not (tmp_path / "out").exists() and not report.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -545,12 +560,7 @@ def test_idx_only_keys_elsewhere_are_exit_2_with_no_out_dir(tmp_path, capsys, co
         ("train", {"data": "gauss_shift"}, "noise", "0.3", "noise = 0.3 applies only to data = two_moons, not data = gauss_shift"),
         ("train", {}, "fake_mode", "generator", "fake_mode = generator applies only to ta or sa runs, not this ctdr train"),
         ("train", {}, "mmd_gamma", "0.5", "mmd_gamma = 0.5 applies only to generator runs, not this ctdr train"),
-        ("train", {}, "w_ta", "2", "w_ta = 2.0 applies only to ta runs, not this ctdr train"),
         ("train", {"combo": "ss"}, "prior", "0.5,0.5", "prior = 0.5,0.5 applies only to tu runs, not this ctdr train"),
-        # a term at weight 0 does not run, so what it alone reads applies to nothing
-        ("train", {"w_tu": "0"}, "prior", "0.5,0.5", "prior = 0.5,0.5 applies only to tu runs, not this ctdr train"),
-        ("train", {"combo": "ss,ta", "w_ta": "0"}, "fake_mode", "generator",
-         "fake_mode = generator applies only to ta or sa runs, not this ctdr train"),
         ("ablate", {}, "combo", "ss,ta", "combo = ss,ta applies only to train runs, not this ctdr ablate"),
         ("ablate", {}, "mmd_gamma", "0.5", "mmd_gamma = 0.5 applies only to generator runs, not this ctdr ablate"),
     ],
@@ -566,22 +576,17 @@ def test_a_key_no_run_reads_is_exit_2_naming_where_it_was_given(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-def test_a_weight_zero_of_a_term_in_the_combo_applies(tmp_path):
-    path = small_train_cfg(tmp_path, combo="ss,tu,ta", w_ta="0", epochs=1)
-    assert main(["train", "--config", str(path)]) == 0
-    assert json.loads(read_metrics(tmp_path / "out"))["loss"]["ta"] is None
-
-
 @pytest.mark.parametrize("origin", ["file", "--set"])
 def test_a_fault_of_two_keys_names_the_key_that_completes_it(tmp_path, capsys, origin):
-    # neither combo = ss nor w_ss = 0 fails alone; together no term runs
+    # under data = gauss_shift, neither n = 5 nor gauss_classes = 8 fails alone; together n < classes
     if origin == "file":
-        path = small_train_cfg(tmp_path, combo="ss", w_ss="0")
+        path = small_train_cfg(tmp_path, data="gauss_shift", n="5", gauss_classes="8")
         args, at = [], f"{path}:{len(path.read_text().splitlines())}"
     else:
-        path, args, at = small_train_cfg(tmp_path), ["--set", "combo=ss", "--set", "w_ss=0"], "--set"
+        path = small_train_cfg(tmp_path, data="gauss_shift")
+        args, at = ["--set", "n=5", "--set", "gauss_classes=8"], "--set"
     assert main(["train", "--config", str(path), *args]) == 2
-    assert capsys.readouterr().err == f"error: {at}: no enabled loss terms (all weights zero?)\n"
+    assert capsys.readouterr().err == f"error: {at}: synth_gauss_shift: need n >= num_classes\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -589,7 +594,7 @@ def test_a_fault_of_two_keys_names_the_key_that_completes_it(tmp_path, capsys, o
 def test_eval_and_synth_accept_a_resolved_config(tmp_path, capsys, command):
     # eval and synth train no run, so the training keys a run read pass through them
     extra = {"combo": "ss,tu,ta"} if command == "train" else {}
-    path = small_train_cfg(tmp_path, fake_mode="generator", mmd_gamma="0.5", prior="0.5,0.5", w_ta="2", **extra)
+    path = small_train_cfg(tmp_path, fake_mode="generator", mmd_gamma="0.5", prior="0.5,0.5", **extra)
     assert main([command, "--config", str(path)]) == 0
     out = tmp_path / "out"
     resolved = out / "resolved_config.txt"
@@ -609,7 +614,7 @@ SCOPED_VALUES = {
     "gauss_mean_shift": "2", "gauss_cov_scale": "2", "classes": "3", "resize": "28x28",
     **{f"{split}_{kind}": "x" for split in ("source", "target", "target_test") for kind in ("images", "labels", "sparse")},
     **{f"n_{split}": "5" for split in ("source", "target", "target_test")},
-    "combo": "ss", "prior": "0.5,0.5", **{f"w_{t}": "2" for t in ("ss", "tu", "su", "ta", "sa", "ts")},
+    "combo": "ss", "prior": "0.5,0.5",
     "fake_mode": "generator", "mmd_gamma": "0.5",
 }
 READ_BY_EVERY_RUN = {"data", "standardize", "hidden", "epochs", "batch", "lr", "seed", "out_dir", "export_embeddings", "timing"}
@@ -743,10 +748,17 @@ def test_ablate_summary_rows_are_on_disk_as_rungs_finish(tmp_path, monkeypatch):
     assert lines_at_fit == [1, 2, 3, 4, 5, 6, 7]  # the header, then one row per finished rung
 
 
-def test_ablate_abort_keeps_the_finished_rows_and_names_the_rung(tmp_path, capsys):
+def test_ablate_abort_keeps_the_finished_rows_and_names_the_rung(tmp_path, monkeypatch, capsys):
     path = small_train_cfg(tmp_path, epochs=15, lr=0.01)
-    # the first ta rung overflows Adam at its first step
-    assert main(["ablate", "--config", str(path), "--set", "w_ta=1e300"]) == 3
+    # ta's gradient, scaled up, overflows Adam at the first ta rung's first step
+    real_adv_bce = ctdr.train.adv_bce
+
+    def huge_adv_bce(probs):
+        rep = real_adv_bce(probs)
+        return replace(rep, grad_logits=rep.grad_logits * 1e300)
+
+    monkeypatch.setattr(ctdr.train, "adv_bce", huge_adv_bce)
+    assert main(["ablate", "--config", str(path)]) == 3
     out = tmp_path / "out"
     rows = (out / "summary.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows] == ["combo", "ss", "ss+tu", "ss+tu+su"]
@@ -771,7 +783,6 @@ def test_ablate_abort_in_the_first_rung_leaves_the_header(tmp_path, capsys):
         ("epochs", "five", "bad value for 'epochs'"),
         ("data", "imaginary", "bad value for 'data'"),
         ("lr", "0", "lr must be finite and > 0"),
-        ("w_tu", "nan", "weight for tu must be finite"),
         ("combo", "ss,ts", "ts is an exclusive baseline"),
         ("prior", "abc", "prior must be `assume_source`"),
         ("mmd_gamma", "x", "mmd_gamma must be `median`"),

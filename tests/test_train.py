@@ -78,28 +78,12 @@ def test_train_config_validation():
     for lr in (math.inf, math.nan):
         with pytest.raises(ConfigError):
             quick_config(lr=lr)
-    for w in (math.nan, math.inf, -1.0):
-        with pytest.raises(ConfigError):
-            quick_config(weights={"tu": w})
 
 
 def test_learning_rate_schedule_exact():
     cfg = TrainConfig(LossCombo.parse("ss"), epochs=100)
     for epoch in (0, 29, 30, 59, 60, 90):
         assert cfg.lr_at(epoch) == 0.001 * 0.6 ** (epoch // 30)
-
-
-def test_weights_default_to_one_and_zero_disables():
-    pair = tiny_pair()
-    cfg = quick_config("ss,tu,ta")
-    assert cfg.weight("ss") == 1.0
-    assert tuple(RunState.build(cfg, pair).weights) == ("ss", "tu", "ta")
-    cfg = quick_config("ss,tu,ta", weights={"ta": 0.0, "tu": 2.0})
-    assert tuple(RunState.build(cfg, pair).weights) == ("ss", "tu")
-    assert cfg.weight("tu") == 2.0
-    # the run plan leaves zero-weight terms out and keeps TERM_TABLE order
-    cfg = quick_config("ta,su,tu,ss", weights={"ss": 0.5, "su": 0.0, "ta": 3.0})
-    assert list(RunState.build(cfg, pair).weights.items()) == [("ss", 0.5), ("tu", 1.0), ("ta", 3.0)]
 
 
 def test_resolve_prior_pass_through_and_empirical():
@@ -221,23 +205,6 @@ def test_ts_trains_on_target_labels_with_no_flag():
         fit(quick_config("ts"), unlabeled)
 
 
-def test_all_weights_zero_rejected():
-    pair = tiny_pair()
-    with pytest.raises(ConfigError):
-        fit(quick_config("ss", weights={"ss": 0.0}), pair)
-
-
-def test_zero_weight_term_is_bit_identical_to_flag_off():
-    pair = tiny_pair()
-    base = quick_config("ss", epochs=3)
-    zeroed = quick_config("ss,tu,ta,sa", epochs=3, weights={"tu": 0.0, "ta": 0.0, "sa": 0.0})
-    p1, m1 = fit(base, pair)
-    p2, m2 = fit(zeroed, pair)
-    for name in tensor_names(p1.arch):
-        assert np.array_equal(p1.tensors[name], p2.tensors[name])
-    assert m1 == m2
-
-
 def test_single_target_row_reduces_to_source_only():
     # a one-row target batch has an exactly-zero contradistinguish gradient,
     # so {ss,tu} must walk the same parameter trajectory as {ss}
@@ -338,7 +305,7 @@ def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
         opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
         rows.clear()
         _, _, _, reports = train_step(params, opt, opt_phi, sup, tgt, run, 0.01)
-        assert set(reports) == set(run.weights) | ({"gen"} if arch.generator else set())
+        assert set(reports) == set(run.terms) | ({"gen"} if arch.generator else set())
         return list(rows)
 
     # tu reads the target batch and sa the source fakes; no term reads the labeled batch
