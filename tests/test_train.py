@@ -127,6 +127,22 @@ def test_run_state_fake_rows_default_to_the_batch_size():
     assert RunState.build(quick_config("ss,ta", batch_size=5), pair).n_f == 5
 
 
+@pytest.mark.parametrize(
+    "combo, mode, expected",
+    [
+        ("ss,tu", "generator", False),
+        ("ss,ta", "generator", True),
+        ("ss,sa", "generator", True),
+        ("ss,tu,ta", "gaussian", False),
+        ("ts", "generator", False),
+    ],
+)
+def test_uses_generator_only_when_generator_fakes_feed_a_term(combo, mode, expected):
+    cfg = quick_config(combo, fake=FakeSourceConfig(mode=mode))
+    assert cfg.uses_generator() is expected
+    assert bool(RunState.build(cfg, tiny_pair()).arch.generator) is expected
+
+
 def test_fit_zero_epochs_returns_init():
     pair = tiny_pair()
     cfg = quick_config(epochs=0)
@@ -316,6 +332,43 @@ def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
     assert step_rows(quick_config("ss,tu,ta", fake=gen)) == [5, 16, 8]
     # with no term reading the target batch, the generator step still forwards it once
     assert step_rows(quick_config("ss,ta", fake=gen)) == [5, 16, 8]
+
+
+@pytest.mark.parametrize("combo", ["ss,tu", "ss,tu,su", "ss,tu,su,ta,sa"])
+def test_terms_of_a_combo_add_with_equal_weight(monkeypatch, combo):
+    # the step hands Adam the plain sum of its terms' gradients, each the one
+    # that term alone would hand it, added in TERM_TABLE order
+    pair = tiny_pair()
+    sup = Batch(pair.source.features[:8], pair.source.labels[:8])
+    tgt = Batch(pair.target_train.features[:8])
+    handed = []
+    real_adam = ctdr.train.adam_update
+
+    def recording_adam(params, grads, state, lr):
+        handed.append({n: g.copy() for n, g in grads.items()})
+        return real_adam(params, grads, state, lr)
+
+    monkeypatch.setattr(ctdr.train, "adam_update", recording_adam)
+
+    def step(terms):
+        cfg = quick_config(terms)
+        run = RunState.build(cfg, pair)
+        params = init_params(run.arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
+        opt = OptimizerState.for_params(params, theta_names(run.arch))
+        handed.clear()
+        _, _, _, reports = train_step(params, opt, None, sup, tgt, run, 0.01)
+        return handed[0], reports
+
+    total, reports = step(combo)
+    expected = {}
+    for term in LossCombo.parse(combo).names:
+        grads, alone = step(term)
+        assert reports[term].value == alone[term].value
+        for name, g in grads.items():
+            expected[name] = expected[name] + g if name in expected else g
+    assert set(total) == set(expected)
+    for name in total:
+        assert np.array_equal(total[name], expected[name])
 
 
 def test_gaussian_adversarial_terms_run():
