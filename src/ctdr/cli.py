@@ -204,21 +204,17 @@ def load_config(args) -> dict:
 
 
 _PATH_KEYS = tuple(f"{d}_{k}" for d in _SPLITS for k in ("images", "labels", "sparse"))
-# The keys that say which data files to read and how; _located holds them.
-_DATA_KEYS = ("data", "classes", *_PATH_KEYS)
 
 
 def _located(build, cfg: dict):
-    """build(cfg). Its error names where the key at fault was given: the given
-    keys join the defaults one at a time, in the order given, and the first whose
-    joining fails is named (under data = gauss_shift, of n = 5, then
-    gauss_classes = 8: gauss_classes). The data keys keep their given values
-    throughout; when they fail on their own, none is named."""
+    """build(cfg). Its error names where the key at fault was given: `data`, then
+    the given keys in the order given, join the defaults one at a time, and the first
+    whose joining fails is named (under data = gauss_shift, of n = 5, then
+    gauss_classes = 8: gauss_classes). When `data` fails on its own, none is named."""
     try:
         return build(cfg)
     except (ConfigError, ContractViolation) as exc:
-        held = {**resolve_config({}), **{k: cfg[k] for k in _DATA_KEYS}}
-        # the first build is of `held` as it is; when that fails, no key is named
+        held = resolve_config({})
         for key, at in [("data", None), *cfg.where.items()]:
             held[key] = cfg[key]
             try:
@@ -231,15 +227,29 @@ def _located(build, cfg: dict):
 
 
 def build_pair(cfg: dict) -> DomainPair:
-    """The DomainPair of resolve_config's values; errors as in _located."""
-    return _located(_pair, cfg)
+    """The DomainPair of resolve_config's values; errors as in _located. The data
+    files are read once, before the search, and their faults name no key."""
+    splits = _read_splits(cfg)
+    return _located(lambda c: _pair(c, splits), cfg)
 
 
-def _pair(cfg: dict) -> DomainPair:
+def _read_splits(cfg: dict) -> tuple | None:
+    """The (source, target_train, target_test) datasets in the files of a file-backed
+    data mode, whose paths must be set; None for a synthetic mode."""
     kind = cfg["data"]
     missing = [k for k in _PATH_KEYS if SCHEMA[k][2] == (kind,) and not cfg[k]]
     if missing:
         raise ConfigError(f"data={kind} needs paths for {', '.join(missing)}")
+    names = zip(_SPLITS, ("source", "target_train", "target_test"))
+    if kind == "idx":
+        return tuple(load_idx(cfg[f"{s}_images"], cfg[f"{s}_labels"], cfg["classes"], name=n) for s, n in names)
+    if kind == "sparse":
+        return tuple(load_sparse(cfg[f"{s}_sparse"], name=n) for s, n in names)
+    return None
+
+
+def _pair(cfg: dict, splits: tuple | None) -> DomainPair:
+    kind = cfg["data"]
     skew = cfg["skew"] or None
     if kind == "two_moons":
         return synth_two_moons(cfg["n"], cfg["rotation"], cfg["noise"], skew, seed=cfg["seed"])
@@ -254,32 +264,17 @@ def _pair(cfg: dict) -> DomainPair:
             seed=cfg["seed"],
         )
     if kind == "idx":
-        k = cfg["classes"]
-        source = load_idx(cfg["source_images"], cfg["source_labels"], k, name="source")
-        target_train = load_idx(cfg["target_images"], cfg["target_labels"], k, name="target_train")
-        target_test = load_idx(cfg["target_test_images"], cfg["target_test_labels"], k, name="target_test")
         if cfg["resize"]:
             try:
                 oh, ow = (int(tok) for tok in cfg["resize"].lower().split("x"))
             except ValueError as exc:
                 raise ConfigError(f"resize must look like 28x28, got {cfg['resize']!r}") from exc
-            source, target_train, target_test = (
-                ds if ds.image_hw == (oh, ow) else resize_bilinear(ds, (oh, ow))
-                for ds in (source, target_train, target_test)
-            )
-        if cfg["n_source"]:
-            source = subsample(source, cfg["n_source"], cfg["seed"], variant=0)
-        if cfg["n_target"]:
-            target_train = subsample(target_train, cfg["n_target"], cfg["seed"], variant=1)
-        if cfg["n_target_test"]:
-            target_test = subsample(target_test, cfg["n_target_test"], cfg["seed"], variant=2)
-        return DomainPair(source, target_train, target_test)
-    # sparse
-    return DomainPair(
-        load_sparse(cfg["source_sparse"], name="source"),
-        load_sparse(cfg["target_sparse"], name="target_train"),
-        load_sparse(cfg["target_test_sparse"], name="target_test"),
-    )
+            splits = [ds if ds.image_hw == (oh, ow) else resize_bilinear(ds, (oh, ow)) for ds in splits]
+        splits = [
+            subsample(ds, cfg[f"n_{split}"], cfg["seed"], variant=i) if cfg[f"n_{split}"] else ds
+            for i, (split, ds) in enumerate(zip(_SPLITS, splits))
+        ]
+    return DomainPair(*splits)
 
 
 def build_train_config(cfg: dict, pair: DomainPair | None = None) -> TrainConfig:

@@ -65,9 +65,7 @@ def export_embeddings(params: ParamSet, named_datasets, path) -> None:
         writer.writerow(header)
         for name, ds in named_datasets:
             cache = forward(params, ds.features)
-            labels = ds.labels if ds.labels is not None else np.full(ds.n, -1, dtype=np.int64)
-            for i in range(ds.n):
-                row = [name, i, int(labels[i])]
-                row += [repr(float(v)) for v in cache.embeddings[i]]
-                row += [repr(float(v)) for v in cache.logits[i]]
-                writer.writerow(row)
+            labels = ds.labels.tolist() if ds.labels is not None else [-1] * ds.n
+            rows = zip(labels, cache.embeddings.tolist(), cache.logits.tolist())
+            for i, (label, emb, logits) in enumerate(rows):
+                writer.writerow([name, i, label, *map(repr, emb), *map(repr, logits)])

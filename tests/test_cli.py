@@ -210,6 +210,35 @@ def test_cmd_train_artifacts_match_frozen_digests(tmp_path, run):
     assert hashlib.sha256((out / "metrics.jsonl").read_bytes()).hexdigest() == metrics_sha
 
 
+# sha256 of the text files that `synth` and `train --set export_embeddings=true`
+# write, taken while save_sparse and export_embeddings formatted one value at a
+# time, so a faster writer must keep every byte
+FROZEN_TEXT = {
+    "synth_moons_skew": ("synth", {"skew": "0.7,0.3"}, {
+        "source.txt": "ad38fa667b8d11db65620904f1d90aa05064aa6bf02201d7e928721109a6c1b0",
+        "target_train.txt": "675a9b3eb41ee16d4ec7a5b00fe2a4276390d608b51cefffbe958eb249c82984",
+        "target_test.txt": "a27cd9e38dcf559fc5ea8274c75964e414a63e18f3f92a00f8453c280e57d7ed",
+    }),
+    "synth_gauss_shift": ("synth", {"data": "gauss_shift", "gauss_dim": 6}, {
+        "source.txt": "5ccbe14f1b93cdd323d000a02d90602fb26d23b01f01b542f61a03b39c8e4cba",
+        "target_train.txt": "d61dbaa736f78650bdae4447bfad0b7a4ac12ecc9acfce3033edaf9d097e08d4",
+        "target_test.txt": "0072813f1e828e712e8db4cccc833cdb453d7f123cadce4a4e460d5bfc24a2a5",
+    }),
+    "train_embeddings": ("train", {"export_embeddings": "true"}, {
+        "embeddings.csv": "1cd33389f9e0f18664af34b0b314a5e782a8aa88358ab6bbb4e44f2cb82f60f3",
+    }),
+}
+
+
+@pytest.mark.parametrize("run", sorted(FROZEN_TEXT))
+def test_text_artifacts_match_frozen_digests(tmp_path, run):
+    command, extra, digests = FROZEN_TEXT[run]
+    path = small_train_cfg(tmp_path, **extra)
+    assert main([command, "--config", str(path)]) == 0
+    for name, sha in digests.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == sha, name
+
+
 # sha256 of summary.csv, and the printed rows, of an ablation whose seven rows
 # differ, taken when ablate ran its own fit/evaluate loop beside train's
 FROZEN_SUMMARY = "8b350b9c2d837b134ccf0b7da0e6e5ed371d4775f7b342c27b842a46d8d12ca3"
@@ -817,14 +846,49 @@ def test_config_error_names_the_first_given_key_at_fault(tmp_path):
 
 
 def test_a_fault_of_the_data_files_names_no_config_key(tmp_path, capsys):
-    # the data keys are held at their given values while the search runs, so a
-    # fault that they give on their own is blamed on no other key
+    # the data files are read before the search for the key at fault, so a
+    # fault that they give on their own is blamed on no config key
+    assert main(["train", "--config", str(widths_cfg(tmp_path))]) == 2
+    assert capsys.readouterr().err == "error: domain feature widths differ\n"
+
+
+def idx_cfg(tmp_path, **extra):
+    """An idx config of 15 lines over one 20-row image/label file pair."""
+    images, labels = write_idx_pair(tmp_path, np.zeros((20, 4, 4), dtype=np.uint8), [0, 1, 2, 3] * 5)
+    raw = {"data": "idx", "classes": "4"}
+    for split in ("source", "target", "target_test"):
+        raw[f"{split}_images"], raw[f"{split}_labels"] = str(images), str(labels)
+    return small_train_cfg(tmp_path, **raw, **extra)
+
+
+def widths_cfg(tmp_path):
     wide, narrow = tmp_path / "wide.txt", tmp_path / "narrow.txt"
     wide.write_text("width=3 classes=2\n0 0:1.0\n1 2:1.0\n")
     narrow.write_text("width=2 classes=2\n0 0:1.0\n1 1:1.0\n")
-    path = small_train_cfg(tmp_path, data="sparse", source_sparse=wide, target_sparse=narrow, target_test_sparse=narrow)
+    return small_train_cfg(tmp_path, data="sparse", source_sparse=wide, target_sparse=narrow, target_test_sparse=narrow)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda tmp: idx_cfg(tmp, resize="abc"), "{}:15: resize must look like 28x28, got 'abc'"),
+        (lambda tmp: idx_cfg(tmp, n_source=999), "{}:15: subsample: n must be in [1, 20], got 999"),
+        (widths_cfg, "domain feature widths differ"),
+    ],
+    ids=["resize", "n_source", "widths"],
+)
+def test_a_failing_config_reads_each_data_file_once(tmp_path, monkeypatch, capsys, make, message):
+    # the search for the key at fault re-derives the pair from the splits in
+    # memory; it reads no file again
+    calls = []
+    for name in ("load_idx", "load_sparse"):
+        load = getattr(ctdr.cli, name)
+        monkeypatch.setattr(ctdr.cli, name, lambda *args, load=load, **kw: calls.append(args) or load(*args, **kw))
+    path = make(tmp_path)
     assert main(["train", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: domain feature widths differ\n"
+    assert capsys.readouterr().err == f"error: {message.format(path)}\n"
+    assert len(calls) == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_resolve_config_without_origins_names_none():

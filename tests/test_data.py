@@ -338,6 +338,7 @@ def test_load_sparse_header_only_is_empty_dataset(tmp_path):
     p.write_text("width=5 classes=2\n")
     ds = load_sparse(p)
     assert ds.features.shape == (0, 5)
+    assert ds.labels is None
     # a run never gets to batch it: a DomainPair rejects it, naming the split
     with pytest.raises(ContractViolation):
         Batcher(ds.features.shape[0], 4, seed=0, purpose=1)
@@ -354,6 +355,30 @@ def test_sparse_round_trip(tmp_path):
     assert np.array_equal(back.labels, pair.source.labels)
     save_sparse(pair.source, tmp_path / "again.txt")
     assert p.read_bytes() == (tmp_path / "again.txt").read_bytes()
+
+
+EDGE_ROWS = np.array([
+    [0.0, 0.0, 0.0],  # an all-zero row is its label alone
+    [-0.0, 0.1, -0.0],  # -0.0 is not written, and loads back as 0.0
+    [0.30000000000000004, 1.0000000000000002, -2.0 / 3],  # 17 significant digits
+    [5e-324, -1.7976931348623157e308, 1e-300],
+])
+EDGE_TEXT = (
+    "width=3 classes=2\n{}\n{} 1:0.1\n{} 0:0.30000000000000004 1:1.0000000000000002 2:-0.6666666666666666\n"
+    "{} 0:5e-324 1:-1.7976931348623157e+308 2:1e-300\n"
+)
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 1, 0], None])
+def test_sparse_save_load_save_round_trip_of_edge_rows(tmp_path, labels):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_sparse(Dataset(EDGE_ROWS, labels, 2), first)
+    assert first.read_text() == EDGE_TEXT.format(*(labels or [-1] * 4))
+    back = load_sparse(first)
+    assert np.array_equal(back.features, EDGE_ROWS)
+    assert back.labels is None if labels is None else back.labels.tolist() == labels
+    save_sparse(back, second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_two_moons_shapes_and_determinism():

@@ -1,31 +1,50 @@
-"""`train` and `ablate` share one run driver.
+"""`train` and `ablate` share one run driver, and a run reads its data files once.
 
 Both commands train through `cli._run`, so the files a run writes, and its
 abort record, come from one place. This walks the source of cli.py and lists
 each call of `fit`; a second run loop would add a second call.
+
+`build_pair` reads the data files in the one function it calls before
+`_located`, whose search for the key at fault then rebuilds the pair from the
+splits in memory. A load call anywhere else could run once per given key.
 """
 
 import ast
 from pathlib import Path
 
 CLI = Path(__file__).resolve().parents[1] / "src" / "ctdr" / "cli.py"
+LOADERS = {"load_idx", "load_sparse"}
 
 
-def fit_calls(source: str) -> list:
-    """(line, top-level definition or `<module>`) of each call of `fit` or `<x>.fit`."""
+def calls(source: str, names) -> list:
+    """(line, top-level definition or `<module>`) of each call of a function in
+    `names`, called as `<name>` or `<x>.<name>`."""
     found = []
     for top in ast.parse(source).body:
         name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         found += [
             (node.lineno, name)
             for node in ast.walk(top)
-            if isinstance(node, ast.Call) and "fit" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            if isinstance(node, ast.Call) and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & names
         ]
     return found
 
 
+def called_before(source: str, caller: str, callee: str) -> list:
+    """The functions that top-level `caller` calls by name, in source order,
+    before its first call of `callee`."""
+    (top,) = [t for t in ast.parse(source).body if getattr(t, "name", None) == caller]
+    called = sorted(
+        (node.lineno, node.col_offset, node.func.id)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    )
+    names = [name for _, _, name in called]
+    return names[: names.index(callee)]
+
+
 def test_cli_calls_fit_once_in_the_run_driver():
-    assert [name for _, name in fit_calls(CLI.read_text(encoding="utf-8"))] == ["_run"]
+    assert [name for _, name in calls(CLI.read_text(encoding="utf-8"), {"fit"})] == ["_run"]
 
 
 def test_scan_sees_every_fit_call():
@@ -35,4 +54,22 @@ def test_scan_sees_every_fit_call():
         "    return [rung(c) for c in cfgs], train.fit(cfgs, pair), fitted(pair)\n\n"
         "PARAMS = fit(None, None)\n"
     )
-    assert fit_calls(source) == [(2, "_run"), (6, "cmd_ablate"), (7, "cmd_ablate"), (9, "<module>")]
+    assert calls(source, {"fit"}) == [(2, "_run"), (6, "cmd_ablate"), (7, "cmd_ablate"), (9, "<module>")]
+
+
+def test_cli_reads_data_files_only_before_the_search_for_a_faulty_key():
+    source = CLI.read_text(encoding="utf-8")
+    (reader,) = called_before(source, "build_pair", "_located")
+    assert {name for _, name in calls(source, LOADERS)} == {reader}
+    assert [name for _, name in calls(source, {reader})] == ["build_pair"]
+
+
+def test_scan_sees_every_loader_call_and_what_build_pair_calls_first():
+    source = (
+        "def build_pair(cfg):\n    splits = read(cfg)\n    return _located(lambda c: pair(c, splits), cfg)\n\n"
+        "def read(cfg):\n    return [load_idx(cfg), data.load_sparse(cfg), loaded(cfg)]\n\n"
+        "def pair(c, splits):\n    return load_sparse(c) if c else read(c)\n"
+    )
+    assert called_before(source, "build_pair", "_located") == ["read"]
+    assert calls(source, LOADERS) == [(6, "read"), (6, "read"), (9, "pair")]
+    assert calls(source, {"read"}) == [(2, "build_pair"), (9, "pair")]
