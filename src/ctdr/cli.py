@@ -19,7 +19,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .data import (
@@ -93,9 +92,10 @@ def _field(key):
 
 
 # key -> (parser, default, scope). Insertion order is the printing order.
-# Training keys take their defaults from the config dataclasses; `prior` and
-# `mmd_gamma` keep text sentinels for the dataclasses' None. Scope None: every
-# run reads the key; else the tags of the runs that read it (see _accept).
+# Training keys take their defaults from the config dataclasses; `prior` keeps
+# a text sentinel for TrainConfig's None, and `combo` holds its canonical text.
+# Scope None: every run reads the key; else the tags of the runs that read it
+# (see _accept).
 SCHEMA: dict = {
     # data
     "data": (_choice(*_DATA_MODES), "two_moons", None),
@@ -114,7 +114,7 @@ SCHEMA: dict = {
     **{f"n_{split}": (int, 0, ("idx",)) for split in _SPLITS},
     "standardize": (_parse_bool, True, None),
     # training
-    "combo": (str, ",".join(_TRAIN.combo.names), ("train",)),
+    "combo": (lambda s: ",".join(LossCombo.parse(s).names), ",".join(_TRAIN.combo.names), ("train",)),
     "hidden": _field("hidden"),
     "epochs": _field("epochs"),
     "batch": _field("batch"),
@@ -123,7 +123,6 @@ SCHEMA: dict = {
     "prior": (str, "assume_source", ("tu",)),
     # fake samples
     "fake_mode": (_choice(*FAKE_MODES), _TRAIN.fake.mode, ("ta", "sa")),
-    "mmd_gamma": (str, "median", ("generator",)),
     # output
     "out_dir": (str, "ctdr_out", None),
     "export_embeddings": (_parse_bool, False, None),
@@ -290,16 +289,10 @@ def _train_config(cfg: dict, pair: DomainPair | None) -> TrainConfig:
             prior = _parse_list(float)(cfg["prior"])
         except ValueError as exc:
             raise ConfigError(f"prior must be `assume_source` or comma-separated floats: {exc}") from exc
-    gamma = None
-    if cfg["mmd_gamma"] != "median":
-        try:
-            gamma = float(cfg["mmd_gamma"])
-        except ValueError as exc:
-            raise ConfigError(f"mmd_gamma must be `median` or a float: {exc}") from exc
     train_cfg = TrainConfig(
         combo=LossCombo.parse(cfg["combo"]),
         prior=prior,
-        fake=FakeSourceConfig(cfg["fake_mode"], gamma),
+        fake=FakeSourceConfig(cfg["fake_mode"]),
         **{name: cfg[key] for key, name in _TRAIN_FIELDS.items()},
     )
     if pair is not None:
@@ -312,14 +305,13 @@ def _accept(cfg: dict, command: str) -> None:
     input to every command. Reject a given non-default key that no run of `command`
     reads, naming where it was given, then print the resolved config. A run reads a
     key whose SCHEMA scope has one of its tags: its data mode, `train` under ctdr
-    train, a term of its combo, `generator` if it builds one. eval and synth train
-    no run and check data modes only."""
-    train_cfg = build_train_config(cfg)
+    train, a term of its combo. eval and synth train no run and check data modes
+    only."""
+    build_train_config(cfg)
     combos = {"train": (cfg["combo"],), "ablate": ABLATION_LADDER}.get(command, ())
     tags = {cfg["data"], command}
     for combo in combos:
-        run = replace(train_cfg, combo=LossCombo.parse(combo))
-        tags.update(run.combo.names, ["generator"] if run.uses_generator() else [])
+        tags.update(LossCombo.parse(combo).names)
     for key, at in cfg.where.items():
         _, default, scope = SCHEMA[key]
         if scope is None or cfg[key] == default or not (combos or scope[0] in _DATA_MODES):

@@ -229,6 +229,8 @@ def load_sparse(path, name: str = "") -> Dataset:
                 if "=" not in part:
                     raise ParseError(path, line_no, f"bad header token {part!r}")
                 k, v = part.split("=", 1)
+                if k in kv:
+                    raise ParseError(path, line_no, f"duplicate header key {k!r}")
                 kv[k] = v
             if set(kv) != {"width", "classes"}:
                 raise ParseError(path, line_no, f"header must set width and classes, got {sorted(kv)}")

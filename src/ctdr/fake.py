@@ -23,17 +23,13 @@ FAKE_MODES = ("gaussian", "generator")
 
 @dataclass(frozen=True)
 class FakeSourceConfig:
-    """How fake rows are produced. gamma = None means the per-batch median
-    heuristic on the real embeddings."""
+    """How fake rows are produced."""
 
     mode: str = "gaussian"
-    gamma: float | None = None
 
     def __post_init__(self):
         if self.mode not in FAKE_MODES:
             raise ConfigError(f"fake mode must be one of {FAKE_MODES}, got {self.mode!r}")
-        if self.gamma is not None and not (0.0 < self.gamma < np.inf):
-            raise ConfigError(f"mmd gamma must be finite and > 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -66,21 +62,22 @@ def generator_fakes(params: ParamSet, n_f: int, rng: Rng) -> np.ndarray:
     return generator_forward(params, rng.normal_matrix(n_f, params.arch.noise_dim))
 
 
-def generator_step(params: ParamSet, real_embeddings, n_f: int, gamma, opt_phi, lr: float, rng: Rng):
+def generator_step(params: ParamSet, real_embeddings, n_f: int, opt_phi, lr: float, rng: Rng):
     """One MMD descent step on the generator tensors only.
 
     Fake rows are pushed through the (frozen) encoder and compared with
     `real_embeddings`, the encoder's embeddings of a real batch under the
-    same params; gamma None takes the median heuristic on them. The gradient
-    flows back through the encoder into the generator, but only gen* tensors
-    are updated. Returns (params, opt_phi, report, fake_cache): fake_cache is
-    the forward pass of the rows the pre-update generator produced, which
-    the returned params give too, as their encoder and classifier are unchanged.
+    same params; the kernel bandwidth is the median heuristic on them. The
+    gradient flows back through the encoder into the generator, but only gen*
+    tensors are updated. Returns (params, opt_phi, report, fake_cache):
+    fake_cache is the forward pass of the rows the pre-update generator
+    produced, which the returned params give too, as their encoder and
+    classifier are unchanged.
     """
     noise = rng.normal_matrix(n_f, params.arch.noise_dim)
     gen_cache = generator_forward_cache(params, noise)
     fake_cache = forward(params, gen_cache.out)
-    report = mmd_loss(fake_cache.embeddings, real_embeddings, gamma)
+    report = mmd_loss(fake_cache.embeddings, real_embeddings, None)
 
     _, d_fake_rows = backward(params, fake_cache, grad_embeddings=report.grad_embeddings)
     grads = generator_backward(params, gen_cache, d_fake_rows)

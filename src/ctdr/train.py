@@ -14,9 +14,9 @@ One classifier is optimized over any combination of loss terms:
 TERM_TABLE says which batch each term reads, its loss and its prior; a step
 walks the table in order, after the generator's MMD step when the network
 has a generator. RunState.build is the one place that turns a config and a
-pair into a run: the terms, the MMD bandwidth, the network, the batches a
-step reads and the labeled set; a step reads no TrainConfig. Reductions are
-sums over the batch; the terms of the combo add with equal weight.
+pair into a run: the terms, the network, the batches a step reads and the
+labeled set; a step reads no TrainConfig. Reductions are sums over the
+batch; the terms of the combo add with equal weight.
 """
 
 from __future__ import annotations
@@ -129,10 +129,6 @@ class TrainConfig:
         if not (0.0 < self.lr < np.inf):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
-    def uses_generator(self) -> bool:
-        """Whether generator fakes feed a term of the combo."""
-        return self.fake.mode == "generator" and any(TERM_TABLE[t].batch.startswith("fake_") for t in self.combo.names)
-
     def lr_at(self, epoch: int) -> float:
         return self.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
@@ -149,7 +145,6 @@ class RunState:
     """What every step of a run reads besides params and batches.
 
     terms: the terms that run, in TERM_TABLE order
-    gamma: the MMD bandwidth of the generator step (None: median heuristic)
     arch: the network; it has a generator when generator fakes feed ta or sa
     reads: the batches a step reads ("target" too when the generator runs)
     n_f: fake rows per fake batch, the batch size
@@ -160,7 +155,6 @@ class RunState:
     """
 
     terms: tuple
-    gamma: float | None
     arch: Architecture
     reads: frozenset
     n_f: int
@@ -183,14 +177,14 @@ class RunState:
         reads = {TERM_TABLE[t].batch for t in terms}
         arch = Architecture.mlp(pair.dim, config.hidden, pair.num_classes)
         fake_stats = {}
-        if config.uses_generator():
+        if config.fake.mode == "generator" and reads & {"fake_target", "fake_source"}:
             arch = arch.with_generator(NOISE_DIM, GEN_HIDDEN)
             reads.add("target")  # the generator's MMD step reads the target batch
         else:
             real = {"fake_target": pair.target_train, "fake_source": labeled}
             fake_stats = {b: FeatureStats.from_features(ds.features) for b, ds in real.items() if b in reads}
         streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
-        return cls(terms, config.fake.gamma, arch, frozenset(reads), config.batch_size, labeled, priors, fake_stats, streams)
+        return cls(terms, arch, frozenset(reads), config.batch_size, labeled, priors, fake_stats, streams)
 
 
 def _check_finite(term: str, value: float, epoch=None, step=None):
@@ -238,7 +232,7 @@ def train_step(
         with _blame("gen", epoch, step):
             caches["target"] = forward(params, target_batch.features)
             params, opt_phi, reports["gen"], caches["fake_target"] = generator_step(
-                params, caches["target"].embeddings, run.n_f, run.gamma, opt_phi, lr, run.streams["fake_target"]
+                params, caches["target"].embeddings, run.n_f, opt_phi, lr, run.streams["fake_target"]
             )
         _check_finite("gen", reports["gen"].value, epoch, step)
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import fnmatch
 import hashlib
 import json
 import re
@@ -124,7 +125,6 @@ def test_every_config_field_is_reachable_from_a_key():
         "seed": "9",
         "prior": "0.7,0.3",
         "fake_mode": "generator",
-        "mmd_gamma": "0.25",
         "timing": "false",
     }
     config = build_train_config(resolve_config(raw))
@@ -517,7 +517,7 @@ def test_overflow_is_exit_3_with_abort_record_and_no_numpy_warning(tmp_path, cap
 # prior=0.5,0.3,0.2 parses, but two-moons has two classes: only the data shows it
 @pytest.mark.parametrize(
     "bad",
-    ["combo=zz", "prior=abc", "lr=0", "mmd_gamma=x", "prior=0.5,0.3,0.2", "lr=inf", "w_tu=nan", "w_tu=inf", "mmd_gamma=inf"],
+    ["combo=zz", "prior=abc", "lr=0", "prior=0.5,0.3,0.2", "lr=inf", "w_tu=nan", "w_tu=inf"],
 )
 def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command, bad):
     # w_tu: the weight line of an older resolved_config.txt is an unknown key
@@ -529,7 +529,7 @@ def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command
 
 
 @pytest.mark.parametrize("command", ["eval", "synth"])
-@pytest.mark.parametrize("bad", ["epochs=-3", "combo=zz", "lr=0", "mmd_gamma=x"])
+@pytest.mark.parametrize("bad", ["epochs=-3", "combo=zz", "lr=0"])
 def test_eval_and_synth_reject_a_bad_training_key_before_any_file(tmp_path, capsys, command, bad):
     # a resolved config holds only valid values, so it is valid input to every command
     path = small_train_cfg(tmp_path)
@@ -588,10 +588,8 @@ def test_idx_only_keys_elsewhere_are_exit_2_with_no_out_dir(tmp_path, capsys, co
         ("train", {"data": "gauss_shift"}, "rotation", "10", "rotation = 10.0 applies only to data = two_moons, not data = gauss_shift"),
         ("train", {"data": "gauss_shift"}, "noise", "0.3", "noise = 0.3 applies only to data = two_moons, not data = gauss_shift"),
         ("train", {}, "fake_mode", "generator", "fake_mode = generator applies only to ta or sa runs, not this ctdr train"),
-        ("train", {}, "mmd_gamma", "0.5", "mmd_gamma = 0.5 applies only to generator runs, not this ctdr train"),
         ("train", {"combo": "ss"}, "prior", "0.5,0.5", "prior = 0.5,0.5 applies only to tu runs, not this ctdr train"),
         ("ablate", {}, "combo", "ss,ta", "combo = ss,ta applies only to train runs, not this ctdr ablate"),
-        ("ablate", {}, "mmd_gamma", "0.5", "mmd_gamma = 0.5 applies only to generator runs, not this ctdr ablate"),
     ],
 )
 def test_a_key_no_run_reads_is_exit_2_naming_where_it_was_given(tmp_path, capsys, command, base, key, value, message):
@@ -603,6 +601,14 @@ def test_a_key_no_run_reads_is_exit_2_naming_where_it_was_given(tmp_path, capsys
     assert main([command, "--config", str(good), "--set", f"{key}={value}"]) == 2
     assert capsys.readouterr().err == f"error: --set: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("combo", ["ss+tu", "tu,ss", "ss, tu"])
+def test_ablate_accepts_the_default_combo_however_it_is_spelled(tmp_path, capsys, combo):
+    path = small_train_cfg(tmp_path, combo=combo, epochs=0)
+    assert main(["ablate", "--config", str(path)]) == 0
+    assert "combo = ss,tu\n" in (tmp_path / "out" / "resolved_config.txt").read_text()
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("origin", ["file", "--set"])
@@ -623,7 +629,7 @@ def test_a_fault_of_two_keys_names_the_key_that_completes_it(tmp_path, capsys, o
 def test_eval_and_synth_accept_a_resolved_config(tmp_path, capsys, command):
     # eval and synth train no run, so the training keys a run read pass through them
     extra = {"combo": "ss,tu,ta"} if command == "train" else {}
-    path = small_train_cfg(tmp_path, fake_mode="generator", mmd_gamma="0.5", prior="0.5,0.5", **extra)
+    path = small_train_cfg(tmp_path, fake_mode="generator", prior="0.5,0.5", **extra)
     assert main([command, "--config", str(path)]) == 0
     out = tmp_path / "out"
     resolved = out / "resolved_config.txt"
@@ -644,7 +650,7 @@ SCOPED_VALUES = {
     **{f"{split}_{kind}": "x" for split in ("source", "target", "target_test") for kind in ("images", "labels", "sparse")},
     **{f"n_{split}": "5" for split in ("source", "target", "target_test")},
     "combo": "ss", "prior": "0.5,0.5",
-    "fake_mode": "generator", "mmd_gamma": "0.5",
+    "fake_mode": "generator",
 }
 READ_BY_EVERY_RUN = {"data", "standardize", "hidden", "epochs", "batch", "lr", "seed", "out_dir", "export_embeddings", "timing"}
 
@@ -653,8 +659,6 @@ def scope_runs(tag):
     """(command, base keys) of a run that has `tag`, and of one that has not."""
     if tag in ("two_moons", "gauss_shift", "idx", "sparse"):
         return ("train", {"data": tag}), ("train", {"data": "sparse" if tag == "idx" else "idx"})
-    if tag == "generator":
-        return ("train", {"combo": "ss,ta", "fake_mode": "generator"}), ("train", {"combo": "ss,ta"})
     if tag == "train":
         return ("train", {}), ("ablate", {})
     return ("train", {"combo": tag}), ("train", {"combo": "tu" if tag == "ss" else "ss"})
@@ -673,6 +677,32 @@ def test_every_scoped_key_is_rejected_where_no_run_reads_it_and_accepted_where_o
     accept(*reads)
     with pytest.raises(ConfigError, match=rf"^--set: {key} = \S+ applies only to "):
         accept(*skips)
+
+
+def readme_key_table():
+    """(keys read by every run, [keys of each row]) from the README's "Which keys
+    a run reads": the sentence before the table, and each row's first cell, with
+    `*_images` / `*_labels` expanded against SCHEMA."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Which keys a run reads", 1)[1].split("\n## ", 1)[0]
+    prose, table = section.split("\n| key |", 1)
+    sentence = " ".join(prose.split()).split(" are read by every run", 1)[0].rsplit(". ", 1)[-1]
+
+    def keys(text):
+        names = re.findall(r"`([^`]+)`", text)
+        return [k for n in names for k in (fnmatch.filter(ctdr.cli.SCHEMA, n) if "*" in n else [n])]
+
+    rows = [keys(line.split("|")[1]) for line in table.splitlines() if line.startswith("| `")]
+    return keys(sentence), rows
+
+
+def test_readme_key_table_lists_exactly_the_schema():
+    every, rows = readme_key_table()
+    listed = every + [k for row in rows for k in row]
+    assert sorted(listed) == sorted(ctdr.cli.SCHEMA)  # each key once, and no key SCHEMA lacks
+    assert set(every) == {k for k, (_, _, scope) in ctdr.cli.SCHEMA.items() if scope is None}
+    for row in rows:
+        assert len({ctdr.cli.SCHEMA[k][2] for k in row}) == 1, row
 
 
 def test_malformed_idx_file_is_exit_2_with_no_out_dir(tmp_path, capsys):
@@ -814,7 +844,6 @@ def test_ablate_abort_in_the_first_rung_leaves_the_header(tmp_path, capsys):
         ("lr", "0", "lr must be finite and > 0"),
         ("combo", "ss,ts", "ts is an exclusive baseline"),
         ("prior", "abc", "prior must be `assume_source`"),
-        ("mmd_gamma", "x", "mmd_gamma must be `median`"),
         ("batch", "0", "batch_size must be >= 1"),
         ("n_source", "-1", "n_source = -1 applies only to data = idx"),
         # checks the data builder makes
@@ -838,11 +867,11 @@ def test_config_value_errors_name_where_the_value_was_given(tmp_path, capsys, ke
 
 
 def test_config_error_names_the_first_given_key_at_fault(tmp_path):
-    # the file's bad lr is given before --set's bad mmd_gamma, though the
-    # fake-row config is built, and fails, first
+    # the file's bad lr is given before --set's bad prior, though the prior
+    # is parsed, and fails, first
     path = small_train_cfg(tmp_path, lr="0")
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:\d+: lr must be finite"):
-        build_train_config(load_config(argparse.Namespace(config=str(path), seed=3, set=["mmd_gamma=-1"])))
+        build_train_config(load_config(argparse.Namespace(config=str(path), seed=3, set=["prior=abc"])))
 
 
 def test_a_fault_of_the_data_files_names_no_config_key(tmp_path, capsys):

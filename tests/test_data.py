@@ -278,6 +278,11 @@ def test_load_sparse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError, match="header"):
         load_sparse(p)
 
+    # a repeated header key is an error, not the last value given
+    p.write_text("# rows\nwidth=3 width=4 classes=2\n0 3:1.0\n")
+    with pytest.raises(ParseError, match=r"rows\.txt:2: duplicate header key 'width'"):
+        load_sparse(p)
+
 
 @pytest.mark.parametrize(
     "header",

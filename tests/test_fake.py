@@ -12,7 +12,7 @@ from ctdr.fake import (
     generator_fakes,
     generator_step,
 )
-from ctdr.losses import mmd_loss
+from ctdr.losses import median_heuristic_gamma, mmd_loss
 from ctdr.model import (
     Architecture,
     ParamSet,
@@ -51,13 +51,9 @@ def gen_net(seed=80):
 
 def test_fake_config_validation():
     FakeSourceConfig()
-    FakeSourceConfig(mode="generator", gamma=0.5)
+    FakeSourceConfig(mode="generator")
     with pytest.raises(ConfigError):
         FakeSourceConfig(mode="uniform")
-    with pytest.raises(ConfigError):
-        FakeSourceConfig(gamma=-1.0)
-    with pytest.raises(ConfigError):
-        FakeSourceConfig(gamma=float("inf"))
 
 
 def test_feature_stats_from_features():
@@ -120,7 +116,7 @@ def test_generator_step_requires_generator():
     params = init_params(arch, Rng(5, STREAM_WEIGHT_INIT))
     real = forward(params, Rng(81, 0).normal_matrix(4, 3)).embeddings
     with pytest.raises(ConfigError, match="architecture has no generator"):
-        generator_step(params, real, 2, None, None, 0.01, Rng(0, 0))
+        generator_step(params, real, 2, None, 0.01, Rng(0, 0))
 
 
 def test_generator_step_zero_lr_is_noop():
@@ -128,12 +124,22 @@ def test_generator_step_zero_lr_is_noop():
     real = Rng(81, 0).normal_matrix(8, 3)
     opt = OptimizerState.for_params(params, phi_names(arch))
     new, _, report, fakes = generator_step(
-        params, forward(params, real).embeddings, 4, None, opt, 0.0, Rng(82, STREAM_FAKE_TARGET)
+        params, forward(params, real).embeddings, 4, opt, 0.0, Rng(82, STREAM_FAKE_TARGET)
     )
     assert np.isfinite(report.value)
     assert fakes.x.shape == (4, 3)
     for name in params.tensors:
         assert np.array_equal(new.tensors[name], params.tensors[name])
+
+
+def test_generator_step_bandwidth_is_the_median_heuristic_on_the_real_embeddings():
+    arch, params = gen_net()
+    real = forward(params, Rng(95, 0).normal_matrix(8, 3)).embeddings
+    opt = OptimizerState.for_params(params, phi_names(arch))
+    _, _, report, _ = generator_step(params, real, 4, opt, 0.01, Rng(96, STREAM_FAKE_TARGET))
+    gamma = median_heuristic_gamma(real)
+    assert gamma != 1.0  # not the fallback of a batch with no spread
+    assert report.diagnostics["gamma"] == gamma
 
 
 def test_generator_step_never_touches_classifier_path():
@@ -143,7 +149,7 @@ def test_generator_step_never_touches_classifier_path():
     rng = Rng(84, STREAM_FAKE_TARGET)
     cur = params
     for _ in range(5):
-        cur, opt, _, _ = generator_step(cur, forward(cur, real).embeddings, 4, None, opt, 0.01, rng)
+        cur, opt, _, _ = generator_step(cur, forward(cur, real).embeddings, 4, opt, 0.01, rng)
     for name in theta_names(arch):
         assert np.array_equal(cur.tensors[name], params.tensors[name])
     moved = [n for n in phi_names(arch) if not np.array_equal(cur.tensors[n], params.tensors[n])]
@@ -157,7 +163,7 @@ def test_generator_step_reduces_mmd():
     rng = Rng(87, STREAM_FAKE_TARGET)
     values = []
     for _ in range(50):
-        params, opt, report, _ = generator_step(params, forward(params, real).embeddings, 16, 0.5, opt, 0.01, rng)
+        params, opt, report, _ = generator_step(params, forward(params, real).embeddings, 16, opt, 0.01, rng)
         values.append(report.value)
     head = float(np.mean(values[:10]))
     tail = float(np.mean(values[-10:]))
@@ -169,7 +175,7 @@ def test_generator_step_fakes_come_from_pre_update_params():
     real = Rng(89, 0).normal_matrix(6, 3)
     opt = OptimizerState.for_params(params, phi_names(arch))
     seed_rng = Rng(90, STREAM_FAKE_TARGET)
-    _, _, _, fakes = generator_step(params, forward(params, real).embeddings, 3, 1.0, opt, 0.05, seed_rng)
+    _, _, _, fakes = generator_step(params, forward(params, real).embeddings, 3, opt, 0.05, seed_rng)
     expected = generator_fakes(params, 3, Rng(90, STREAM_FAKE_TARGET))
     assert np.array_equal(fakes.x, expected)
 

@@ -95,7 +95,7 @@ def config_case(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
         "data = two_moons\nn = 40\nhidden = 8,4\ncombo = ss,tu,ta\nlr = 0.01\nprior = 0.6,0.4\n"
-        "fake_mode = generator\nmmd_gamma = 0.25\n",
+        "fake_mode = generator\n",
         encoding="utf-8",
     )
     return [path], lambda: build_train_config(load_config(argparse.Namespace(config=str(path))))

@@ -139,7 +139,6 @@ def test_run_state_fake_rows_default_to_the_batch_size():
 )
 def test_uses_generator_only_when_generator_fakes_feed_a_term(combo, mode, expected):
     cfg = quick_config(combo, fake=FakeSourceConfig(mode=mode))
-    assert cfg.uses_generator() is expected
     assert bool(RunState.build(cfg, tiny_pair()).arch.generator) is expected
 
 
