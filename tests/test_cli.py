@@ -89,7 +89,7 @@ def test_resolve_config_fills_defaults_and_types():
 
 def test_resolve_config_rejects_unknown_keys():
     # a key SCHEMA no longer has (say, from an old resolved_config.txt) fails loudly
-    for key in ("bogus", "lr_decay", "noise_dim"):
+    for key in ("bogus", "lr_decay", "noise_dim", "mmd_gamma"):
         with pytest.raises(ConfigError, match=f"^unknown key '{key}'$"):
             resolve_config({"epochs": "5", key: "1"})
 
@@ -517,10 +517,10 @@ def test_overflow_is_exit_3_with_abort_record_and_no_numpy_warning(tmp_path, cap
 # prior=0.5,0.3,0.2 parses, but two-moons has two classes: only the data shows it
 @pytest.mark.parametrize(
     "bad",
-    ["combo=zz", "prior=abc", "lr=0", "prior=0.5,0.3,0.2", "lr=inf", "w_tu=nan", "w_tu=inf"],
+    ["combo=zz", "prior=abc", "lr=0", "mmd_gamma=x", "prior=0.5,0.3,0.2", "lr=inf", "w_tu=nan", "w_tu=inf", "mmd_gamma=inf"],
 )
 def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command, bad):
-    # w_tu: the weight line of an older resolved_config.txt is an unknown key
+    # w_tu, mmd_gamma: lines of an older resolved_config.txt are unknown keys
     path = small_train_cfg(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
@@ -529,7 +529,7 @@ def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command
 
 
 @pytest.mark.parametrize("command", ["eval", "synth"])
-@pytest.mark.parametrize("bad", ["epochs=-3", "combo=zz", "lr=0"])
+@pytest.mark.parametrize("bad", ["epochs=-3", "combo=zz", "lr=0", "mmd_gamma=x"])
 def test_eval_and_synth_reject_a_bad_training_key_before_any_file(tmp_path, capsys, command, bad):
     # a resolved config holds only valid values, so it is valid input to every command
     path = small_train_cfg(tmp_path)
