@@ -343,8 +343,8 @@ def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_ske
         raise ContractViolation("synth_two_moons: need n >= 2")
     if not (0.0 <= rotation_degrees <= 360.0):
         raise ContractViolation(f"rotation must be in [0, 360] degrees, got {rotation_degrees}")
-    if noise_std < 0.0:
-        raise ContractViolation(f"noise_std must be >= 0, got {noise_std}")
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ContractViolation(f"noise_std must be >= 0 and finite, got {noise_std}")
     balanced = np.array([0.5, 0.5])
     skew = balanced if label_skew is None else make_prior(label_skew, 2)
 
@@ -375,8 +375,10 @@ def synth_gauss_shift(
         raise ContractViolation("synth_gauss_shift: need n >= num_classes")
     if num_classes < 2 or dim < 1:
         raise ContractViolation("synth_gauss_shift: need num_classes >= 2 and dim >= 1")
-    if cov_scale <= 0:
-        raise ContractViolation("synth_gauss_shift: cov_scale must be > 0")
+    if not (math.isfinite(cov_scale) and cov_scale > 0):
+        raise ContractViolation(f"synth_gauss_shift: cov_scale must be > 0 and finite, got {cov_scale}")
+    if not math.isfinite(mean_shift):
+        raise ContractViolation(f"synth_gauss_shift: mean_shift must be finite, got {mean_shift}")
     uniform = np.full(num_classes, 1.0 / num_classes)
     skew = uniform if label_skew is None else make_prior(label_skew, num_classes)
 

@@ -156,8 +156,8 @@ def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
 
     value = mean k(f,f) + mean k(r,r) - 2 mean k(f,r). The gradient is with
     respect to the fake embeddings only; the real side is a constant.
-    gamma None takes median_heuristic_gamma(emb_real), from the same real-real
-    distances that k(r,r) is built from.
+    gamma None takes median_heuristic_gamma of the real-real squared
+    distances, the same matrix that k(r,r) is built from.
     """
     f = as_matrix(emb_fake, "emb_fake")
     r = as_matrix(emb_real, "emb_real")
@@ -168,7 +168,7 @@ def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
     nf, nr = f.shape[0], r.shape[0]
     sq_rr = _pairwise_sq_dists(r)
     if gamma is None:
-        gamma = _median_gamma(sq_rr)
+        gamma = median_heuristic_gamma(sq_rr)
     kff = gaussian_kernel_matrix(f, f, gamma)
     krr = np.exp(-gamma * sq_rr)  # gaussian_kernel_matrix(r, r, gamma); kff has checked gamma
     kfr = gaussian_kernel_matrix(f, r, gamma)
@@ -186,17 +186,13 @@ def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
     )
 
 
-def median_heuristic_gamma(emb_real) -> float:
+def median_heuristic_gamma(sq: np.ndarray) -> float:
     """gamma = 1 / (2 * median pairwise squared distance), floored at EPS scale.
 
-    Median is over unordered pairs i < j of the real rows. A single row (no
-    pairs) or an all-identical batch falls back to gamma = 1.
+    `sq` is the real rows' (n, n) squared-distance matrix; the median is over
+    its unordered pairs i < j. A single row (no pairs) or an all-identical
+    batch falls back to gamma = 1.
     """
-    return _median_gamma(_pairwise_sq_dists(as_matrix(emb_real, "emb_real")))
-
-
-def _median_gamma(sq: np.ndarray) -> float:
-    """median_heuristic_gamma from the rows' (n, n) squared-distance matrix."""
     n = sq.shape[0]
     if n < 2:
         return 1.0

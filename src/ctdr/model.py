@@ -17,20 +17,15 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, ContractViolation, NonFiniteLossError
 from .numerics import Rng, as_matrix, softmax_rows
 
-ACTIVATIONS = ("relu", "none")
-
 
 @dataclass(frozen=True)
 class LayerSpec:
     in_dim: int
     out_dim: int
-    activation: str = "relu"
 
     def __post_init__(self):
         if self.in_dim < 1 or self.out_dim < 1:
             raise ContractViolation(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
-        if self.activation not in ACTIVATIONS:
-            raise ContractViolation(f"unknown activation {self.activation!r}")
 
 
 def _check_chain(layers, what):
@@ -56,8 +51,6 @@ class Architecture:
         _check_chain(self.encoder, "encoder")
         if self.encoder and self.encoder[-1].out_dim != self.classifier.in_dim:
             raise ContractViolation("classifier input width must match encoder output")
-        if self.classifier.activation != "none":
-            raise ContractViolation("classifier layer must have activation 'none'")
         if self.generator:
             _check_chain(self.generator, "generator")
             if self.generator[-1].out_dim != self.feature_dim:
@@ -85,31 +78,36 @@ class Architecture:
     def mlp(feature_dim: int, hidden, num_classes: int) -> "Architecture":
         """ReLU MLP encoder with the given hidden widths, affine classifier."""
         widths = [feature_dim, *hidden]
-        enc = tuple(LayerSpec(widths[i], widths[i + 1], "relu") for i in range(len(widths) - 1))
-        return Architecture(enc, LayerSpec(widths[-1], num_classes, "none"))
+        enc = tuple(LayerSpec(widths[i], widths[i + 1]) for i in range(len(widths) - 1))
+        return Architecture(enc, LayerSpec(widths[-1], num_classes))
 
     def with_generator(self, noise_dim: int, gen_hidden) -> "Architecture":
         widths = [noise_dim, *gen_hidden]
-        gen = [LayerSpec(widths[i], widths[i + 1], "relu") for i in range(len(widths) - 1)]
-        gen.append(LayerSpec(widths[-1], self.feature_dim, "none"))
+        gen = [LayerSpec(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
+        gen.append(LayerSpec(widths[-1], self.feature_dim))
         return Architecture(self.encoder, self.classifier, tuple(gen))
 
 
 def _layers(arch: Architecture) -> tuple[list, list]:
-    """(tensor prefix, spec) per layer, as two walks: the classifier path
+    """(tensor prefix, spec, relu) per layer, as two walks: the classifier path
     (encoder layers, then the classifier) and the generator. Layer `p` owns
-    the tensors `p.w` and `p.b`; the canonical order is path, then generator."""
+    the tensors `p.w` and `p.b`; the canonical order is path, then generator.
+    ReLU follows every layer of a walk except its last, which is affine."""
+
+    def walk(pairs):
+        return [(prefix, spec, i < len(pairs) - 1) for i, (prefix, spec) in enumerate(pairs)]
+
     path = [(f"enc{i}", spec) for i, spec in enumerate(arch.encoder)] + [("cls", arch.classifier)]
-    return path, [(f"gen{i}", spec) for i, spec in enumerate(arch.generator)]
+    return walk(path), walk([(f"gen{i}", spec) for i, spec in enumerate(arch.generator)])
 
 
 def _names(layers) -> list[str]:
-    return [f"{prefix}.{t}" for prefix, _ in layers for t in "wb"]
+    return [f"{prefix}.{t}" for prefix, _, _ in layers for t in "wb"]
 
 
 def _expected_shapes(arch: Architecture) -> dict[str, tuple]:
     path, gen = _layers(arch)
-    return {f"{p}.{t}": (s.in_dim, s.out_dim) if t == "w" else (s.out_dim,) for p, s in path + gen for t in "wb"}
+    return {f"{p}.{t}": (s.in_dim, s.out_dim) if t == "w" else (s.out_dim,) for p, s, _ in path + gen for t in "wb"}
 
 
 def tensor_names(arch: Architecture) -> list[str]:
@@ -151,7 +149,7 @@ def init_params(arch: Architecture, rng: Rng) -> ParamSet:
     """
     tensors: dict[str, np.ndarray] = {}
     path, gen = _layers(arch)
-    for prefix, spec in path + gen:
+    for prefix, spec, _ in path + gen:
         bound = 1.0 / np.sqrt(spec.in_dim)
         tensors[f"{prefix}.w"] = rng.uniform_matrix(spec.in_dim, spec.out_dim, -bound, bound)
         tensors[f"{prefix}.b"] = np.zeros(spec.out_dim)
@@ -160,7 +158,7 @@ def init_params(arch: Architecture, rng: Rng) -> ParamSet:
 
 @dataclass
 class ForwardCache:
-    """One walk's record, kept for the backward walk: the (prefix, spec)
+    """One walk's record, kept for the backward walk: the (prefix, spec, relu)
     layers, the input rows, each layer's output (a ReLU's mask is its output
     > 0), and the softmax probabilities (classifier path only)."""
 
@@ -186,10 +184,10 @@ def _walk_forward(params: ParamSet, layers, x: np.ndarray, record: bool = True):
     previous layer's arrays are alive. The values are the same either way."""
     act = []
     a = x
-    for prefix, spec in layers:
+    for prefix, _, relu in layers:
         a = a @ params.tensors[prefix + ".w"]
         a += params.tensors[prefix + ".b"]
-        if spec.activation == "relu":
+        if relu:
             np.maximum(a, 0.0, out=a)
         if record:
             act.append(a)
@@ -202,8 +200,8 @@ def _walk_backward(params: ParamSet, layers, cache: ForwardCache, d: np.ndarray,
     output is > 0, which is where its input is (NaN too): none at exactly 0."""
     grads = {}
     for i in range(len(layers) - 1, -1, -1):
-        prefix, spec = layers[i]
-        if spec.activation == "relu":
+        prefix, _, relu = layers[i]
+        if relu:
             d = d * (cache.act[i] > 0.0)
         grads[prefix + ".b"] = d.sum(axis=0)
         grads[prefix + ".w"] = (cache.act[i - 1] if i > 0 else cache.x).T @ d
@@ -281,28 +279,21 @@ def generator_backward(params: ParamSet, cache: ForwardCache, grad_out):
 #
 # magic "CTDR" | u16 version | u16 n_enc | per layer: u32 in, u32 out, u8 act
 # | classifier: u32 in, u32 out, u8 act | u16 n_gen | gen layers likewise
+# (act is 1 for ReLU, 0 for affine, and must match the rule in `_layers`)
 # | u32 n_tensors | per tensor: u16 name_len, name utf-8, u8 ndim, u32 dims...,
 #   float64 little-endian payload.
 
 CHECKPOINT_MAGIC = b"CTDR"
 CHECKPOINT_VERSION = 1
-_ACT_CODE = {"none": 0, "relu": 1}
-_ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
 
 
 def save_checkpoint(params: ParamSet, path) -> None:
     arch = params.arch
     out = bytearray(CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION))
-
-    def pack_layer(spec):
-        return struct.pack("<IIB", spec.in_dim, spec.out_dim, _ACT_CODE[spec.activation])
-
-    out += struct.pack("<H", len(arch.encoder))
-    for spec in (*arch.encoder, arch.classifier):
-        out += pack_layer(spec)
-    out += struct.pack("<H", len(arch.generator))
-    for spec in arch.generator:
-        out += pack_layer(spec)
+    for count, layers in zip((len(arch.encoder), len(arch.generator)), _layers(arch)):
+        out += struct.pack("<H", count)
+        for _, spec, relu in layers:
+            out += struct.pack("<IIB", spec.in_dim, spec.out_dim, relu)
 
     names = tensor_names(arch)
     out += struct.pack("<I", len(names))
@@ -341,21 +332,19 @@ def load_checkpoint(path) -> ParamSet:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: checkpoint version {version}, this build reads {CHECKPOINT_VERSION}")
 
-    def read_layer():
-        in_dim, out_dim, act = cur.unpack("<IIB")
-        if act not in _ACT_NAME:
-            raise CheckpointError(f"{path}: unknown activation code {act}")
-        return LayerSpec(in_dim, out_dim, _ACT_NAME[act])
-
     try:
         (n_enc,) = cur.unpack("<H")
-        encoder = tuple(read_layer() for _ in range(n_enc))
-        classifier = read_layer()
+        rows = [cur.unpack("<IIB") for _ in range(n_enc + 1)]
         (n_gen,) = cur.unpack("<H")
-        generator = tuple(read_layer() for _ in range(n_gen))
-        arch = Architecture(encoder, classifier, generator)
+        rows += [cur.unpack("<IIB") for _ in range(n_gen)]
+        specs = [LayerSpec(in_dim, out_dim) for in_dim, out_dim, _ in rows]
+        arch = Architecture(tuple(specs[:n_enc]), specs[n_enc], tuple(specs[n_enc + 1 :]))
     except ContractViolation as exc:
         raise CheckpointError(f"{path}: invalid architecture table: {exc}") from exc
+    path_layers, gen_layers = _layers(arch)
+    for (prefix, _, relu), (*_, act) in zip(path_layers + gen_layers, rows):
+        if act != relu:
+            raise CheckpointError(f"{path}: layer {prefix} has activation byte {act}, its place in the network needs {int(relu)}")
 
     expected = _expected_shapes(arch)
     order = tensor_names(arch)

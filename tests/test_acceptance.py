@@ -28,7 +28,6 @@ from ctdr.losses import (
     class_mass,
     contradist_loss,
     make_prior,
-    median_heuristic_gamma,
     mmd_loss,
     pseudo_label_select,
     source_ce,
@@ -106,7 +105,7 @@ def _relu_margin(params, inputs):
     vals = [1.0]
     for x in inputs:
         cache = forward(params, x)
-        for (prefix, _), a in zip(cache.layers[:-1], [cache.x] + cache.act[:-2]):
+        for (prefix, _, _), a in zip(cache.layers[:-1], [cache.x] + cache.act[:-2]):
             z = a @ params.tensors[prefix + ".w"]
             z += params.tensors[prefix + ".b"]
             vals.append(float(np.min(np.abs(z))))
@@ -143,7 +142,7 @@ def test_c01_analytic_gradients_match_finite_differences():
         checked += 1
 
         real_emb = forward(params, x_real).embeddings.copy()
-        gamma = median_heuristic_gamma(real_emb)
+        gamma = mmd_loss(real_emb, real_emb, None).diagnostics["gamma"]
         pseudo = pseudo_label_select(forward(params, x_tgt).probs, prior)
 
         for loss_name in ("supervised", "contradist", "adversarial", "mmd"):

@@ -2,6 +2,8 @@
 
 Walks the source of every module in src/ctdr and lists each module-level
 public function or class that no code in src/ references outside its own
+definition, and each public method, property or dataclass field
+(`Class.member`) that no code in src/ reads as an attribute outside its own
 definition. Only the allow-listed names may be on that list.
 """
 
@@ -11,10 +13,11 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ctdr"
 
-# name -> why it stays without a caller in src/
+# name -> why it stays without a caller or reader in src/
 ALLOWED = {
-    "median_heuristic_gamma": "perfbench/spans.py patches it by name to trace the median bandwidth",
     "class_mass": "acceptance criterion c02 is stated on it",
+    "Rng.uniform": "the scalar reference that Rng.uniform_matrix is tested against bit for bit",
+    "LossReport.diagnostics": "the planned per-epoch diag block of metrics.jsonl reads it",
 }
 
 
@@ -29,23 +32,46 @@ def _uses(node) -> Counter:
     return uses
 
 
+def _reads(node) -> Counter:
+    """Attribute names read below `node` (`x.name` loaded, not assigned)."""
+    return Counter(
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def _members(cls):
+    """(name, node) of each method, property, field and class attribute."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+
+
 def unreferenced_public_names(src=SRC) -> set:
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
     total = sum((_uses(tree) for tree in trees), Counter())
+    reads = sum((_reads(tree) for tree in trees), Counter())
     found = set()
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 if total[node.name] - _uses(node)[node.name] == 0:
                     found.add(node.name)
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for name, node in _members(cls):
+                if not name.startswith("_") and reads[name] - _reads(node)[name] == 0:
+                    found.add(f"{cls.name}.{name}")
     return found
 
 
 def test_every_public_name_has_a_caller_in_src():
     found = unreferenced_public_names()
     extra, stale = sorted(found - set(ALLOWED)), sorted(set(ALLOWED) - found)
-    assert not extra, f"public names that only tests use (find a caller in src/ or delete them): {extra}"
-    assert not stale, f"allow-listed names that now have a caller in src/ (drop them from ALLOWED): {stale}"
+    assert not extra, f"public names or members that only tests use (use them in src/ or delete them): {extra}"
+    assert not stale, f"allow-listed names that src/ now uses (drop them from ALLOWED): {stale}"
 
 
 def test_scan_sees_a_definition_without_callers(tmp_path):
@@ -53,3 +79,20 @@ def test_scan_sees_a_definition_without_callers(tmp_path):
     (tmp_path / "b.py").write_text("from .a import used\n\nx = used()\n")
     # a recursive call is inside its own definition, so it does not count
     assert unreferenced_public_names(tmp_path) == {"lonely", "Box"}
+
+
+def test_scan_sees_a_member_that_src_never_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Box:\n"
+        "    size: int\n"
+        "    spare: int\n"
+        "    alias = 0\n\n"
+        "    def used(self):\n        return self.size\n\n"
+        "    def lonely(self):\n        return self.lonely()\n\n"
+        "    @property\n    def shown(self):\n        return 1\n\n"
+        "    def _private(self):\n        return 2\n"
+    )
+    # a field given by keyword or assigned is not read; a method called only
+    # inside its own definition is not either
+    (tmp_path / "b.py").write_text("from .a import Box\n\nbox = Box(size=1, spare=2)\nbox.alias = 3\nbox.used()\n")
+    assert unreferenced_public_names(tmp_path) == {"Box.spare", "Box.alias", "Box.lonely", "Box.shown"}

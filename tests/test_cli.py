@@ -849,6 +849,9 @@ def test_ablate_abort_in_the_first_rung_leaves_the_header(tmp_path, capsys):
         # checks the data builder makes
         ("rotation", "400", "rotation must be in [0, 360] degrees, got 400.0"),
         ("gauss_cov_scale", "-1", "cov_scale must be > 0"),
+        ("gauss_cov_scale", "nan", "cov_scale must be > 0 and finite, got nan"),
+        ("gauss_mean_shift", "inf", "mean_shift must be finite, got inf"),
+        ("noise", "nan", "noise_std must be >= 0 and finite, got nan"),
         ("skew", "0.5,0.6", "prior sums to 1.1, expected 1"),
     ],
 )

@@ -29,6 +29,7 @@ from ctdr.numerics import (
     Rng,
     STREAM_FAKE_TARGET,
     STREAM_WEIGHT_INIT,
+    _pairwise_sq_dists,
 )
 from ctdr.optim import OptimizerState
 from gradcheck import finite_diff_param_grad, relative_error
@@ -137,7 +138,7 @@ def test_generator_step_bandwidth_is_the_median_heuristic_on_the_real_embeddings
     real = forward(params, Rng(95, 0).normal_matrix(8, 3)).embeddings
     opt = OptimizerState.for_params(params, phi_names(arch))
     _, _, report, _ = generator_step(params, real, 4, opt, 0.01, Rng(96, STREAM_FAKE_TARGET))
-    gamma = median_heuristic_gamma(real)
+    gamma = median_heuristic_gamma(_pairwise_sq_dists(real))
     assert gamma != 1.0  # not the fallback of a batch with no spread
     assert report.diagnostics["gamma"] == gamma
 

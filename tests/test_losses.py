@@ -18,7 +18,7 @@ from ctdr.losses import (
     pseudo_label_select,
     source_ce,
 )
-from ctdr.numerics import Rng, softmax_rows
+from ctdr.numerics import Rng, _pairwise_sq_dists, softmax_rows
 from gradcheck import finite_diff_grad, relative_error
 
 
@@ -322,18 +322,18 @@ def test_mmd_grad_is_zero_at_identical_sets():
 def test_median_heuristic_two_points():
     emb = np.array([[0.0, 0.0], [2.0, 0.0]])
     # median pairwise squared distance over off-diagonal pairs is 4
-    assert median_heuristic_gamma(emb) == pytest.approx(1.0 / 8.0, abs=1e-12)
+    assert median_heuristic_gamma(_pairwise_sq_dists(emb)) == pytest.approx(1.0 / 8.0, abs=1e-12)
 
 
 def test_median_heuristic_degenerate_falls_back():
     emb = np.zeros((3, 2))
-    assert median_heuristic_gamma(emb) == 1.0
-    assert median_heuristic_gamma(np.array([[1.0, 2.0]])) == 1.0
+    assert median_heuristic_gamma(_pairwise_sq_dists(emb)) == 1.0
+    assert median_heuristic_gamma(_pairwise_sq_dists(np.array([[1.0, 2.0]]))) == 1.0
 
 
 def test_median_heuristic_deterministic():
     emb = Rng(75, 0).normal_matrix(10, 4)
-    assert median_heuristic_gamma(emb) == median_heuristic_gamma(emb.copy())
+    assert median_heuristic_gamma(_pairwise_sq_dists(emb)) == median_heuristic_gamma(_pairwise_sq_dists(emb.copy()))
 
 
 def same_bits(a, b):
@@ -351,7 +351,7 @@ def test_mmd_none_gamma_is_the_median_heuristic(nr, identical, width):
     if identical:
         r = np.repeat(r[:1], nr, axis=0)
     auto = mmd_loss(f, r, None)
-    explicit = mmd_loss(f, r, median_heuristic_gamma(r))
+    explicit = mmd_loss(f, r, median_heuristic_gamma(_pairwise_sq_dists(r)))
     assert same_bits(auto.value, explicit.value)
     assert same_bits(auto.grad_embeddings, explicit.grad_embeddings)
     assert auto.diagnostics.keys() == explicit.diagnostics.keys()

@@ -1,6 +1,7 @@
 """Tests for the MLP forward/backward passes and checkpoint persistence."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -44,24 +45,16 @@ def small_net(seed=9):
 
 def test_layer_spec_validation():
     with pytest.raises(ContractViolation):
-        LayerSpec(0, 3, "relu")
+        LayerSpec(0, 3)
     with pytest.raises(ContractViolation):
-        LayerSpec(3, 0, "relu")
-    with pytest.raises(ContractViolation):
-        LayerSpec(3, 3, "tanh")
+        LayerSpec(3, 0)
 
 
 def test_architecture_chain_validation():
     with pytest.raises(ContractViolation):
-        Architecture((LayerSpec(3, 4, "relu"),), LayerSpec(5, 2, "none"))
+        Architecture((LayerSpec(3, 4),), LayerSpec(5, 2))
     with pytest.raises(ContractViolation):
-        Architecture((LayerSpec(3, 4, "relu"),), LayerSpec(4, 2, "relu"))
-    with pytest.raises(ContractViolation):
-        Architecture(
-            (LayerSpec(3, 4, "relu"),),
-            LayerSpec(4, 2, "none"),
-            (LayerSpec(8, 5, "relu"), LayerSpec(5, 99, "none")),
-        )
+        Architecture((LayerSpec(3, 4),), LayerSpec(4, 2), (LayerSpec(8, 5), LayerSpec(5, 99)))
 
 
 def test_architecture_dims():
@@ -135,7 +128,7 @@ def test_forward_zero_weights_uniform_probs():
 
 
 def test_forward_identity_passthrough():
-    arch = Architecture((), LayerSpec(2, 2, "none"))
+    arch = Architecture((), LayerSpec(2, 2))
     tensors = {"cls.w": np.eye(2), "cls.b": np.zeros(2)}
     cache = forward(ParamSet(arch, tensors), np.array([[0.3, -1.5]]))
     assert np.array_equal(cache.logits, np.array([[0.3, -1.5]]))
@@ -194,7 +187,7 @@ def test_backward_rejects_shape_mismatch():
 
 
 def test_backward_linear_layer_matches_finite_diff():
-    arch = Architecture((), LayerSpec(3, 2, "none"))
+    arch = Architecture((), LayerSpec(3, 2))
     params = init_params(arch, Rng(5, STREAM_WEIGHT_INIT))
     x = Rng(6, 0).normal_matrix(4, 3)
     coeff = Rng(6, 1).normal_matrix(4, 2)
@@ -288,7 +281,7 @@ def test_backward_without_input_gradient_gives_the_same_weight_gradients(net):
     if net == "small":
         _, params = small_net()
     else:
-        params = init_params(Architecture((), LayerSpec(3, 2, "none")), Rng(5, STREAM_WEIGHT_INIT))
+        params = init_params(Architecture((), LayerSpec(3, 2)), Rng(5, STREAM_WEIGHT_INIT))
     x = Rng(36, 0).normal_matrix(5, 3)
     coeff = Rng(36, 1).normal_matrix(5, 2)
     cache = forward(params, x)
@@ -329,7 +322,7 @@ def test_relu_mask_from_outputs_equals_mask_from_pre_activations():
 
 def test_relu_subgradient_at_zero_is_zero():
     # one hidden unit whose pre-activation is exactly 0 must pass no gradient
-    arch = Architecture((LayerSpec(1, 1, "relu"),), LayerSpec(1, 1, "none"))
+    arch = Architecture((LayerSpec(1, 1),), LayerSpec(1, 1))
     tensors = {
         "enc0.w": np.array([[1.0]]),
         "enc0.b": np.array([0.0]),
@@ -456,6 +449,22 @@ def test_checkpoint_shape_mismatch(tmp_path):
     bad = tmp_path / "bad.ctdr"
     bad.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match=r"tensor enc0\.w: shape \(5, 4\), architecture says \(3, 4\)"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("layer, offset, stored", [("enc0", 16, 1), ("cls", 25, 0), ("gen1", 45, 0)])
+def test_checkpoint_activation_byte_must_match_the_layer_position(tmp_path, layer, offset, stored):
+    # layer table: magic + u16 version, then u16 n_enc at 6, 9-byte layers
+    # (u32 in, u32 out, u8 act) from 8, u16 n_gen after the classifier
+    arch = Architecture.mlp(3, (4,), 2).with_generator(5, (6,))
+    path = tmp_path / "base.ctdr"
+    save_checkpoint(init_params(arch, Rng(9, STREAM_WEIGHT_INIT)), path)
+    raw = bytearray(path.read_bytes())
+    assert [raw[i] for i in (16, 25, 36, 45)] == [1, 0, 1, 0]
+    raw[offset] = 1 - stored
+    bad = tmp_path / "bad.ctdr"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(bad))}: layer {layer} has activation byte {1 - stored}"):
         load_checkpoint(bad)
 
 

@@ -10,7 +10,7 @@ from ctdr.optim import OptimizerState, adam_update
 
 
 def scalar_param(value=0.0):
-    arch = Architecture((), LayerSpec(1, 1, "none"))
+    arch = Architecture((), LayerSpec(1, 1))
     tensors = {"cls.w": np.array([[value]]), "cls.b": np.array([0.0])}
     params = ParamSet(arch, tensors)
     state = OptimizerState.for_params(params, ["cls.w"])
