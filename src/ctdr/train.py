@@ -21,6 +21,7 @@ batch; the terms of the combo add with equal weight.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -186,6 +187,14 @@ class RunState:
         streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
         return cls(terms, arch, frozenset(reads), config.batch_size, labeled, priors, fake_stats, streams)
 
+    def draw_noise(self) -> dict:
+        """One step's standard normals: fake batch -> (n_f, width), each drawn on its own stream."""
+        return {b: self.streams[b].normal_matrix(self.n_f, s.mean.shape[0]) for b, s in self.fake_stats.items()}
+
+    def fakes_from(self, noise: dict) -> dict:
+        """The gaussian fake rows of draw_noise()'s normals, written over them."""
+        return {b: gaussian_fakes(self.fake_stats[b], z) for b, z in noise.items()}
+
 
 def _check_finite(term: str, value: float, epoch=None, step=None):
     if not np.isfinite(value):
@@ -212,11 +221,13 @@ def train_step(
     lr: float,
     epoch=None,
     step=None,
+    fakes: dict | None = None,
 ):
     """One optimization step over the enabled terms, in TERM_TABLE order.
 
     sup_batch is the labeled batch (source, or target-train under ts);
-    target_batch is the unlabeled target batch (None when no step reads it).
+    target_batch is the unlabeled target batch (None when no step reads it);
+    fakes is this step's gaussian fake rows, drawn here when not given.
     Each batch gets one forward, when the first term that reads it comes up.
     When the network has a generator, its one MMD step runs first: it
     forwards the target batch and steps on its embeddings, and the forward
@@ -225,6 +236,8 @@ def train_step(
     Returns (params, opt_theta, opt_phi, reports).
     """
     generator = bool(params.arch.generator)
+    if fakes is None and run.fake_stats:
+        fakes = run.fakes_from(run.draw_noise())
     reports: dict = {}
     total: dict[str, np.ndarray] = {}
     caches: dict = {}
@@ -242,7 +255,7 @@ def train_step(
         if batch == "target":
             return target_batch.features
         if not generator:
-            return gaussian_fakes(run.fake_stats[batch], run.n_f, run.streams[batch])
+            return fakes[batch]
         return generator_fakes(params, run.n_f, run.streams[batch])
 
     for term in run.terms:
@@ -267,6 +280,67 @@ def train_step(
     return params, opt_theta, opt_phi, reports
 
 
+class _FakesAhead:
+    """Draws a fit's gaussian fake-row normals one step ahead, on one worker thread.
+
+    The thread makes `steps` calls of run.draw_noise(), in step order: the
+    first at once, each next one when take() hands over the one before.
+    While it lives, only it touches run.streams. take() scales the normals
+    to fake rows in fit's thread, with no draw in flight: fit's errstate
+    then covers the one part that can overflow (numpy's errstate is per
+    thread; normals never warn), and perfbench's tracer, whose one span
+    stack all threads share, sees no fake.gaussian span overlap a draw.
+    """
+
+    def __init__(self, run: RunState, steps: int):
+        self._run = run
+        self._left = steps
+        self._out = None
+        self._closed = False
+        self._go = threading.Semaphore(0)
+        self._idle = threading.Event()
+        self._thread = threading.Thread(target=self._loop, name="ctdr-fake-rows")
+        self._thread.start()
+        self._start()
+
+    def _loop(self):
+        while True:
+            self._go.acquire()
+            if self._closed:
+                return
+            try:
+                self._out = self._run.draw_noise()
+            except BaseException as exc:  # take() raises it in fit's thread
+                self._out = exc
+            self._idle.set()
+
+    def _start(self):
+        self._left -= 1
+        self._idle.clear()
+        self._go.release()
+
+    def take(self) -> dict:
+        """The next step's fake rows, or what their draw raised; starts the draw after them."""
+        self._idle.wait()
+        out, self._out = self._out, None
+        if isinstance(out, BaseException):
+            raise out
+        fakes = self._run.fakes_from(out)
+        if self._left:
+            self._start()
+        return fakes
+
+    def wait(self):
+        """Return once no draw is in flight."""
+        self._idle.wait()
+
+    def close(self):
+        """End the thread, after the draw in flight if there is one."""
+        self._closed = True
+        self._go.release()
+        self._thread.join()
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     """Run the full loop; returns (params, list of per-epoch metric records).
@@ -279,6 +353,12 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     term is disabled; ts only appears when it runs), source-train and
     target-test accuracy, and seconds (0.0 when config.timing is off).
     on_epoch, when given, receives each record as it is produced.
+
+    Gaussian fake rows are drawn one step ahead on a second thread (see
+    _FakesAhead), with the bytes of drawing them in each step: their
+    streams are their own. No draw runs while on_epoch does, nor after fit
+    returns or raises; a draw's exception is raised at the step that takes
+    its rows.
     """
     run = RunState.build(config, pair)
     arch = run.arch
@@ -297,33 +377,42 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     reported = run.terms + (("gen",) if arch.generator else ())
     record_keys = tuple(t for t in TERMS if t != "ts") + ("gen",) + (("ts",) if "ts" in run.terms else ())
     metrics = []
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        lr = config.lr_at(epoch)
-        sums = dict.fromkeys(reported, 0.0)
-        for step in range(steps_per_epoch):
-            sup_batch = _slice(run.labeled, sup_batcher.take())
-            target_batch = _slice(pair.target_train, target_batcher.take()) if target_batcher else None
-            params, opt_theta, opt_phi, reports = train_step(
-                params, opt_theta, opt_phi, sup_batch, target_batch, run, lr, epoch, step
-            )
-            for t, rep in reports.items():
-                sums[t] += rep.value
-        with _blame("eval", epoch):
-            acc = {
-                "source_train": evaluate(params, pair.source).accuracy,
-                "target_test": evaluate(params, pair.target_test).accuracy,
+    steps = config.epochs * steps_per_epoch
+    ahead = _FakesAhead(run, steps) if run.fake_stats and steps else None
+    try:
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            lr = config.lr_at(epoch)
+            sums = dict.fromkeys(reported, 0.0)
+            for step in range(steps_per_epoch):
+                sup_batch = _slice(run.labeled, sup_batcher.take())
+                target_batch = _slice(pair.target_train, target_batcher.take()) if target_batcher else None
+                fakes = ahead.take() if ahead is not None else None
+                params, opt_theta, opt_phi, reports = train_step(
+                    params, opt_theta, opt_phi, sup_batch, target_batch, run, lr, epoch, step, fakes
+                )
+                for t, rep in reports.items():
+                    sums[t] += rep.value
+            with _blame("eval", epoch):
+                acc = {
+                    "source_train": evaluate(params, pair.source).accuracy,
+                    "target_test": evaluate(params, pair.target_test).accuracy,
+                }
+            if ahead is not None:
+                ahead.wait()  # the hook runs with no draw in flight
+            record = {
+                "epoch": epoch,
+                "lr": lr,
+                "loss": {t: (sums[t] / steps_per_epoch if t in sums else None) for t in record_keys},
+                "acc": acc,
+                "seconds": time.perf_counter() - t0 if config.timing else 0.0,
             }
-        record = {
-            "epoch": epoch,
-            "lr": lr,
-            "loss": {t: (sums[t] / steps_per_epoch if t in sums else None) for t in record_keys},
-            "acc": acc,
-            "seconds": time.perf_counter() - t0 if config.timing else 0.0,
-        }
-        metrics.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
+            metrics.append(record)
+            if on_epoch is not None:
+                on_epoch(record)
+    finally:
+        if ahead is not None:
+            ahead.close()
     return params, metrics
 
 

@@ -178,7 +178,11 @@ def test_cmd_train_same_seed_byte_identical(tmp_path):
 # sha256 of (model.ctdr, metrics.jsonl) for two runs, taken when every draw
 # was one scalar PCG32 call, so a change to the generator or to the order of
 # draws cannot pass unseen (c09 only compares two runs of the same code). The
-# digests also depend on the platform's libm (math.log/sin/cos) and BLAS.
+# digests also depend on the platform's libm (math.log/sin/cos), on BLAS, and
+# on numpy's SIMD dispatch target: np.exp and np.log give other bytes under its
+# AVX-512 kernels than under AVX2, so these three digests, and the
+# train_embeddings one below, hold only on an AVX-512 host like the one that
+# took them.
 FROZEN_RUNS = {
     "gauss64_gaussian_fakes": (
         {"data": "gauss_shift", "n": 60, "gauss_dim": 64, "gauss_classes": 5,

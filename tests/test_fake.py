@@ -68,7 +68,7 @@ def test_feature_stats_from_features():
 
 def test_gaussian_fakes_zero_std_returns_mean():
     stats = FeatureStats(np.array([1.0, -3.0]), np.array([0.0, 0.0]))
-    out = gaussian_fakes(stats, 5, Rng(1, STREAM_FAKE_TARGET))
+    out = gaussian_fakes(stats, Rng(1, STREAM_FAKE_TARGET).normal_matrix(5, 2))
     assert out.shape == (5, 2)
     for row in out:
         assert np.array_equal(row, np.array([1.0, -3.0]))
@@ -76,14 +76,14 @@ def test_gaussian_fakes_zero_std_returns_mean():
 
 def test_gaussian_fakes_golden_rows():
     stats = FeatureStats(np.array([1.0, -2.0]), np.array([0.5, 2.0]))
-    out = gaussian_fakes(stats, 2, Rng(7, STREAM_FAKE_TARGET))
+    out = gaussian_fakes(stats, Rng(7, STREAM_FAKE_TARGET).normal_matrix(2, 2))
     assert np.array_equal(out, GOLDEN_FAKES)
 
 
 def test_gaussian_fakes_deterministic_and_width():
     stats = FeatureStats(np.zeros(3), np.ones(3))
-    a = gaussian_fakes(stats, 4, Rng(2, STREAM_FAKE_TARGET))
-    b = gaussian_fakes(stats, 4, Rng(2, STREAM_FAKE_TARGET))
+    a = gaussian_fakes(stats, Rng(2, STREAM_FAKE_TARGET).normal_matrix(4, 3))
+    b = gaussian_fakes(stats, Rng(2, STREAM_FAKE_TARGET).normal_matrix(4, 3))
     assert a.shape == (4, 3)
     assert np.array_equal(a, b)
 
@@ -92,7 +92,7 @@ def test_gaussian_fakes_sample_mean_near_target_mean():
     mean = np.array([2.0, -1.0])
     std = np.array([0.5, 2.0])
     n = 100_000
-    out = gaussian_fakes(FeatureStats(mean, std), n, Rng(3, STREAM_FAKE_TARGET))
+    out = gaussian_fakes(FeatureStats(mean, std), Rng(3, STREAM_FAKE_TARGET).normal_matrix(n, 2))
     bound = 3.0 * std / np.sqrt(n)
     assert np.all(np.abs(out.mean(axis=0) - mean) < bound)
 

@@ -2,17 +2,19 @@
 learning-rate schedule, and determinism contracts."""
 
 import math
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from ctdr.data import Batch, Dataset, DomainPair, synth_two_moons
+from ctdr.data import Batch, Batcher, Dataset, DomainPair, synth_two_moons
 from ctdr.errors import ConfigError, ContractViolation, NonFiniteLossError
 from ctdr.fake import FakeSourceConfig, FeatureStats
 from ctdr.losses import LossReport
 from ctdr.model import init_params, phi_names, tensor_names, theta_names
-from ctdr.numerics import Rng, STREAM_WEIGHT_INIT
+from ctdr.numerics import Rng, STREAM_SOURCE_SHUFFLE, STREAM_TARGET_SHUFFLE, STREAM_WEIGHT_INIT
 from ctdr.optim import OptimizerState
 from ctdr.train import (
     LossCombo,
@@ -379,6 +381,109 @@ def test_gaussian_adversarial_terms_run():
         assert rec[term] is not None and math.isfinite(rec[term])
     assert rec["gen"] is None
     assert phi_names(params.arch) == []
+
+
+def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch):
+    # fit draws each step's gaussian normals one step ahead on a worker thread;
+    # train_step called directly draws them on the spot, in this thread
+    pair = tiny_pair()
+    cfg = quick_config("ss,tu,su,ta,sa", epochs=2)
+    here = threading.get_ident()
+    drawn_here = []
+    real_draw = RunState.draw_noise
+
+    def recording_draw(run):
+        drawn_here.append(threading.get_ident() == here)
+        return real_draw(run)
+
+    monkeypatch.setattr(RunState, "draw_noise", recording_draw)
+    fitted, _ = fit(cfg, pair)
+    by_fit = list(drawn_here)
+    drawn_here.clear()
+
+    run = RunState.build(cfg, pair)
+    params = init_params(run.arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
+    opt = OptimizerState.for_params(params, theta_names(run.arch))
+    sup = Batcher(run.labeled.n, cfg.batch_size, cfg.seed, STREAM_SOURCE_SHUFFLE)
+    tgt = Batcher(pair.target_train.n, cfg.batch_size, cfg.seed, STREAM_TARGET_SHUFFLE)
+    for epoch in range(cfg.epochs):
+        for step in range(max(sup.batches_per_epoch, tgt.batches_per_epoch)):
+            i, j = sup.take(), tgt.take()
+            sup_batch = Batch(run.labeled.features[i], run.labeled.labels[i])
+            tgt_batch = Batch(pair.target_train.features[j])
+            params, opt, _, _ = train_step(params, opt, None, sup_batch, tgt_batch, run, cfg.lr_at(epoch), epoch, step)
+    assert by_fit == [False] * 6 and drawn_here == [True] * 6  # 3 steps an epoch, no draw past the last
+    for name in tensor_names(run.arch):
+        assert params.tensors[name].tobytes() == fitted.tensors[name].tobytes()
+
+
+def test_fit_leaves_no_thread_behind():
+    before = threading.active_count()
+    fit(quick_config("ss,tu,su,ta,sa"), tiny_pair())
+    assert threading.active_count() == before
+
+
+def test_nonfinite_loss_mid_run_leaves_no_thread_behind(monkeypatch):
+    real_adv = ctdr.train.adv_bce
+    calls = []
+
+    def poisoned(probs):
+        calls.append(1)
+        if len(calls) == 5:  # ta's fifth step: epoch 1, step 1
+            return LossReport(float("nan"), grad_logits=np.zeros_like(probs))
+        return real_adv(probs)
+
+    monkeypatch.setattr(ctdr.train, "adv_bce", poisoned)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteLossError) as exc:
+        fit(quick_config("ss,tu,ta"), tiny_pair())
+    assert (exc.value.term, exc.value.epoch, exc.value.step) == ("ta", 1, 1)
+    assert threading.active_count() == before
+
+
+def test_a_draw_error_comes_out_of_fit_at_the_step_that_takes_its_rows(monkeypatch):
+    real_draw = RunState.draw_noise
+    raised = ContractViolation("the third draw fails")
+    draws, steps = [], []
+
+    def failing_draw(run):
+        draws.append(1)
+        if len(draws) == 3:
+            raise raised
+        return real_draw(run)
+
+    real_step = ctdr.train.train_step
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(RunState, "draw_noise", failing_draw)
+    monkeypatch.setattr(ctdr.train, "train_step", counting_step)
+    before = threading.active_count()
+    with pytest.raises(ContractViolation) as exc:
+        fit(quick_config("ss,tu,su,ta,sa"), tiny_pair())
+    assert exc.value is raised
+    assert len(steps) == 2 and len(draws) == 3  # no step takes the failed rows, and no draw follows them
+    assert threading.active_count() == before
+
+
+def test_no_draw_is_in_flight_while_the_epoch_hook_runs(monkeypatch):
+    real_draw = RunState.draw_noise
+    in_flight = []
+
+    def slow_draw(run):
+        in_flight.append(1)
+        time.sleep(0.02)  # far longer than a step here: a draw left running would still run
+        try:
+            return real_draw(run)
+        finally:
+            in_flight.pop()
+
+    monkeypatch.setattr(RunState, "draw_noise", slow_draw)
+    seen = []
+    fit(quick_config("ss,tu,ta", epochs=3), tiny_pair(), on_epoch=lambda record: seen.append(len(in_flight)))
+    assert seen == [0, 0, 0]
 
 
 def test_generator_mode_trains_generator():
