@@ -346,7 +346,7 @@ def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_ske
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ContractViolation(f"noise_std must be >= 0 and finite, got {noise_std}")
     balanced = np.array([0.5, 0.5])
-    skew = balanced if label_skew is None else make_prior(label_skew, 2)
+    skew = balanced if label_skew is None else make_prior(label_skew, 2, "label_skew")
 
     src_f, src_y = _moon_points(n, _exact_counts(balanced, n), noise_std, Rng(seed, substream(STREAM_DATA, 0)))
     tt_f, tt_y = _moon_points(n, _exact_counts(skew, n), noise_std, Rng(seed, substream(STREAM_DATA, 1)))
@@ -380,7 +380,7 @@ def synth_gauss_shift(
     if not math.isfinite(mean_shift):
         raise ContractViolation(f"synth_gauss_shift: mean_shift must be finite, got {mean_shift}")
     uniform = np.full(num_classes, 1.0 / num_classes)
-    skew = uniform if label_skew is None else make_prior(label_skew, num_classes)
+    skew = uniform if label_skew is None else make_prior(label_skew, num_classes, "label_skew")
 
     mean_rng = Rng(seed, substream(STREAM_DATA, 3))
     means = mean_rng.normal_matrix(num_classes, dim) * (3.0 / math.sqrt(dim))

@@ -19,17 +19,18 @@ from .numerics import _pairwise_sq_dists, as_matrix, gaussian_kernel_matrix, log
 EPS = 1e-12
 
 
-def make_prior(values, num_classes=None) -> np.ndarray:
-    """Validate a class prior: 1-D, nonnegative, sums to 1 within 1e-9."""
+def make_prior(values, num_classes=None, name="prior") -> np.ndarray:
+    """Validate a class prior: 1-D, nonnegative, sums to 1 within 1e-9. Errors
+    call it `name`."""
     p = np.asarray(values, dtype=np.float64).ravel()
     if num_classes is not None and p.size != num_classes:
-        raise ContractViolation(f"prior has {p.size} entries, expected {num_classes}")
+        raise ContractViolation(f"{name} has {p.size} entries, expected {num_classes}")
     if p.size < 1:
-        raise ContractViolation("prior must be nonempty")
+        raise ContractViolation(f"{name} must be nonempty")
     if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise ContractViolation("prior entries must be finite and >= 0")
+        raise ContractViolation(f"{name} entries must be finite and >= 0")
     if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ContractViolation(f"prior sums to {float(p.sum())!r}, expected 1")
+        raise ContractViolation(f"{name} sums to {float(p.sum())!r}, expected 1")
     return p
 
 

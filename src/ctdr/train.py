@@ -21,8 +21,8 @@ batch; the terms of the combo add with equal weight.
 
 from __future__ import annotations
 
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
@@ -129,6 +129,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if not (0.0 < self.lr < np.inf):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (0 <= self.seed < 1 << 64):  # Rng reads a seed mod 2^64: two seeds must not give one run
+            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
 
     def lr_at(self, epoch: int) -> float:
         return self.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)
@@ -280,67 +282,6 @@ def train_step(
     return params, opt_theta, opt_phi, reports
 
 
-class _FakesAhead:
-    """Draws a fit's gaussian fake-row normals one step ahead, on one worker thread.
-
-    The thread makes `steps` calls of run.draw_noise(), in step order: the
-    first at once, each next one when take() hands over the one before.
-    While it lives, only it touches run.streams. take() scales the normals
-    to fake rows in fit's thread, with no draw in flight: fit's errstate
-    then covers the one part that can overflow (numpy's errstate is per
-    thread; normals never warn), and perfbench's tracer, whose one span
-    stack all threads share, sees no fake.gaussian span overlap a draw.
-    """
-
-    def __init__(self, run: RunState, steps: int):
-        self._run = run
-        self._left = steps
-        self._out = None
-        self._closed = False
-        self._go = threading.Semaphore(0)
-        self._idle = threading.Event()
-        self._thread = threading.Thread(target=self._loop, name="ctdr-fake-rows")
-        self._thread.start()
-        self._start()
-
-    def _loop(self):
-        while True:
-            self._go.acquire()
-            if self._closed:
-                return
-            try:
-                self._out = self._run.draw_noise()
-            except BaseException as exc:  # take() raises it in fit's thread
-                self._out = exc
-            self._idle.set()
-
-    def _start(self):
-        self._left -= 1
-        self._idle.clear()
-        self._go.release()
-
-    def take(self) -> dict:
-        """The next step's fake rows, or what their draw raised; starts the draw after them."""
-        self._idle.wait()
-        out, self._out = self._out, None
-        if isinstance(out, BaseException):
-            raise out
-        fakes = self._run.fakes_from(out)
-        if self._left:
-            self._start()
-        return fakes
-
-    def wait(self):
-        """Return once no draw is in flight."""
-        self._idle.wait()
-
-    def close(self):
-        """End the thread, after the draw in flight if there is one."""
-        self._closed = True
-        self._go.release()
-        self._thread.join()
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     """Run the full loop; returns (params, list of per-epoch metric records).
@@ -354,11 +295,16 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     target-test accuracy, and seconds (0.0 when config.timing is off).
     on_epoch, when given, receives each record as it is produced.
 
-    Gaussian fake rows are drawn one step ahead on a second thread (see
-    _FakesAhead), with the bytes of drawing them in each step: their
-    streams are their own. No draw runs while on_epoch does, nor after fit
-    returns or raises; a draw's exception is raised at the step that takes
-    its rows.
+    Gaussian fake rows are drawn one step ahead, with the bytes of drawing
+    them in each step: one run.draw_noise(), the only user of run.streams,
+    is in flight on a one-worker pool, which starts no thread when the run
+    has no gaussian fakes or no steps. Each step scales its normals
+    (run.fakes_from) here, before the next draw: this errstate covers the
+    one part that can overflow (numpy's errstate is per thread), and
+    perfbench's tracer, whose one span stack all threads share, sees no
+    overlap. No draw goes past the last step, runs while on_epoch does, or
+    outlives fit; a draw's exception is raised, the same object, at the step
+    that takes its rows.
     """
     run = RunState.build(config, pair)
     arch = run.arch
@@ -378,8 +324,10 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     record_keys = tuple(t for t in TERMS if t != "ts") + ("gen",) + (("ts",) if "ts" in run.terms else ())
     metrics = []
     steps = config.epochs * steps_per_epoch
-    ahead = _FakesAhead(run, steps) if run.fake_stats and steps else None
-    try:
+    drawn = None  # the Future of the next step's normals
+    with ThreadPoolExecutor(1, thread_name_prefix="ctdr-fake-rows") as pool:
+        if run.fake_stats and steps:
+            drawn = pool.submit(run.draw_noise)
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
             lr = config.lr_at(epoch)
@@ -387,7 +335,12 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
             for step in range(steps_per_epoch):
                 sup_batch = _slice(run.labeled, sup_batcher.take())
                 target_batch = _slice(pair.target_train, target_batcher.take()) if target_batcher else None
-                fakes = ahead.take() if ahead is not None else None
+                fakes = None
+                if drawn is not None:
+                    fakes = run.fakes_from(drawn.result())  # scaled here, with no draw in flight
+                    steps -= 1
+                    if steps:
+                        drawn = pool.submit(run.draw_noise)
                 params, opt_theta, opt_phi, reports = train_step(
                     params, opt_theta, opt_phi, sup_batch, target_batch, run, lr, epoch, step, fakes
                 )
@@ -398,8 +351,8 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
                     "source_train": evaluate(params, pair.source).accuracy,
                     "target_test": evaluate(params, pair.target_test).accuracy,
                 }
-            if ahead is not None:
-                ahead.wait()  # the hook runs with no draw in flight
+            if drawn is not None:
+                wait((drawn,))  # the hook runs with no draw in flight
             record = {
                 "epoch": epoch,
                 "lr": lr,
@@ -410,9 +363,6 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
             metrics.append(record)
             if on_epoch is not None:
                 on_epoch(record)
-    finally:
-        if ahead is not None:
-            ahead.close()
     return params, metrics
 
 

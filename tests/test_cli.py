@@ -521,7 +521,7 @@ def test_overflow_is_exit_3_with_abort_record_and_no_numpy_warning(tmp_path, cap
 # prior=0.5,0.3,0.2 parses, but two-moons has two classes: only the data shows it
 @pytest.mark.parametrize(
     "bad",
-    ["combo=zz", "prior=abc", "lr=0", "mmd_gamma=x", "prior=0.5,0.3,0.2", "lr=inf", "w_tu=nan", "w_tu=inf", "mmd_gamma=inf"],
+    ["combo=zz", "prior=abc", "lr=0", "mmd_gamma=x", "prior=0.5,0.3,0.2", "lr=inf", "w_tu=nan", "w_tu=inf", "mmd_gamma=inf", "seed=-1"],
 )
 def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command, bad):
     # w_tu, mmd_gamma: lines of an older resolved_config.txt are unknown keys
@@ -533,7 +533,7 @@ def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command
 
 
 @pytest.mark.parametrize("command", ["eval", "synth"])
-@pytest.mark.parametrize("bad", ["epochs=-3", "combo=zz", "lr=0", "mmd_gamma=x"])
+@pytest.mark.parametrize("bad", ["epochs=-3", "combo=zz", "lr=0", "mmd_gamma=x", "seed=-1"])
 def test_eval_and_synth_reject_a_bad_training_key_before_any_file(tmp_path, capsys, command, bad):
     # a resolved config holds only valid values, so it is valid input to every command
     path = small_train_cfg(tmp_path)
@@ -564,7 +564,7 @@ def test_nan_label_skew_creates_no_out_dir(tmp_path, capsys):
     path = small_train_cfg(tmp_path, skew="nan,nan")
     assert main(["train", "--config", str(path)]) == 2
     assert not (tmp_path / "out").exists()
-    assert "prior entries must be finite" in capsys.readouterr().err
+    assert "label_skew entries must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "ablate", "synth"])
@@ -856,7 +856,11 @@ def test_ablate_abort_in_the_first_rung_leaves_the_header(tmp_path, capsys):
         ("gauss_cov_scale", "nan", "cov_scale must be > 0 and finite, got nan"),
         ("gauss_mean_shift", "inf", "mean_shift must be finite, got inf"),
         ("noise", "nan", "noise_std must be >= 0 and finite, got nan"),
-        ("skew", "0.5,0.6", "prior sums to 1.1, expected 1"),
+        ("skew", "0.5,0.6", "label_skew sums to 1.1, expected 1"),
+        ("skew", "0.5", "label_skew has 1 entries, expected 2"),
+        # Rng reads a seed mod 2^64, so -1 and 2^64 - 1 would give one run
+        ("seed", "-1", "seed must be in [0, 2^64), got -1"),
+        ("seed", str(1 << 64), f"seed must be in [0, 2^64), got {1 << 64}"),
     ],
 )
 def test_config_value_errors_name_where_the_value_was_given(tmp_path, capsys, key, value, message):

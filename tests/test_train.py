@@ -80,6 +80,10 @@ def test_train_config_validation():
     for lr in (math.inf, math.nan):
         with pytest.raises(ConfigError):
             quick_config(lr=lr)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\^64\)"):
+            quick_config(seed=seed)
+    assert quick_config(seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
 
 def test_learning_rate_schedule_exact():
@@ -484,6 +488,35 @@ def test_no_draw_is_in_flight_while_the_epoch_hook_runs(monkeypatch):
     seen = []
     fit(quick_config("ss,tu,ta", epochs=3), tiny_pair(), on_epoch=lambda record: seen.append(len(in_flight)))
     assert seen == [0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "combo, mode, epochs",
+    [("ss,tu", "gaussian", 2), ("ss,tu,ta", "generator", 2), ("ss,tu,ta", "gaussian", 0)],
+    ids=["no-fake-terms", "generator", "gaussian-no-steps"],
+)
+def test_a_fit_with_no_gaussian_draws_to_make_starts_no_thread(monkeypatch, combo, mode, epochs):
+    here = threading.get_ident()
+    drawn_off_here, started = [], []
+    real_draw, real_start = RunState.draw_noise, threading.Thread.start
+
+    def recording_draw(run):
+        if threading.get_ident() != here:
+            drawn_off_here.append(1)
+        return real_draw(run)
+
+    def recording_start(thread):
+        started.append(thread.name)
+        return real_start(thread)
+
+    monkeypatch.setattr(RunState, "draw_noise", recording_draw)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    before = threading.active_count()
+    seen = []
+    cfg = quick_config(combo, epochs=epochs, fake=FakeSourceConfig(mode=mode))
+    fit(cfg, tiny_pair(), on_epoch=lambda record: seen.append(threading.active_count()))
+    assert seen == [before] * epochs
+    assert drawn_off_here == [] and started == []
 
 
 def test_generator_mode_trains_generator():
