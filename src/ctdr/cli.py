@@ -26,6 +26,7 @@ from .data import (
     FeatureTransform,
     load_idx,
     load_sparse,
+    read_utf8,
     resize_bilinear,
     save_sparse,
     standardize,
@@ -182,13 +183,7 @@ def format_config(cfg: dict) -> str:
 def load_config(args) -> dict:
     raw, where = {}, {}
     if args.config:
-        raw_bytes = Path(args.config).read_bytes()
-        try:
-            text = raw_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = raw_bytes.count(b"\n", 0, exc.start) + 1
-            raise ConfigError(f"{args.config}:{line_no}: not UTF-8 (byte {exc.start})") from exc
-        raw = parse_config_text(text, origin=str(args.config), where=where)
+        raw = parse_config_text(read_utf8(args.config), origin=str(args.config), where=where)
     if getattr(args, "seed", None) is not None:
         raw["seed"], where["seed"] = str(args.seed), "--seed"
     for item in getattr(args, "set", None) or []:
@@ -225,11 +220,12 @@ def _located(build, cfg: dict):
         raise
 
 
-def build_pair(cfg: dict) -> DomainPair:
-    """The DomainPair of resolve_config's values; errors as in _located. The data
-    files are read once, before the search, and their faults name no key."""
+def build_pair(cfg: dict, fit_transform: bool = False) -> tuple:
+    """(the DomainPair of resolve_config's values, None), or with fit_transform and `standardize = true`,
+    standardize(that pair). Errors as in _located. The data files are read once, before the search, and
+    their faults name no key."""
     splits = _read_splits(cfg)
-    return _located(lambda c: _pair(c, splits), cfg)
+    return _located(lambda c: _pair(c, splits, fit_transform), cfg)
 
 
 def _read_splits(cfg: dict) -> tuple | None:
@@ -247,13 +243,13 @@ def _read_splits(cfg: dict) -> tuple | None:
     return None
 
 
-def _pair(cfg: dict, splits: tuple | None) -> DomainPair:
+def _pair(cfg: dict, splits: tuple | None, fit_transform: bool) -> tuple:
     kind = cfg["data"]
     skew = cfg["skew"] or None
     if kind == "two_moons":
-        return synth_two_moons(cfg["n"], cfg["rotation"], cfg["noise"], skew, seed=cfg["seed"])
-    if kind == "gauss_shift":
-        return synth_gauss_shift(
+        pair = synth_two_moons(cfg["n"], cfg["rotation"], cfg["noise"], skew, seed=cfg["seed"])
+    elif kind == "gauss_shift":
+        pair = synth_gauss_shift(
             cfg["n"],
             num_classes=cfg["gauss_classes"],
             dim=cfg["gauss_dim"],
@@ -262,18 +258,20 @@ def _pair(cfg: dict, splits: tuple | None) -> DomainPair:
             label_skew=skew,
             seed=cfg["seed"],
         )
-    if kind == "idx":
-        if cfg["resize"]:
-            try:
-                oh, ow = (int(tok) for tok in cfg["resize"].lower().split("x"))
-            except ValueError as exc:
-                raise ConfigError(f"resize must look like 28x28, got {cfg['resize']!r}") from exc
-            splits = [ds if ds.image_hw == (oh, ow) else resize_bilinear(ds, (oh, ow)) for ds in splits]
-        splits = [
-            subsample(ds, cfg[f"n_{split}"], cfg["seed"], variant=i) if cfg[f"n_{split}"] else ds
-            for i, (split, ds) in enumerate(zip(_SPLITS, splits))
-        ]
-    return DomainPair(*splits)
+    else:
+        if kind == "idx":
+            if cfg["resize"]:
+                try:
+                    oh, ow = (int(tok) for tok in cfg["resize"].lower().split("x"))
+                except ValueError as exc:
+                    raise ConfigError(f"resize must look like 28x28, got {cfg['resize']!r}") from exc
+                splits = [ds if ds.image_hw == (oh, ow) else resize_bilinear(ds, (oh, ow)) for ds in splits]
+            splits = [
+                subsample(ds, cfg[f"n_{split}"], cfg["seed"], variant=i) if cfg[f"n_{split}"] else ds
+                for i, (split, ds) in enumerate(zip(_SPLITS, splits))
+            ]
+        pair = DomainPair(*splits)
+    return standardize(pair) if fit_transform and cfg["standardize"] else (pair, None)
 
 
 def build_train_config(cfg: dict, pair: DomainPair | None = None) -> TrainConfig:
@@ -323,14 +321,6 @@ def _accept(cfg: dict, command: str) -> None:
     sys.stdout.write(format_config(cfg))
 
 
-def _prepare(cfg: dict):
-    pair = build_pair(cfg)
-    transform = None
-    if cfg["standardize"]:
-        pair, transform = standardize(pair)
-    return pair, transform
-
-
 def _save_config(cfg: dict) -> Path:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -346,7 +336,7 @@ def _start(args, ladder=None):
     Every config error, those that need the data too, exits 2 before any file."""
     cfg = load_config(args)
     _accept(cfg, "train" if ladder is None else "ablate")
-    pair, transform = _prepare(cfg)
+    pair, transform = build_pair(cfg, fit_transform=True)
     runs = [cfg]
     if ladder is not None:
         runs = [_Resolved(cfg, combo=combo) for combo in ladder]
@@ -390,13 +380,14 @@ def cmd_eval(args) -> int:
     _accept(cfg, "eval")
     params = load_checkpoint(args.checkpoint)
     if getattr(args, "transform", None):
-        tr, pair = FeatureTransform.load(args.transform), build_pair(cfg)
+        tr = FeatureTransform.load(args.transform)
+        pair, _ = build_pair(cfg)
         try:
             pair = pair.map_features(tr.apply)
         except ContractViolation as exc:
             raise ConfigError(f"transform {args.transform} on the configured data: {exc}") from exc
     else:
-        pair, _ = _prepare(cfg)
+        pair, _ = build_pair(cfg, fit_transform=True)
     try:
         report = evaluate(params, pair.target_test)
     except ContractViolation as exc:  # a checkpoint that does not fit the data
@@ -430,7 +421,7 @@ def cmd_synth(args) -> int:
     if cfg["data"] not in ("two_moons", "gauss_shift"):
         raise ConfigError("synth writes synthetic data; set data = two_moons or gauss_shift")
     _accept(cfg, "synth")
-    pair = build_pair(cfg)
+    pair, _ = build_pair(cfg)
     out_dir = _save_config(cfg)
     save_sparse(pair.source, out_dir / "source.txt")
     save_sparse(pair.target_train_labeled(oracle=True), out_dir / "target_train.txt")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolation, ParseError
 from .losses import make_prior
-from .numerics import STREAM_DATA, Rng, as_matrix, substream
+from .numerics import STREAM_DATA, Rng, as_matrix, column_stats, substream
 
 IDX_MAGIC_IMAGES = 2051
 IDX_MAGIC_LABELS = 2049
@@ -160,6 +160,16 @@ class Batcher:
 # --- file formats -------------------------------------------------------------
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises ParseError naming its line and offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, raw.count(b"\n", 0, exc.start) + 1, f"not UTF-8 (byte {exc.start})") from exc
+
+
 def _read_idx(path, magic: int, n_dims: int, what: str, body: str):
     """(header dims, payload bytes) of one IDX file, read whole and gunzipped
     when it starts with the gzip magic. `what` and `body` name the header and
@@ -209,16 +219,10 @@ def load_sparse(path, name: str = "") -> Dataset:
     mixing labeled and unlabeled rows is an error). A file of the header
     alone is an unlabeled dataset of no rows.
     """
-    with open(path, "rb") as fh:
-        raw_bytes = fh.read()
-    try:
-        lines = raw_bytes.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, raw_bytes.count(b"\n", 0, exc.start) + 1, f"not UTF-8 (byte {exc.start})") from exc
     width = num_classes = None
     # typed buffers, one (row, column, value) per entry: about 0.6 of the peak memory of lists
     labels, rows, cols, vals = array("q"), array("q"), array("q"), array("d")
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(read_utf8(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -448,9 +452,8 @@ class FeatureTransform:
 def fit_standardizer(pair: DomainPair) -> FeatureTransform:
     """Mean/std over the union of source and target-train rows (never test)."""
     stacked = np.concatenate([pair.source.features, pair.target_train.features], axis=0)
-    mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0), 1e-12)
-    return FeatureTransform(mean, std)
+    mean, std = column_stats(stacked, "source and target_train")
+    return FeatureTransform(mean, np.maximum(std, 1e-12))
 
 
 def standardize(pair: DomainPair) -> tuple[DomainPair, FeatureTransform]:

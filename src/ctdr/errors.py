@@ -17,7 +17,7 @@ class ConfigError(CtdrError, ValueError):
 
 
 class ParseError(CtdrError, ValueError):
-    """Malformed data file. Message carries the file and 1-based line number."""
+    """Malformed data or config file. Message carries the file and 1-based line number."""
 
     def __init__(self, path, line_no, message):
         self.path = str(path)

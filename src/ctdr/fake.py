@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .losses import mmd_loss
-from .model import ParamSet, backward, forward, generator_backward, generator_forward, generator_forward_cache
-from .numerics import Rng, as_matrix
+from .model import ParamSet, backward, forward, generator_backward, generator_forward_cache
+from .numerics import as_matrix, column_stats
 from .optim import adam_update
 
 FAKE_MODES = ("gaussian", "generator")
@@ -40,11 +40,11 @@ class FeatureStats:
     std: np.ndarray
 
     @classmethod
-    def from_features(cls, features) -> "FeatureStats":
+    def from_features(cls, features, rows: str = "feature") -> "FeatureStats":
         x = as_matrix(features, "features")
         if x.shape[0] < 1:
             raise ContractViolation("feature stats need at least one row")
-        return cls(x.mean(axis=0), x.std(axis=0))
+        return cls(*column_stats(x, rows))
 
 
 def gaussian_fakes(stats: FeatureStats, z: np.ndarray) -> np.ndarray:
@@ -57,18 +57,12 @@ def gaussian_fakes(stats: FeatureStats, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def generator_fakes(params: ParamSet, n_f: int, rng: Rng) -> np.ndarray:
-    """n_f fake rows from the generator; deterministic given the rng state."""
-    if n_f < 1:
-        raise ContractViolation(f"n_f must be >= 1, got {n_f}")
-    return generator_forward(params, rng.normal_matrix(n_f, params.arch.noise_dim))
-
-
-def generator_step(params: ParamSet, real_embeddings, n_f: int, opt_phi, lr: float, rng: Rng):
+def generator_step(params: ParamSet, real_embeddings, noise, opt_phi, lr: float):
     """One MMD descent step on the generator tensors only.
 
-    Fake rows are pushed through the (frozen) encoder and compared with
-    `real_embeddings`, the encoder's embeddings of a real batch under the
+    The generator maps `noise`, the caller's (n_f, noise_dim) standard normals,
+    to fake rows, which are pushed through the (frozen) encoder and compared
+    with `real_embeddings`, the encoder's embeddings of a real batch under the
     same params; the kernel bandwidth is the median heuristic on them. The
     gradient flows back through the encoder into the generator, but only gen*
     tensors are updated. Returns (params, opt_phi, report, fake_cache):
@@ -76,7 +70,6 @@ def generator_step(params: ParamSet, real_embeddings, n_f: int, opt_phi, lr: flo
     produced, which the returned params give too, as their encoder and
     classifier are unchanged.
     """
-    noise = rng.normal_matrix(n_f, params.arch.noise_dim)
     gen_cache = generator_forward_cache(params, noise)
     fake_cache = forward(params, gen_cache.out)
     report = mmd_loss(fake_cache.embeddings, real_embeddings, None)

@@ -209,6 +209,7 @@ def _walk_backward(params: ParamSet, layers, cache: ForwardCache, d: np.ndarray,
     return dict(reversed(grads.items())), d
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFiniteLossError below, with no numpy warning
 def _path_forward(params: ParamSet, x, record: bool):
     x = as_matrix(x, "x")
     if x.shape[1] != params.arch.feature_dim:

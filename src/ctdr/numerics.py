@@ -221,6 +221,18 @@ def as_matrix(x, name: str = "array") -> np.ndarray:
     return a
 
 
+def column_stats(x: np.ndarray, rows: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and population std of x. A column whose spread overflows float64 (a mean or std
+    that is not finite) raises ContractViolation naming `rows` and the column, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = x.mean(axis=0), x.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        col = int(bad[0])
+        raise ContractViolation(f"the {rows} rows: column {col} overflows float64 (mean {mean[col]}, std {std[col]})")
+    return mean, std
+
+
 def softmax_rows(logits) -> np.ndarray:
     """Row-wise softmax with max subtraction; finite for any finite input."""
     z = as_matrix(logits, "logits")

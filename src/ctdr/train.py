@@ -32,9 +32,9 @@ import numpy as np
 from .data import Batch, Batcher, Dataset, DomainPair, empirical_prior
 from .errors import ConfigError, NonFiniteLossError
 from .evaluation import evaluate
-from .fake import FakeSourceConfig, FeatureStats, gaussian_fakes, generator_fakes, generator_step
+from .fake import FakeSourceConfig, FeatureStats, gaussian_fakes, generator_step
 from .losses import contradist_loss, make_prior, pseudo_label_select, source_ce, adv_bce
-from .model import Architecture, ParamSet, backward, forward, init_params, theta_names, phi_names
+from .model import Architecture, ParamSet, backward, forward, generator_forward, init_params, theta_names, phi_names
 from .numerics import (
     STREAM_FAKE_SOURCE,
     STREAM_FAKE_TARGET,
@@ -149,12 +149,13 @@ class RunState:
 
     terms: the terms that run, in TERM_TABLE order
     arch: the network; it has a generator when generator fakes feed ta or sa
-    reads: the batches a step reads ("target" too when the generator runs)
+    reads: the batches a step reads (the generator's MMD step forwards "target" and "fake_target")
     n_f: fake rows per fake batch, the batch size
     labeled: the labeled training set (source, or target-train under ts)
     priors: prior name -> class prior, for the enabled terms that use one
     fake_stats: fake batch -> FeatureStats its gaussian rows are drawn from
-    streams: fake batch -> the long-lived Rng its rows draw on
+    widths: fake batch -> the width of its normals: the feature width, or the generator's NOISE_DIM
+    streams: fake batch -> the long-lived Rng its normals draw on
     """
 
     terms: tuple
@@ -164,6 +165,7 @@ class RunState:
     labeled: Dataset
     priors: dict
     fake_stats: dict
+    widths: dict
     streams: dict
 
     @classmethod
@@ -182,20 +184,22 @@ class RunState:
         fake_stats = {}
         if config.fake.mode == "generator" and reads & {"fake_target", "fake_source"}:
             arch = arch.with_generator(NOISE_DIM, GEN_HIDDEN)
-            reads.add("target")  # the generator's MMD step reads the target batch
+            reads |= {"target", "fake_target"}  # the generator's MMD step forwards both
         else:
             real = {"fake_target": pair.target_train, "fake_source": labeled}
-            fake_stats = {b: FeatureStats.from_features(ds.features) for b, ds in real.items() if b in reads}
+            fake_stats = {b: FeatureStats.from_features(ds.features, ds.name or b) for b, ds in real.items() if b in reads}
+        width = NOISE_DIM if arch.generator else pair.dim
+        widths = {b: width for b in ("fake_target", "fake_source") if b in reads}
         streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
-        return cls(terms, arch, frozenset(reads), config.batch_size, labeled, priors, fake_stats, streams)
+        return cls(terms, arch, frozenset(reads), config.batch_size, labeled, priors, fake_stats, widths, streams)
 
     def draw_noise(self) -> dict:
-        """One step's standard normals: fake batch -> (n_f, width), each drawn on its own stream."""
-        return {b: self.streams[b].normal_matrix(self.n_f, s.mean.shape[0]) for b, s in self.fake_stats.items()}
+        """One step's standard normals: fake batch -> (n_f, width), each on its own stream. Nothing else reads streams."""
+        return {b: self.streams[b].normal_matrix(self.n_f, w) for b, w in self.widths.items()}
 
     def fakes_from(self, noise: dict) -> dict:
-        """The gaussian fake rows of draw_noise()'s normals, written over them."""
-        return {b: gaussian_fakes(self.fake_stats[b], z) for b, z in noise.items()}
+        """A step's fakes of draw_noise()'s normals: gaussian rows written over them, else the normals."""
+        return {b: gaussian_fakes(self.fake_stats[b], z) for b, z in noise.items()} if self.fake_stats else noise
 
 
 def _check_finite(term: str, value: float, epoch=None, step=None):
@@ -219,17 +223,18 @@ def train_step(
     opt_phi: OptimizerState | None,
     sup_batch,
     target_batch,
+    fakes: dict,
     run: RunState,
     lr: float,
     epoch=None,
     step=None,
-    fakes: dict | None = None,
 ):
     """One optimization step over the enabled terms, in TERM_TABLE order.
 
     sup_batch is the labeled batch (source, or target-train under ts);
     target_batch is the unlabeled target batch (None when no step reads it);
-    fakes is this step's gaussian fake rows, drawn here when not given.
+    fakes is this step's run.fakes_from(run.draw_noise()): the gaussian fake
+    rows, or the generator's noise. The step draws nothing.
     Each batch gets one forward, when the first term that reads it comes up.
     When the network has a generator, its one MMD step runs first: it
     forwards the target batch and steps on its embeddings, and the forward
@@ -238,8 +243,6 @@ def train_step(
     Returns (params, opt_theta, opt_phi, reports).
     """
     generator = bool(params.arch.generator)
-    if fakes is None and run.fake_stats:
-        fakes = run.fakes_from(run.draw_noise())
     reports: dict = {}
     total: dict[str, np.ndarray] = {}
     caches: dict = {}
@@ -247,7 +250,7 @@ def train_step(
         with _blame("gen", epoch, step):
             caches["target"] = forward(params, target_batch.features)
             params, opt_phi, reports["gen"], caches["fake_target"] = generator_step(
-                params, caches["target"].embeddings, run.n_f, opt_phi, lr, run.streams["fake_target"]
+                params, caches["target"].embeddings, fakes["fake_target"], opt_phi, lr
             )
         _check_finite("gen", reports["gen"].value, epoch, step)
 
@@ -256,9 +259,7 @@ def train_step(
             return sup_batch.features
         if batch == "target":
             return target_batch.features
-        if not generator:
-            return fakes[batch]
-        return generator_fakes(params, run.n_f, run.streams[batch])
+        return generator_forward(params, fakes[batch]) if generator else fakes[batch]
 
     for term in run.terms:
         spec = TERM_TABLE[term]
@@ -295,16 +296,16 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     target-test accuracy, and seconds (0.0 when config.timing is off).
     on_epoch, when given, receives each record as it is produced.
 
-    Gaussian fake rows are drawn one step ahead, with the bytes of drawing
-    them in each step: one run.draw_noise(), the only user of run.streams,
-    is in flight on a one-worker pool, which starts no thread when the run
-    has no gaussian fakes or no steps. Each step scales its normals
-    (run.fakes_from) here, before the next draw: this errstate covers the
-    one part that can overflow (numpy's errstate is per thread), and
-    perfbench's tracer, whose one span stack all threads share, sees no
-    overlap. No draw goes past the last step, runs while on_epoch does, or
-    outlives fit; a draw's exception is raised, the same object, at the step
-    that takes its rows.
+    Each step's fake-row normals, gaussian or generator, are drawn one step
+    ahead, with the bytes of drawing them in each step: one
+    run.draw_noise(), the only reader of run.streams, is in flight on a
+    one-worker pool, which starts no thread when the run has no ta or sa
+    term or no steps. Each step takes its fakes (run.fakes_from) here,
+    before the next draw: this errstate covers the gaussian scaling, the
+    one part that can overflow (numpy's errstate is per thread). No draw
+    goes past the last step, runs while on_epoch does, or outlives fit; a
+    draw's exception is raised, the same object, at the step that takes its
+    rows.
     """
     run = RunState.build(config, pair)
     arch = run.arch
@@ -326,7 +327,7 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     steps = config.epochs * steps_per_epoch
     drawn = None  # the Future of the next step's normals
     with ThreadPoolExecutor(1, thread_name_prefix="ctdr-fake-rows") as pool:
-        if run.fake_stats and steps:
+        if run.widths and steps:
             drawn = pool.submit(run.draw_noise)
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
@@ -335,14 +336,12 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
             for step in range(steps_per_epoch):
                 sup_batch = _slice(run.labeled, sup_batcher.take())
                 target_batch = _slice(pair.target_train, target_batcher.take()) if target_batcher else None
-                fakes = None
-                if drawn is not None:
-                    fakes = run.fakes_from(drawn.result())  # scaled here, with no draw in flight
-                    steps -= 1
-                    if steps:
-                        drawn = pool.submit(run.draw_noise)
+                fakes = run.fakes_from(drawn.result()) if drawn else {}  # scaled here, with no draw in flight
+                steps -= 1
+                if drawn and steps:
+                    drawn = pool.submit(run.draw_noise)
                 params, opt_theta, opt_phi, reports = train_step(
-                    params, opt_theta, opt_phi, sup_batch, target_batch, run, lr, epoch, step, fakes
+                    params, opt_theta, opt_phi, sup_batch, target_batch, fakes, run, lr, epoch, step
                 )
                 for t, rep in reports.items():
                     sums[t] += rep.value

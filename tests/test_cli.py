@@ -25,9 +25,10 @@ from ctdr.cli import (
     parse_config_text,
     resolve_config,
 )
-from ctdr.data import load_sparse, save_sparse, synth_two_moons
+from ctdr.data import Dataset, load_sparse, save_sparse, synth_two_moons
 from ctdr.errors import ConfigError, NonFiniteLossError
 from ctdr.fake import FakeSourceConfig
+from ctdr.model import load_checkpoint, save_checkpoint
 from ctdr.train import TrainConfig
 
 
@@ -517,6 +518,50 @@ def test_overflow_is_exit_3_with_abort_record_and_no_numpy_warning(tmp_path, cap
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_eval_of_a_checkpoint_whose_logits_overflow_is_exit_3_with_no_numpy_warning(tmp_path, capsys):
+    path = small_train_cfg(tmp_path)
+    assert main(["train", "--config", str(path)]) == 0
+    params = load_checkpoint(tmp_path / "out" / "model.ctdr")
+    for tensor in params.tensors.values():
+        tensor[...] = 1e300
+    save_checkpoint(params, tmp_path / "big.ctdr")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval", "--config", str(path), "--checkpoint", str(tmp_path / "big.ctdr")]) == 3
+    assert capsys.readouterr().err == "error: non-finite logits in term 'forward': inf\n"
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_standardizer_spread_that_overflows_is_exit_2_naming_the_key_before_any_file(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    args = ["--set", "data=gauss_shift", "--set", "gauss_mean_shift=1e200", "--set", f"out_dir={out}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: --set: the source and target_train rows: column 0 overflows float64 \(mean \S+, std inf\)\n", err)
+    assert not out.exists()
+
+
+def test_a_fake_row_spread_that_overflows_is_exit_2_naming_the_combo_before_any_file(tmp_path, capsys):
+    # a sparse target column of 0 and 1e200 rows: ta's gaussian fakes would be inf
+    pair = synth_two_moons(40, 35.0, 0.1, seed=0)
+    wide = np.hstack([pair.target_train.features, np.zeros((40, 1))])
+    wide[::2, 2] = 1e200
+    for name, ds in (("source", pair.source), ("test", pair.target_test)):
+        save_sparse(Dataset(np.hstack([ds.features, np.zeros((40, 1))]), ds.labels, 2), tmp_path / f"{name}.txt")
+    save_sparse(Dataset(wide, None, 2), tmp_path / "target.txt")
+    sparse = {f"{k}_sparse": tmp_path / f"{f}.txt" for k, f in (("source", "source"), ("target", "target"), ("target_test", "test"))}
+    path = small_train_cfg(tmp_path, data="sparse", **sparse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(path), "--set", "combo=ss,tu,ta"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: --set: the target_train rows: column 2 overflows float64 \(mean \S+, std inf\)\n", err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "ablate"])
 # prior=0.5,0.3,0.2 parses, but two-moons has two classes: only the data shows it
 @pytest.mark.parametrize(
@@ -969,7 +1014,7 @@ def test_readme_data_examples_parse(tmp_path):
     raw.update({"data": "idx", "classes": "3"})
     for split in ("source", "target", "target_test"):
         raw[f"{split}_images"], raw[f"{split}_labels"] = str(images), str(labels)
-    pair = build_pair(resolve_config(raw))
+    pair, _ = build_pair(resolve_config(raw))
     assert pair.source.image_hw == (28, 28)
     assert pair.target_test.dim == 28 * 28
 

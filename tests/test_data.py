@@ -19,6 +19,7 @@ from ctdr.data import (
     fit_standardizer,
     load_idx,
     load_sparse,
+    read_utf8,
     resize_bilinear,
     save_sparse,
     standardize,
@@ -324,10 +325,21 @@ def test_load_sparse_rejects_non_utf8_bytes(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_sparse(p)
     assert exc.value.line_no == 3
+    assert str(exc.value) == f"{p}:3: not UTF-8 (byte 30)"
     cfg = tmp_path / "cfg.txt"
     keys = ("source_sparse", "target_sparse", "target_test_sparse")
     cfg.write_text("data = sparse\n" + "".join(f"{k} = {p}\n" for k in keys) + f"out_dir = {tmp_path / 'out'}\n")
     assert main(["train", "--config", str(cfg)]) == 2
+
+
+def test_read_utf8_names_the_line_and_offset_of_the_first_bad_byte(tmp_path):
+    p = tmp_path / "text.txt"
+    p.write_bytes("a = é\n".encode() + b"b\n\xc3(\n\xff\n")
+    with pytest.raises(ParseError) as exc:
+        read_utf8(p)
+    assert str(exc.value) == f"{p}:3: not UTF-8 (byte 9)"  # 0xc3 opens a character that "(" does not continue
+    p.write_bytes("a = é\n".encode())
+    assert read_utf8(p) == "a = é\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
@@ -545,6 +557,12 @@ def test_standardizer_uses_train_union_not_test():
     tr2 = fit_standardizer(shifted)
     assert np.array_equal(tr.mean, tr2.mean)
     assert np.array_equal(tr.std, tr2.std)
+
+
+def test_standardizer_rejects_a_spread_that_overflows_float64():
+    pair = synth_gauss_shift(30, mean_shift=1e200, seed=3)
+    with pytest.raises(ContractViolation, match=r"^the source and target_train rows: column 0 overflows float64"):
+        fit_standardizer(pair)
 
 
 def test_standardize_centers_union_and_is_idempotent():

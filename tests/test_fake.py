@@ -9,7 +9,6 @@ from ctdr.fake import (
     FakeSourceConfig,
     FeatureStats,
     gaussian_fakes,
-    generator_fakes,
     generator_step,
 )
 from ctdr.losses import median_heuristic_gamma, mmd_loss
@@ -64,6 +63,8 @@ def test_feature_stats_from_features():
     assert np.array_equal(stats.std, [1.0, 0.0])
     with pytest.raises(ContractViolation):
         FeatureStats.from_features(np.zeros((0, 2)))
+    with pytest.raises(ContractViolation, match=r"^the target_train rows: column 1 overflows float64"):
+        FeatureStats.from_features(np.array([[0.0, 0.0], [0.0, 1e200]]), "target_train")
 
 
 def test_gaussian_fakes_zero_std_returns_mean():
@@ -97,36 +98,20 @@ def test_gaussian_fakes_sample_mean_near_target_mean():
     assert np.all(np.abs(out.mean(axis=0) - mean) < bound)
 
 
-def test_generator_fakes_deterministic():
-    _, params = gen_net()
-    a = generator_fakes(params, 6, Rng(4, STREAM_FAKE_TARGET))
-    b = generator_fakes(params, 6, Rng(4, STREAM_FAKE_TARGET))
-    assert a.shape == (6, 3)
-    assert np.array_equal(a, b)
-
-
-def test_generator_fakes_requires_generator():
-    arch = Architecture.mlp(3, (5,), 2)
-    params = init_params(arch, Rng(5, STREAM_WEIGHT_INIT))
-    with pytest.raises(ConfigError):
-        generator_fakes(params, 2, Rng(0, 0))
-
-
 def test_generator_step_requires_generator():
     arch = Architecture.mlp(3, (5,), 2)
     params = init_params(arch, Rng(5, STREAM_WEIGHT_INIT))
     real = forward(params, Rng(81, 0).normal_matrix(4, 3)).embeddings
     with pytest.raises(ConfigError, match="architecture has no generator"):
-        generator_step(params, real, 2, None, 0.01, Rng(0, 0))
+        generator_step(params, real, Rng(0, 0).normal_matrix(2, 4), None, 0.01)
 
 
 def test_generator_step_zero_lr_is_noop():
     arch, params = gen_net()
     real = Rng(81, 0).normal_matrix(8, 3)
     opt = OptimizerState.for_params(params, phi_names(arch))
-    new, _, report, fakes = generator_step(
-        params, forward(params, real).embeddings, 4, opt, 0.0, Rng(82, STREAM_FAKE_TARGET)
-    )
+    noise = Rng(82, STREAM_FAKE_TARGET).normal_matrix(4, arch.noise_dim)
+    new, _, report, fakes = generator_step(params, forward(params, real).embeddings, noise, opt, 0.0)
     assert np.isfinite(report.value)
     assert fakes.x.shape == (4, 3)
     for name in params.tensors:
@@ -137,7 +122,7 @@ def test_generator_step_bandwidth_is_the_median_heuristic_on_the_real_embeddings
     arch, params = gen_net()
     real = forward(params, Rng(95, 0).normal_matrix(8, 3)).embeddings
     opt = OptimizerState.for_params(params, phi_names(arch))
-    _, _, report, _ = generator_step(params, real, 4, opt, 0.01, Rng(96, STREAM_FAKE_TARGET))
+    _, _, report, _ = generator_step(params, real, Rng(96, STREAM_FAKE_TARGET).normal_matrix(4, arch.noise_dim), opt, 0.01)
     gamma = median_heuristic_gamma(_pairwise_sq_dists(real))
     assert gamma != 1.0  # not the fallback of a batch with no spread
     assert report.diagnostics["gamma"] == gamma
@@ -150,7 +135,7 @@ def test_generator_step_never_touches_classifier_path():
     rng = Rng(84, STREAM_FAKE_TARGET)
     cur = params
     for _ in range(5):
-        cur, opt, _, _ = generator_step(cur, forward(cur, real).embeddings, 4, opt, 0.01, rng)
+        cur, opt, _, _ = generator_step(cur, forward(cur, real).embeddings, rng.normal_matrix(4, arch.noise_dim), opt, 0.01)
     for name in theta_names(arch):
         assert np.array_equal(cur.tensors[name], params.tensors[name])
     moved = [n for n in phi_names(arch) if not np.array_equal(cur.tensors[n], params.tensors[n])]
@@ -164,7 +149,8 @@ def test_generator_step_reduces_mmd():
     rng = Rng(87, STREAM_FAKE_TARGET)
     values = []
     for _ in range(50):
-        params, opt, report, _ = generator_step(params, forward(params, real).embeddings, 16, opt, 0.01, rng)
+        noise = rng.normal_matrix(16, arch.noise_dim)
+        params, opt, report, _ = generator_step(params, forward(params, real).embeddings, noise, opt, 0.01)
         values.append(report.value)
     head = float(np.mean(values[:10]))
     tail = float(np.mean(values[-10:]))
@@ -175,10 +161,9 @@ def test_generator_step_fakes_come_from_pre_update_params():
     arch, params = gen_net(seed=88)
     real = Rng(89, 0).normal_matrix(6, 3)
     opt = OptimizerState.for_params(params, phi_names(arch))
-    seed_rng = Rng(90, STREAM_FAKE_TARGET)
-    _, _, _, fakes = generator_step(params, forward(params, real).embeddings, 3, opt, 0.05, seed_rng)
-    expected = generator_fakes(params, 3, Rng(90, STREAM_FAKE_TARGET))
-    assert np.array_equal(fakes.x, expected)
+    noise = Rng(90, STREAM_FAKE_TARGET).normal_matrix(3, arch.noise_dim)
+    _, _, _, fakes = generator_step(params, forward(params, real).embeddings, noise, opt, 0.05)
+    assert np.array_equal(fakes.x, generator_forward(params, noise))
 
 
 def test_generator_mmd_gradient_matches_finite_diff():

@@ -1,6 +1,7 @@
 """Tests for the deterministic numerics layer: PRNG, dense ops, stability helpers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ctdr.numerics import (
     STREAM_WEIGHT_INIT,
     _log_uniforms,
     _pairwise_sq_dists,
+    column_stats,
     gaussian_kernel_matrix,
     log_sum_exp,
     softmax_rows,
@@ -487,3 +489,20 @@ def test_relative_error_basic():
     b = np.array([1.0, 1e-3])
     assert 0.0 < relative_error(a, b) < 1.1e-3
     assert relative_error(np.zeros(2), np.zeros(2)) == 0.0
+
+
+def test_column_stats_are_numpys_mean_and_population_std():
+    x = Rng(41, 0).normal_matrix(50, 4) * np.array([1.0, 1e-3, 1e150, 0.0]) + 7.0
+    mean, std = column_stats(x, "some")
+    assert mean.tobytes() == x.mean(axis=0).tobytes() and std.tobytes() == x.std(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("big, col", [(1e200, 1), (1e308, 2)])
+def test_column_stats_reject_a_spread_that_overflows_with_no_warning(big, col):
+    # finite rows whose squared spread (1e200) or whose sum (1e308) overflows float64
+    x = np.zeros((4, 3))
+    x[::2, col] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match=rf"^the target rows: column {col} overflows float64 \(mean \S+, std \S+\)$"):
+            column_stats(x, "target")

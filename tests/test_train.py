@@ -114,6 +114,7 @@ def test_run_state_builds_generator_only_when_needed():
     gaussian = RunState.build(quick_config("ss,tu,ta"), pair)
     assert gaussian.arch.generator == ()
     assert gaussian.reads == {"labeled", "target", "fake_target"}
+    assert gaussian.widths == {"fake_target": pair.dim}  # a step draws normals of the feature width
     gen_cfg = quick_config("ss,ta", fake=FakeSourceConfig(mode="generator"))
     run = RunState.build(gen_cfg, pair)
     # 32-d noise through ReLU layers of widths 64, 64 to the feature width
@@ -121,10 +122,16 @@ def test_run_state_builds_generator_only_when_needed():
     # the generator's MMD step reads the target batch, though no term does
     assert run.reads == {"labeled", "fake_target", "target"}
     assert run.fake_stats == {}
+    assert run.widths == {"fake_target": 32}
+    # the MMD step forwards fake_target rows, though only sa reads fake rows
+    sa_only = RunState.build(quick_config("ss,sa", fake=FakeSourceConfig(mode="generator")), pair)
+    assert sa_only.reads == {"labeled", "target", "fake_target", "fake_source"}
+    assert sa_only.widths == {"fake_target": 32, "fake_source": 32}
     # generator mode without an adversarial term never builds a generator
     no_adv = RunState.build(quick_config("ss,tu", fake=FakeSourceConfig(mode="generator")), pair)
     assert no_adv.arch.generator == ()
     assert no_adv.reads == {"labeled", "target"}
+    assert no_adv.widths == {}
 
 
 def test_run_state_fake_rows_default_to_the_batch_size():
@@ -254,7 +261,7 @@ def test_train_step_zero_lr_keeps_params():
     opt = OptimizerState.for_params(params, theta_names(arch))
     sup = Batch(pair.source.features[:8], pair.source.labels[:8])
     tgt = Batch(pair.target_train.features[:8])
-    new, _, _, reports = train_step(params, opt, None, sup, tgt, run, 0.0)
+    new, _, _, reports = train_step(params, opt, None, sup, tgt, {}, run, 0.0)
     assert set(reports) == {"ss", "tu"}
     assert all(np.isfinite(rep.value) for rep in reports.values())
     for name in tensor_names(arch):
@@ -269,7 +276,7 @@ def test_train_step_does_not_mutate_inputs():
     before = {n: t.copy() for n, t in params.tensors.items()}
     opt = OptimizerState.for_params(params, theta_names(arch))
     sup = Batch(pair.source.features[:8], pair.source.labels[:8])
-    train_step(params, opt, None, sup, None, RunState.build(cfg, pair), 0.01)
+    train_step(params, opt, None, sup, None, {}, RunState.build(cfg, pair), 0.01)
     for name, t in before.items():
         assert np.array_equal(params.tensors[name], t)
 
@@ -294,7 +301,7 @@ def test_train_step_leaves_batches_state_and_logit_grads_unchanged(monkeypatch):
         return real_backward(params, cache, grad_logits=grad_logits, grad_embeddings=grad_embeddings, input_grad=input_grad)
 
     monkeypatch.setattr(ctdr.train, "backward", recording_backward)
-    train_step(params, opt, None, sup, tgt, run, 0.01)
+    train_step(params, opt, None, sup, tgt, run.fakes_from(run.draw_noise()), run, 0.01)
     assert len(passed) == 5
     for grad_logits, copy in passed:
         assert np.array_equal(grad_logits, copy)
@@ -325,7 +332,7 @@ def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
         opt = OptimizerState.for_params(params, theta_names(arch))
         opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
         rows.clear()
-        _, _, _, reports = train_step(params, opt, opt_phi, sup, tgt, run, 0.01)
+        _, _, _, reports = train_step(params, opt, opt_phi, sup, tgt, run.fakes_from(run.draw_noise()), run, 0.01)
         assert set(reports) == set(run.terms) | ({"gen"} if arch.generator else set())
         return list(rows)
 
@@ -361,7 +368,7 @@ def test_terms_of_a_combo_add_with_equal_weight(monkeypatch, combo):
         params = init_params(run.arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
         opt = OptimizerState.for_params(params, theta_names(run.arch))
         handed.clear()
-        _, _, _, reports = train_step(params, opt, None, sup, tgt, run, 0.01)
+        _, _, _, reports = train_step(params, opt, None, sup, tgt, run.fakes_from(run.draw_noise()), run, 0.01)
         return handed[0], reports
 
     total, reports = step(combo)
@@ -387,11 +394,12 @@ def test_gaussian_adversarial_terms_run():
     assert phi_names(params.arch) == []
 
 
-def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch):
-    # fit draws each step's gaussian normals one step ahead on a worker thread;
-    # train_step called directly draws them on the spot, in this thread
+@pytest.mark.parametrize("mode", ["gaussian", "generator"])
+def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, mode):
+    # fit draws each step's normals one step ahead on a worker thread; the
+    # direct steps here take fakes drawn on the spot, in this thread
     pair = tiny_pair()
-    cfg = quick_config("ss,tu,su,ta,sa", epochs=2)
+    cfg = quick_config("ss,tu,su,ta,sa", epochs=2, fake=FakeSourceConfig(mode=mode))
     here = threading.get_ident()
     drawn_here = []
     real_draw = RunState.draw_noise
@@ -408,6 +416,7 @@ def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch):
     run = RunState.build(cfg, pair)
     params = init_params(run.arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     opt = OptimizerState.for_params(params, theta_names(run.arch))
+    opt_phi = OptimizerState.for_params(params, phi_names(run.arch)) if run.arch.generator else None
     sup = Batcher(run.labeled.n, cfg.batch_size, cfg.seed, STREAM_SOURCE_SHUFFLE)
     tgt = Batcher(pair.target_train.n, cfg.batch_size, cfg.seed, STREAM_TARGET_SHUFFLE)
     for epoch in range(cfg.epochs):
@@ -415,8 +424,12 @@ def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch):
             i, j = sup.take(), tgt.take()
             sup_batch = Batch(run.labeled.features[i], run.labeled.labels[i])
             tgt_batch = Batch(pair.target_train.features[j])
-            params, opt, _, _ = train_step(params, opt, None, sup_batch, tgt_batch, run, cfg.lr_at(epoch), epoch, step)
+            fakes = run.fakes_from(run.draw_noise())
+            params, opt, opt_phi, _ = train_step(
+                params, opt, opt_phi, sup_batch, tgt_batch, fakes, run, cfg.lr_at(epoch), epoch, step
+            )
     assert by_fit == [False] * 6 and drawn_here == [True] * 6  # 3 steps an epoch, no draw past the last
+    assert bool(phi_names(run.arch)) == (mode == "generator")
     for name in tensor_names(run.arch):
         assert params.tensors[name].tobytes() == fitted.tensors[name].tobytes()
 
@@ -490,19 +503,13 @@ def test_no_draw_is_in_flight_while_the_epoch_hook_runs(monkeypatch):
     assert seen == [0, 0, 0]
 
 
-@pytest.mark.parametrize(
-    "combo, mode, epochs",
-    [("ss,tu", "gaussian", 2), ("ss,tu,ta", "generator", 2), ("ss,tu,ta", "gaussian", 0)],
-    ids=["no-fake-terms", "generator", "gaussian-no-steps"],
-)
-def test_a_fit_with_no_gaussian_draws_to_make_starts_no_thread(monkeypatch, combo, mode, epochs):
-    here = threading.get_ident()
-    drawn_off_here, started = [], []
+def record_draws_and_thread_starts(monkeypatch):
+    """(thread ident of each RunState.draw_noise call, name of each started thread)."""
+    draws, started = [], []
     real_draw, real_start = RunState.draw_noise, threading.Thread.start
 
     def recording_draw(run):
-        if threading.get_ident() != here:
-            drawn_off_here.append(1)
+        draws.append(threading.get_ident())
         return real_draw(run)
 
     def recording_start(thread):
@@ -511,12 +518,32 @@ def test_a_fit_with_no_gaussian_draws_to_make_starts_no_thread(monkeypatch, comb
 
     monkeypatch.setattr(RunState, "draw_noise", recording_draw)
     monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return draws, started
+
+
+@pytest.mark.parametrize(
+    "combo, mode, epochs",
+    [("ss,tu", "gaussian", 2), ("ss,tu,ta", "gaussian", 0), ("ss,tu,ta", "generator", 0)],
+    ids=["no-fake-terms", "gaussian-no-steps", "generator-no-steps"],
+)
+def test_a_fit_with_no_draws_to_make_starts_no_thread(monkeypatch, combo, mode, epochs):
+    draws, started = record_draws_and_thread_starts(monkeypatch)
     before = threading.active_count()
     seen = []
     cfg = quick_config(combo, epochs=epochs, fake=FakeSourceConfig(mode=mode))
     fit(cfg, tiny_pair(), on_epoch=lambda record: seen.append(threading.active_count()))
     assert seen == [before] * epochs
-    assert drawn_off_here == [] and started == []
+    assert draws == [] and started == []
+
+
+@pytest.mark.parametrize("combo", ["ss,tu,ta", "ss,sa"])
+def test_generator_noise_is_drawn_on_the_worker_and_no_thread_outlives_fit(monkeypatch, combo):
+    draws, started = record_draws_and_thread_starts(monkeypatch)
+    before = threading.active_count()
+    fit(quick_config(combo, fake=FakeSourceConfig(mode="generator")), tiny_pair())
+    assert started == ["ctdr-fake-rows_0"]
+    assert len(draws) == 6 and threading.get_ident() not in draws  # 3 steps an epoch
+    assert threading.active_count() == before
 
 
 def test_generator_mode_trains_generator():
