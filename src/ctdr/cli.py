@@ -34,7 +34,7 @@ from .data import (
     synth_gauss_shift,
     synth_two_moons,
 )
-from .errors import ConfigError, ContractViolation, CtdrError, NonFiniteLossError
+from .errors import ConfigError, ContractViolation, CtdrError, NonFiniteLossError, blame
 from .evaluation import evaluate, export_embeddings
 from .fake import FAKE_MODES, FakeSourceConfig
 from .model import load_checkpoint, save_checkpoint
@@ -350,21 +350,23 @@ def _start(args, ladder=None):
 
 
 def _run(train_cfg: TrainConfig, pair: DomainPair, run_dir: Path, embeddings: bool, label: str = ""):
-    """Train into run_dir; returns (params, target-test EvalReport). An abort's error starts with `label`."""
+    """Train into run_dir; returns (params, target-test EvalReport). An abort's error starts with `label`;
+    a non-finite forward after fit (the final eval, the embeddings) aborts as term "export", with no epoch."""
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
         try:
             params, _ = fit(train_cfg, pair, on_epoch=lambda rec: fh.write(json.dumps(rec) + "\n"))
+            with blame("export"):
+                save_checkpoint(params, run_dir / "model.ctdr")
+                report = evaluate(params, pair.target_test)
+                (run_dir / "eval.json").write_text(json.dumps(report.to_json()) + "\n", encoding="utf-8")
+                if embeddings:
+                    named = [(split, getattr(pair, split)) for split in ("source", "target_train", "target_test")]
+                    export_embeddings(params, named, run_dir / "embeddings.csv")
         except NonFiniteLossError as exc:
             fh.write(json.dumps({"abort": {"term": exc.term, "epoch": exc.epoch, "step": exc.step}}) + "\n")
             exc.args = (f"{label}{exc}",)
             raise
-    save_checkpoint(params, run_dir / "model.ctdr")
-    report = evaluate(params, pair.target_test)
-    (run_dir / "eval.json").write_text(json.dumps(report.to_json()) + "\n", encoding="utf-8")
-    if embeddings:
-        named = [("source", pair.source), ("target_train", pair.target_train), ("target_test", pair.target_test)]
-        export_embeddings(params, named, run_dir / "embeddings.csv")
     return params, report
 
 

@@ -66,12 +66,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass
-class Batch:
-    features: np.ndarray
-    labels: np.ndarray | None = None
-
-
 class DomainPair:
     """source (labeled), target_train (unlabeled), target_test (labeled).
 
@@ -427,7 +421,8 @@ class FeatureTransform:
         x = as_matrix(features, "features")
         if x.shape[1] != self.mean.shape[0]:
             raise ContractViolation(f"the transform has width {self.mean.shape[0]}, the data {x.shape[1]}")
-        return (x - self.mean[None, :]) / self.std[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):  # Dataset rejects a non-finite result, with no numpy warning
+            return (x - self.mean[None, :]) / self.std[None, :]
 
     def save(self, path) -> None:
         blob = {"mean": [repr(float(v)) for v in self.mean], "std": [repr(float(v)) for v in self.std]}

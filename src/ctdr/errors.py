@@ -3,6 +3,8 @@ ContractViolation, ConfigError, ParseError, CheckpointError (any malformed
 checkpoint) and NonFiniteLossError (the CLI exits 3 on it, 2 on the rest).
 """
 
+from contextlib import contextmanager
+
 
 class CtdrError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,3 +45,13 @@ class NonFiniteLossError(CtdrError, RuntimeError):
         if epoch is not None:
             where = f" at epoch {epoch}" + (f" step {step}" if step is not None else "")
         super().__init__(f"non-finite {what} in term '{term}'{where}: {value!r}")
+
+
+@contextmanager
+def blame(term, epoch=None, step=None):
+    """Re-raise a NonFiniteLossError from inside (overflowing logits, Adam
+    state) as `term`'s, at this epoch and step."""
+    try:
+        yield
+    except NonFiniteLossError as exc:
+        raise NonFiniteLossError(term, exc.value, epoch, step, exc.what) from exc

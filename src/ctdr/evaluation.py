@@ -52,19 +52,20 @@ def export_embeddings(params: ParamSet, named_datasets, path) -> None:
     """CSV of embeddings and logits for (name, Dataset) pairs.
 
     Columns: domain, row, label (-1 when unknown), e0..e{D-1}, l0..l{K-1}.
-    Deterministic byte-for-byte: floats are written with repr.
+    Deterministic byte-for-byte: floats are written with repr. Every forward
+    runs before the file is opened, so overflowing logits leave no file.
     """
     named_datasets = list(named_datasets)
     if not named_datasets:
         raise ConfigError("export_embeddings: no datasets given")
+    forwarded = [(name, ds, forward(params, ds.features)) for name, ds in named_datasets]
     d = params.arch.embedding_dim
     k = params.arch.num_classes
     header = ["domain", "row", "label"] + [f"e{i}" for i in range(d)] + [f"l{i}" for i in range(k)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for name, ds in named_datasets:
-            cache = forward(params, ds.features)
+        for name, ds, cache in forwarded:
             labels = ds.labels.tolist() if ds.labels is not None else [-1] * ds.n
             rows = zip(labels, cache.embeddings.tolist(), cache.logits.tolist())
             for i, (label, emb, logits) in enumerate(rows):

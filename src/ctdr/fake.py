@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError
 from .losses import mmd_loss
 from .model import ParamSet, backward, forward, generator_backward, generator_forward_cache
-from .numerics import as_matrix, column_stats
 from .optim import adam_update
 
 FAKE_MODES = ("gaussian", "generator")
@@ -32,28 +31,14 @@ class FakeSourceConfig:
             raise ConfigError(f"fake mode must be one of {FAKE_MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class FeatureStats:
-    """Per-dimension mean and (population) standard deviation of real rows."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    @classmethod
-    def from_features(cls, features, rows: str = "feature") -> "FeatureStats":
-        x = as_matrix(features, "features")
-        if x.shape[0] < 1:
-            raise ContractViolation("feature stats need at least one row")
-        return cls(*column_stats(x, rows))
-
-
-def gaussian_fakes(stats: FeatureStats, z: np.ndarray) -> np.ndarray:
+def gaussian_fakes(mean: np.ndarray, std: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Fake rows mean + std * z, per dimension, from (n_f, d) standard normals z.
 
+    mean and std are the real rows' per-column stats (numerics.column_stats).
     The rows are written over z, which is returned.
     """
-    z *= stats.std
-    z += stats.mean  # IEEE addition commutes: the bytes of mean + z * std
+    z *= std
+    z += mean  # IEEE addition commutes: the bytes of mean + z * std
     return z
 
 

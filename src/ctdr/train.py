@@ -23,16 +23,15 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .data import Batch, Batcher, Dataset, DomainPair, empirical_prior
-from .errors import ConfigError, NonFiniteLossError
+from .data import Batcher, Dataset, DomainPair, empirical_prior
+from .errors import ConfigError, NonFiniteLossError, blame
 from .evaluation import evaluate
-from .fake import FakeSourceConfig, FeatureStats, gaussian_fakes, generator_step
+from .fake import FakeSourceConfig, gaussian_fakes, generator_step
 from .losses import contradist_loss, make_prior, pseudo_label_select, source_ce, adv_bce
 from .model import Architecture, ParamSet, backward, forward, generator_forward, init_params, theta_names, phi_names
 from .numerics import (
@@ -42,6 +41,7 @@ from .numerics import (
     STREAM_TARGET_SHUFFLE,
     STREAM_WEIGHT_INIT,
     Rng,
+    column_stats,
 )
 from .optim import OptimizerState, adam_update
 
@@ -136,24 +136,17 @@ class TrainConfig:
         return self.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
 
-def resolve_prior(config: TrainConfig, source: Dataset) -> np.ndarray:
-    """Target class prior: the configured vector, else the source's empirical one."""
-    if config.prior is not None:
-        return make_prior(config.prior, source.num_classes)
-    return empirical_prior(source)
-
-
 @dataclass
 class RunState:
-    """What every step of a run reads besides params and batches.
+    """What every step of a run reads besides params, batches and labels.
 
     terms: the terms that run, in TERM_TABLE order
     arch: the network; it has a generator when generator fakes feed ta or sa
     reads: the batches a step reads (the generator's MMD step forwards "target" and "fake_target")
     n_f: fake rows per fake batch, the batch size
-    labeled: the labeled training set (source, or target-train under ts)
-    priors: prior name -> class prior, for the enabled terms that use one
-    fake_stats: fake batch -> FeatureStats its gaussian rows are drawn from
+    labeled: the labeled training set (source, or target-train under ts); fit slices each "labeled" batch from it
+    priors: prior name -> class prior of the enabled terms; "target" is config.prior, else the source's empirical one
+    fake_stats: fake batch -> (mean, std) per column of the real rows its gaussian rows mimic
     widths: fake batch -> the width of its normals: the feature width, or the generator's NOISE_DIM
     streams: fake batch -> the long-lived Rng its normals draw on
     """
@@ -176,7 +169,9 @@ class RunState:
         wanted = {TERM_TABLE[t].prior for t in terms}
         priors = {}
         if "target" in wanted:
-            priors["target"] = resolve_prior(config, pair.source)
+            priors["target"] = (
+                make_prior(config.prior, pair.num_classes) if config.prior is not None else empirical_prior(pair.source)
+            )
         if "source" in wanted:
             priors["source"] = empirical_prior(labeled)
         reads = {TERM_TABLE[t].batch for t in terms}
@@ -187,7 +182,7 @@ class RunState:
             reads |= {"target", "fake_target"}  # the generator's MMD step forwards both
         else:
             real = {"fake_target": pair.target_train, "fake_source": labeled}
-            fake_stats = {b: FeatureStats.from_features(ds.features, ds.name or b) for b, ds in real.items() if b in reads}
+            fake_stats = {b: column_stats(ds.features, ds.name or b) for b, ds in real.items() if b in reads}
         width = NOISE_DIM if arch.generator else pair.dim
         widths = {b: width for b in ("fake_target", "fake_source") if b in reads}
         streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
@@ -199,7 +194,7 @@ class RunState:
 
     def fakes_from(self, noise: dict) -> dict:
         """A step's fakes of draw_noise()'s normals: gaussian rows written over them, else the normals."""
-        return {b: gaussian_fakes(self.fake_stats[b], z) for b, z in noise.items()} if self.fake_stats else noise
+        return {b: gaussian_fakes(*self.fake_stats[b], z) for b, z in noise.items()} if self.fake_stats else noise
 
 
 def _check_finite(term: str, value: float, epoch=None, step=None):
@@ -207,23 +202,12 @@ def _check_finite(term: str, value: float, epoch=None, step=None):
         raise NonFiniteLossError(term, value, epoch, step)
 
 
-@contextmanager
-def _blame(term: str, epoch=None, step=None):
-    """Re-raise a NonFiniteLossError from inside (overflowing logits, Adam
-    state) as `term`'s, at this epoch and step."""
-    try:
-        yield
-    except NonFiniteLossError as exc:
-        raise NonFiniteLossError(term, exc.value, epoch, step, exc.what) from exc
-
-
 def train_step(
     params: ParamSet,
     opt_theta: OptimizerState,
     opt_phi: OptimizerState | None,
-    sup_batch,
-    target_batch,
-    fakes: dict,
+    batches: dict,
+    labels: np.ndarray,
     run: RunState,
     lr: float,
     epoch=None,
@@ -231,11 +215,13 @@ def train_step(
 ):
     """One optimization step over the enabled terms, in TERM_TABLE order.
 
-    sup_batch is the labeled batch (source, or target-train under ts);
-    target_batch is the unlabeled target batch (None when no step reads it);
-    fakes is this step's run.fakes_from(run.draw_noise()): the gaussian fake
-    rows, or the generator's noise. The step draws nothing.
-    Each batch gets one forward, when the first term that reads it comes up.
+    batches maps each batch name in run.reads to its rows: "labeled" (source,
+    or target-train under ts), "target", and this step's
+    run.fakes_from(run.draw_noise()) under "fake_target" and "fake_source":
+    the gaussian fake rows, or the generator's noise. labels are the labeled
+    rows' labels. The step draws nothing.
+    Each batch gets one forward, when the first term that reads it comes up;
+    generator noise goes through the generator first.
     When the network has a generator, its one MMD step runs first: it
     forwards the target batch and steps on its embeddings, and the forward
     of its fake rows is the fake_target batch's, which ta reads. The step
@@ -247,28 +233,23 @@ def train_step(
     total: dict[str, np.ndarray] = {}
     caches: dict = {}
     if generator:
-        with _blame("gen", epoch, step):
-            caches["target"] = forward(params, target_batch.features)
+        with blame("gen", epoch, step):
+            caches["target"] = forward(params, batches["target"])
             params, opt_phi, reports["gen"], caches["fake_target"] = generator_step(
-                params, caches["target"].embeddings, fakes["fake_target"], opt_phi, lr
+                params, caches["target"].embeddings, batches["fake_target"], opt_phi, lr
             )
         _check_finite("gen", reports["gen"].value, epoch, step)
-
-    def rows(batch: str) -> np.ndarray:
-        if batch == "labeled":
-            return sup_batch.features
-        if batch == "target":
-            return target_batch.features
-        return generator_forward(params, fakes[batch]) if generator else fakes[batch]
 
     for term in run.terms:
         spec = TERM_TABLE[term]
         if spec.batch not in caches:
-            with _blame(term, epoch, step):
-                caches[spec.batch] = forward(params, rows(spec.batch))
+            with blame(term, epoch, step):
+                rows = batches[spec.batch]
+                if generator and spec.batch.startswith("fake_"):
+                    rows = generator_forward(params, rows)
+                caches[spec.batch] = forward(params, rows)
         cache = caches[spec.batch]
-        labels = sup_batch.labels if spec.batch == "labeled" else None
-        rep = spec.loss(cache.probs, labels, run.priors.get(spec.prior))
+        rep = spec.loss(cache.probs, labels if spec.batch == "labeled" else None, run.priors.get(spec.prior))
         _check_finite(term, rep.value, epoch, step)
         g, _ = backward(params, cache, grad_logits=rep.grad_logits, input_grad=False)
         for name, gt in g.items():  # gt is this backward's own array: add in place
@@ -278,7 +259,7 @@ def train_step(
                 total[name] = gt
         reports[term] = rep
 
-    with _blame("adam", epoch, step):
+    with blame("adam", epoch, step):
         params, opt_theta = adam_update(params, total, opt_theta, lr)
     return params, opt_theta, opt_phi, reports
 
@@ -295,6 +276,9 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     term is disabled; ts only appears when it runs), source-train and
     target-test accuracy, and seconds (0.0 when config.timing is off).
     on_epoch, when given, receives each record as it is produced.
+
+    A step's batches are one mapping keyed by TERM_TABLE's batch names: rows
+    of run.labeled (and their labels), of pair.target_train, and the fakes.
 
     Each step's fake-row normals, gaussian or generator, are drawn one step
     ahead, with the bytes of drawing them in each step: one
@@ -334,18 +318,21 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
             lr = config.lr_at(epoch)
             sums = dict.fromkeys(reported, 0.0)
             for step in range(steps_per_epoch):
-                sup_batch = _slice(run.labeled, sup_batcher.take())
-                target_batch = _slice(pair.target_train, target_batcher.take()) if target_batcher else None
-                fakes = run.fakes_from(drawn.result()) if drawn else {}  # scaled here, with no draw in flight
+                i = sup_batcher.take()
+                batches = {"labeled": run.labeled.features[i]}
+                if target_batcher:
+                    batches["target"] = pair.target_train.features[target_batcher.take()]
+                if drawn:
+                    batches |= run.fakes_from(drawn.result())  # scaled here, with no draw in flight
                 steps -= 1
                 if drawn and steps:
                     drawn = pool.submit(run.draw_noise)
                 params, opt_theta, opt_phi, reports = train_step(
-                    params, opt_theta, opt_phi, sup_batch, target_batch, fakes, run, lr, epoch, step
+                    params, opt_theta, opt_phi, batches, run.labeled.labels[i], run, lr, epoch, step
                 )
                 for t, rep in reports.items():
                     sums[t] += rep.value
-            with _blame("eval", epoch):
+            with blame("eval", epoch):
                 acc = {
                     "source_train": evaluate(params, pair.source).accuracy,
                     "target_test": evaluate(params, pair.target_test).accuracy,
@@ -364,7 +351,3 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
                 on_epoch(record)
     return params, metrics
 
-
-def _slice(dataset: Dataset, idx: np.ndarray) -> Batch:
-    labels = dataset.labels[idx] if dataset.labels is not None else None
-    return Batch(dataset.features[idx], labels)

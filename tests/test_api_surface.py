@@ -4,7 +4,9 @@ Walks the source of every module in src/ctdr and lists each module-level
 public function or class that no code in src/ references outside its own
 definition, and each public method, property or dataclass field
 (`Class.member`) that no code in src/ reads as an attribute outside its own
-definition. Only the allow-listed names may be on that list.
+definition. Only the allow-listed names may be on that list. A module-level
+private function or class that nothing in src/ references is left over from
+a deleted caller, and none may be left.
 """
 
 import ast
@@ -50,16 +52,30 @@ def _members(cls):
             yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
 
 
-def unreferenced_public_names(src=SRC) -> set:
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+def _trees(src):
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+
+
+def _unreferenced_definitions(trees) -> set:
+    """Module-level functions and classes that no code in `trees` references outside their own definition."""
     total = sum((_uses(tree) for tree in trees), Counter())
+    return {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and total[node.name] - _uses(node)[node.name] == 0
+    }
+
+
+def unreferenced_private_names(src=SRC) -> set:
+    return {name for name in _unreferenced_definitions(_trees(src)) if name.startswith("_")}
+
+
+def unreferenced_public_names(src=SRC) -> set:
+    trees = _trees(src)
     reads = sum((_reads(tree) for tree in trees), Counter())
-    found = set()
+    found = {name for name in _unreferenced_definitions(trees) if not name.startswith("_")}
     for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                if total[node.name] - _uses(node)[node.name] == 0:
-                    found.add(node.name)
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             for name, node in _members(cls):
                 if not name.startswith("_") and reads[name] - _reads(node)[name] == 0:
@@ -72,6 +88,23 @@ def test_every_public_name_has_a_caller_in_src():
     extra, stale = sorted(found - set(ALLOWED)), sorted(set(ALLOWED) - found)
     assert not extra, f"public names or members that only tests use (use them in src/ or delete them): {extra}"
     assert not stale, f"allow-listed names that src/ now uses (drop them from ALLOWED): {stale}"
+
+
+def test_every_private_name_has_a_caller_in_src():
+    found = sorted(unreferenced_private_names())
+    assert not found, f"private functions or classes that nothing in src/ uses (delete them): {found}"
+
+
+def test_scan_sees_a_private_definition_without_callers(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n    return 1\n\n"
+        "def _lonely():\n    return _lonely()\n\n"
+        "class _Box:\n    pass\n\n"
+        "def api():\n    return _used()\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import api\n\nx = api()\n")
+    # a recursive call is inside its own definition, so it does not count
+    assert unreferenced_private_names(tmp_path) == {"_lonely", "_Box"}
 
 
 def test_scan_sees_a_definition_without_callers(tmp_path):

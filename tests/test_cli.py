@@ -885,6 +885,61 @@ def test_ablate_abort_in_the_first_rung_leaves_the_header(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: rung ss: non-finite logits in term 'ss'")
 
 
+def overflowing_target_cfg(tmp_path):
+    """A sparse-data config whose target-train row 3 is 1.7e308 in both
+    columns. No ss step forwards that row, so an ss run trains to the end and
+    the first forward to overflow is the embeddings export's."""
+    pair = synth_two_moons(60, 35.0, 0.1, seed=1)
+    target = pair.target_train_labeled(oracle=True)
+    features = target.features.copy()
+    features[3] = 1.7e308
+    splits = {"source": pair.source, "target": Dataset(features, target.labels, 2), "test": pair.target_test}
+    for name, ds in splits.items():
+        save_sparse(ds, tmp_path / f"{name}.txt")
+    return small_train_cfg(
+        tmp_path,
+        data="sparse",
+        source_sparse=tmp_path / "source.txt",
+        target_sparse=tmp_path / "target.txt",
+        target_test_sparse=tmp_path / "test.txt",
+        hidden="128,128",
+        batch=128,
+        export_embeddings="true",
+    )
+
+
+@pytest.mark.parametrize(
+    "command, extra, run, prefix",
+    [
+        ("train", ["--set", "combo=ss"], "", ""),
+        # generator fakes: the gaussian rungs' column stats of the row would overflow before any rung runs
+        ("ablate", ["--set", "fake_mode=generator"], "ss", "rung ss: "),
+    ],
+    ids=["train", "ablate"],
+)
+def test_an_overflow_after_fit_is_exit_3_with_an_export_abort_and_no_embeddings(tmp_path, capsys, command, extra, run, prefix):
+    path = overflowing_target_cfg(tmp_path)
+    assert main([command, "--config", str(path), *extra]) == 3
+    assert capsys.readouterr().err == f"error: {prefix}non-finite logits in term 'export': nan\n"
+    out = tmp_path / "out" / run
+    records = [json.loads(line) for line in read_metrics(out).splitlines()]
+    assert [rec["epoch"] for rec in records[:-1]] == [0, 1]
+    assert records[-1] == {"abort": {"term": "export", "epoch": None, "step": None}}
+    assert not (out / "embeddings.csv").exists()
+
+
+def test_cmd_eval_transform_whose_map_overflows_is_exit_2_with_no_numpy_warning(tmp_path, capsys):
+    path = small_train_cfg(tmp_path)
+    assert main(["train", "--config", str(path)]) == 0
+    transform = tmp_path / "t.json"
+    transform.write_text(json.dumps({"mean": ["-1.7e308", "0.0"], "std": ["1e-300", "1.0"]}))
+    capsys.readouterr()
+    checkpoint = tmp_path / "out" / "model.ctdr"
+    assert main(["eval", "--config", str(path), "--checkpoint", str(checkpoint), "--transform", str(transform)]) == 2
+    message = "features row 0 column 0 is not finite (inf)"
+    assert capsys.readouterr().err == f"error: transform {transform} on the configured data: {message}\n"
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ctdr.data import Dataset, synth_two_moons
-from ctdr.errors import ContractViolation
+from ctdr.errors import ContractViolation, NonFiniteLossError
 from ctdr.evaluation import EvalReport, evaluate, export_embeddings, predict
 from ctdr.model import Architecture, LayerSpec, ParamSet, init_params
 from ctdr.numerics import Rng, STREAM_WEIGHT_INIT, softmax_rows
@@ -197,3 +197,15 @@ def test_export_embeddings_round_trip(tmp_path):
 
     export_embeddings(params, named, tmp_path / "emb2.csv")
     assert path.read_bytes() == (tmp_path / "emb2.csv").read_bytes()
+
+
+def test_export_embeddings_whose_logits_overflow_writes_no_file(tmp_path):
+    pair = synth_two_moons(15, 35.0, 0.1, seed=9)
+    params = init_params(Architecture.mlp(2, (8,), 2), Rng(0, STREAM_WEIGHT_INIT))
+    for tensor in params.tensors.values():
+        tensor[...] = 1e300
+    path = tmp_path / "emb.csv"
+    # the first split exports fine; the second one's logits overflow
+    with pytest.raises(NonFiniteLossError, match="non-finite logits in term 'forward'"):
+        export_embeddings(params, [("source", pair.source), ("big", Dataset(pair.source.features * 1e10, None, 2))], path)
+    assert not path.exists()

@@ -9,9 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ctdr.data import Batch, Batcher, Dataset, DomainPair, synth_two_moons
+from ctdr.data import Batcher, Dataset, DomainPair, synth_two_moons
 from ctdr.errors import ConfigError, ContractViolation, NonFiniteLossError
-from ctdr.fake import FakeSourceConfig, FeatureStats
+from ctdr.fake import FakeSourceConfig
 from ctdr.losses import LossReport
 from ctdr.model import init_params, phi_names, tensor_names, theta_names
 from ctdr.numerics import Rng, STREAM_SOURCE_SHUFFLE, STREAM_TARGET_SHUFFLE, STREAM_WEIGHT_INIT
@@ -22,7 +22,6 @@ from ctdr.train import (
     TERMS,
     TrainConfig,
     fit,
-    resolve_prior,
     train_step,
 )
 
@@ -92,21 +91,24 @@ def test_learning_rate_schedule_exact():
         assert cfg.lr_at(epoch) == 0.001 * 0.6 ** (epoch // 30)
 
 
-def test_resolve_prior_pass_through_and_empirical():
-    src_balanced = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2, "s")
-    cfg = quick_config(prior=(0.7, 0.3))
-    assert np.allclose(resolve_prior(cfg, src_balanced), [0.7, 0.3], atol=1e-15)
-    cfg = quick_config()
-    assert np.array_equal(resolve_prior(cfg, src_balanced), [0.5, 0.5])
-    skewed = Dataset(np.zeros((4, 2)), np.array([0, 0, 0, 1]), 2, "s")
-    assert np.array_equal(resolve_prior(cfg, skewed), [0.75, 0.25])
+def pair_with_source_labels(labels):
+    """A pair whose source split has these labels; the target splits are the source's rows."""
+    src = Dataset(np.zeros((len(labels), 2)), np.array(labels), 2, "s")
+    return DomainPair(src, Dataset(src.features, None, 2, "t"), src)
 
 
-def test_resolve_prior_rejects_wrong_length():
-    src = Dataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]), 2, "s")
-    cfg = quick_config(prior=(0.5, 0.3, 0.2))
+def test_target_prior_pass_through_and_empirical():
+    balanced = pair_with_source_labels([0, 1, 0, 1])
+    target_prior = RunState.build(quick_config(prior=(0.7, 0.3)), balanced).priors["target"]
+    assert np.allclose(target_prior, [0.7, 0.3], atol=1e-15)
+    assert np.array_equal(RunState.build(quick_config(), balanced).priors["target"], [0.5, 0.5])
+    skewed = pair_with_source_labels([0, 0, 0, 1])
+    assert np.array_equal(RunState.build(quick_config(), skewed).priors["target"], [0.75, 0.25])
+
+
+def test_target_prior_rejects_wrong_length():
     with pytest.raises(ContractViolation):
-        resolve_prior(cfg, src)
+        RunState.build(quick_config(prior=(0.5, 0.3, 0.2)), pair_with_source_labels([0, 1, 0, 1]))
 
 
 def test_run_state_builds_generator_only_when_needed():
@@ -252,6 +254,11 @@ def test_single_target_row_reduces_to_source_only():
     assert m1[0]["loss"]["tu"] is None
 
 
+def first_rows(pair, n_target=8):
+    """(batches, labels) of a direct step: the first 8 source rows, labeled, and the first n_target target rows."""
+    return {"labeled": pair.source.features[:8], "target": pair.target_train.features[:n_target]}, pair.source.labels[:8]
+
+
 def test_train_step_zero_lr_keeps_params():
     pair = tiny_pair()
     cfg = quick_config("ss,tu")
@@ -259,9 +266,8 @@ def test_train_step_zero_lr_keeps_params():
     arch = run.arch
     params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     opt = OptimizerState.for_params(params, theta_names(arch))
-    sup = Batch(pair.source.features[:8], pair.source.labels[:8])
-    tgt = Batch(pair.target_train.features[:8])
-    new, _, _, reports = train_step(params, opt, None, sup, tgt, {}, run, 0.0)
+    batches, labels = first_rows(pair)
+    new, _, _, reports = train_step(params, opt, None, batches, labels, run, 0.0)
     assert set(reports) == {"ss", "tu"}
     assert all(np.isfinite(rep.value) for rep in reports.values())
     for name in tensor_names(arch):
@@ -275,8 +281,7 @@ def test_train_step_does_not_mutate_inputs():
     params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     before = {n: t.copy() for n, t in params.tensors.items()}
     opt = OptimizerState.for_params(params, theta_names(arch))
-    sup = Batch(pair.source.features[:8], pair.source.labels[:8])
-    train_step(params, opt, None, sup, None, {}, RunState.build(cfg, pair), 0.01)
+    train_step(params, opt, None, {"labeled": pair.source.features[:8]}, pair.source.labels[:8], RunState.build(cfg, pair), 0.01)
     for name, t in before.items():
         assert np.array_equal(params.tensors[name], t)
 
@@ -290,9 +295,9 @@ def test_train_step_leaves_batches_state_and_logit_grads_unchanged(monkeypatch):
     params = init_params(run.arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     opt = OptimizerState.for_params(params, theta_names(run.arch))
     opt_before = ({n: a.copy() for n, a in opt.m.items()}, {n: a.copy() for n, a in opt.v.items()})
-    sup = Batch(pair.source.features[:8], pair.source.labels[:8])
-    tgt = Batch(pair.target_train.features[:8])
-    sup_before, tgt_before = sup.features.copy(), tgt.features.copy()
+    batches, labels = first_rows(pair)
+    batches |= run.fakes_from(run.draw_noise())
+    rows_before = {b: rows.copy() for b, rows in batches.items()}
     passed = []
     real_backward = ctdr.train.backward
 
@@ -301,19 +306,18 @@ def test_train_step_leaves_batches_state_and_logit_grads_unchanged(monkeypatch):
         return real_backward(params, cache, grad_logits=grad_logits, grad_embeddings=grad_embeddings, input_grad=input_grad)
 
     monkeypatch.setattr(ctdr.train, "backward", recording_backward)
-    train_step(params, opt, None, sup, tgt, run.fakes_from(run.draw_noise()), run, 0.01)
+    train_step(params, opt, None, batches, labels, run, 0.01)
     assert len(passed) == 5
     for grad_logits, copy in passed:
         assert np.array_equal(grad_logits, copy)
-    assert np.array_equal(sup.features, sup_before) and np.array_equal(tgt.features, tgt_before)
+    assert all(np.array_equal(batches[b], rows) for b, rows in rows_before.items())
     for moments, before in zip((opt.m, opt.v), opt_before):
         assert all(np.array_equal(moments[n], before[n]) for n in before)
 
 
 def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
     pair = tiny_pair()
-    sup = Batch(pair.source.features[:8], pair.source.labels[:8])
-    tgt = Batch(pair.target_train.features[:5])
+    batches, labels = first_rows(pair, n_target=5)
     rows = []
     real_forward = ctdr.train.forward
 
@@ -332,7 +336,8 @@ def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
         opt = OptimizerState.for_params(params, theta_names(arch))
         opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
         rows.clear()
-        _, _, _, reports = train_step(params, opt, opt_phi, sup, tgt, run.fakes_from(run.draw_noise()), run, 0.01)
+        step_batches = batches | run.fakes_from(run.draw_noise())
+        _, _, _, reports = train_step(params, opt, opt_phi, step_batches, labels, run, 0.01)
         assert set(reports) == set(run.terms) | ({"gen"} if arch.generator else set())
         return list(rows)
 
@@ -351,8 +356,7 @@ def test_terms_of_a_combo_add_with_equal_weight(monkeypatch, combo):
     # the step hands Adam the plain sum of its terms' gradients, each the one
     # that term alone would hand it, added in TERM_TABLE order
     pair = tiny_pair()
-    sup = Batch(pair.source.features[:8], pair.source.labels[:8])
-    tgt = Batch(pair.target_train.features[:8])
+    batches, labels = first_rows(pair)
     handed = []
     real_adam = ctdr.train.adam_update
 
@@ -368,7 +372,7 @@ def test_terms_of_a_combo_add_with_equal_weight(monkeypatch, combo):
         params = init_params(run.arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
         opt = OptimizerState.for_params(params, theta_names(run.arch))
         handed.clear()
-        _, _, _, reports = train_step(params, opt, None, sup, tgt, run.fakes_from(run.draw_noise()), run, 0.01)
+        _, _, _, reports = train_step(params, opt, None, batches | run.fakes_from(run.draw_noise()), labels, run, 0.01)
         return handed[0], reports
 
     total, reports = step(combo)
@@ -394,12 +398,22 @@ def test_gaussian_adversarial_terms_run():
     assert phi_names(params.arch) == []
 
 
-@pytest.mark.parametrize("mode", ["gaussian", "generator"])
-def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, mode):
+@pytest.mark.parametrize(
+    "combo, mode, draws",
+    [
+        ("ss,tu,su,ta,sa", "gaussian", 6),  # 3 steps an epoch, no draw past the last
+        ("ss,tu,su,ta,sa", "generator", 6),
+        ("ss,sa", "generator", 6),  # sa's fake_source noise, and a target batch no term reads
+        ("ts", "gaussian", 0),  # target-train rows and labels as the labeled batch, no target batch
+    ],
+    ids=["gaussian", "generator", "generator_sa", "ts"],
+)
+def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, combo, mode, draws):
     # fit draws each step's normals one step ahead on a worker thread; the
-    # direct steps here take fakes drawn on the spot, in this thread
-    pair = tiny_pair()
-    cfg = quick_config("ss,tu,su,ta,sa", epochs=2, fake=FakeSourceConfig(mode=mode))
+    # direct steps here take fakes drawn on the spot, in this thread. The
+    # skew gives target-train labels that differ from the source's.
+    pair = tiny_pair(skew=(0.8, 0.2))
+    cfg = quick_config(combo, epochs=2, fake=FakeSourceConfig(mode=mode))
     here = threading.get_ident()
     drawn_here = []
     real_draw = RunState.draw_noise
@@ -418,17 +432,19 @@ def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, mode)
     opt = OptimizerState.for_params(params, theta_names(run.arch))
     opt_phi = OptimizerState.for_params(params, phi_names(run.arch)) if run.arch.generator else None
     sup = Batcher(run.labeled.n, cfg.batch_size, cfg.seed, STREAM_SOURCE_SHUFFLE)
-    tgt = Batcher(pair.target_train.n, cfg.batch_size, cfg.seed, STREAM_TARGET_SHUFFLE)
+    tgt = Batcher(pair.target_train.n, cfg.batch_size, cfg.seed, STREAM_TARGET_SHUFFLE) if "target" in run.reads else None
     for epoch in range(cfg.epochs):
-        for step in range(max(sup.batches_per_epoch, tgt.batches_per_epoch)):
-            i, j = sup.take(), tgt.take()
-            sup_batch = Batch(run.labeled.features[i], run.labeled.labels[i])
-            tgt_batch = Batch(pair.target_train.features[j])
-            fakes = run.fakes_from(run.draw_noise())
+        for step in range(max(sup.batches_per_epoch, tgt.batches_per_epoch if tgt else 0)):
+            i = sup.take()
+            batches = {"labeled": run.labeled.features[i]}
+            if tgt:
+                batches["target"] = pair.target_train.features[tgt.take()]
+            if run.widths:
+                batches |= run.fakes_from(run.draw_noise())
             params, opt, opt_phi, _ = train_step(
-                params, opt, opt_phi, sup_batch, tgt_batch, fakes, run, cfg.lr_at(epoch), epoch, step
+                params, opt, opt_phi, batches, run.labeled.labels[i], run, cfg.lr_at(epoch), epoch, step
             )
-    assert by_fit == [False] * 6 and drawn_here == [True] * 6  # 3 steps an epoch, no draw past the last
+    assert by_fit == [False] * draws and drawn_here == [True] * draws
     assert bool(phi_names(run.arch)) == (mode == "generator")
     for name in tensor_names(run.arch):
         assert params.tensors[name].tobytes() == fitted.tensors[name].tobytes()
