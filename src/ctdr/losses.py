@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, NonFiniteLossError
 from .numerics import _pairwise_sq_dists, as_matrix, gaussian_kernel_matrix, log_sum_exp
 
 EPS = 1e-12
@@ -192,12 +192,15 @@ def median_heuristic_gamma(sq: np.ndarray) -> float:
 
     `sq` is the real rows' (n, n) squared-distance matrix; the median is over
     its unordered pairs i < j. A single row (no pairs) or an all-identical
-    batch falls back to gamma = 1.
+    batch falls back to gamma = 1. A median that overflowed raises
+    NonFiniteLossError (term "mmd"): its gamma would be 0.
     """
     n = sq.shape[0]
     if n < 2:
         return 1.0
     med = float(np.median(sq[np.triu_indices(n, k=1)]))
+    if not np.isfinite(med):
+        raise NonFiniteLossError("mmd", med, what="median squared distance")
     if med <= EPS:
         return 1.0
     return 1.0 / (2.0 * med)

@@ -1,9 +1,10 @@
 """Encoder + softmax classifier (and optional fake-sample generator).
 
-Each network (classifier path, generator) is one list of (tensor prefix,
-LayerSpec) pairs from `_layers`; one forward and one backward walk over it do
-all the float64 layer arithmetic. Plus a functional parameter container and a
-little-endian binary checkpoint format.
+An architecture is a tuple of layer widths, so its layers chain. Each network
+(classifier path, generator) is one list of (tensor prefix, (in, out), relu)
+layers from `_layers`; one forward and one backward walk over it do all the
+float64 layer arithmetic. Plus a functional parameter container and a little-endian
+binary checkpoint format, the one input whose layers may not chain.
 """
 
 from __future__ import annotations
@@ -19,86 +20,64 @@ from .numerics import Rng, as_matrix, softmax_rows
 
 
 @dataclass(frozen=True)
-class LayerSpec:
-    in_dim: int
-    out_dim: int
-
-    def __post_init__(self):
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ContractViolation(f"layer dims must be >= 1, got {self.in_dim}x{self.out_dim}")
-
-
-def _check_chain(layers, what):
-    for a, b in zip(layers, layers[1:]):
-        if a.out_dim != b.in_dim:
-            raise ContractViolation(f"{what} layers do not chain: {a.out_dim} -> {b.in_dim}")
-
-
-@dataclass(frozen=True)
 class Architecture:
-    """Layer shapes for the encoder, the classifier head, and the generator.
+    """A network as its layer widths; each pair of consecutive widths is one layer.
 
-    The encoder maps input features to embeddings, the classifier maps
-    embeddings to class logits. The generator (optional, empty tuple when
-    absent) maps noise to rows in input-feature space.
+    `widths` is (features, *hidden, classes): ReLU encoder layers to the
+    embeddings, then the affine classifier to class logits. `generator` is
+    (noise, *gen_hidden), or () for none; its last layer maps to widths[0].
     """
 
-    encoder: tuple[LayerSpec, ...]
-    classifier: LayerSpec
-    generator: tuple[LayerSpec, ...] = ()
+    widths: tuple
+    generator: tuple = ()
 
     def __post_init__(self):
-        _check_chain(self.encoder, "encoder")
-        if self.encoder and self.encoder[-1].out_dim != self.classifier.in_dim:
-            raise ContractViolation("classifier input width must match encoder output")
-        if self.generator:
-            _check_chain(self.generator, "generator")
-            if self.generator[-1].out_dim != self.feature_dim:
-                raise ContractViolation("generator output width must match input feature width")
+        if len(self.widths) < 2 or min((*self.widths, *self.generator)) < 1:
+            raise ContractViolation(f"need >= 2 layer widths, each >= 1: got {self.widths}, generator {self.generator}")
 
     @property
     def feature_dim(self) -> int:
-        return self.encoder[0].in_dim if self.encoder else self.classifier.in_dim
+        return self.widths[0]
 
     @property
     def embedding_dim(self) -> int:
-        return self.classifier.in_dim
+        return self.widths[-2]
 
     @property
     def num_classes(self) -> int:
-        return self.classifier.out_dim
+        return self.widths[-1]
 
     @property
     def noise_dim(self) -> int:
         if not self.generator:
             raise ConfigError("architecture has no generator")
-        return self.generator[0].in_dim
+        return self.generator[0]
+
+    @property
+    def encoder(self) -> tuple:
+        """(in, out) of each encoder layer."""
+        return tuple(zip(self.widths[:-2], self.widths[1:-1]))
 
     @staticmethod
     def mlp(feature_dim: int, hidden, num_classes: int) -> "Architecture":
         """ReLU MLP encoder with the given hidden widths, affine classifier."""
-        widths = [feature_dim, *hidden]
-        enc = tuple(LayerSpec(widths[i], widths[i + 1]) for i in range(len(widths) - 1))
-        return Architecture(enc, LayerSpec(widths[-1], num_classes))
+        return Architecture((feature_dim, *hidden, num_classes))
 
     def with_generator(self, noise_dim: int, gen_hidden) -> "Architecture":
-        widths = [noise_dim, *gen_hidden]
-        gen = [LayerSpec(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
-        gen.append(LayerSpec(widths[-1], self.feature_dim))
-        return Architecture(self.encoder, self.classifier, tuple(gen))
+        return Architecture(self.widths, (noise_dim, *gen_hidden))
 
 
 def _layers(arch: Architecture) -> tuple[list, list]:
-    """(tensor prefix, spec, relu) per layer, as two walks: the classifier path
-    (encoder layers, then the classifier) and the generator. Layer `p` owns
+    """(tensor prefix, (in, out), relu) per layer, as two walks: the classifier
+    path (encoder layers, then the classifier) and the generator. Layer `p` owns
     the tensors `p.w` and `p.b`; the canonical order is path, then generator.
     ReLU follows every layer of a walk except its last, which is affine."""
 
-    def walk(pairs):
-        return [(prefix, spec, i < len(pairs) - 1) for i, (prefix, spec) in enumerate(pairs)]
+    def walk(prefixes, widths):
+        return [(p, (a, b), i < len(prefixes) - 1) for i, (p, a, b) in enumerate(zip(prefixes, widths, widths[1:]))]
 
-    path = [(f"enc{i}", spec) for i, spec in enumerate(arch.encoder)] + [("cls", arch.classifier)]
-    return walk(path), walk([(f"gen{i}", spec) for i, spec in enumerate(arch.generator)])
+    path = walk([f"enc{i}" for i in range(len(arch.widths) - 2)] + ["cls"], arch.widths)
+    return path, walk([f"gen{i}" for i in range(len(arch.generator))], (*arch.generator, arch.widths[0]))
 
 
 def _names(layers) -> list[str]:
@@ -107,7 +86,7 @@ def _names(layers) -> list[str]:
 
 def _expected_shapes(arch: Architecture) -> dict[str, tuple]:
     path, gen = _layers(arch)
-    return {f"{p}.{t}": (s.in_dim, s.out_dim) if t == "w" else (s.out_dim,) for p, s, _ in path + gen for t in "wb"}
+    return {f"{p}.{t}": shape if t == "w" else shape[1:] for p, shape, _ in path + gen for t in "wb"}
 
 
 def tensor_names(arch: Architecture) -> list[str]:
@@ -149,16 +128,16 @@ def init_params(arch: Architecture, rng: Rng) -> ParamSet:
     """
     tensors: dict[str, np.ndarray] = {}
     path, gen = _layers(arch)
-    for prefix, spec, _ in path + gen:
-        bound = 1.0 / np.sqrt(spec.in_dim)
-        tensors[f"{prefix}.w"] = rng.uniform_matrix(spec.in_dim, spec.out_dim, -bound, bound)
-        tensors[f"{prefix}.b"] = np.zeros(spec.out_dim)
+    for prefix, (fan_in, fan_out), _ in path + gen:
+        bound = 1.0 / np.sqrt(fan_in)
+        tensors[f"{prefix}.w"] = rng.uniform_matrix(fan_in, fan_out, -bound, bound)
+        tensors[f"{prefix}.b"] = np.zeros(fan_out)
     return ParamSet(arch, tensors)
 
 
 @dataclass
 class ForwardCache:
-    """One walk's record, kept for the backward walk: the (prefix, spec, relu)
+    """One walk's record, kept for the backward walk: the (prefix, (in, out), relu)
     layers, the input rows, each layer's output (a ReLU's mask is its output
     > 0), and the softmax probabilities (classifier path only)."""
 
@@ -293,8 +272,8 @@ def save_checkpoint(params: ParamSet, path) -> None:
     out = bytearray(CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION))
     for count, layers in zip((len(arch.encoder), len(arch.generator)), _layers(arch)):
         out += struct.pack("<H", count)
-        for _, spec, relu in layers:
-            out += struct.pack("<IIB", spec.in_dim, spec.out_dim, relu)
+        for _, shape, relu in layers:
+            out += struct.pack("<IIB", *shape, relu)
 
     names = tensor_names(arch)
     out += struct.pack("<I", len(names))
@@ -324,6 +303,10 @@ class _Cursor:
 
 
 def load_checkpoint(path) -> ParamSet:
+    """The ParamSet saved at `path`. The architecture's widths are the layer
+    table's input widths plus the classifier's output width; each stored layer
+    must be the (in, out) those widths make, with the activation byte its place
+    needs. Any fault is a CheckpointError naming the file."""
     with open(path, "rb") as fh:
         buf = fh.read()
     cur = _Cursor(buf, path)
@@ -333,17 +316,19 @@ def load_checkpoint(path) -> ParamSet:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: checkpoint version {version}, this build reads {CHECKPOINT_VERSION}")
 
+    (n_enc,) = cur.unpack("<H")
+    rows = [cur.unpack("<IIB") for _ in range(n_enc + 1)]
+    (n_gen,) = cur.unpack("<H")
+    rows += [cur.unpack("<IIB") for _ in range(n_gen)]
+    ins = tuple(in_dim for in_dim, _, _ in rows)
     try:
-        (n_enc,) = cur.unpack("<H")
-        rows = [cur.unpack("<IIB") for _ in range(n_enc + 1)]
-        (n_gen,) = cur.unpack("<H")
-        rows += [cur.unpack("<IIB") for _ in range(n_gen)]
-        specs = [LayerSpec(in_dim, out_dim) for in_dim, out_dim, _ in rows]
-        arch = Architecture(tuple(specs[:n_enc]), specs[n_enc], tuple(specs[n_enc + 1 :]))
+        arch = Architecture((*ins[: n_enc + 1], rows[n_enc][1]), ins[n_enc + 1 :])
     except ContractViolation as exc:
         raise CheckpointError(f"{path}: invalid architecture table: {exc}") from exc
     path_layers, gen_layers = _layers(arch)
-    for (prefix, _, relu), (*_, act) in zip(path_layers + gen_layers, rows):
+    for (prefix, shape, relu), (in_dim, out_dim, act) in zip(path_layers + gen_layers, rows):
+        if (in_dim, out_dim) != shape:
+            raise CheckpointError(f"{path}: layer {prefix} is {in_dim}x{out_dim}, its neighbours make it {shape[0]}x{shape[1]}")
         if act != relu:
             raise CheckpointError(f"{path}: layer {prefix} has activation byte {act}, its place in the network needs {int(relu)}")
 

@@ -205,14 +205,27 @@ FROZEN_RUNS = {
 }
 
 
+def numpy_kernels() -> str:
+    """numpy's version and the SIMD target of its float64 exp and log kernels,
+    for a frozen-digest failure: the digests depend on both."""
+    try:
+        from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
+
+        info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+        targets = [info[f]["dd"]["current"] for f in ("exp", "log")]
+    except (ImportError, KeyError):
+        targets = ["unknown", "unknown"]
+    return "numpy {}, float64 exp on {}, log on {}".format(np.__version__, *targets)
+
+
 @pytest.mark.parametrize("run", sorted(FROZEN_RUNS))
 def test_cmd_train_artifacts_match_frozen_digests(tmp_path, run):
     extra, model_sha, metrics_sha = FROZEN_RUNS[run]
     path = small_train_cfg(tmp_path, **extra)
     assert main(["train", "--config", str(path)]) == 0
     out = tmp_path / "out"
-    assert hashlib.sha256((out / "model.ctdr").read_bytes()).hexdigest() == model_sha
-    assert hashlib.sha256((out / "metrics.jsonl").read_bytes()).hexdigest() == metrics_sha
+    for name, sha in (("model.ctdr", model_sha), ("metrics.jsonl", metrics_sha)):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == sha, f"{name} ({numpy_kernels()})"
 
 
 # sha256 of the text files that `synth` and `train --set export_embeddings=true`
@@ -241,7 +254,7 @@ def test_text_artifacts_match_frozen_digests(tmp_path, run):
     path = small_train_cfg(tmp_path, **extra)
     assert main([command, "--config", str(path)]) == 0
     for name, sha in digests.items():
-        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == sha, name
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == sha, f"{name} ({numpy_kernels()})"
 
 
 # sha256 of summary.csv, and the printed rows, of an ablation whose seven rows
@@ -544,6 +557,21 @@ def test_a_standardizer_spread_that_overflows_is_exit_2_naming_the_key_before_an
     assert not out.exists()
 
 
+def test_an_mmd_bandwidth_that_overflows_is_exit_3_with_a_gen_abort_and_no_numpy_warning(tmp_path, capsys):
+    # finite embeddings of 1e160-scale target rows whose squared distances overflow
+    pair = synth_two_moons(60, 35.0, 0.1, seed=1)
+    splits = {"source": pair.source, "target": Dataset(pair.target_train.features * 1e160, None, 2), "test": pair.target_test}
+    for name, ds in splits.items():
+        save_sparse(ds, tmp_path / f"{name}.txt")
+    sparse = {f"{k}_sparse": tmp_path / f"{f}.txt" for k, f in (("source", "source"), ("target", "target"), ("target_test", "test"))}
+    path = small_train_cfg(tmp_path, data="sparse", combo="ss,tu,ta", fake_mode="generator", epochs=1, hidden="8,8", **sparse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(path)]) == 3
+    assert json.loads(read_metrics(tmp_path / "out").splitlines()[-1]) == {"abort": {"term": "gen", "epoch": 0, "step": 0}}
+    assert capsys.readouterr().err == "error: non-finite median squared distance in term 'gen' at epoch 0 step 0: inf\n"
+
+
 def test_a_fake_row_spread_that_overflows_is_exit_2_naming_the_combo_before_any_file(tmp_path, capsys):
     # a sparse target column of 0 and 1e200 rows: ta's gaussian fakes would be inf
     pair = synth_two_moons(40, 35.0, 0.1, seed=0)
@@ -794,6 +822,27 @@ def test_header_only_sparse_split_is_exit_2_naming_it_before_any_file(tmp_path, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "empty.txt", "out", "source.txt", "target.txt", "test.txt"]
 
 
+@pytest.mark.parametrize(
+    "kind, keys",
+    [
+        ("sparse", "source_sparse, target_sparse, target_test_sparse"),
+        ("idx", "source_images, source_labels, target_images, target_labels, target_test_images, target_test_labels"),
+    ],
+)
+def test_a_file_data_mode_without_paths_is_exit_2_naming_them_before_any_file(tmp_path, capsys, kind, keys):
+    out = tmp_path / "out"
+    assert main(["train", "--set", f"data={kind}", "--set", f"out_dir={out}"]) == 2
+    assert capsys.readouterr().err == f"error: data={kind} needs paths for {keys}\n"
+    assert not out.exists()
+
+
+def test_set_without_an_equals_sign_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--set", "epochs", "--set", f"out_dir={out}"]) == 2
+    assert capsys.readouterr().err == "error: --set needs key=value, got 'epochs'\n"
+    assert not out.exists()
+
+
 def test_non_utf8_config_is_exit_2_naming_file_and_line(tmp_path, capsys):
     path = small_train_cfg(tmp_path)
     head = path.read_bytes() + b"combo = ss"
@@ -949,6 +998,7 @@ def test_cmd_eval_transform_whose_map_overflows_is_exit_2_with_no_numpy_warning(
         ("combo", "ss,ts", "ts is an exclusive baseline"),
         ("prior", "abc", "prior must be `assume_source`"),
         ("batch", "0", "batch_size must be >= 1"),
+        ("hidden", "4,0", "need >= 2 layer widths, each >= 1: got (2, 4, 0, 2), generator ()"),
         ("n_source", "-1", "n_source = -1 applies only to data = idx"),
         # checks the data builder makes
         ("rotation", "400", "rotation must be in [0, 360] degrees, got 400.0"),

@@ -248,6 +248,14 @@ def test_load_sparse_direct_parse(tmp_path):
     assert ds.num_classes == 2
 
 
+def test_load_sparse_of_only_comments_and_blank_lines_names_the_missing_header(tmp_path):
+    p = tmp_path / "rows.txt"
+    p.write_text("# no rows yet\n\n   \n# width=2 classes=2\n")
+    with pytest.raises(ParseError) as exc:
+        load_sparse(p)
+    assert str(exc.value) == f"{p}:0: missing header line `width=<d> classes=<k>`"
+
+
 def test_load_sparse_unlabeled_rows(tmp_path):
     p = tmp_path / "rows.txt"
     p.write_text("width=3 classes=2\n-1 0:1.0\n-1 2:2.0\n")

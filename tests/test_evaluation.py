@@ -10,14 +10,14 @@ import pytest
 from ctdr.data import Dataset, synth_two_moons
 from ctdr.errors import ContractViolation, NonFiniteLossError
 from ctdr.evaluation import EvalReport, evaluate, export_embeddings, predict
-from ctdr.model import Architecture, LayerSpec, ParamSet, init_params
+from ctdr.model import Architecture, ParamSet, init_params
 from ctdr.numerics import Rng, STREAM_WEIGHT_INIT, softmax_rows
 from ctdr.train import LossCombo, TrainConfig, fit
 
 
 def logit_net(k=2):
     """Identity net: logits equal the input features."""
-    arch = Architecture((), LayerSpec(k, k))
+    arch = Architecture((k, k))
     tensors = {"cls.w": np.eye(k), "cls.b": np.zeros(k)}
     return ParamSet(arch, tensors)
 
@@ -126,7 +126,7 @@ def test_evaluate_invariant_to_row_order():
 def test_evaluate_rejects_a_class_count_mismatch(k_model, k_data):
     # a 3-class net that always says class 2 used to land its 2-class rows in
     # the wrong confusion row (labels * k + pred wraps)
-    arch = Architecture((), LayerSpec(2, k_model))
+    arch = Architecture((2, k_model))
     bias = np.zeros(k_model)
     bias[-1] = 1.0
     params = ParamSet(arch, {"cls.w": np.zeros((2, k_model)), "cls.b": bias})

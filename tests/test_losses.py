@@ -2,11 +2,12 @@
 objective with pseudo-label selection, fake-sample BCE, and kernel MMD."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ctdr.errors import ContractViolation
+from ctdr.errors import ContractViolation, NonFiniteLossError
 from ctdr.losses import (
     EPS,
     adv_bce,
@@ -334,6 +335,17 @@ def test_median_heuristic_degenerate_falls_back():
 def test_median_heuristic_deterministic():
     emb = Rng(75, 0).normal_matrix(10, 4)
     assert median_heuristic_gamma(_pairwise_sq_dists(emb)) == median_heuristic_gamma(_pairwise_sq_dists(emb.copy()))
+
+
+def test_mmd_whose_median_distance_overflows_raises_non_finite_with_no_numpy_warning():
+    # finite rows whose squared distances overflow: gamma would be 1 / inf = 0
+    f = Rng(77, 0).normal_matrix(5, 3)
+    r = Rng(77, 1).normal_matrix(6, 3) * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLossError) as exc:
+            mmd_loss(f, r, None)
+    assert (exc.value.term, exc.value.value, exc.value.what) == ("mmd", math.inf, "median squared distance")
 
 
 def same_bits(a, b):

@@ -11,8 +11,8 @@ from ctdr.cli import main
 from ctdr.errors import CheckpointError, ConfigError, ContractViolation, NonFiniteLossError
 from ctdr.model import (
     Architecture,
-    LayerSpec,
     ParamSet,
+    _layers,
     backward,
     forward,
     generator_backward,
@@ -43,18 +43,12 @@ def small_net(seed=9):
     return arch, init_params(arch, Rng(seed, STREAM_WEIGHT_INIT))
 
 
-def test_layer_spec_validation():
-    with pytest.raises(ContractViolation):
-        LayerSpec(0, 3)
-    with pytest.raises(ContractViolation):
-        LayerSpec(3, 0)
-
-
-def test_architecture_chain_validation():
-    with pytest.raises(ContractViolation):
-        Architecture((LayerSpec(3, 4),), LayerSpec(5, 2))
-    with pytest.raises(ContractViolation):
-        Architecture((LayerSpec(3, 4),), LayerSpec(4, 2), (LayerSpec(8, 5), LayerSpec(5, 99)))
+@pytest.mark.parametrize(
+    "widths, generator", [((3,), ()), ((0, 3), ()), ((3, 4, 0), ()), ((3, 0, 2), ()), ((3, 2), (0,)), ((3, 2), (4, 0))]
+)
+def test_architecture_width_validation(widths, generator):
+    with pytest.raises(ContractViolation, match=re.escape(f"got {widths}, generator {generator}")):
+        Architecture(widths, generator)
 
 
 def test_architecture_dims():
@@ -63,7 +57,10 @@ def test_architecture_dims():
     assert arch.embedding_dim == 4
     assert arch.num_classes == 3
     assert arch.noise_dim == 6
-    assert arch.generator[-1].out_dim == 7
+    path, gen = _layers(arch)
+    assert [shape for _, shape, _ in path] == [(7, 5), (5, 4), (4, 3)]
+    assert [shape for _, shape, _ in gen] == [(6, 8), (8, 7)]
+    assert arch.encoder == ((7, 5), (5, 4))
     assert tensor_names(arch) == theta_names(arch) + phi_names(arch)
 
 
@@ -128,7 +125,7 @@ def test_forward_zero_weights_uniform_probs():
 
 
 def test_forward_identity_passthrough():
-    arch = Architecture((), LayerSpec(2, 2))
+    arch = Architecture((2, 2))
     tensors = {"cls.w": np.eye(2), "cls.b": np.zeros(2)}
     cache = forward(ParamSet(arch, tensors), np.array([[0.3, -1.5]]))
     assert np.array_equal(cache.logits, np.array([[0.3, -1.5]]))
@@ -187,7 +184,7 @@ def test_backward_rejects_shape_mismatch():
 
 
 def test_backward_linear_layer_matches_finite_diff():
-    arch = Architecture((), LayerSpec(3, 2))
+    arch = Architecture((3, 2))
     params = init_params(arch, Rng(5, STREAM_WEIGHT_INIT))
     x = Rng(6, 0).normal_matrix(4, 3)
     coeff = Rng(6, 1).normal_matrix(4, 2)
@@ -281,7 +278,7 @@ def test_backward_without_input_gradient_gives_the_same_weight_gradients(net):
     if net == "small":
         _, params = small_net()
     else:
-        params = init_params(Architecture((), LayerSpec(3, 2)), Rng(5, STREAM_WEIGHT_INIT))
+        params = init_params(Architecture((3, 2)), Rng(5, STREAM_WEIGHT_INIT))
     x = Rng(36, 0).normal_matrix(5, 3)
     coeff = Rng(36, 1).normal_matrix(5, 2)
     cache = forward(params, x)
@@ -322,7 +319,7 @@ def test_relu_mask_from_outputs_equals_mask_from_pre_activations():
 
 def test_relu_subgradient_at_zero_is_zero():
     # one hidden unit whose pre-activation is exactly 0 must pass no gradient
-    arch = Architecture((LayerSpec(1, 1),), LayerSpec(1, 1))
+    arch = Architecture((1, 1, 1))
     tensors = {
         "enc0.w": np.array([[1.0]]),
         "enc0.b": np.array([0.0]),
@@ -465,6 +462,34 @@ def test_checkpoint_activation_byte_must_match_the_layer_position(tmp_path, laye
     bad = tmp_path / "bad.ctdr"
     bad.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match=rf"^{re.escape(str(bad))}: layer {layer} has activation byte {1 - stored}"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize(
+    "offset, width, message",
+    [
+        # enc0's out width is not cls's in width
+        (12, 7, "layer enc0 is 3x7, its neighbours make it 3x4"),
+        # gen1's out width is not the feature width
+        (41, 9, "layer gen1 is 6x9, its neighbours make it 6x3"),
+        # a zero width: enc0's in, cls's out
+        (8, 0, "invalid architecture table: need >= 2 layer widths, each >= 1: got (0, 4, 2), generator (5, 6)"),
+        (21, 0, "invalid architecture table: need >= 2 layer widths, each >= 1: got (3, 4, 0), generator (5, 6)"),
+    ],
+    ids=["enc0_out", "gen1_out", "zero_features", "zero_classes"],
+)
+def test_checkpoint_layer_table_must_chain(tmp_path, offset, width, message):
+    # the layer table of test_checkpoint_activation_byte_must_match_the_layer_position:
+    # the u32 widths of enc0 at 8 and 12, cls at 17 and 21, gen0 at 28 and 32, gen1 at 37 and 41
+    arch = Architecture.mlp(3, (4,), 2).with_generator(5, (6,))
+    path = tmp_path / "base.ctdr"
+    save_checkpoint(init_params(arch, Rng(9, STREAM_WEIGHT_INIT)), path)
+    raw = bytearray(path.read_bytes())
+    assert [struct.unpack_from("<I", raw, i)[0] for i in (8, 12, 17, 21, 28, 32, 37, 41)] == [3, 4, 4, 2, 5, 6, 6, 3]
+    struct.pack_into("<I", raw, offset, width)
+    bad = tmp_path / "bad.ctdr"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{bad}: {message}')}$"):
         load_checkpoint(bad)
 
 

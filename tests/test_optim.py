@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from ctdr.errors import ContractViolation, NonFiniteLossError
-from ctdr.model import Architecture, LayerSpec, ParamSet, init_params, theta_names
+from ctdr.model import Architecture, ParamSet, init_params, theta_names
 from ctdr.numerics import Rng, STREAM_WEIGHT_INIT
 from ctdr.optim import OptimizerState, adam_update
 
 
 def scalar_param(value=0.0):
-    arch = Architecture((), LayerSpec(1, 1))
+    arch = Architecture((1, 1))
     tensors = {"cls.w": np.array([[value]]), "cls.b": np.array([0.0])}
     params = ParamSet(arch, tensors)
     state = OptimizerState.for_params(params, ["cls.w"])

@@ -13,7 +13,7 @@ from ctdr.data import Batcher, Dataset, DomainPair, synth_two_moons
 from ctdr.errors import ConfigError, ContractViolation, NonFiniteLossError
 from ctdr.fake import FakeSourceConfig
 from ctdr.losses import LossReport
-from ctdr.model import init_params, phi_names, tensor_names, theta_names
+from ctdr.model import _layers, init_params, phi_names, tensor_names, theta_names
 from ctdr.numerics import Rng, STREAM_SOURCE_SHUFFLE, STREAM_TARGET_SHUFFLE, STREAM_WEIGHT_INIT
 from ctdr.optim import OptimizerState
 from ctdr.train import (
@@ -120,7 +120,7 @@ def test_run_state_builds_generator_only_when_needed():
     gen_cfg = quick_config("ss,ta", fake=FakeSourceConfig(mode="generator"))
     run = RunState.build(gen_cfg, pair)
     # 32-d noise through ReLU layers of widths 64, 64 to the feature width
-    assert [(g.in_dim, g.out_dim) for g in run.arch.generator] == [(32, 64), (64, 64), (64, pair.dim)]
+    assert [shape for _, shape, _ in _layers(run.arch)[1]] == [(32, 64), (64, 64), (64, pair.dim)]
     # the generator's MMD step reads the target batch, though no term does
     assert run.reads == {"labeled", "fake_target", "target"}
     assert run.fake_stats == {}
