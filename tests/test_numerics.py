@@ -6,7 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+import ctdr.numerics
+from ctdr.data import synth_gauss_shift
 from ctdr.errors import ContractViolation
+from ctdr.model import tensor_names
 from ctdr.numerics import (
     Rng,
     STREAM_WEIGHT_INIT,
@@ -18,6 +21,7 @@ from ctdr.numerics import (
     softmax_rows,
     substream,
 )
+from ctdr.train import LossCombo, TrainConfig, fit
 from gradcheck import finite_diff_grad, relative_error
 
 # Reference sequence for PCG32 seeded with (42, 54), from the generator's
@@ -156,9 +160,11 @@ def test_permutation_is_permutation_and_seed_pure():
     assert not np.array_equal(p1, p3)
 
 
-# Block draws against the scalar reference. _BLOCK is 8192 outputs: 2048
-# Box-Muller pairs (4096 normals) or 4096 uniforms per block. The high
-# stream has bit 63 set, and bit 62, which becomes bit 63 of the increment.
+# Block draws against the scalar reference. A block of _BLOCK outputs gives
+# _BLOCK // 4 Box-Muller pairs (HALF normals), HALF uniforms or _BLOCK
+# permutation picks; the boundary cases below follow it. The high stream has
+# bit 63 set, and bit 62, which becomes bit 63 of the increment.
+HALF = ctdr.numerics._BLOCK // 2
 HIGH_STREAM = (3 << 62) | 12345
 
 
@@ -176,7 +182,7 @@ def assert_same_position(block, scalar):
     assert block.next_u32() == scalar.next_u32()
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 5), (1, 4096), (1, 4097), (3, 2731), (7, 1201)])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 5), (1, HALF), (1, HALF + 1), (3, 2 * HALF // 3 + 1), (7, 1201)])
 @pytest.mark.parametrize("seed, stream", [(42, 0), (9, HIGH_STREAM)])
 def test_normal_matrix_equals_scalar_normals(shape, seed, stream):
     block, scalar = Rng(seed, stream), Rng(seed, stream)
@@ -225,7 +231,10 @@ def test_numpy_complex_log_equals_math_log_below_0_7():
 def test_normal_matrix_interleaved_with_scalar_calls_carries_the_spare():
     block, scalar = Rng(3, HIGH_STREAM), Rng(3, HIGH_STREAM)
     got, want = [], []
-    for rows, cols, singles in [(1, 3, 1), (2, 3, 1), (1, 1, 0), (1, 1, 2), (5, 819, 1), (1, 4097, 0), (0, 4, 1)]:
+    # the spare plus HALF normals fill one block; the spare plus HALF + 1
+    # leave a new spare one pair past the boundary, for the last single
+    steps = [(1, 3, 1), (2, 3, 1), (1, 1, 0), (1, 1, 2), (5, 819, 1), (1, HALF + 1, 1), (1, HALF + 2, 0), (0, 4, 1)]
+    for rows, cols, singles in steps:
         got += block.normal_matrix(rows, cols).ravel().tolist()
         want += [scalar.normal() for _ in range(rows * cols)]
         got += [block.normal() for _ in range(singles)]
@@ -234,7 +243,7 @@ def test_normal_matrix_interleaved_with_scalar_calls_carries_the_spare():
     assert got == want
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (1, 4097), (3, 2731)])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (1, HALF + 1), (3, 2 * HALF // 3 + 1)])
 @pytest.mark.parametrize("seed, stream", [(11, 3), (9, HIGH_STREAM)])
 def test_uniform_matrix_equals_scalar_uniforms(shape, seed, stream):
     block, scalar = Rng(seed, stream), Rng(seed, stream)
@@ -245,7 +254,7 @@ def test_uniform_matrix_equals_scalar_uniforms(shape, seed, stream):
     assert_same_position(block, scalar)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 500, 8194])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 40, 500, 2 * HALF + 2])
 @pytest.mark.parametrize("seed, stream", [(17, 9), (9, HIGH_STREAM)])
 def test_permutation_equals_scalar_fisher_yates(n, seed, stream):
     block, scalar = Rng(seed, stream), Rng(seed, stream)
@@ -302,6 +311,47 @@ def test_permutation_rejection_falls_back_to_scalar_path(monkeypatch, n):
     assert calls == [n - 1]
     assert np.array_equal(got, want)
     assert_same_position(block, scalar)
+
+
+def use_block(monkeypatch, size):
+    """Run every block draw in blocks of `size` PCG32 outputs."""
+    mult, add = ctdr.numerics._jump_tables(size)
+    monkeypatch.setattr(ctdr.numerics, "_BLOCK", size)
+    monkeypatch.setattr(ctdr.numerics, "_JUMP_MULT", mult)
+    monkeypatch.setattr(ctdr.numerics, "_JUMP_ADD", add)
+
+
+def test_a_tiny_block_gives_the_scalar_values_across_many_boundaries(monkeypatch):
+    # 12 outputs: 3 Box-Muller pairs, 6 uniforms or 12 permutation picks a block
+    use_block(monkeypatch, 12)
+    calls = patch_block(monkeypatch, lambda out: None)
+    block, scalar = Rng(4, HIGH_STREAM), Rng(4, HIGH_STREAM)
+    for rows, cols in [(1, 1), (1, 5), (2, 7), (3, 6), (1, 13), (4, 9)]:
+        n = rows * cols
+        got = block.normal_matrix(rows, cols)
+        assert got.tobytes() == np.array([scalar.normal() for _ in range(n)]).tobytes()
+        got = block.uniform_matrix(rows, cols, -2.0, 3.0)
+        assert got.tobytes() == np.array([scalar.uniform(-2.0, 3.0) for _ in range(n)]).tobytes()
+        assert np.array_equal(block.permutation(n + 24), scalar_fisher_yates(scalar, n + 24))
+        assert_same_position(block, scalar)
+    assert max(calls) == 12 and len(calls) > 50
+
+
+def gauss_fit():
+    pair = synth_gauss_shift(60, 3, 16, seed=2)
+    cfg = TrainConfig(LossCombo.parse("ss,tu,ta,sa"), epochs=2, batch_size=16, hidden=(8,), seed=3, timing=False)
+    params, records = fit(cfg, pair)
+    return pair, {name: params.tensors[name].tobytes() for name in tensor_names(params.arch)}, records
+
+
+def test_the_block_size_changes_no_byte_of_a_gaussian_fakes_fit(monkeypatch):
+    pair, tensors, records = gauss_fit()
+    use_block(monkeypatch, 12)
+    tiny_pair, tiny_tensors, tiny_records = gauss_fit()
+    for split in ("source", "target_train", "target_test"):
+        assert getattr(tiny_pair, split).features.tobytes() == getattr(pair, split).features.tobytes()
+    assert tiny_tensors == tensors
+    assert tiny_records == records
 
 
 def test_substream_packs_purpose_and_index():
