@@ -273,9 +273,9 @@ def load_sparse(path, name: str = "") -> Dataset:
     features = np.zeros((len(labels), width))
     features[np.asarray(rows), np.asarray(cols)] = np.asarray(vals)
     arr = np.asarray(labels)
-    if np.all(arr == -1):
+    if (arr == -1).all():
         return Dataset(features, None, num_classes, name=name)
-    if np.any(arr == -1):
+    if (arr == -1).any():
         raise ParseError(path, 0, "mix of labeled and unlabeled rows (-1) is not allowed")
     return Dataset(features, arr, num_classes, name=name)
 
@@ -439,7 +439,7 @@ class FeatureTransform:
             raise ParseError(path, exc.lineno, f"bad JSON: {exc.msg}") from exc
         except (KeyError, TypeError, ValueError) as exc:  # ValueError covers non-UTF-8 bytes
             raise ParseError(path, 1, f"need `mean` and `std` lists of numbers ({exc!r})") from exc
-        if mean.shape != std.shape or not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std) & (std > 0))):
+        if mean.shape != std.shape or not (np.isfinite(mean).all() and (np.isfinite(std) & (std > 0)).all()):
             raise ParseError(path, 1, "`mean` and `std` must be finite, of equal length, with `std` > 0")
         return cls(mean, std)
 

@@ -27,7 +27,7 @@ def make_prior(values, num_classes=None, name="prior") -> np.ndarray:
         raise ContractViolation(f"{name} has {p.size} entries, expected {num_classes}")
     if p.size < 1:
         raise ContractViolation(f"{name} must be nonempty")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
+    if (p < 0.0).any() or not np.isfinite(p).all():
         raise ContractViolation(f"{name} entries must be finite and >= 0")
     if abs(float(p.sum()) - 1.0) > 1e-9:
         raise ContractViolation(f"{name} sums to {float(p.sum())!r}, expected 1")
@@ -38,9 +38,9 @@ def _check_probs(probs) -> np.ndarray:
     p = as_matrix(probs, "probs")
     if p.shape[0] < 1 or p.shape[1] < 1:
         raise ContractViolation("probs must be nonempty")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
+    if (p < 0.0).any() or not np.isfinite(p).all():
         raise ContractViolation("probs entries must be finite and >= 0")
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
+    if (np.abs(p.sum(axis=1) - 1.0) > 1e-6).any():
         raise ContractViolation("probs rows must sum to 1 (valid softmax output)")
     return p
 
@@ -50,7 +50,7 @@ def _check_labels(labels, b, k) -> np.ndarray:
     if y.ndim != 1 or y.shape[0] != b:
         raise ContractViolation(f"labels must be 1-D of length {b}")
     y = y.astype(np.int64)
-    if np.any(y < 0) or np.any(y >= k):
+    if (y < 0).any() or (y >= k).any():
         raise ContractViolation(f"labels out of range [0, {k})")
     return y
 
@@ -117,8 +117,8 @@ def contradist_loss(probs, labels, prior) -> LossReport:
     logp = np.log(np.maximum(p, EPS))
     term1 = float(logp[rows, y].sum())
     term2 = float(np.log(np.maximum(pri, EPS))[y].sum())
-    # per-class log-mass via log-sum-exp over the column's log-probabilities
-    logmass = np.array([log_sum_exp(logp[:, c]) for c in range(k)])
+    # per-class log-mass: log-sum-exp over each column's log-probabilities
+    logmass = log_sum_exp(logp.T)
     term3 = float(logmass[y].sum())
     # grouped so the b=1 case cancels to exactly term2
     value = (term1 - term3) + term2

@@ -1,17 +1,21 @@
 """Encoder + softmax classifier (and optional fake-sample generator).
 
 An architecture is a tuple of layer widths, so its layers chain. Each network
-(classifier path, generator) is one list of (tensor prefix, (in, out), relu)
-layers from `_layers`; one forward and one backward walk over it do all the
-float64 layer arithmetic. Plus a functional parameter container and a little-endian
-binary checkpoint format, the one input whose layers may not chain.
+(classifier path, generator) is one tuple of (tensor prefix, (in, out), relu)
+layers from `_layers`, built once per architecture; one forward and one
+backward walk over it do all the float64 layer arithmetic. Plus a functional
+parameter container and a little-endian binary checkpoint format, the one input
+whose layers may not chain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import struct
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,6 +36,8 @@ class Architecture:
     generator: tuple = ()
 
     def __post_init__(self):
+        for key in ("widths", "generator"):  # hashable, so the layer tables can be cached per architecture
+            object.__setattr__(self, key, tuple(map(operator.index, getattr(self, key))))
         if len(self.widths) < 2 or min((*self.widths, *self.generator)) < 1:
             raise ContractViolation(f"need >= 2 layer widths, each >= 1: got {self.widths}, generator {self.generator}")
 
@@ -67,14 +73,16 @@ class Architecture:
         return Architecture(self.widths, (noise_dim, *gen_hidden))
 
 
-def _layers(arch: Architecture) -> tuple[list, list]:
+@functools.cache
+def _layers(arch: Architecture) -> tuple[tuple, tuple]:
     """(tensor prefix, (in, out), relu) per layer, as two walks: the classifier
     path (encoder layers, then the classifier) and the generator. Layer `p` owns
     the tensors `p.w` and `p.b`; the canonical order is path, then generator.
-    ReLU follows every layer of a walk except its last, which is affine."""
+    ReLU follows every layer of a walk except its last, which is affine. Built
+    once per architecture; the walks are tuples, so every caller shares them."""
 
     def walk(prefixes, widths):
-        return [(p, (a, b), i < len(prefixes) - 1) for i, (p, a, b) in enumerate(zip(prefixes, widths, widths[1:]))]
+        return tuple((p, (a, b), i < len(prefixes) - 1) for i, (p, a, b) in enumerate(zip(prefixes, widths, widths[1:])))
 
     path = walk([f"enc{i}" for i in range(len(arch.widths) - 2)] + ["cls"], arch.widths)
     return path, walk([f"gen{i}" for i in range(len(arch.generator))], (*arch.generator, arch.widths[0]))
@@ -84,9 +92,12 @@ def _names(layers) -> list[str]:
     return [f"{prefix}.{t}" for prefix, _, _ in layers for t in "wb"]
 
 
-def _expected_shapes(arch: Architecture) -> dict[str, tuple]:
+@functools.cache
+def _expected_shapes(arch: Architecture) -> MappingProxyType:
+    """Tensor name -> shape, in canonical order. Built once per architecture
+    and shared, so it is a read-only view."""
     path, gen = _layers(arch)
-    return {f"{p}.{t}": shape if t == "w" else shape[1:] for p, shape, _ in path + gen for t in "wb"}
+    return MappingProxyType({f"{p}.{t}": shape if t == "w" else shape[1:] for p, shape, _ in path + gen for t in "wb"})
 
 
 def tensor_names(arch: Architecture) -> list[str]:
@@ -141,7 +152,7 @@ class ForwardCache:
     layers, the input rows, each layer's output (a ReLU's mask is its output
     > 0), and the softmax probabilities (classifier path only)."""
 
-    layers: list
+    layers: tuple
     x: np.ndarray
     act: list
     probs: np.ndarray = None
@@ -352,7 +363,7 @@ def load_checkpoint(path) -> ParamSet:
             raise CheckpointError(f"{path}: tensor {name}: shape {shape}, architecture says {expected[name]}")
         payload = cur.take(8 * math.prod(shape))
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-        if not np.all(np.isfinite(tensors[name])):
+        if not np.isfinite(tensors[name]).all():
             raise CheckpointError(f"{path}: tensor {name} has non-finite values")
     if cur.pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - cur.pos} trailing bytes after payload")

@@ -241,21 +241,25 @@ def softmax_rows(logits) -> np.ndarray:
     z = as_matrix(logits, "logits")
     if z.shape[1] < 1:
         raise ContractViolation("softmax_rows: need at least one column")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ContractViolation("softmax_rows: logits must be finite")
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_sum_exp(values) -> float:
-    """log(sum(exp(v))) of a 1-D array, shifted by the max for stability."""
-    v = np.asarray(values, dtype=np.float64).ravel()
+def log_sum_exp(values) -> float | np.ndarray:
+    """log(sum(exp(v))) along the last axis, shifted by each row's max for
+    stability: a float for a 1-D array, one value per row of a 2-D one. Each
+    row is summed as a contiguous 1-D array, so a row of a 2-D input gives the
+    bytes that row alone gives."""
+    v = np.ascontiguousarray(values, dtype=np.float64)
     if v.size == 0:
         raise ContractViolation("log_sum_exp: empty input")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ContractViolation("log_sum_exp: values must be finite")
-    m = float(v.max())
-    return m + float(np.log(np.exp(v - m).sum()))
+    m = v.max(axis=-1)
+    out = m + np.log(np.exp(v - m[..., None]).sum(axis=-1))
+    return float(out) if out.ndim == 0 else out
 
 
 def gaussian_kernel_matrix(x, y, gamma: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """The tensor prefixes `enc`, `cls` and `gen` are spelled in one place.
 
-`model._layers` turns an architecture into (prefix, (in, out), relu) lists;
-every other line of model.py reads the prefixes from those lists. This walks
-the source of model.py and lists each string literal that spells a prefix
-(alone, with a layer index, or with `.w`/`.b`) outside `_layers`.
+`model._layers` turns an architecture into (prefix, (in, out), relu) tuples,
+once per architecture; every other line of model.py reads the prefixes from
+those tuples. This walks the source of model.py and lists each string literal
+that spells a prefix (alone, with a layer index, or with `.w`/`.b`) outside
+`_layers`.
 """
 
 import ast

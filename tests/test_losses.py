@@ -19,7 +19,7 @@ from ctdr.losses import (
     pseudo_label_select,
     source_ce,
 )
-from ctdr.numerics import Rng, _pairwise_sq_dists, softmax_rows
+from ctdr.numerics import Rng, _pairwise_sq_dists, log_sum_exp, softmax_rows
 from gradcheck import finite_diff_grad, relative_error
 
 
@@ -199,6 +199,37 @@ def test_contradist_value_matches_direct_sum():
             for j in range(b)
         )
         assert rep.value == pytest.approx(direct, abs=1e-9)
+
+
+def contradist_reference(p, y, prior):
+    """contradist_loss's (value, grad_logits), with one 1-D log_sum_exp per class."""
+    b, k = p.shape
+    rows = np.arange(b)
+    logp = np.log(np.maximum(p, EPS))
+    term1 = float(logp[rows, y].sum())
+    term2 = float(np.log(np.maximum(np.asarray(prior), EPS))[y].sum())
+    logmass = np.array([log_sum_exp(logp[:, c]) for c in range(k)])
+    value = (term1 - float(logmass[y].sum())) + term2
+    counts = np.bincount(y, minlength=k).astype(np.float64)
+    mass = np.maximum(p.sum(axis=0), EPS)
+    onehot = np.zeros_like(p)
+    onehot[rows, y] = 1.0
+    weighted = (p / mass[None, :]) * counts[None, :]
+    return value, (p + weighted) - (onehot + p * weighted.sum(axis=1, keepdims=True))
+
+
+def test_contradist_matches_per_class_reference_bytes():
+    rng = Rng(69, 0)
+    for i in range(60):
+        b = 1 + rng.below(130)
+        k = 1 + rng.below(10)
+        probs = softmax_rows(rng.uniform_matrix(b, k, -1.0, 1.0) * (0.1, 3.0, 20.0, 60.0)[i % 4])
+        prior = rand_prior(rng, k)
+        pseudo = pseudo_label_select(probs, prior)
+        rep = contradist_loss(probs, pseudo, prior)
+        value, grad = contradist_reference(probs, pseudo, prior)
+        assert np.float64(rep.value).tobytes() == np.float64(value).tobytes()
+        assert rep.grad_logits.tobytes() == grad.tobytes()
 
 
 def test_contradist_grad_matches_finite_diff():

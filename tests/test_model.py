@@ -12,6 +12,7 @@ from ctdr.errors import CheckpointError, ConfigError, ContractViolation, NonFini
 from ctdr.model import (
     Architecture,
     ParamSet,
+    _expected_shapes,
     _layers,
     backward,
     forward,
@@ -62,6 +63,29 @@ def test_architecture_dims():
     assert [shape for _, shape, _ in gen] == [(6, 8), (8, 7)]
     assert arch.encoder == ((7, 5), (5, 4))
     assert tensor_names(arch) == theta_names(arch) + phi_names(arch)
+
+
+def test_architecture_coerces_widths_to_int_tuples():
+    base = Architecture((2, 8, 2), (3, 4))
+    for widths, generator in (([2, 8, 2], [3, 4]), (np.array([2, 8, 2]), tuple(np.int64(w) for w in (3, 4)))):
+        arch = Architecture(widths, generator)
+        assert arch == base and hash(arch) == hash(base)
+        assert all(type(w) is int for w in (*arch.widths, *arch.generator))
+        params = init_params(arch, Rng(9, STREAM_WEIGHT_INIT))
+        assert forward(params, np.ones((3, 2))).logits.shape == (3, 2)
+        assert generator_forward(params, np.ones((3, 3))).shape == (3, 2)
+
+
+def test_layer_tables_are_built_once_and_read_only():
+    arch = Architecture.mlp(3, (4,), 2).with_generator(5, (6,))
+    walks = _layers(arch)
+    assert walks is _layers(Architecture(arch.widths, arch.generator))
+    assert all(type(walk) is tuple for walk in walks)
+    shapes = _expected_shapes(arch)
+    assert shapes is _expected_shapes(Architecture(list(arch.widths), list(arch.generator)))
+    with pytest.raises(TypeError):
+        shapes["enc0.w"] = (1, 1)
+    assert list(shapes) == tensor_names(arch)
 
 
 def test_noise_dim_requires_generator():

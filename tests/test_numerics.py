@@ -418,6 +418,28 @@ def test_log_sum_exp_rejects_empty():
         log_sum_exp(np.array([]))
 
 
+def test_log_sum_exp_2d_keeps_its_checks():
+    for empty in (np.zeros((3, 0)), np.zeros((0, 3))):
+        with pytest.raises(ContractViolation, match="log_sum_exp: empty input"):
+            log_sum_exp(empty)
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.zeros((3, 4))
+        a[2, 1] = bad
+        with pytest.raises(ContractViolation, match="log_sum_exp: values must be finite"):
+            log_sum_exp(a)
+
+
+def test_log_sum_exp_rows_match_each_row_alone():
+    rng = Rng(24, 0)
+    shapes = [(1, 1), (1, 7), (9, 1)] + [(1 + rng.below(12), 1 + rng.below(300)) for _ in range(60)]
+    for i, (rows, cols) in enumerate(shapes):
+        a = rng.uniform_matrix(rows, cols, -1.0, 1.0) * (0.1, 1.0, 10.0, 60.0)[i % 4]
+        for v in (a, np.asfortranarray(a)):
+            out = log_sum_exp(v)
+            assert out.shape == (rows,)
+            assert out.tobytes() == np.array([log_sum_exp(a[r]) for r in range(rows)]).tobytes()
+
+
 def test_kernel_diagonal_is_one():
     x = Rng(23, 0).uniform_matrix(6, 3, -2.0, 2.0)
     k = gaussian_kernel_matrix(x, x, 0.7)
