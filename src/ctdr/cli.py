@@ -92,9 +92,26 @@ def _field(key):
     return _PARSERS[type(value)], value, None
 
 
+def _terms(text: str) -> set:
+    return {t.strip() for t in text.replace("+", ",").split(",")} - {""}
+
+
+def _combo_run(text: str, pair: DomainPair | None = None) -> tuple:
+    """(LossCombo, the pair fit trains on: `pair`, or None without it) of a combo's text. `ts`, which combines
+    with nothing, is the oracle run: ss on the oracle pair, whose source split is target-train, labeled."""
+    terms = _terms(text)
+    if "ts" not in terms:
+        return LossCombo.parse(text), pair
+    if len(terms) > 1:
+        raise ConfigError("ts is an exclusive baseline; combine it with nothing")
+    oracle = None if pair is None else DomainPair(pair.target_train_labeled(oracle=True), pair.target_train, pair.target_test)
+    return LossCombo(("ss",)), oracle
+
+
 # key -> (parser, default, scope). Insertion order is the printing order.
 # Training keys take their defaults from the config dataclasses; `prior` keeps
-# a text sentinel for TrainConfig's None, and `combo` holds its canonical text.
+# a text sentinel for TrainConfig's None, and `combo` its canonical text: `ts`,
+# or its terms in TERMS order.
 # Scope None: every run reads the key; else the tags of the runs that read it
 # (see _accept).
 SCHEMA: dict = {
@@ -115,7 +132,7 @@ SCHEMA: dict = {
     **{f"n_{split}": (int, 0, ("idx",)) for split in _SPLITS},
     "standardize": (_parse_bool, True, None),
     # training
-    "combo": (lambda s: ",".join(LossCombo.parse(s).names), ",".join(_TRAIN.combo.names), ("train",)),
+    "combo": (lambda s: "ts" if _terms(s) == {"ts"} else _fmt(_combo_run(s)[0].names), _fmt(_TRAIN.combo.names), ("train",)),
     "hidden": _field("hidden"),
     "epochs": _field("epochs"),
     "batch": _field("batch"),
@@ -274,28 +291,25 @@ def _pair(cfg: dict, splits: tuple | None, fit_transform: bool) -> tuple:
     return standardize(pair) if fit_transform and cfg["standardize"] else (pair, None)
 
 
-def build_train_config(cfg: dict, pair: DomainPair | None = None) -> TrainConfig:
-    """The TrainConfig of resolve_config's values; with `pair`, RunState.build
-    checks it on the data too. Errors as in _located."""
+def build_train_config(cfg: dict, pair: DomainPair | None = None) -> tuple:
+    """(the TrainConfig of resolve_config's values, the pair fit trains on, as _combo_run gives it);
+    with `pair`, RunState.build checks the run on that pair too. Errors as in _located."""
     return _located(lambda c: _train_config(c, pair), cfg)
 
 
-def _train_config(cfg: dict, pair: DomainPair | None) -> TrainConfig:
+def _train_config(cfg: dict, pair: DomainPair | None) -> tuple:
+    combo, fit_pair = _combo_run(cfg["combo"], pair)
     prior = None
     if cfg["prior"] != "assume_source":
         try:
             prior = _parse_list(float)(cfg["prior"])
         except ValueError as exc:
             raise ConfigError(f"prior must be `assume_source` or comma-separated floats: {exc}") from exc
-    train_cfg = TrainConfig(
-        combo=LossCombo.parse(cfg["combo"]),
-        prior=prior,
-        fake=FakeSourceConfig(cfg["fake_mode"]),
-        **{name: cfg[key] for key, name in _TRAIN_FIELDS.items()},
-    )
-    if pair is not None:
-        RunState.build(train_cfg, pair)
-    return train_cfg
+    fields = {name: cfg[key] for key, name in _TRAIN_FIELDS.items()}
+    train_cfg = TrainConfig(combo=combo, prior=prior, fake=FakeSourceConfig(cfg["fake_mode"]), **fields)
+    if fit_pair is not None:
+        RunState.build(train_cfg, fit_pair)
+    return train_cfg, fit_pair
 
 
 def _accept(cfg: dict, command: str) -> None:
@@ -307,9 +321,7 @@ def _accept(cfg: dict, command: str) -> None:
     only."""
     build_train_config(cfg)
     combos = {"train": (cfg["combo"],), "ablate": ABLATION_LADDER}.get(command, ())
-    tags = {cfg["data"], command}
-    for combo in combos:
-        tags.update(LossCombo.parse(combo).names)
+    tags = {cfg["data"], command, *(term for combo in combos for term in _combo_run(combo)[0].names)}
     for key, at in cfg.where.items():
         _, default, scope = SCHEMA[key]
         if scope is None or cfg[key] == default or not (combos or scope[0] in _DATA_MODES):
@@ -332,8 +344,8 @@ def _save_config(cfg: dict) -> Path:
 
 
 def _start(args, ladder=None):
-    """(cfg, pair, out_dir, a TrainConfig for cfg or for each combo of `ladder`).
-    Every config error, those that need the data too, exits 2 before any file."""
+    """(cfg, pair, out_dir, a (TrainConfig, pair fit trains on) run for cfg or for each combo
+    of `ladder`). Every config error, those that need the data too, exits 2 before any file."""
     cfg = load_config(args)
     _accept(cfg, "train" if ladder is None else "ablate")
     pair, transform = build_pair(cfg, fit_transform=True)
@@ -342,20 +354,20 @@ def _start(args, ladder=None):
         runs = [_Resolved(cfg, combo=combo) for combo in ladder]
         for run in runs:  # errors name a rung's combo as `rung <combo>`
             run.where = {**cfg.where, "combo": f"rung {run['combo']}"}
-    run_cfgs = [build_train_config(run, pair) for run in runs]
+    train_runs = [build_train_config(run, pair) for run in runs]
     out_dir = _save_config(cfg)
     if transform is not None:
         transform.save(out_dir / "transform.json")
-    return cfg, pair, out_dir, run_cfgs
+    return cfg, pair, out_dir, train_runs
 
 
-def _run(train_cfg: TrainConfig, pair: DomainPair, run_dir: Path, embeddings: bool, label: str = ""):
-    """Train into run_dir; returns (params, target-test EvalReport). An abort's error starts with `label`;
-    a non-finite forward after fit (the final eval, the embeddings) aborts as term "export", with no epoch."""
+def _run(train_run: tuple, pair: DomainPair, run_dir: Path, embeddings: bool, label: str = ""):
+    """fit(*train_run), then eval and embeddings on `pair`, into run_dir; returns (params, target-test EvalReport). An abort's
+    error starts with `label`; a non-finite forward after fit (eval, embeddings) aborts as term "export", with no epoch."""
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "metrics.jsonl", "w", encoding="utf-8") as fh:
         try:
-            params, _ = fit(train_cfg, pair, on_epoch=lambda rec: fh.write(json.dumps(rec) + "\n"))
+            params, _ = fit(*train_run, on_epoch=lambda rec: fh.write(json.dumps(rec) + "\n"))
             with blame("export"):
                 save_checkpoint(params, run_dir / "model.ctdr")
                 report = evaluate(params, pair.target_test)
@@ -371,9 +383,9 @@ def _run(train_cfg: TrainConfig, pair: DomainPair, run_dir: Path, embeddings: bo
 
 
 def cmd_train(args) -> int:
-    cfg, pair, out_dir, (train_cfg,) = _start(args)
-    _, report = _run(train_cfg, pair, out_dir, cfg["export_embeddings"])
-    print(f"[train] combo={train_cfg.combo} target_test_acc={report.accuracy:.4f} -> {out_dir}")
+    cfg, pair, out_dir, (train_run,) = _start(args)
+    _, report = _run(train_run, pair, out_dir, cfg["export_embeddings"])
+    print(f"[train] combo={cfg['combo'].replace(',', '+')} target_test_acc={report.accuracy:.4f} -> {out_dir}")
     return 0
 
 
@@ -405,13 +417,13 @@ ABLATION_LADDER = ("ss", "ss+tu", "ss+tu+su", "ss+tu+su+ta", "ss+tu+su+sa", "ss+
 
 
 def cmd_ablate(args) -> int:
-    cfg, pair, out_dir, run_cfgs = _start(args, ABLATION_LADDER)
+    cfg, pair, out_dir, train_runs = _start(args, ABLATION_LADDER)
     # line-buffered, so each row is on disk as its rung finishes
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="", buffering=1) as fh:
         writer = csv.writer(fh)
         writer.writerow(["combo", "acc_target_test", "acc_source_train"])
-        for combo, run_cfg in zip(ABLATION_LADDER, run_cfgs):
-            params, rep_target = _run(run_cfg, pair, out_dir / combo, cfg["export_embeddings"], f"rung {combo}: ")
+        for combo, train_run in zip(ABLATION_LADDER, train_runs):
+            params, rep_target = _run(train_run, pair, out_dir / combo, cfg["export_embeddings"], f"rung {combo}: ")
             acc_source = evaluate(params, pair.source).accuracy
             writer.writerow([combo, repr(float(rep_target.accuracy)), repr(float(acc_source))])
             print(f"[ablate] {combo:<16} target_test={rep_target.accuracy:.4f} source_train={acc_source:.4f}")

@@ -2,8 +2,8 @@
 
 A DomainPair holds a labeled source set, an unlabeled target-train set, and a
 labeled target-test set. Target-train labels, when known to the generator of
-the data, are kept behind an oracle-only accessor; the one training path that
-reads them is the ts reference run.
+the data, are kept behind an oracle-only accessor that no training code
+calls; the CLI's oracle run (`combo = ts`) trains on them as its source split.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class DomainPair:
         return self.source.dim
 
     def target_train_labeled(self, oracle: bool = False) -> Dataset:
-        """Target-train with labels; evaluation/baseline use only."""
+        """Target-train with labels: for the CLI's oracle pair, `ctdr synth` and perfbench's checks."""
         if not oracle:
             raise ContractViolation("target-train labels are oracle-only; pass oracle=True from an evaluation path")
         if self._target_train_labels is None:

@@ -8,15 +8,14 @@ One classifier is optimized over any combination of loss terms:
       (always with the empirical source prior)
   ta  adversarial push-to-uniform on fake target rows
   sa  adversarial push-to-uniform on fake source rows
-  ts  supervised cross-entropy on the target-train labels; a supervised
-      reference only, combined with no other term
 
 TERM_TABLE says which batch each term reads, its loss and its prior; a step
 walks the table in order, after the generator's MMD step when the network
 has a generator. RunState.build is the one place that turns a config and a
-pair into a run: the terms, the network, the batches a step reads and the
-labeled set; a step reads no TrainConfig. Reductions are sums over the
-batch; the terms of the combo add with equal weight.
+pair into a run: the terms, the network and the batches a step reads; a
+step reads no TrainConfig. Reductions are sums over the batch; the terms of
+the combo add with equal weight. Training reads the source split's labels
+only; the CLI's oracle run is ss on a pair whose source split is target-train.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Batcher, Dataset, DomainPair, empirical_prior
+from .data import Batcher, DomainPair, empirical_prior
 from .errors import ConfigError, NonFiniteLossError, blame
 from .evaluation import evaluate
 from .fake import FakeSourceConfig, gaussian_fakes, generator_step
@@ -68,20 +67,18 @@ def _adversarial(probs, labels, prior):
 
 @dataclass(frozen=True)
 class Term:
-    batch: str  # "labeled", "target", "fake_target" or "fake_source"
+    batch: str  # "source", "target", "fake_target" or "fake_source"
     loss: Callable  # (probs, labels, prior) -> LossReport
     prior: str | None = None  # "target" or "source"
 
 
-# Table order is the order of TERMS, of a step's gradient sum and of the loss
-# record. ts is exclusive, so it runs first or last alike.
+# Table order is the order of TERMS, of a step's gradient sum and of the loss record.
 TERM_TABLE = {
-    "ss": Term("labeled", _supervised),
+    "ss": Term("source", _supervised),
     "tu": Term("target", _contradist, "target"),
-    "su": Term("labeled", _contradist, "source"),
+    "su": Term("source", _contradist, "source"),
     "ta": Term("fake_target", _adversarial),
     "sa": Term("fake_source", _adversarial),
-    "ts": Term("labeled", _supervised),
 }
 TERMS = tuple(TERM_TABLE)
 
@@ -95,8 +92,6 @@ class LossCombo:
             raise ConfigError("loss combo must enable at least one term")
         if self.names != tuple(t for t in TERMS if t in self.names):
             raise ConfigError(f"loss combo {self.names} must name distinct terms in the order {', '.join(TERMS)}")
-        if "ts" in self.names and len(self.names) > 1:
-            raise ConfigError("ts is an exclusive baseline; combine it with nothing")
 
     @classmethod
     def parse(cls, text: str) -> "LossCombo":
@@ -105,9 +100,6 @@ class LossCombo:
             if t not in TERMS:
                 raise ConfigError(f"unknown loss term {t!r}; valid: {', '.join(TERMS)}")
         return cls(tuple(t for t in TERMS if t in toks))
-
-    def __str__(self) -> str:
-        return "+".join(self.names)
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,6 @@ class RunState:
     arch: the network; it has a generator when generator fakes feed ta or sa
     reads: the batches a step reads (the generator's MMD step forwards "target" and "fake_target")
     n_f: fake rows per fake batch, the batch size
-    labeled: the labeled training set (source, or target-train under ts); fit slices each "labeled" batch from it
     priors: prior name -> class prior of the enabled terms; "target" is config.prior, else the source's empirical one
     fake_stats: fake batch -> (mean, std) per column of the real rows its gaussian rows mimic
     widths: fake batch -> the width of its normals: the feature width, or the generator's NOISE_DIM
@@ -155,7 +146,6 @@ class RunState:
     arch: Architecture
     reads: frozenset
     n_f: int
-    labeled: Dataset
     priors: dict
     fake_stats: dict
     widths: dict
@@ -164,8 +154,6 @@ class RunState:
     @classmethod
     def build(cls, config: TrainConfig, pair: DomainPair) -> "RunState":
         terms = config.combo.names
-        # the one training read of target-train labels; ts in the combo unlocks them
-        labeled = pair.target_train_labeled(oracle=True) if "ts" in terms else pair.source
         wanted = {TERM_TABLE[t].prior for t in terms}
         priors = {}
         if "target" in wanted:
@@ -173,7 +161,7 @@ class RunState:
                 make_prior(config.prior, pair.num_classes) if config.prior is not None else empirical_prior(pair.source)
             )
         if "source" in wanted:
-            priors["source"] = empirical_prior(labeled)
+            priors["source"] = empirical_prior(pair.source)
         reads = {TERM_TABLE[t].batch for t in terms}
         arch = Architecture.mlp(pair.dim, config.hidden, pair.num_classes)
         fake_stats = {}
@@ -181,12 +169,12 @@ class RunState:
             arch = arch.with_generator(NOISE_DIM, GEN_HIDDEN)
             reads |= {"target", "fake_target"}  # the generator's MMD step forwards both
         else:
-            real = {"fake_target": pair.target_train, "fake_source": labeled}
+            real = {"fake_target": pair.target_train, "fake_source": pair.source}
             fake_stats = {b: column_stats(ds.features, ds.name or b) for b, ds in real.items() if b in reads}
         width = NOISE_DIM if arch.generator else pair.dim
         widths = {b: width for b in ("fake_target", "fake_source") if b in reads}
         streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
-        return cls(terms, arch, frozenset(reads), config.batch_size, labeled, priors, fake_stats, widths, streams)
+        return cls(terms, arch, frozenset(reads), config.batch_size, priors, fake_stats, widths, streams)
 
     def draw_noise(self) -> dict:
         """One step's standard normals: fake batch -> (n_f, width), each on its own stream. Nothing else reads streams."""
@@ -215,11 +203,11 @@ def train_step(
 ):
     """One optimization step over the enabled terms, in TERM_TABLE order.
 
-    batches maps each batch name in run.reads to its rows: "labeled" (source,
-    or target-train under ts), "target", and this step's
-    run.fakes_from(run.draw_noise()) under "fake_target" and "fake_source":
-    the gaussian fake rows, or the generator's noise. labels are the labeled
-    rows' labels. The step draws nothing.
+    batches maps each batch name in run.reads to its rows: "source",
+    "target", and this step's run.fakes_from(run.draw_noise()) under
+    "fake_target" and "fake_source": the gaussian fake rows, or the
+    generator's noise. labels are the source rows' labels. The step draws
+    nothing.
     Each batch gets one forward, when the first term that reads it comes up;
     generator noise goes through the generator first.
     When the network has a generator, its one MMD step runs first: it
@@ -249,7 +237,7 @@ def train_step(
                     rows = generator_forward(params, rows)
                 caches[spec.batch] = forward(params, rows)
         cache = caches[spec.batch]
-        rep = spec.loss(cache.probs, labels if spec.batch == "labeled" else None, run.priors.get(spec.prior))
+        rep = spec.loss(cache.probs, labels if spec.batch == "source" else None, run.priors.get(spec.prior))
         _check_finite(term, rep.value, epoch, step)
         g, _ = backward(params, cache, grad_logits=rep.grad_logits, input_grad=False)
         for name, gt in g.items():  # gt is this backward's own array: add in place
@@ -273,12 +261,12 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     NonFiniteLossError with the term, epoch and step.
 
     Metric records carry epoch, lr, per-term mean batch losses (null when a
-    term is disabled; ts only appears when it runs), source-train and
-    target-test accuracy, and seconds (0.0 when config.timing is off).
+    term is disabled), source-train and target-test accuracy, and seconds
+    (0.0 when config.timing is off).
     on_epoch, when given, receives each record as it is produced.
 
     A step's batches are one mapping keyed by TERM_TABLE's batch names: rows
-    of run.labeled (and their labels), of pair.target_train, and the fakes.
+    of pair.source (and their labels), of pair.target_train, and the fakes.
 
     Each step's fake-row normals, gaussian or generator, are drawn one step
     ahead, with the bytes of drawing them in each step: one
@@ -297,7 +285,7 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     opt_theta = OptimizerState.for_params(params, theta_names(arch))
     opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
 
-    sup_batcher = Batcher(run.labeled.n, config.batch_size, config.seed, STREAM_SOURCE_SHUFFLE)
+    sup_batcher = Batcher(pair.source.n, config.batch_size, config.seed, STREAM_SOURCE_SHUFFLE)
     target_batcher = (
         Batcher(pair.target_train.n, config.batch_size, config.seed, STREAM_TARGET_SHUFFLE)
         if "target" in run.reads
@@ -306,7 +294,6 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     steps_per_epoch = max(sup_batcher.batches_per_epoch, target_batcher.batches_per_epoch if target_batcher else 0)
 
     reported = run.terms + (("gen",) if arch.generator else ())
-    record_keys = tuple(t for t in TERMS if t != "ts") + ("gen",) + (("ts",) if "ts" in run.terms else ())
     metrics = []
     steps = config.epochs * steps_per_epoch
     drawn = None  # the Future of the next step's normals
@@ -319,7 +306,7 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
             sums = dict.fromkeys(reported, 0.0)
             for step in range(steps_per_epoch):
                 i = sup_batcher.take()
-                batches = {"labeled": run.labeled.features[i]}
+                batches = {"source": pair.source.features[i]}
                 if target_batcher:
                     batches["target"] = pair.target_train.features[target_batcher.take()]
                 if drawn:
@@ -328,7 +315,7 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
                 if drawn and steps:
                     drawn = pool.submit(run.draw_noise)
                 params, opt_theta, opt_phi, reports = train_step(
-                    params, opt_theta, opt_phi, batches, run.labeled.labels[i], run, lr, epoch, step
+                    params, opt_theta, opt_phi, batches, pair.source.labels[i], run, lr, epoch, step
                 )
                 for t, rep in reports.items():
                     sums[t] += rep.value
@@ -342,7 +329,7 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
             record = {
                 "epoch": epoch,
                 "lr": lr,
-                "loss": {t: (sums[t] / steps_per_epoch if t in sums else None) for t in record_keys},
+                "loss": {t: (sums[t] / steps_per_epoch if t in sums else None) for t in (*TERMS, "gen")},
                 "acc": acc,
                 "seconds": time.perf_counter() - t0 if config.timing else 0.0,
             }

@@ -25,11 +25,11 @@ from ctdr.cli import (
     parse_config_text,
     resolve_config,
 )
-from ctdr.data import Dataset, load_sparse, save_sparse, synth_two_moons
+from ctdr.data import Dataset, DomainPair, load_sparse, save_sparse, synth_two_moons
 from ctdr.errors import ConfigError, NonFiniteLossError
 from ctdr.fake import FakeSourceConfig
-from ctdr.model import load_checkpoint, save_checkpoint
-from ctdr.train import TrainConfig
+from ctdr.model import forward, load_checkpoint, save_checkpoint
+from ctdr.train import LossCombo, TrainConfig, fit
 
 
 def small_train_cfg(tmp_path, name="cfg.txt", **extra):
@@ -96,7 +96,7 @@ def test_resolve_config_rejects_unknown_keys():
 
 
 def test_config_defaults_are_the_dataclass_defaults():
-    assert build_train_config(resolve_config({})) == TrainConfig()
+    assert build_train_config(resolve_config({})) == (TrainConfig(), None)
 
 
 def test_resolve_config_rejects_bad_values():
@@ -128,7 +128,7 @@ def test_every_config_field_is_reachable_from_a_key():
         "fake_mode": "generator",
         "timing": "false",
     }
-    config = build_train_config(resolve_config(raw))
+    config, _ = build_train_config(resolve_config(raw))
 
     def at_default(obj, default):
         return [f.name for f in fields(obj) if getattr(obj, f.name) == getattr(default, f.name)]
@@ -289,6 +289,15 @@ def test_ablate_rung_directory_equals_a_train_run_of_its_combo(tmp_path, combo):
     for artifact in ("model.ctdr", "metrics.jsonl", "eval.json", "embeddings.csv"):
         rung = (tmp_path / "out" / combo / artifact).read_bytes()
         assert rung == (tmp_path / "solo" / artifact).read_bytes(), artifact
+    # the oracle rung fits on target-train rows, but exports the real source rows
+    pair, _ = build_pair(resolve_config(parse_config_text(path.read_text())))
+    params = load_checkpoint(tmp_path / "out" / combo / "model.ctdr")
+    lines = (tmp_path / "out" / combo / "embeddings.csv").read_text().splitlines()
+    source = [line.split(",") for line in lines if line.startswith("source,")]
+    assert [int(row[2]) for row in source] == pair.source.labels.tolist()
+    embeddings = forward(params, pair.source.features).embeddings
+    written = [[float(v) for v in row[3 : 3 + embeddings.shape[1]]] for row in source]
+    assert np.array_equal(np.array(written), embeddings)
 
 
 def test_resolved_config_reproduces_run(tmp_path):
@@ -453,6 +462,29 @@ def test_cmd_ablate_ts_row_matches_a_ts_train_run(tmp_path):
     final = json.loads((tmp_path / "ts" / "eval.json").read_text())
     assert ts_row[0] == "ts"
     assert float(ts_row[1]) == final["accuracy"]
+
+
+def test_train_ts_writes_the_model_of_an_ss_fit_on_the_oracle_pair(tmp_path):
+    # the skew gives source and target-train different label vectors, so a
+    # ts run on the wrong split's rows or labels writes another model
+    path = small_train_cfg(tmp_path, skew="0.8,0.2", combo="ts")
+    assert main(["train", "--config", str(path)]) == 0
+    pair, _ = build_pair(resolve_config(parse_config_text(path.read_text())))
+    oracle = DomainPair(pair.target_train_labeled(oracle=True), pair.target_train, pair.target_test)
+    assert not np.array_equal(oracle.source.labels, pair.source.labels)
+    ss = TrainConfig(LossCombo.parse("ss"), epochs=2, batch_size=16, hidden=(8,), timing=False)
+
+    def model_bytes(on, name):
+        save_checkpoint(fit(ss, on)[0], tmp_path / name)
+        return (tmp_path / name).read_bytes()
+
+    written = (tmp_path / "out" / "model.ctdr").read_bytes()
+    assert written == model_bytes(oracle, "oracle.ctdr")
+    assert written != model_bytes(pair, "pair.ctdr")
+    # its metrics record the loss under ss, and the source accuracy on target-train
+    records = [json.loads(line) for line in read_metrics(tmp_path / "out").splitlines()]
+    assert [list(rec["loss"]) for rec in records] == [["ss", "tu", "su", "ta", "sa", "gen"]] * 2
+    assert records == fit(ss, oracle)[1]
 
 
 def test_cmd_synth_deterministic(tmp_path):

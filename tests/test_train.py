@@ -5,12 +5,15 @@ import math
 import threading
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ctdr.cli import build_train_config, resolve_config
 from ctdr.data import Batcher, Dataset, DomainPair, synth_two_moons
 from ctdr.errors import ConfigError, ContractViolation, NonFiniteLossError
+from ctdr.evaluation import evaluate
 from ctdr.fake import FakeSourceConfig
 from ctdr.losses import LossReport
 from ctdr.model import _layers, init_params, phi_names, tensor_names, theta_names
@@ -33,6 +36,11 @@ def tiny_pair(n=40, seed=5, skew=None):
     return synth_two_moons(n, 35.0, 0.1, label_skew=skew, seed=seed)
 
 
+def oracle_pair(pair):
+    """The pair an oracle run (the CLI's `combo = ts`) trains on: target-train's rows and labels as its source split."""
+    return DomainPair(pair.target_train_labeled(oracle=True), pair.target_train, pair.target_test)
+
+
 def quick_config(combo="ss,tu", **kw):
     kw.setdefault("epochs", 2)
     kw.setdefault("hidden", (8,))
@@ -46,8 +54,6 @@ def test_loss_combo_parsing_variants():
     assert LossCombo.parse("ss,tu").names == ("ss", "tu")
     assert LossCombo.parse("ss+tu").names == ("ss", "tu")
     assert LossCombo.parse(" tu , ss ").names == ("ss", "tu")
-    assert str(LossCombo.parse("tu,ss")) == "ss+tu"
-    assert LossCombo.parse("ts").names == ("ts",)
 
 
 def test_loss_combo_rejects_bad_input():
@@ -55,16 +61,18 @@ def test_loss_combo_rejects_bad_input():
         LossCombo.parse("")
     with pytest.raises(ConfigError):
         LossCombo.parse("ss,xx")
-    with pytest.raises(ConfigError):
-        LossCombo.parse("ts,ss")
+    # ts is the CLI's oracle run, not a training term
+    for text in ("ts", "ts,ss"):
+        with pytest.raises(ConfigError, match="unknown loss term 'ts'; valid: ss, tu, su, ta, sa$"):
+            LossCombo.parse(text)
     # the names field itself must be distinct known terms in TERMS order
-    for names in (("tu", "ss"), ("ss", "ss"), ("zz",), ()):
+    for names in (("tu", "ss"), ("ss", "ss"), ("zz",), ("ts",), ()):
         with pytest.raises(ConfigError):
             LossCombo(names)
 
 
 def test_term_order_is_stable():
-    assert TERMS == ("ss", "tu", "su", "ta", "sa", "ts")
+    assert TERMS == ("ss", "tu", "su", "ta", "sa")
     combo = LossCombo.parse("sa,ss,tu")
     assert combo.names == ("ss", "tu", "sa")
 
@@ -115,24 +123,24 @@ def test_run_state_builds_generator_only_when_needed():
     pair = tiny_pair()
     gaussian = RunState.build(quick_config("ss,tu,ta"), pair)
     assert gaussian.arch.generator == ()
-    assert gaussian.reads == {"labeled", "target", "fake_target"}
+    assert gaussian.reads == {"source", "target", "fake_target"}
     assert gaussian.widths == {"fake_target": pair.dim}  # a step draws normals of the feature width
     gen_cfg = quick_config("ss,ta", fake=FakeSourceConfig(mode="generator"))
     run = RunState.build(gen_cfg, pair)
     # 32-d noise through ReLU layers of widths 64, 64 to the feature width
     assert [shape for _, shape, _ in _layers(run.arch)[1]] == [(32, 64), (64, 64), (64, pair.dim)]
     # the generator's MMD step reads the target batch, though no term does
-    assert run.reads == {"labeled", "fake_target", "target"}
+    assert run.reads == {"source", "fake_target", "target"}
     assert run.fake_stats == {}
     assert run.widths == {"fake_target": 32}
     # the MMD step forwards fake_target rows, though only sa reads fake rows
     sa_only = RunState.build(quick_config("ss,sa", fake=FakeSourceConfig(mode="generator")), pair)
-    assert sa_only.reads == {"labeled", "target", "fake_target", "fake_source"}
+    assert sa_only.reads == {"source", "target", "fake_target", "fake_source"}
     assert sa_only.widths == {"fake_target": 32, "fake_source": 32}
     # generator mode without an adversarial term never builds a generator
     no_adv = RunState.build(quick_config("ss,tu", fake=FakeSourceConfig(mode="generator")), pair)
     assert no_adv.arch.generator == ()
-    assert no_adv.reads == {"labeled", "target"}
+    assert no_adv.reads == {"source", "target"}
     assert no_adv.widths == {}
 
 
@@ -149,7 +157,7 @@ def test_run_state_fake_rows_default_to_the_batch_size():
         ("ss,ta", "generator", True),
         ("ss,sa", "generator", True),
         ("ss,tu,ta", "gaussian", False),
-        ("ts", "generator", False),
+        ("ss", "generator", False),
     ],
 )
 def test_uses_generator_only_when_generator_fakes_feed_a_term(combo, mode, expected):
@@ -203,12 +211,13 @@ def test_metrics_record_schema():
     assert rec["epoch"] == 0 and metrics[1]["epoch"] == 1
 
 
-def test_metrics_report_ts_only_when_enabled():
-    pair = tiny_pair()
-    _, metrics = fit(quick_config("ts"), pair)
-    assert "ts" in metrics[0]["loss"]
-    _, metrics = fit(quick_config("ss"), pair)
-    assert "ts" not in metrics[0]["loss"]
+def test_an_oracle_fit_records_its_loss_under_ss_and_its_source_accuracy_on_target_train():
+    pair = tiny_pair(skew=(0.8, 0.2))
+    params, metrics = fit(quick_config("ss"), oracle_pair(pair))
+    assert all(list(rec["loss"]) == ["ss", "tu", "su", "ta", "sa", "gen"] for rec in metrics)
+    assert all(rec["loss"]["ss"] is not None for rec in metrics)
+    assert metrics[-1]["acc"]["source_train"] == evaluate(params, pair.target_train_labeled(oracle=True)).accuracy
+    assert metrics[-1]["acc"]["source_train"] != evaluate(params, pair.source).accuracy
 
 
 def test_metrics_timing_toggle():
@@ -224,15 +233,18 @@ def test_on_epoch_callback_streams_records():
     assert seen == metrics
 
 
-def test_ts_trains_on_target_labels_with_no_flag():
+def test_ts_trains_ss_on_target_labels_with_no_flag():
     pair = tiny_pair()
-    run = RunState.build(quick_config("ts"), pair)
-    assert np.array_equal(run.labeled.labels, pair.target_train_labeled(oracle=True).labels)
-    params, metrics = fit(quick_config("ts"), pair)
+    config, fit_pair = build_train_config(resolve_config({"combo": "ts", "hidden": "8"}), pair)
+    assert config.combo == LossCombo(("ss",))
+    assert np.array_equal(fit_pair.source.features, pair.target_train.features)
+    assert np.array_equal(fit_pair.source.labels, pair.target_train_labeled(oracle=True).labels)
+    assert (fit_pair.target_train, fit_pair.target_test) == (pair.target_train, pair.target_test)
+    _, metrics = fit(replace(config, epochs=2), fit_pair)
     assert metrics
     unlabeled = DomainPair(pair.source, pair.target_train, pair.target_test)
     with pytest.raises(ContractViolation, match="target-train labels are not available"):
-        fit(quick_config("ts"), unlabeled)
+        build_train_config(resolve_config({"combo": "ts"}), unlabeled)
 
 
 def test_single_target_row_reduces_to_source_only():
@@ -256,7 +268,7 @@ def test_single_target_row_reduces_to_source_only():
 
 def first_rows(pair, n_target=8):
     """(batches, labels) of a direct step: the first 8 source rows, labeled, and the first n_target target rows."""
-    return {"labeled": pair.source.features[:8], "target": pair.target_train.features[:n_target]}, pair.source.labels[:8]
+    return {"source": pair.source.features[:8], "target": pair.target_train.features[:n_target]}, pair.source.labels[:8]
 
 
 def test_train_step_zero_lr_keeps_params():
@@ -281,7 +293,7 @@ def test_train_step_does_not_mutate_inputs():
     params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     before = {n: t.copy() for n, t in params.tensors.items()}
     opt = OptimizerState.for_params(params, theta_names(arch))
-    train_step(params, opt, None, {"labeled": pair.source.features[:8]}, pair.source.labels[:8], RunState.build(cfg, pair), 0.01)
+    train_step(params, opt, None, {"source": pair.source.features[:8]}, pair.source.labels[:8], RunState.build(cfg, pair), 0.01)
     for name, t in before.items():
         assert np.array_equal(params.tensors[name], t)
 
@@ -341,10 +353,10 @@ def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
         assert set(reports) == set(run.terms) | ({"gen"} if arch.generator else set())
         return list(rows)
 
-    # tu reads the target batch and sa the source fakes; no term reads the labeled batch
+    # tu reads the target batch and sa the source fakes; no term reads the source batch
     assert step_rows(quick_config("tu,sa")) == [5, 16]
     # the generator step runs first: it forwards the target batch (which tu
-    # reuses) and its fake rows (which ta reuses); then the labeled batch
+    # reuses) and its fake rows (which ta reuses); then the source batch
     gen = FakeSourceConfig(mode="generator")
     assert step_rows(quick_config("ss,tu,ta", fake=gen)) == [5, 16, 8]
     # with no term reading the target batch, the generator step still forwards it once
@@ -399,20 +411,22 @@ def test_gaussian_adversarial_terms_run():
 
 
 @pytest.mark.parametrize(
-    "combo, mode, draws",
+    "combo, mode, oracle, draws",
     [
-        ("ss,tu,su,ta,sa", "gaussian", 6),  # 3 steps an epoch, no draw past the last
-        ("ss,tu,su,ta,sa", "generator", 6),
-        ("ss,sa", "generator", 6),  # sa's fake_source noise, and a target batch no term reads
-        ("ts", "gaussian", 0),  # target-train rows and labels as the labeled batch, no target batch
+        ("ss,tu,su,ta,sa", "gaussian", False, 6),  # 3 steps an epoch, no draw past the last
+        ("ss,tu,su,ta,sa", "generator", False, 6),
+        ("ss,sa", "generator", False, 6),  # sa's fake_source noise, and a target batch no term reads
+        ("ss", "gaussian", True, 0),  # target-train rows and labels as the source batch, no target batch
     ],
     ids=["gaussian", "generator", "generator_sa", "ts"],
 )
-def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, combo, mode, draws):
+def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, combo, mode, oracle, draws):
     # fit draws each step's normals one step ahead on a worker thread; the
     # direct steps here take fakes drawn on the spot, in this thread. The
     # skew gives target-train labels that differ from the source's.
     pair = tiny_pair(skew=(0.8, 0.2))
+    if oracle:
+        pair = oracle_pair(pair)
     cfg = quick_config(combo, epochs=2, fake=FakeSourceConfig(mode=mode))
     here = threading.get_ident()
     drawn_here = []
@@ -431,20 +445,21 @@ def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, combo
     params = init_params(run.arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     opt = OptimizerState.for_params(params, theta_names(run.arch))
     opt_phi = OptimizerState.for_params(params, phi_names(run.arch)) if run.arch.generator else None
-    sup = Batcher(run.labeled.n, cfg.batch_size, cfg.seed, STREAM_SOURCE_SHUFFLE)
+    sup = Batcher(pair.source.n, cfg.batch_size, cfg.seed, STREAM_SOURCE_SHUFFLE)
     tgt = Batcher(pair.target_train.n, cfg.batch_size, cfg.seed, STREAM_TARGET_SHUFFLE) if "target" in run.reads else None
     for epoch in range(cfg.epochs):
         for step in range(max(sup.batches_per_epoch, tgt.batches_per_epoch if tgt else 0)):
             i = sup.take()
-            batches = {"labeled": run.labeled.features[i]}
+            batches = {"source": pair.source.features[i]}
             if tgt:
                 batches["target"] = pair.target_train.features[tgt.take()]
             if run.widths:
                 batches |= run.fakes_from(run.draw_noise())
             params, opt, opt_phi, _ = train_step(
-                params, opt, opt_phi, batches, run.labeled.labels[i], run, cfg.lr_at(epoch), epoch, step
+                params, opt, opt_phi, batches, pair.source.labels[i], run, cfg.lr_at(epoch), epoch, step
             )
     assert by_fit == [False] * draws and drawn_here == [True] * draws
+    assert ("target" in run.reads) is not oracle
     assert bool(phi_names(run.arch)) == (mode == "generator")
     for name in tensor_names(run.arch):
         assert params.tensors[name].tobytes() == fitted.tensors[name].tobytes()
