@@ -34,8 +34,9 @@ _M64 = (1 << 64) - 1
 # PCG32 outputs per jump-ahead block (4096 Box-Muller pairs, or 8192 uniforms);
 # it bounds the jump tables (256 KiB) and every per-block temporary. It changes
 # no value. Fewer blocks mean fewer numpy calls, each a GIL hand-off between
-# fit's draw-ahead worker and the step. On gauss784_ladder, 2^15 and 2^16 took
-# 1-6% more off fit but raised peak RSS by 4-5% and 7-8%.
+# fit's draw-ahead worker and the step. On gauss784_ladder (median of 4 runs,
+# 2-vCPU host), 2^15 and 2^16 took 3-4% more off fit but raised peak RSS by 3%
+# and 5%.
 _BLOCK = 1 << 14
 
 
@@ -55,27 +56,10 @@ def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _JUMP_MULT, _JUMP_ADD = _jump_tables(_BLOCK)
 
-# Below this, Box-Muller's log(u1) comes from numpy's complex log, which calls
-# the platform's clog: its real part is libm's log(|z|), and |u1 + 0j| is u1.
-# clog takes a log1p branch near |z| = 1; on [0.5, 0.7) an imaginary part of
-# 2^-52, too small to move hypot(u1, 2^-52) off u1, keeps it on log. Below 0.5
-# it stays 0, since below about 2^-26 it would move hypot. From 1/sqrt(2) up no
-# imaginary part gives log's bytes, so from 0.7 (a margin below it) the values
-# stay math.log. test_numpy_complex_log_equals_math_log_below_0_7 guards this.
-_CLOG_BELOW = 0.7
-
-
-def _log_uniforms(u: np.ndarray) -> np.ndarray:
-    """math.log of each value of u, bit for bit; u holds random() draws in (0, 1)."""
-    z = u.astype(np.complex128)
-    high = u >= _CLOG_BELOW
-    z.imag[(u >= 0.5) & ~high] = 2.0**-52
-    out = np.log(z).real
-    rest = u[high].tolist()
-    # with a count fromiter allocates once; growing its buffer by realloc raised
-    # gauss784_ladder's peak RSS by 2.5-4.6 MB (glibc heap, 2-vCPU host)
-    out[high] = np.fromiter(map(math.log, rest), np.float64, count=len(rest))
-    return out
+def _libm_log(u: np.ndarray) -> np.ndarray:
+    """math.log of each value of a 1-D u, bit for bit. Over a reversed (negative-stride) view numpy's
+    float64 log runs its scalar libm loop, not its SIMD kernel, which differs in the last bit."""
+    return np.log(u[::-1])[::-1]
 
 
 class Rng:
@@ -130,18 +114,19 @@ class Rng:
         return r * math.cos(a)
 
     def _u32_block(self, n: int) -> np.ndarray:
-        """The next n next_u32() outputs (n <= _BLOCK) as uint64, by jump-ahead."""
+        """The next n next_u32() outputs (n <= _BLOCK) as uint32, by jump-ahead."""
         states = _JUMP_MULT[: n + 1] * np.uint64(self._state) + _JUMP_ADD[: n + 1] * np.uint64(self._inc)
         self._state = int(states[n])
         old = states[:n]
-        xsh = (((old >> 18) ^ old) >> 27) & 0xFFFFFFFF
-        rot = old >> 59
-        return ((xsh >> rot) | (xsh << ((32 - rot) & 31))) & 0xFFFFFFFF
+        xsh = (((old >> 18) ^ old) >> 27).astype(np.uint32)
+        rot = (old >> 59).astype(np.uint32)
+        return (xsh >> rot) | (xsh << ((32 - rot) & 31))
 
     def _random_block(self, n: int) -> np.ndarray:
         """The next n random() doubles (n <= _BLOCK // 2)."""
         u = self._u32_block(2 * n)
-        return ((u[0::2] >> 5) * 67108864 + (u[1::2] >> 6)).astype(np.float64) * (1.0 / 9007199254740992.0)
+        # every partial value is an integer below 2^53, so the float64 sum is exact
+        return ((u[0::2] >> 5) * 67108864.0 + (u[1::2] >> 6)) * (1.0 / 9007199254740992.0)
 
     def uniform_matrix(self, rows: int, cols: int, lo: float, hi: float) -> np.ndarray:
         """Row-major block, the same draws as rows*cols uniform(lo, hi) calls."""
@@ -157,9 +142,10 @@ class Rng:
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major block of standard normals, the same draws as rows*cols normal() calls.
 
-        Box-Muller runs on whole blocks. np.log differs from math.log in the last bit, so log
-        comes from _log_uniforms: clog below 0.7, math.log per value above. numpy's cos and sin
-        give math's bytes. Tests guard both.
+        Box-Muller runs on whole blocks in numpy calls, with no Python per value. numpy's SIMD log
+        differs from math.log in the last bit, so log comes from _libm_log, numpy's scalar libm
+        loop; numpy's cos and sin give math's bytes. Tests guard both under each numpy dispatch
+        target the host has.
         """
         n = rows * cols
         saved = self._state, self._spare_normal
@@ -175,7 +161,7 @@ class Rng:
             if (u1 <= 0.0).any():  # normal() would redraw u1: replay the call one draw at a time
                 self._state, self._spare_normal = saved
                 return np.fromiter((self.normal() for _ in range(n)), np.float64, count=n).reshape(rows, cols)
-            r = np.sqrt(-2.0 * _log_uniforms(u1))
+            r = np.sqrt(-2.0 * _libm_log(u1))
             a = (2.0 * math.pi) * u2
             z = np.empty(2 * pairs)
             z[0::2] = r * np.cos(a)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from numpy_targets import numpy_kernels
 from test_data import write_idx_pair
 
 import ctdr.cli
@@ -203,19 +204,6 @@ FROZEN_RUNS = {
         "1db10907458a5ec50b5dcfd0c0ae1f2b915982eaa9163e36e4337506fd9aacdb",
     ),
 }
-
-
-def numpy_kernels() -> str:
-    """numpy's version and the SIMD target of its float64 exp and log kernels,
-    for a frozen-digest failure: the digests depend on both."""
-    try:
-        from numpy.lib.introspect import opt_func_info  # numpy >= 2.0
-
-        info = opt_func_info(func_name="^(exp|log)$", signature="float64")
-        targets = [info[f]["dd"]["current"] for f in ("exp", "log")]
-    except (ImportError, KeyError):
-        targets = ["unknown", "unknown"]
-    return "numpy {}, float64 exp on {}, log on {}".format(np.__version__, *targets)
 
 
 @pytest.mark.parametrize("run", sorted(FROZEN_RUNS))

@@ -1,7 +1,11 @@
 """Tests for the deterministic numerics layer: PRNG, dense ops, stability helpers."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from ctdr.model import tensor_names
 from ctdr.numerics import (
     Rng,
     STREAM_WEIGHT_INIT,
-    _log_uniforms,
+    _libm_log,
     _pairwise_sq_dists,
     column_stats,
     gaussian_kernel_matrix,
@@ -23,6 +27,7 @@ from ctdr.numerics import (
 )
 from ctdr.train import LossCombo, TrainConfig, fit
 from gradcheck import finite_diff_grad, relative_error
+from numpy_targets import numpy_kernels
 
 # Reference sequence for PCG32 seeded with (42, 54), from the generator's
 # published known-answer vector.
@@ -208,24 +213,77 @@ def doubles_around(x: float, n: int = 2**20) -> np.ndarray:
     return (np.float64(x).view(np.int64) + np.arange(-n // 2, n // 2)).view(np.float64)
 
 
-def test_numpy_complex_log_equals_math_log_below_0_7():
-    # normal_matrix takes log(u1) below 0.7 from numpy's complex log (the
-    # platform's clog), normal() from math.log; each must give the same bytes.
-    # Above 0.7 _log_uniforms calls math.log itself, so the values around
-    # 1/sqrt(2) catch a cut-off moved past the last value clog gets right.
+def test_libm_log_equals_math_log_bit_for_bit():
+    # normal_matrix takes log(u1) from _libm_log, normal() from math.log; each
+    # must give the same bytes on contiguous input and on the stride-2 u1 view
     rng = Rng(0, HIGH_STREAM)
-    draws = np.concatenate([rng._random_block(4096) for _ in range(256)])
+    k = np.arange(1, 2**20 + 1)
     cases = {
-        "draws below 0.7": draws[draws < 0.7],
+        "2^20 block draws": np.concatenate([rng._random_block(HALF) for _ in range(2**20 // HALF)]),
         "around 0.5": doubles_around(0.5),
         "around 0.7": doubles_around(0.7),
         "around 1/sqrt(2)": doubles_around(math.sqrt(0.5)),
-        "tiny draws": np.arange(1, 2**20 + 1) * 2.0**-53,  # random()'s smallest values
+        "random()'s largest values": 1.0 - k * 2.0**-53,
+        "random()'s smallest values": k * 2.0**-53,
     }
     for what, u in cases.items():
-        want = np.fromiter(map(math.log, u.tolist()), np.float64, count=u.size)
-        assert _log_uniforms(u).tobytes() == want.tobytes(), what
-    assert cases["draws below 0.7"].size > 0.69 * draws.size
+        want = np.fromiter(map(math.log, u.tolist()), np.float64, count=u.size).tobytes()
+        pairs = np.empty(2 * u.size)
+        pairs[0::2], pairs[1::2] = u, 0.5
+        assert _libm_log(u).tobytes() == want, f"{what}, contiguous ({numpy_kernels()})"
+        assert _libm_log(pairs[0::2]).tobytes() == want, f"{what}, stride 2 ({numpy_kernels()})"
+
+
+def test_u32_block_is_uint32_and_equals_next_u32_at_both_rotation_ends():
+    block, scalar = Rng(21, HIGH_STREAM), Rng(21, HIGH_STREAM)
+    rots, want = [], []
+    for _ in range(ctdr.numerics._BLOCK):
+        rots.append(scalar._state >> 59)
+        want.append(scalar.next_u32())
+    got = block._u32_block(ctdr.numerics._BLOCK)
+    assert {0, 31} <= set(rots)
+    assert got.dtype == np.uint32
+    assert got.tolist() == want
+    assert_same_position(block, scalar)
+
+
+# Run in a subprocess pinned to one dispatch target: the helper against math.log
+# on 2^18 draws, and a normal_matrix whose rows cross block boundaries against
+# scalar normal() calls.
+UNDER_TARGET = """
+import math, sys
+import numpy as np
+from numpy.lib.introspect import opt_func_info
+from ctdr.numerics import Rng, _libm_log
+
+target = opt_func_info(func_name="^log$", signature="float64")["log"]["dd"]["current"]
+assert target == sys.argv[1], f"asked for {sys.argv[1]}, log runs on {target}"
+rng = Rng(0, 7)
+u = np.concatenate([rng._random_block(8192) for _ in range(32)])
+want = np.fromiter(map(math.log, u.tolist()), np.float64, count=u.size)
+assert _libm_log(u).tobytes() == want.tobytes(), "log"
+block, scalar = Rng(3, 9), Rng(3, 9)
+want = np.fromiter((scalar.normal() for _ in range(12297)), np.float64, count=12297)
+assert block.normal_matrix(3, 4099).tobytes() == want.tobytes(), "normal_matrix"
+"""
+
+
+def test_rng_gives_the_same_bytes_under_every_numpy_log_target():
+    introspect = pytest.importorskip("numpy.lib.introspect")  # numpy >= 2.0
+    # the float64 log targets this host can run, best first
+    targets = introspect.opt_func_info(func_name="^log$", signature="float64")["log"]["dd"]["available"].split()[:3]
+    src = str(Path(ctdr.numerics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for i, target in enumerate(targets):
+        # switching off the targets above this one makes numpy dispatch to it
+        proc = subprocess.run(
+            [sys.executable, "-c", UNDER_TARGET, target],
+            env={**env, "NPY_DISABLE_CPU_FEATURES": " ".join(targets[:i])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, f"numpy {np.__version__}, float64 log on {target}:\n{proc.stderr}"
 
 
 def test_normal_matrix_interleaved_with_scalar_calls_carries_the_spare():
