@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolation, ParseError
 from .losses import make_prior
-from .numerics import STREAM_DATA, Rng, as_matrix, column_stats, substream
+from .numerics import STREAM_DATA, Rng, as_labels, as_matrix, column_stats, substream
 
 IDX_MAGIC_IMAGES = 2051
 IDX_MAGIC_LABELS = 2049
@@ -50,12 +50,7 @@ class Dataset:
         if not 2 <= self.num_classes < 2**32:  # checkpoints store layer widths as u32
             raise ContractViolation(f"num_classes must be in [2, 2^32), got {self.num_classes}")
         if self.labels is not None:
-            y = np.asarray(self.labels).astype(np.int64)
-            if y.ndim != 1 or y.shape[0] != self.features.shape[0]:
-                raise ContractViolation("labels must be 1-D, one per feature row")
-            if y.size and (y.min() < 0 or y.max() >= self.num_classes):
-                raise ContractViolation(f"labels out of range [0, {self.num_classes})")
-            self.labels = y
+            self.labels = as_labels(self.labels, self.features.shape[0], self.num_classes)
 
     @property
     def n(self) -> int:
@@ -294,40 +289,38 @@ def save_sparse(dataset: Dataset, path) -> None:
 # --- synthetic domain pairs ----------------------------------------------------
 
 
-def _exact_counts(prior: np.ndarray, n: int) -> np.ndarray:
-    """Integer class counts summing to n, matching prior by largest remainder."""
-    raw = prior * n
-    counts = np.floor(raw).astype(np.int64)
-    shortfall = n - int(counts.sum())
-    order = np.argsort(-(raw - counts), kind="stable")
-    for i in range(shortfall):
-        counts[order[i]] += 1
-    return counts
+def _synth_pair(kind: str, num_classes: int, n: int, label_skew, seed: int, features) -> DomainPair:
+    """The source, target_train and target_test splits of a synthetic pair, n rows each, named `<kind>_<split>`.
+
+    Split i draws its rows, features(labels, split, rng), from substream i of STREAM_DATA. Its labels are
+    sorted, in exact largest-remainder counts: balanced for the source, label_skew for both target splits.
+    """
+    balanced = np.full(num_classes, 1.0 / num_classes)
+    skew = balanced if label_skew is None else make_prior(label_skew, num_classes, "label_skew")
+    splits = {}
+    for i, (split, prior) in enumerate((("source", balanced), ("target_train", skew), ("target_test", skew))):
+        raw = prior * n  # largest remainder: the n - sum(floor) largest fractional parts take one more row each
+        counts = np.floor(raw).astype(np.int64)
+        counts[np.argsort(-(raw - counts), kind="stable")[: n - int(counts.sum())]] += 1
+        labels = np.repeat(np.arange(num_classes), counts)
+        rows = features(labels, split, Rng(seed, substream(STREAM_DATA, i)))
+        splits[split] = Dataset(rows, labels, num_classes, name=f"{kind}_{split}")
+    return DomainPair(**splits)
 
 
-def _moon_points(n: int, counts: np.ndarray, noise_std: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Two interleaved crescents, centered so class 1 = -(class 0) pointwise."""
-    feats = np.empty((n, 2))
-    labels = np.empty(n, dtype=np.int64)
-    pos = 0
-    for cls in (0, 1):
-        for _ in range(int(counts[cls])):
-            t = rng.random() * math.pi
-            x = math.cos(t) - 0.5
-            y = math.sin(t) - 0.25
-            if cls == 1:
-                x, y = -x, -y
-            feats[pos, 0] = x + rng.normal() * noise_std
-            feats[pos, 1] = y + rng.normal() * noise_std
-            labels[pos] = cls
-            pos += 1
-    return feats, labels
-
-
-def _rotate(features: np.ndarray, degrees: float) -> np.ndarray:
-    a = math.radians(degrees)
-    rot = np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
-    return features @ rot
+def _moon_points(labels: np.ndarray, noise_std: float, rng: Rng) -> np.ndarray:
+    """One noisy point per label (0 or 1), in order, on two interleaved
+    crescents centered so class 1 = -(class 0) pointwise."""
+    feats = np.empty((labels.size, 2))
+    for pos, cls in enumerate(labels.tolist()):
+        t = rng.random() * math.pi
+        x = math.cos(t) - 0.5
+        y = math.sin(t) - 0.25
+        if cls == 1:
+            x, y = -x, -y
+        feats[pos, 0] = x + rng.normal() * noise_std
+        feats[pos, 1] = y + rng.normal() * noise_std
+    return feats
 
 
 def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_skew=None, seed: int = 0) -> DomainPair:
@@ -343,16 +336,14 @@ def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_ske
         raise ContractViolation(f"rotation must be in [0, 360] degrees, got {rotation_degrees}")
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ContractViolation(f"noise_std must be >= 0 and finite, got {noise_std}")
-    balanced = np.array([0.5, 0.5])
-    skew = balanced if label_skew is None else make_prior(label_skew, 2, "label_skew")
+    a = math.radians(rotation_degrees)
+    rot = np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
 
-    src_f, src_y = _moon_points(n, _exact_counts(balanced, n), noise_std, Rng(seed, substream(STREAM_DATA, 0)))
-    tt_f, tt_y = _moon_points(n, _exact_counts(skew, n), noise_std, Rng(seed, substream(STREAM_DATA, 1)))
-    te_f, te_y = _moon_points(n, _exact_counts(skew, n), noise_std, Rng(seed, substream(STREAM_DATA, 2)))
-    source = Dataset(src_f, src_y, 2, name="moons_source")
-    target_train = Dataset(_rotate(tt_f, rotation_degrees), tt_y, 2, name="moons_target_train")
-    target_test = Dataset(_rotate(te_f, rotation_degrees), te_y, 2, name="moons_target_test")
-    return DomainPair(source, target_train, target_test)
+    def features(labels, split, rng):
+        points = _moon_points(labels, noise_std, rng)
+        return points if split == "source" else points @ rot
+
+    return _synth_pair("moons", 2, n, label_skew, seed, features)
 
 
 def synth_gauss_shift(
@@ -377,24 +368,13 @@ def synth_gauss_shift(
         raise ContractViolation(f"synth_gauss_shift: cov_scale must be > 0 and finite, got {cov_scale}")
     if not math.isfinite(mean_shift):
         raise ContractViolation(f"synth_gauss_shift: mean_shift must be finite, got {mean_shift}")
-    uniform = np.full(num_classes, 1.0 / num_classes)
-    skew = uniform if label_skew is None else make_prior(label_skew, num_classes, "label_skew")
+    means = Rng(seed, substream(STREAM_DATA, 3)).normal_matrix(num_classes, dim) * (3.0 / math.sqrt(dim))
 
-    mean_rng = Rng(seed, substream(STREAM_DATA, 3))
-    means = mean_rng.normal_matrix(num_classes, dim) * (3.0 / math.sqrt(dim))
+    def features(labels, split, rng):
+        shift, scale = (0.0, 1.0) if split == "source" else (mean_shift, cov_scale)
+        return means[labels] + shift + scale * rng.normal_matrix(labels.size, dim)
 
-    def sample(counts, shift, scale, rng):
-        labels = np.repeat(np.arange(num_classes), counts)
-        return means[labels] + shift + scale * rng.normal_matrix(labels.size, dim), labels
-
-    src = sample(_exact_counts(uniform, n), 0.0, 1.0, Rng(seed, substream(STREAM_DATA, 0)))
-    tt = sample(_exact_counts(skew, n), mean_shift, cov_scale, Rng(seed, substream(STREAM_DATA, 1)))
-    te = sample(_exact_counts(skew, n), mean_shift, cov_scale, Rng(seed, substream(STREAM_DATA, 2)))
-    return DomainPair(
-        Dataset(src[0], src[1], num_classes, name="gauss_source"),
-        Dataset(tt[0], tt[1], num_classes, name="gauss_target_train"),
-        Dataset(te[0], te[1], num_classes, name="gauss_target_test"),
-    )
+    return _synth_pair("gauss", num_classes, n, label_skew, seed, features)
 
 
 # --- transforms ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolation, NonFiniteLossError
-from .numerics import _pairwise_sq_dists, as_matrix, gaussian_kernel_matrix, log_sum_exp
+from .numerics import _pairwise_sq_dists, as_labels, as_matrix, gaussian_kernel_matrix, log_sum_exp
 
 EPS = 1e-12
 
@@ -22,7 +22,9 @@ EPS = 1e-12
 def make_prior(values, num_classes=None, name="prior") -> np.ndarray:
     """Validate a class prior: 1-D, nonnegative, sums to 1 within 1e-9. Errors
     call it `name`."""
-    p = np.asarray(values, dtype=np.float64).ravel()
+    p = np.asarray(values, dtype=np.float64)
+    if p.ndim != 1:
+        raise ContractViolation(f"{name} must be 1-D, got shape {p.shape}")
     if num_classes is not None and p.size != num_classes:
         raise ContractViolation(f"{name} has {p.size} entries, expected {num_classes}")
     if p.size < 1:
@@ -45,16 +47,6 @@ def _check_probs(probs) -> np.ndarray:
     return p
 
 
-def _check_labels(labels, b, k) -> np.ndarray:
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != b:
-        raise ContractViolation(f"labels must be 1-D of length {b}")
-    y = y.astype(np.int64)
-    if (y < 0).any() or (y >= k).any():
-        raise ContractViolation(f"labels out of range [0, {k})")
-    return y
-
-
 @dataclass
 class LossReport:
     """One term's scalar value, its gradient, and diagnostic numbers."""
@@ -72,7 +64,7 @@ def source_ce(probs, labels) -> LossReport:
     """
     p = _check_probs(probs)
     b, k = p.shape
-    y = _check_labels(labels, b, k)
+    y = as_labels(labels, b, k)
     rows = np.arange(b)
     value = -float(np.log(np.maximum(p[rows, y], EPS)).sum())
     grad = p.copy()
@@ -110,7 +102,7 @@ def contradist_loss(probs, labels, prior) -> LossReport:
     """
     p = _check_probs(probs)
     b, k = p.shape
-    y = _check_labels(labels, b, k)
+    y = as_labels(labels, b, k)
     pri = make_prior(prior, k)
     rows = np.arange(b)
 

@@ -210,6 +210,22 @@ def as_matrix(x, name: str = "array") -> np.ndarray:
     return a
 
 
+def as_labels(labels, n: int, k: int) -> np.ndarray:
+    """Coerce to n int64 class labels, whole numbers in [0, k). A label that is not whole or not finite
+    raises ContractViolation naming its row, with no numpy warning; integer input skips that test."""
+    y = np.asarray(labels)
+    if y.ndim != 1 or y.shape[0] != n:
+        raise ContractViolation(f"labels must be 1-D of length {n}, got shape {y.shape}")
+    if y.dtype.kind not in "iu":
+        y = y.astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(y) | (y != np.trunc(y)))
+        if bad.size:
+            raise ContractViolation(f"label row {bad[0]} is {y[bad[0]]}, not a whole number")
+    if y.size and (y.min() < 0 or y.max() >= k):
+        raise ContractViolation(f"labels out of range [0, {k})")
+    return y.astype(np.int64, copy=False)
+
+
 def column_stats(x: np.ndarray, rows: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and population std of x. A column whose spread overflows float64 (a mean or std
     that is not finite) raises ContractViolation naming `rows` and the column, with no numpy warning."""

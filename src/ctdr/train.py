@@ -20,6 +20,7 @@ only; the CLI's oracle run is ss on a pair whose source split is target-train.
 
 from __future__ import annotations
 
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -115,6 +116,13 @@ class TrainConfig:
     timing: bool = True
 
     def __post_init__(self):
+        for key in ("epochs", "batch_size", "seed", "hidden"):  # as Architecture does: np.int64 passes, 2.5 fails
+            value = getattr(self, key)
+            try:
+                value = tuple(map(operator.index, value)) if key == "hidden" else operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{key} must be {'integers' if key == 'hidden' else 'an integer'}, got {value!r}") from None
+            object.__setattr__(self, key, value)
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:

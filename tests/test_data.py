@@ -63,6 +63,11 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 3)), np.array([0, 5]), 2, "bad-label")
     with pytest.raises(ContractViolation):
         Dataset(np.zeros((2, 3)), np.array([0]), 2, "bad-count")
+    for bad in (0.7, 1.5, math.nan, math.inf):  # checked, not truncated, with no numpy warning
+        with pytest.raises(ContractViolation, match=r"label row 1 is .*, not a whole number"):
+            Dataset(np.zeros((2, 3)), np.array([0.0, bad]), 2, "not-whole")
+    whole = Dataset(np.zeros((2, 3)), np.array([0.0, 1.0]), 2, "whole")
+    assert whole.labels.dtype == np.int64 and whole.labels.tolist() == [0, 1]
     with pytest.raises(ContractViolation, match="row 0 column 1 is not finite"):
         Dataset(np.array([[0.0, math.nan], [1.0, math.inf]]), None, 2, "nan")
     with pytest.raises(ContractViolation, match="row 2 column 0 is not finite"):
@@ -424,6 +429,27 @@ def test_two_moons_golden_first_row():
     assert pair.source.labels[0] == 0
 
 
+# sha256 over features then labels of source, target-train and target-test,
+# for synth_two_moons(40, 35.0, 0.1, seed=3) at each label_skew.
+MOONS_GOLDEN_DIGESTS = {
+    None: "1d28c2612ff604dc3d7b655086a1c14de10f62cb9d0239167f23b2e0218e140f",
+    (0.8, 0.2): "a64d2266924555c866e02002f24527d4339e55706f7ac2c5fe214424d40fbea9",
+}
+
+
+def split_digest(pair) -> str:
+    h = hashlib.sha256()
+    for ds in (pair.source, pair.target_train_labeled(oracle=True), pair.target_test):
+        h.update(ds.features.tobytes())
+        h.update(ds.labels.tobytes())
+    return h.hexdigest()
+
+
+def test_two_moons_golden_digests():
+    for label_skew, digest in MOONS_GOLDEN_DIGESTS.items():
+        assert split_digest(synth_two_moons(40, 35.0, 0.1, label_skew=label_skew, seed=3)) == digest, label_skew
+
+
 def test_two_moons_label_skew_exact_counts():
     pair = synth_two_moons(1000, 35.0, 0.1, label_skew=(0.7, 0.3), seed=9)
     train = pair.target_train_labeled(oracle=True)
@@ -504,11 +530,7 @@ def test_gauss_shift_shapes_and_golden_row():
     assert np.array_equal(pair.source.features[0], GAUSS_GOLDEN_ROW)
     for label_skew, digest in GAUSS_GOLDEN_DIGESTS.items():
         pair = synth_gauss_shift(50, num_classes=3, dim=4, seed=1, label_skew=label_skew)
-        h = hashlib.sha256()
-        for ds in (pair.source, pair.target_train_labeled(oracle=True), pair.target_test):
-            h.update(ds.features.tobytes())
-            h.update(ds.labels.tobytes())
-        assert h.hexdigest() == digest, label_skew
+        assert split_digest(pair) == digest, label_skew
 
 
 def test_gauss_shift_zero_shift_is_identity_distribution():

@@ -47,6 +47,9 @@ def test_make_prior_rejects_bad_vectors():
         make_prior([0.5, 0.5], num_classes=3)
     with pytest.raises(ContractViolation):
         make_prior([])
+    for not_1d in ([[0.5], [0.5]], 1.0):
+        with pytest.raises(ContractViolation, match="prior must be 1-D"):
+            make_prior(not_1d)
 
 
 def test_source_ce_perfect_prediction():
@@ -77,6 +80,18 @@ def test_source_ce_rejects_bad_labels_and_probs():
         source_ce(probs, np.array([-1]))
     with pytest.raises(ContractViolation):
         source_ce(np.array([[0.9, 0.5]]), np.array([0]))
+
+
+@pytest.mark.parametrize(
+    "loss", [source_ce, lambda probs, labels: contradist_loss(probs, labels, [0.5, 0.5])], ids=["source_ce", "contradist_loss"]
+)
+def test_losses_take_whole_number_labels_only(loss):
+    # float labels are checked, not truncated; NaN and inf are rejected with no numpy warning
+    probs = np.array([[0.9, 0.1], [0.2, 0.8]])
+    for bad in (0.7, 1.5, math.nan, math.inf):
+        with pytest.raises(ContractViolation, match=r"label row 1 is .*, not a whole number"):
+            loss(probs, np.array([0.0, bad]))
+    assert loss(probs, np.array([0.0, 1.0])).value == loss(probs, np.array([0, 1])).value
 
 
 def test_source_ce_grad_matches_finite_diff():

@@ -91,6 +91,13 @@ def test_train_config_validation():
         with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\^64\)"):
             quick_config(seed=seed)
     assert quick_config(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+    # a float count fails when the config is built, not with a TypeError inside fit, Rng or RunState.build
+    for key, value in (("epochs", 2.5), ("batch_size", 4.5), ("seed", 1.5), ("hidden", (8.7,)), ("hidden", 8)):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            quick_config(**{key: value})
+    cfg = quick_config(epochs=np.int64(2), batch_size=np.int64(4), seed=np.uint64(5), hidden=[np.int64(8)])
+    assert (cfg.epochs, cfg.batch_size, cfg.seed, cfg.hidden) == (2, 4, 5, (8,))
+    assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed, *cfg.hidden))
 
 
 def test_learning_rate_schedule_exact():
