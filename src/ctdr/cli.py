@@ -77,8 +77,30 @@ def _choice(*options):
 _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_list(int)}
 
 _TRAIN = TrainConfig()
-_DATA_MODES = ("two_moons", "gauss_shift", "idx", "sparse")
 _SPLITS = ("source", "target", "target_test")
+
+# data mode -> (builder, {config key: builder argument}), in the order `data`'s errors list them. A synthetic mode's
+# builder returns the DomainPair of its arguments and `seed`; a file mode's reads one split. A key with `{}` is one per
+# split, and a path that must be set if it is a builder argument. idx's own step, _idx_step, reads keys of argument None.
+DATA_MODES: dict = {
+    "two_moons": (synth_two_moons, {"n": "n", "rotation": "rotation_degrees", "noise": "noise_std", "skew": "label_skew"}),
+    "gauss_shift": (synth_gauss_shift, {"n": "n", "gauss_classes": "num_classes", "gauss_dim": "dim",
+                                        "gauss_mean_shift": "mean_shift", "gauss_cov_scale": "cov_scale", "skew": "label_skew"}),
+    "idx": (load_idx, {"classes": "num_classes", "{}_images": "images_path", "{}_labels": "labels_path", "resize": None, "n_{}": None}),
+    "sparse": (load_sparse, {"{}_sparse": "path"}),
+}
+
+
+def _paths(args: dict) -> list:
+    """The path keys of a DATA_MODES row, split by split; none for a synthetic mode."""
+    return [key.format(split) for split in _SPLITS for key, arg in args.items() if "{}" in key and arg]
+
+
+def _data_keys(entries: dict) -> dict:
+    """SCHEMA entries of data keys from key -> (parser, default): a key's scope is the modes whose row lists it."""
+    listed = {mode: {key.format(split) for key in args for split in _SPLITS} for mode, (_, args) in DATA_MODES.items()}
+    return {key: (*entry, tuple(m for m, keys in listed.items() if key in keys)) for key, entry in entries.items()}
+
 
 # CLI key -> TrainConfig field, for the keys that map one to one. SCHEMA takes
 # their defaults from these fields; build_train_config fills the fields from
@@ -116,20 +138,13 @@ def _combo_run(text: str, pair: DomainPair | None = None) -> tuple:
 # (see _accept).
 SCHEMA: dict = {
     # data
-    "data": (_choice(*_DATA_MODES), "two_moons", None),
-    "n": (int, 500, _DATA_MODES[:2]),
-    "rotation": (float, 35.0, ("two_moons",)),
-    "noise": (float, 0.12, ("two_moons",)),
-    "skew": (_parse_list(float), (), _DATA_MODES[:2]),
-    "gauss_classes": (int, 3, ("gauss_shift",)),
-    "gauss_dim": (int, 8, ("gauss_shift",)),
-    "gauss_mean_shift": (float, 1.0, ("gauss_shift",)),
-    "gauss_cov_scale": (float, 1.5, ("gauss_shift",)),
-    "classes": (int, 10, ("idx",)),
-    **{f"{split}_{kind}": (str, "", ("idx",)) for split in _SPLITS for kind in ("images", "labels")},
-    **{f"{split}_sparse": (str, "", ("sparse",)) for split in _SPLITS},
-    "resize": (str, "", ("idx",)),
-    **{f"n_{split}": (int, 0, ("idx",)) for split in _SPLITS},
+    "data": (_choice(*DATA_MODES), next(iter(DATA_MODES)), None),
+    **_data_keys({
+        "n": (int, 500), "rotation": (float, 35.0), "noise": (float, 0.12), "skew": (_parse_list(float), ()),
+        "gauss_classes": (int, 3), "gauss_dim": (int, 8), "gauss_mean_shift": (float, 1.0), "gauss_cov_scale": (float, 1.5),
+        "classes": (int, 10), **{path: (str, "") for _, args in DATA_MODES.values() for path in _paths(args)},
+        "resize": (str, ""), **{f"n_{split}": (int, 0) for split in _SPLITS},
+    }),
     "standardize": (_parse_bool, True, None),
     # training
     "combo": (lambda s: "ts" if _terms(s) == {"ts"} else _fmt(_combo_run(s)[0].names), _fmt(_TRAIN.combo.names), ("train",)),
@@ -214,9 +229,6 @@ def load_config(args) -> dict:
 # --- config -> runtime objects ---------------------------------------------------
 
 
-_PATH_KEYS = tuple(f"{d}_{k}" for d in _SPLITS for k in ("images", "labels", "sparse"))
-
-
 def _located(build, cfg: dict):
     """build(cfg). Its error names where the key at fault was given: `data`, then
     the given keys in the order given, join the defaults one at a time, and the first
@@ -248,47 +260,33 @@ def build_pair(cfg: dict, fit_transform: bool = False) -> tuple:
 def _read_splits(cfg: dict) -> tuple | None:
     """The (source, target_train, target_test) datasets in the files of a file-backed
     data mode, whose paths must be set; None for a synthetic mode."""
-    kind = cfg["data"]
-    missing = [k for k in _PATH_KEYS if SCHEMA[k][2] == (kind,) and not cfg[k]]
-    if missing:
-        raise ConfigError(f"data={kind} needs paths for {', '.join(missing)}")
+    read, args = DATA_MODES[cfg["data"]]
+    paths = _paths(args)
+    if missing := [k for k in paths if not cfg[k]]:
+        raise ConfigError(f"data={cfg['data']} needs paths for {', '.join(missing)}")
     names = zip(_SPLITS, ("source", "target_train", "target_test"))
-    if kind == "idx":
-        return tuple(load_idx(cfg[f"{s}_images"], cfg[f"{s}_labels"], cfg["classes"], name=n) for s, n in names)
-    if kind == "sparse":
-        return tuple(load_sparse(cfg[f"{s}_sparse"], name=n) for s, n in names)
-    return None
+    return tuple(read(**{a: cfg[k.format(s)] for k, a in args.items() if a}, name=n) for s, n in names) if paths else None
 
 
 def _pair(cfg: dict, splits: tuple | None, fit_transform: bool) -> tuple:
-    kind = cfg["data"]
-    skew = cfg["skew"] or None
-    if kind == "two_moons":
-        pair = synth_two_moons(cfg["n"], cfg["rotation"], cfg["noise"], skew, seed=cfg["seed"])
-    elif kind == "gauss_shift":
-        pair = synth_gauss_shift(
-            cfg["n"],
-            num_classes=cfg["gauss_classes"],
-            dim=cfg["gauss_dim"],
-            mean_shift=cfg["gauss_mean_shift"],
-            cov_scale=cfg["gauss_cov_scale"],
-            label_skew=skew,
-            seed=cfg["seed"],
-        )
+    build, args = DATA_MODES[cfg["data"]]
+    if splits is None:  # skew's default, (), is the builders' None
+        pair = build(**{a: (cfg[k] or None) if k == "skew" else cfg[k] for k, a in args.items()}, seed=cfg["seed"])
     else:
-        if kind == "idx":
-            if cfg["resize"]:
-                try:
-                    oh, ow = (int(tok) for tok in cfg["resize"].lower().split("x"))
-                except ValueError as exc:
-                    raise ConfigError(f"resize must look like 28x28, got {cfg['resize']!r}") from exc
-                splits = [ds if ds.image_hw == (oh, ow) else resize_bilinear(ds, (oh, ow)) for ds in splits]
-            splits = [
-                subsample(ds, cfg[f"n_{split}"], cfg["seed"], variant=i) if cfg[f"n_{split}"] else ds
-                for i, (split, ds) in enumerate(zip(_SPLITS, splits))
-            ]
-        pair = DomainPair(*splits)
+        pair = DomainPair(*(_idx_step(cfg, splits) if None in args.values() else splits))
     return standardize(pair) if fit_transform and cfg["standardize"] else (pair, None)
+
+
+def _idx_step(cfg: dict, splits: tuple) -> list:
+    """idx's splits as read, resampled to `resize`, then subsampled to `n_<split>` rows."""
+    if cfg["resize"]:
+        try:
+            oh, ow = (int(tok) for tok in cfg["resize"].lower().split("x"))
+        except ValueError as exc:
+            raise ConfigError(f"resize must look like 28x28, got {cfg['resize']!r}") from exc
+        splits = [ds if ds.image_hw == (oh, ow) else resize_bilinear(ds, (oh, ow)) for ds in splits]
+    sizes = [cfg[f"n_{split}"] for split in _SPLITS]
+    return [subsample(ds, n, cfg["seed"], variant=i) if n else ds for i, (n, ds) in enumerate(zip(sizes, splits))]
 
 
 def build_train_config(cfg: dict, pair: DomainPair | None = None) -> tuple:
@@ -324,10 +322,10 @@ def _accept(cfg: dict, command: str) -> None:
     tags = {cfg["data"], command, *(term for combo in combos for term in _combo_run(combo)[0].names)}
     for key, at in cfg.where.items():
         _, default, scope = SCHEMA[key]
-        if scope is None or cfg[key] == default or not (combos or scope[0] in _DATA_MODES):
+        if scope is None or cfg[key] == default or not (combos or scope[0] in DATA_MODES):
             continue
         if not tags.intersection(scope):
-            only = (f"data = {' or '.join(scope)}, not data = {cfg['data']}" if scope[0] in _DATA_MODES
+            only = (f"data = {' or '.join(scope)}, not data = {cfg['data']}" if scope[0] in DATA_MODES
                     else f"{' or '.join(scope)} runs, not this ctdr {command}")
             raise ConfigError(f"{at}: {key} = {_fmt(cfg[key])} applies only to {only}")
     sys.stdout.write(format_config(cfg))
@@ -432,8 +430,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args)
-    if cfg["data"] not in ("two_moons", "gauss_shift"):
-        raise ConfigError("synth writes synthetic data; set data = two_moons or gauss_shift")
+    synthetic = [mode for mode, (_, keys) in DATA_MODES.items() if not _paths(keys)]
+    if cfg["data"] not in synthetic:
+        raise ConfigError(f"synth writes synthetic data; set data = {' or '.join(synthetic)}")
     _accept(cfg, "synth")
     pair, _ = build_pair(cfg)
     out_dir = _save_config(cfg)

@@ -22,7 +22,10 @@ EPS = 1e-12
 def make_prior(values, num_classes=None, name="prior") -> np.ndarray:
     """Validate a class prior: 1-D, nonnegative, sums to 1 within 1e-9. Errors
     call it `name`."""
-    p = np.asarray(values, dtype=np.float64)
+    try:
+        p = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"{name} entries must be numbers: {exc}") from None
     if p.ndim != 1:
         raise ContractViolation(f"{name} must be 1-D, got shape {p.shape}")
     if num_classes is not None and p.size != num_classes:

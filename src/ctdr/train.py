@@ -20,6 +20,7 @@ only; the CLI's oracle run is ss on a pair whose source split is target-train.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Batcher, DomainPair, empirical_prior
-from .errors import ConfigError, NonFiniteLossError, blame
+from .errors import ConfigError, ContractViolation, NonFiniteLossError, blame
 from .evaluation import evaluate
 from .fake import FakeSourceConfig, gaussian_fakes, generator_step
 from .losses import contradist_loss, make_prior, pseudo_label_select, source_ce, adv_bce
@@ -127,10 +128,19 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if not isinstance(self.lr, numbers.Real):
+            raise ConfigError(f"lr must be a real number, got {self.lr!r}")
         if not (0.0 < self.lr < np.inf):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not (0 <= self.seed < 1 << 64):  # Rng reads a seed mod 2^64: two seeds must not give one run
             raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
+        if self.prior is not None:  # its length is checked against the pair's classes in RunState.build
+            try:
+                object.__setattr__(self, "prior", tuple(make_prior(self.prior, None, "prior").tolist()))
+            except ContractViolation as exc:
+                raise ConfigError(str(exc)) from None
+        if not isinstance(self.timing, (bool, np.bool_)):
+            raise ConfigError(f"timing must be a bool, got {self.timing!r}")
 
     def lr_at(self, epoch: int) -> float:
         return self.lr * LR_DECAY ** (epoch // LR_DECAY_EVERY)

@@ -26,7 +26,7 @@ from ctdr.cli import (
     parse_config_text,
     resolve_config,
 )
-from ctdr.data import Dataset, DomainPair, load_sparse, save_sparse, synth_two_moons
+from ctdr.data import Dataset, DomainPair, load_sparse, save_sparse, synth_gauss_shift, synth_two_moons
 from ctdr.errors import ConfigError, NonFiniteLossError
 from ctdr.fake import FakeSourceConfig
 from ctdr.model import forward, load_checkpoint, save_checkpoint
@@ -107,6 +107,54 @@ def test_resolve_config_rejects_bad_values():
         resolve_config({"standardize": "maybe"})
     with pytest.raises(ConfigError):
         resolve_config({"data": "imaginary"})
+
+
+DEFAULT_CONFIG_TEXT = """\
+data = two_moons
+n = 500
+rotation = 35.0
+noise = 0.12
+skew = 
+gauss_classes = 3
+gauss_dim = 8
+gauss_mean_shift = 1.0
+gauss_cov_scale = 1.5
+classes = 10
+source_images = 
+source_labels = 
+target_images = 
+target_labels = 
+target_test_images = 
+target_test_labels = 
+source_sparse = 
+target_sparse = 
+target_test_sparse = 
+resize = 
+n_source = 0
+n_target = 0
+n_target_test = 0
+standardize = true
+combo = ss,tu
+hidden = 128,128
+epochs = 100
+batch = 128
+lr = 0.001
+seed = 0
+prior = assume_source
+fake_mode = gaussian
+out_dir = ctdr_out
+export_embeddings = false
+timing = true
+"""
+
+
+def test_default_config_text_and_data_choice_are_pinned():
+    """Key order, defaults and formatting of the printed config, and the order in which `data`'s error lists
+    the modes: the data-mode table must not move them."""
+    assert format_config(resolve_config({})) == DEFAULT_CONFIG_TEXT
+    with pytest.raises(ConfigError) as exc:
+        resolve_config({"data": "imaginary"})
+    assert str(exc.value) == "bad value for 'data': expected one of ('two_moons', 'gauss_shift', 'idx', 'sparse'), got 'imaginary'"
 
 
 def test_format_config_round_trips():
@@ -504,9 +552,15 @@ def test_cmd_synth_output_feeds_sparse_training(tmp_path):
     assert (tmp_path / "strain" / "eval.json").exists()
 
 
-def test_cmd_synth_requires_synthetic_data_mode(tmp_path):
-    cfg = small_train_cfg(tmp_path, data="sparse")
+FILE_MODES = [mode for mode, (_, args) in ctdr.cli.DATA_MODES.items() if ctdr.cli._paths(args)]
+
+
+@pytest.mark.parametrize("mode", FILE_MODES)
+def test_cmd_synth_requires_synthetic_data_mode(tmp_path, capsys, mode):
+    cfg = small_train_cfg(tmp_path, data=mode)
     assert main(["synth", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: synth writes synthetic data; set data = two_moons or gauss_shift\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_is_exit_2(tmp_path):
@@ -626,7 +680,7 @@ def test_bad_train_config_is_exit_2_before_any_file_is_written(tmp_path, command
 
 
 @pytest.mark.parametrize("command", ["eval", "synth"])
-@pytest.mark.parametrize("bad", ["epochs=-3", "combo=zz", "lr=0", "mmd_gamma=x", "seed=-1"])
+@pytest.mark.parametrize("bad", ["epochs=-3", "combo=zz", "lr=0", "mmd_gamma=x", "seed=-1", "prior=0.5,0.6"])
 def test_eval_and_synth_reject_a_bad_training_key_before_any_file(tmp_path, capsys, command, bad):
     # a resolved config holds only valid values, so it is valid input to every command
     path = small_train_cfg(tmp_path)
@@ -637,6 +691,17 @@ def test_eval_and_synth_reject_a_bad_training_key_before_any_file(tmp_path, caps
     assert main([command, "--config", str(path), "--set", bad, *args]) == 2
     assert capsys.readouterr().err.startswith("error: --set: ")
     assert not (tmp_path / "out").exists() and not report.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "synth"])
+def test_every_command_rejects_a_prior_that_does_not_sum_to_1(tmp_path, capsys, command):
+    # the training config checks the prior when it is built, so a command that trains nothing rejects it too;
+    # eval rejects it before it opens the checkpoint
+    path = small_train_cfg(tmp_path)
+    args = ["--checkpoint", str(tmp_path / "absent.ctdr")] if command == "eval" else []
+    assert main([command, "--config", str(path), "--set", "prior=0.5,0.6", *args]) == 2
+    assert capsys.readouterr().err == "error: --set: prior sums to 1.1, expected 1\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -752,10 +817,11 @@ SCOPED_VALUES = {
 READ_BY_EVERY_RUN = {"data", "standardize", "hidden", "epochs", "batch", "lr", "seed", "out_dir", "export_embeddings", "timing"}
 
 
-def scope_runs(tag):
-    """(command, base keys) of a run that has `tag`, and of one that has not."""
-    if tag in ("two_moons", "gauss_shift", "idx", "sparse"):
-        return ("train", {"data": tag}), ("train", {"data": "sparse" if tag == "idx" else "idx"})
+def scope_runs(scope):
+    """(command, base keys) of a run that has `scope`'s first tag, and of one that has none of its tags."""
+    tag = scope[0]
+    if tag in ctdr.cli.DATA_MODES:
+        return ("train", {"data": tag}), ("train", {"data": next(m for m in ctdr.cli.DATA_MODES if m not in scope)})
     if tag == "train":
         return ("train", {}), ("ablate", {})
     return ("train", {"combo": tag}), ("train", {"combo": "tu" if tag == "ss" else "ss"})
@@ -770,10 +836,18 @@ def test_every_scoped_key_is_rejected_where_no_run_reads_it_and_accepted_where_o
         sets = [f"{k}={v}" for k, v in {**keys, key: SCOPED_VALUES[key]}.items()]
         ctdr.cli._accept(load_config(argparse.Namespace(config=None, seed=None, set=sets)), command)
 
-    reads, skips = scope_runs(ctdr.cli.SCHEMA[key][2][0])
+    reads, skips = scope_runs(ctdr.cli.SCHEMA[key][2])
     accept(*reads)
     with pytest.raises(ConfigError, match=rf"^--set: {key} = \S+ applies only to "):
         accept(*skips)
+
+
+def test_the_data_mode_table_lists_exactly_the_data_keys():
+    """Each key a DATA_MODES row lists is a SCHEMA key whose scope is data modes, and each such key is listed."""
+    listed = {k.format(split) for _, args in ctdr.cli.DATA_MODES.values() for k in args for split in ctdr.cli._SPLITS}
+    scoped = {k for k, (_, _, scope) in ctdr.cli.SCHEMA.items() if scope is not None and set(scope) <= set(ctdr.cli.DATA_MODES)}
+    assert listed == scoped
+    assert all(ctdr.cli.SCHEMA[k][2] for k in scoped)
 
 
 def readme_key_table():
@@ -1091,9 +1165,9 @@ def test_a_failing_config_reads_each_data_file_once(tmp_path, monkeypatch, capsy
     # the search for the key at fault re-derives the pair from the splits in
     # memory; it reads no file again
     calls = []
-    for name in ("load_idx", "load_sparse"):
-        load = getattr(ctdr.cli, name)
-        monkeypatch.setattr(ctdr.cli, name, lambda *args, load=load, **kw: calls.append(args) or load(*args, **kw))
+    for mode, (build, args) in ctdr.cli.DATA_MODES.items():
+        counted = lambda *a, build=build, **kw: calls.append(kw) or build(*a, **kw)
+        monkeypatch.setitem(ctdr.cli.DATA_MODES, mode, (counted, args))
     path = make(tmp_path)
     assert main(["train", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message.format(path)}\n"
@@ -1119,6 +1193,19 @@ def test_gauss_shift_data_mode(tmp_path):
     assert main(["train", "--config", str(path)]) == 0
     final = json.loads((tmp_path / "out" / "eval.json").read_text())
     assert 0.0 <= final["accuracy"] <= 1.0
+
+
+def test_a_synthetic_key_at_zero_reaches_its_builder_as_zero(tmp_path, capsys):
+    # only skew's empty default stands for the builders' None: rotation = 0 and gauss_mean_shift = 0 are values,
+    # and n = 0 is the builder's own error
+    pair, _ = build_pair(resolve_config({"n": "10", "rotation": "0"}))
+    assert np.array_equal(pair.target_test.features, synth_two_moons(10, 0.0, 0.12).target_test.features)
+    pair, _ = build_pair(resolve_config({"data": "gauss_shift", "n": "10", "gauss_mean_shift": "0"}))
+    assert np.array_equal(pair.target_test.features, synth_gauss_shift(10, mean_shift=0.0).target_test.features)
+    for data, message in (("two_moons", "synth_two_moons: need n >= 2"), ("gauss_shift", "synth_gauss_shift: need n >= num_classes")):
+        assert main(["synth", "--set", f"data={data}", "--set", "n=0", "--set", f"out_dir={tmp_path / 'out'}"]) == 2
+        assert capsys.readouterr().err == f"error: --set: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_skew_applies_to_two_moons(tmp_path):

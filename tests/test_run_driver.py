@@ -6,7 +6,10 @@ each call of `fit`; a second run loop would add a second call.
 
 `build_pair` reads the data files in the one function it calls before
 `_located`, whose search for the key at fault then rebuilds the pair from the
-splits in memory. A load call anywhere else could run once per given key.
+splits in memory. A load call anywhere else could run once per given key: the
+loaders are the builders of the file rows of `DATA_MODES`, and no function
+names one. (test_cli.py's test_a_failing_config_reads_each_data_file_once
+counts the calls the table's builders get.)
 """
 
 import ast
@@ -16,18 +19,27 @@ CLI = Path(__file__).resolve().parents[1] / "src" / "ctdr" / "cli.py"
 LOADERS = {"load_idx", "load_sparse"}
 
 
-def calls(source: str, names) -> list:
-    """(line, top-level definition or `<module>`) of each call of a function in
-    `names`, called as `<name>` or `<x>.<name>`."""
-    found = []
+def found(source: str, matches) -> list:
+    """(line, top-level definition or `<module>`) of each node that `matches`."""
+    hits = []
     for top in ast.parse(source).body:
         name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-        found += [
-            (node.lineno, name)
-            for node in ast.walk(top)
-            if isinstance(node, ast.Call) and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & names
-        ]
-    return found
+        hits += [(node.lineno, name) for node in ast.walk(top) if matches(node)]
+    return hits
+
+
+def named(node, names) -> bool:
+    return bool({getattr(node, "id", None), getattr(node, "attr", None)} & names)
+
+
+def calls(source: str, names) -> list:
+    """found() of each call of a function in `names`, called as `<name>` or `<x>.<name>`."""
+    return found(source, lambda node: isinstance(node, ast.Call) and named(node.func, names))
+
+
+def uses(source: str, names) -> list:
+    """found() of each use of a name in `names`, as `<name>` or `<x>.<name>`, called or not."""
+    return found(source, lambda node: isinstance(node, (ast.Name, ast.Attribute)) and named(node, names))
 
 
 def called_before(source: str, caller: str, callee: str) -> list:
@@ -60,16 +72,18 @@ def test_scan_sees_every_fit_call():
 def test_cli_reads_data_files_only_before_the_search_for_a_faulty_key():
     source = CLI.read_text(encoding="utf-8")
     (reader,) = called_before(source, "build_pair", "_located")
-    assert {name for _, name in calls(source, LOADERS)} == {reader}
     assert [name for _, name in calls(source, {reader})] == ["build_pair"]
+    assert {name for _, name in uses(source, LOADERS)} == {"<module>"}  # DATA_MODES's file rows
 
 
 def test_scan_sees_every_loader_call_and_what_build_pair_calls_first():
     source = (
         "def build_pair(cfg):\n    splits = read(cfg)\n    return _located(lambda c: pair(c, splits), cfg)\n\n"
         "def read(cfg):\n    return [load_idx(cfg), data.load_sparse(cfg), loaded(cfg)]\n\n"
-        "def pair(c, splits):\n    return load_sparse(c) if c else read(c)\n"
+        "def pair(c, splits):\n    return load_sparse(c) if c else read(c)\n\n"
+        "ROWS = {'idx': load_idx, 'sparse': (data.load_sparse, {})}\n"
     )
     assert called_before(source, "build_pair", "_located") == ["read"]
     assert calls(source, LOADERS) == [(6, "read"), (6, "read"), (9, "pair")]
     assert calls(source, {"read"}) == [(2, "build_pair"), (9, "pair")]
+    assert uses(source, LOADERS) == [(6, "read"), (6, "read"), (9, "pair"), (11, "<module>"), (11, "<module>")]

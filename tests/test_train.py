@@ -2,6 +2,7 @@
 learning-rate schedule, and determinism contracts."""
 
 import math
+import re
 import threading
 import time
 import warnings
@@ -98,6 +99,17 @@ def test_train_config_validation():
     cfg = quick_config(epochs=np.int64(2), batch_size=np.int64(4), seed=np.uint64(5), hidden=[np.int64(8)])
     assert (cfg.epochs, cfg.batch_size, cfg.seed, cfg.hidden) == (2, 4, 5, (8,))
     assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed, *cfg.hidden))
+    # every field is checked when the config is built: lr is a real number, prior a class prior (its length is
+    # checked against a pair's classes later, in RunState.build), timing a bool
+    with pytest.raises(ConfigError, match=r"^lr must be a real number, got '0\.1'$"):
+        quick_config(lr="0.1")
+    for prior, message in (((0.5, 0.5, "x"), "prior entries must be numbers: "), ((0.5, 0.6), "prior sums to 1.1, expected 1")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            quick_config(prior=prior)
+    assert quick_config(prior=[np.float64(0.7), 0.3]).prior == (0.7, 0.3)
+    assert quick_config(prior=(0.5, 0.3, 0.2)).prior == (0.5, 0.3, 0.2)
+    with pytest.raises(ConfigError, match=r"^timing must be a bool, got 'no'$"):
+        quick_config(timing="no")
 
 
 def test_learning_rate_schedule_exact():
