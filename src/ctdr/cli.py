@@ -2,8 +2,9 @@
 
 Subcommands: train, eval, ablate, synth. Experiments are described by a flat
 `key = value` config file (`#` starts a comment, lists are comma-separated).
-Unknown keys and non-default keys that no run reads are rejected. Every run prints
-the fully resolved config first; fed back as a config file, it reproduces the run exactly.
+Unknown keys and non-default keys that no run reads are rejected. Every command checks
+its config on the data before it prints or writes anything, then prints the fully
+resolved config first; fed back as a config file, it reproduces the run exactly.
 
 `train` writes metrics.jsonl, model.ctdr and eval.json to out_dir; `ablate` writes
 them to out_dir/<combo>/ for each rung of its loss ladder, and appends the rung's
@@ -311,13 +312,9 @@ def _train_config(cfg: dict, pair: DomainPair | None) -> tuple:
 
 
 def _accept(cfg: dict, command: str) -> None:
-    """Check the training keys, whatever the command, so a printed config is valid
-    input to every command. Reject a given non-default key that no run of `command`
-    reads, naming where it was given, then print the resolved config. A run reads a
-    key whose SCHEMA scope has one of its tags: its data mode, `train` under ctdr
-    train, a term of its combo. eval and synth train no run and check data modes
-    only."""
-    build_train_config(cfg)
+    """Reject a given non-default key that no run of `command` reads, naming where it was given.
+    A run reads a key whose SCHEMA scope has one of its tags: its data mode, `train` under ctdr
+    train, a term of its combo. eval and synth train no run and check data modes only."""
     combos = {"train": (cfg["combo"],), "ablate": ABLATION_LADDER}.get(command, ())
     tags = {cfg["data"], command, *(term for combo in combos for term in _combo_run(combo)[0].names)}
     for key, at in cfg.where.items():
@@ -328,35 +325,40 @@ def _accept(cfg: dict, command: str) -> None:
             only = (f"data = {' or '.join(scope)}, not data = {cfg['data']}" if scope[0] in DATA_MODES
                     else f"{' or '.join(scope)} runs, not this ctdr {command}")
             raise ConfigError(f"{at}: {key} = {_fmt(cfg[key])} applies only to {only}")
-    sys.stdout.write(format_config(cfg))
 
 
-def _save_config(cfg: dict) -> Path:
+def _save_config(cfg: dict, transform: FeatureTransform | None = None) -> Path:
+    """Make out_dir and write resolved_config.txt there, and transform.json when there is a transform."""
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.txt").write_text(format_config(cfg), encoding="utf-8")
+    if transform is not None:
+        transform.save(out_dir / "transform.json")
     return out_dir
 
 
 # --- subcommands -----------------------------------------------------------------
 
 
-def _start(args, ladder=None):
-    """(cfg, pair, out_dir, a (TrainConfig, pair fit trains on) run for cfg or for each combo
-    of `ladder`). Every config error, those that need the data too, exits 2 before any file."""
+def _start(args, command: str) -> tuple:
+    """(cfg, pair, its FeatureTransform or None, a (TrainConfig, pair fit trains on) run for cfg's combo, or under
+    ablate for each ABLATION_LADDER rung). The pair is standardized as cfg says, but raw under synth and eval
+    --transform. Each run is checked on that pair, so every config error, those that need the data too, exits 2
+    before anything is written; the resolved config is printed last."""
     cfg = load_config(args)
-    _accept(cfg, "train" if ladder is None else "ablate")
-    pair, transform = build_pair(cfg, fit_transform=True)
+    synthetic = [mode for mode, (_, keys) in DATA_MODES.items() if not _paths(keys)]
+    if command == "synth" and cfg["data"] not in synthetic:
+        raise ConfigError(f"synth writes synthetic data; set data = {' or '.join(synthetic)}")
+    _accept(cfg, command)
+    pair, transform = build_pair(cfg, fit_transform=command != "synth" and not getattr(args, "transform", None))
     runs = [cfg]
-    if ladder is not None:
-        runs = [_Resolved(cfg, combo=combo) for combo in ladder]
+    if command == "ablate":
+        runs = [_Resolved(cfg, combo=combo) for combo in ABLATION_LADDER]
         for run in runs:  # errors name a rung's combo as `rung <combo>`
             run.where = {**cfg.where, "combo": f"rung {run['combo']}"}
     train_runs = [build_train_config(run, pair) for run in runs]
-    out_dir = _save_config(cfg)
-    if transform is not None:
-        transform.save(out_dir / "transform.json")
-    return cfg, pair, out_dir, train_runs
+    sys.stdout.write(format_config(cfg))
+    return cfg, pair, transform, train_runs
 
 
 def _run(train_run: tuple, pair: DomainPair, run_dir: Path, embeddings: bool, label: str = ""):
@@ -381,25 +383,22 @@ def _run(train_run: tuple, pair: DomainPair, run_dir: Path, embeddings: bool, la
 
 
 def cmd_train(args) -> int:
-    cfg, pair, out_dir, (train_run,) = _start(args)
+    cfg, pair, transform, (train_run,) = _start(args, "train")
+    out_dir = _save_config(cfg, transform)
     _, report = _run(train_run, pair, out_dir, cfg["export_embeddings"])
     print(f"[train] combo={cfg['combo'].replace(',', '+')} target_test_acc={report.accuracy:.4f} -> {out_dir}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args)
-    _accept(cfg, "eval")
+    _, pair, _, _ = _start(args, "eval")
     params = load_checkpoint(args.checkpoint)
-    if getattr(args, "transform", None):
+    if args.transform:
         tr = FeatureTransform.load(args.transform)
-        pair, _ = build_pair(cfg)
         try:
             pair = pair.map_features(tr.apply)
         except ContractViolation as exc:
             raise ConfigError(f"transform {args.transform} on the configured data: {exc}") from exc
-    else:
-        pair, _ = build_pair(cfg, fit_transform=True)
     try:
         report = evaluate(params, pair.target_test)
     except ContractViolation as exc:  # a checkpoint that does not fit the data
@@ -415,7 +414,8 @@ ABLATION_LADDER = ("ss", "ss+tu", "ss+tu+su", "ss+tu+su+ta", "ss+tu+su+sa", "ss+
 
 
 def cmd_ablate(args) -> int:
-    cfg, pair, out_dir, train_runs = _start(args, ABLATION_LADDER)
+    cfg, pair, transform, train_runs = _start(args, "ablate")
+    out_dir = _save_config(cfg, transform)
     # line-buffered, so each row is on disk as its rung finishes
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="", buffering=1) as fh:
         writer = csv.writer(fh)
@@ -429,12 +429,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args)
-    synthetic = [mode for mode, (_, keys) in DATA_MODES.items() if not _paths(keys)]
-    if cfg["data"] not in synthetic:
-        raise ConfigError(f"synth writes synthetic data; set data = {' or '.join(synthetic)}")
-    _accept(cfg, "synth")
-    pair, _ = build_pair(cfg)
+    cfg, pair, _, _ = _start(args, "synth")
     out_dir = _save_config(cfg)
     save_sparse(pair.source, out_dir / "source.txt")
     save_sparse(pair.target_train_labeled(oracle=True), out_dir / "target_train.txt")

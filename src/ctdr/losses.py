@@ -21,11 +21,14 @@ EPS = 1e-12
 
 def make_prior(values, num_classes=None, name="prior") -> np.ndarray:
     """Validate a class prior: 1-D, nonnegative, sums to 1 within 1e-9. Errors
-    call it `name`."""
+    call it `name`. Entries are bools, ints or floats: a string that reads as a number is not one."""
     try:
-        p = np.asarray(values, dtype=np.float64)
+        p = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise ContractViolation(f"{name} entries must be numbers: {exc}") from None
+    if p.dtype.kind not in "biuf":
+        raise ContractViolation(f"{name} entries must be numbers: got {values!r}")
+    p = p.astype(np.float64, copy=False)
     if p.ndim != 1:
         raise ContractViolation(f"{name} must be 1-D, got shape {p.shape}")
     if num_classes is not None and p.size != num_classes:

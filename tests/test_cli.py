@@ -693,29 +693,64 @@ def test_eval_and_synth_reject_a_bad_training_key_before_any_file(tmp_path, caps
     assert not (tmp_path / "out").exists() and not report.exists()
 
 
+def absent_checkpoint(tmp_path, command):
+    """eval's --checkpoint, at a path that does not exist: a config error must come before eval opens it."""
+    return ["--checkpoint", str(tmp_path / "absent.ctdr")] if command == "eval" else []
+
+
 @pytest.mark.parametrize("command", ["train", "ablate", "eval", "synth"])
 def test_every_command_rejects_a_prior_that_does_not_sum_to_1(tmp_path, capsys, command):
     # the training config checks the prior when it is built, so a command that trains nothing rejects it too;
     # eval rejects it before it opens the checkpoint
     path = small_train_cfg(tmp_path)
-    args = ["--checkpoint", str(tmp_path / "absent.ctdr")] if command == "eval" else []
-    assert main([command, "--config", str(path), "--set", "prior=0.5,0.6", *args]) == 2
+    assert main([command, "--config", str(path), "--set", "prior=0.5,0.6", *absent_checkpoint(tmp_path, command)]) == 2
     assert capsys.readouterr().err == "error: --set: prior sums to 1.1, expected 1\n"
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "synth"])
 def test_prior_of_the_wrong_length_creates_no_out_dir(tmp_path, capsys, command):
+    # every command checks the training config on the data, so a config that one rejects, all reject
     path = small_train_cfg(tmp_path, prior="0.5,0.3,0.2")
     line_no = len(path.read_text().splitlines())
-    assert main([command, "--config", str(path)]) == 2
+    assert main([command, "--config", str(path), *absent_checkpoint(tmp_path, command)]) == 2
     assert not (tmp_path / "out").exists()
     assert capsys.readouterr().err == f"error: {path}:{line_no}: prior has 3 entries, expected 2\n"
     # from --set over a good file, the error names --set
     good = small_train_cfg(tmp_path, name="good.txt")
-    assert main([command, "--config", str(good), "--set", "prior=0.5,0.3,0.2"]) == 2
+    assert main([command, "--config", str(good), "--set", "prior=0.5,0.3,0.2", *absent_checkpoint(tmp_path, command)]) == 2
     assert not (tmp_path / "out").exists()
     assert capsys.readouterr().err == "error: --set: prior has 3 entries, expected 2\n"
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "synth"])
+def test_a_hidden_layer_of_width_0_is_exit_2_under_every_command(tmp_path, capsys, command):
+    path = small_train_cfg(tmp_path)
+    assert main([command, "--config", str(path), "--set", "hidden=0", *absent_checkpoint(tmp_path, command)]) == 2
+    assert capsys.readouterr().err == "error: --set: need >= 2 layer widths, each >= 1: got (2, 0, 2), generator ()\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "synth"])
+@pytest.mark.parametrize("bad", ["prior=0.5,0.3,0.2", "hidden=0", "lr=0", "n=1", "gauss_dim=5", "data=imaginary"])
+def test_a_command_that_exits_2_on_its_config_writes_nothing_to_stdout(tmp_path, capsys, command, bad):
+    # the resolved config is printed only once every check, those on the data too, has passed
+    path = small_train_cfg(tmp_path)
+    assert main([command, "--config", str(path), "--set", bad, *absent_checkpoint(tmp_path, command)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "sets", [[], ["prior=0.5,0.5"], ["combo=ss,tu,ta", "fake_mode=generator"], ["prior=0.5,0.3,0.2"], ["hidden=0"], ["hidden=4,0"]],
+    ids=lambda sets: " ".join(sets) or "defaults",
+)
+def test_synth_accepts_exactly_what_train_accepts_and_train_accepts_what_synth_wrote(tmp_path, capsys, sets):
+    path = small_train_cfg(tmp_path)
+    overrides = [arg for item in sets for arg in ("--set", item)]
+    synth = main(["synth", "--config", str(path), *overrides, "--set", f"out_dir={tmp_path / 'synth'}"])
+    assert synth == main(["train", "--config", str(path), *overrides])
+    if synth == 0:
+        assert main(["train", "--config", str(tmp_path / "synth" / "resolved_config.txt")]) == 0
 
 
 def test_nan_label_skew_creates_no_out_dir(tmp_path, capsys):
@@ -789,7 +824,8 @@ def test_a_fault_of_two_keys_names_the_key_that_completes_it(tmp_path, capsys, o
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_eval_and_synth_accept_a_resolved_config(tmp_path, capsys, command):
-    # eval and synth train no run, so the training keys a run read pass through them
+    # eval and synth check a run of the config's combo on the data, as train does, and reject no key
+    # for a scope that only training runs have, so a config that a run printed is valid input to them
     extra = {"combo": "ss,tu,ta"} if command == "train" else {}
     path = small_train_cfg(tmp_path, fake_mode="generator", prior="0.5,0.5", **extra)
     assert main([command, "--config", str(path)]) == 0

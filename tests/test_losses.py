@@ -52,6 +52,21 @@ def test_make_prior_rejects_bad_vectors():
             make_prior(not_1d)
 
 
+@pytest.mark.parametrize("values", [("0.5", "0.5"), ["1"], np.array(["0.25", "0.75"]), (0.5, None, 0.5)])
+def test_make_prior_rejects_entries_that_are_not_bools_ints_or_floats(values):
+    # a string that reads as a number is not one
+    with pytest.raises(ContractViolation, match="^skew entries must be numbers: "):
+        make_prior(values, name="skew")
+
+
+def test_make_prior_takes_bools_ints_and_floats_and_does_not_copy_a_float64_prior():
+    assert make_prior([True, False]).tolist() == [1.0, 0.0]
+    assert make_prior(np.array([0, 1], dtype=np.uint8)).tolist() == [0.0, 1.0]
+    assert make_prior(np.array([0.25, 0.75], dtype=np.float32)).dtype == np.float64
+    prior = np.array([0.25, 0.75])
+    assert make_prior(prior, 2) is prior
+
+
 def test_source_ce_perfect_prediction():
     probs = np.array([[1.0, 0.0], [0.0, 1.0]])
     rep = source_ce(probs, np.array([0, 1]))

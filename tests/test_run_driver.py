@@ -10,6 +10,10 @@ splits in memory. A load call anywhere else could run once per given key: the
 loaders are the builders of the file rows of `DATA_MODES`, and no function
 names one. (test_cli.py's test_a_failing_config_reads_each_data_file_once
 counts the calls the table's builders get.)
+
+Every command starts through `_start`, which loads the config, checks it, builds
+the pair and checks each run on it. A command that called one of those steps
+itself could skip another, and accept a config that `train` rejects.
 """
 
 import ast
@@ -17,6 +21,7 @@ from pathlib import Path
 
 CLI = Path(__file__).resolve().parents[1] / "src" / "ctdr" / "cli.py"
 LOADERS = {"load_idx", "load_sparse"}
+START_STEPS = {"load_config", "_accept", "build_pair", "build_train_config"}
 
 
 def found(source: str, matches) -> list:
@@ -87,3 +92,32 @@ def test_scan_sees_every_loader_call_and_what_build_pair_calls_first():
     assert calls(source, LOADERS) == [(6, "read"), (6, "read"), (9, "pair")]
     assert calls(source, {"read"}) == [(2, "build_pair"), (9, "pair")]
     assert uses(source, LOADERS) == [(6, "read"), (6, "read"), (9, "pair"), (11, "<module>"), (11, "<module>")]
+
+
+def commands(source: str) -> list:
+    """The top-level `cmd_*` functions of `source`, in source order."""
+    return [t.name for t in ast.parse(source).body if isinstance(t, ast.FunctionDef) and t.name.startswith("cmd_")]
+
+
+def start_up_faults(source: str) -> tuple:
+    """(the commands that do not call `_start`, found() of each start-up step a command calls itself)."""
+    cmds = commands(source)
+    starts = {name for _, name in calls(source, {"_start"})}
+    return [c for c in cmds if c not in starts], [hit for hit in calls(source, START_STEPS) if hit[1] in cmds]
+
+
+def test_each_command_reaches_config_and_data_only_through_start():
+    source = CLI.read_text(encoding="utf-8")
+    assert commands(source) == ["cmd_train", "cmd_eval", "cmd_ablate", "cmd_synth"]
+    assert start_up_faults(source) == ([], [])
+
+
+def test_scan_sees_every_command_that_starts_on_its_own():
+    source = (
+        "def cmd_train(args):\n    cfg, pair = _start(args, 'train')\n    return fit(cfg, pair)\n\n"
+        "def cmd_eval(args):\n    cfg = cli.load_config(args)\n    _start(args, 'eval')\n    return build_pair(cfg)\n\n"
+        "def cmd_synth(args):\n    return [_accept(c) for c in build_train_config(args)]\n\n"
+        "def _start(args, command):\n    return load_config(args), build_pair(args)\n"
+    )
+    assert commands(source) == ["cmd_train", "cmd_eval", "cmd_synth"]
+    assert start_up_faults(source) == (["cmd_synth"], [(6, "cmd_eval"), (8, "cmd_eval"), (11, "cmd_synth"), (11, "cmd_synth")])

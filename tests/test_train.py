@@ -103,7 +103,11 @@ def test_train_config_validation():
     # checked against a pair's classes later, in RunState.build), timing a bool
     with pytest.raises(ConfigError, match=r"^lr must be a real number, got '0\.1'$"):
         quick_config(lr="0.1")
-    for prior, message in (((0.5, 0.5, "x"), "prior entries must be numbers: "), ((0.5, 0.6), "prior sums to 1.1, expected 1")):
+    for prior, message in (
+        ((0.5, 0.5, "x"), "prior entries must be numbers: "),
+        (("0.5", "0.5"), "prior entries must be numbers: "),
+        ((0.5, 0.6), "prior sums to 1.1, expected 1"),
+    ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             quick_config(prior=prior)
     assert quick_config(prior=[np.float64(0.7), 0.3]).prior == (0.7, 0.3)
