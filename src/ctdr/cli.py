@@ -3,8 +3,8 @@
 Subcommands: train, eval, ablate, synth. Experiments are described by a flat
 `key = value` config file (`#` starts a comment, lists are comma-separated).
 Unknown keys and non-default keys that no run reads are rejected. Every command checks
-its config on the data before it prints or writes anything, then prints the fully
-resolved config first; fed back as a config file, it reproduces the run exactly.
+its config on the data before it prints or writes anything, and prints the fully resolved
+config when it writes its output; fed back as a config file, it reproduces the run exactly.
 
 `train` writes metrics.jsonl, model.ctdr and eval.json to out_dir; `ablate` writes
 them to out_dir/<combo>/ for each rung of its loss ladder, and appends the rung's
@@ -290,13 +290,13 @@ def _idx_step(cfg: dict, splits: tuple) -> list:
     return [subsample(ds, n, cfg["seed"], variant=i) if n else ds for i, (n, ds) in enumerate(zip(sizes, splits))]
 
 
-def build_train_config(cfg: dict, pair: DomainPair | None = None) -> tuple:
-    """(the TrainConfig of resolve_config's values, the pair fit trains on, as _combo_run gives it);
-    with `pair`, RunState.build checks the run on that pair too. Errors as in _located."""
+def build_train_config(cfg: dict, pair: DomainPair) -> tuple:
+    """(the TrainConfig of resolve_config's values, the pair fit trains on, as _combo_run gives it),
+    checked by RunState.build on that pair. Errors as in _located."""
     return _located(lambda c: _train_config(c, pair), cfg)
 
 
-def _train_config(cfg: dict, pair: DomainPair | None) -> tuple:
+def _train_config(cfg: dict, pair: DomainPair) -> tuple:
     combo, fit_pair = _combo_run(cfg["combo"], pair)
     prior = None
     if cfg["prior"] != "assume_source":
@@ -306,8 +306,7 @@ def _train_config(cfg: dict, pair: DomainPair | None) -> tuple:
             raise ConfigError(f"prior must be `assume_source` or comma-separated floats: {exc}") from exc
     fields = {name: cfg[key] for key, name in _TRAIN_FIELDS.items()}
     train_cfg = TrainConfig(combo=combo, prior=prior, fake=FakeSourceConfig(cfg["fake_mode"]), **fields)
-    if fit_pair is not None:
-        RunState.build(train_cfg, fit_pair)
+    RunState.build(train_cfg, fit_pair)
     return train_cfg, fit_pair
 
 
@@ -328,12 +327,14 @@ def _accept(cfg: dict, command: str) -> None:
 
 
 def _save_config(cfg: dict, transform: FeatureTransform | None = None) -> Path:
-    """Make out_dir and write resolved_config.txt there, and transform.json when there is a transform."""
-    out_dir = Path(cfg["out_dir"])
+    """Make out_dir and write resolved_config.txt there, and transform.json when there is a transform;
+    then print the resolved config."""
+    out_dir, text = Path(cfg["out_dir"]), format_config(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.txt").write_text(format_config(cfg), encoding="utf-8")
+    (out_dir / "resolved_config.txt").write_text(text, encoding="utf-8")
     if transform is not None:
         transform.save(out_dir / "transform.json")
+    sys.stdout.write(text)
     return out_dir
 
 
@@ -344,7 +345,7 @@ def _start(args, command: str) -> tuple:
     """(cfg, pair, its FeatureTransform or None, a (TrainConfig, pair fit trains on) run for cfg's combo, or under
     ablate for each ABLATION_LADDER rung). The pair is standardized as cfg says, but raw under synth and eval
     --transform. Each run is checked on that pair, so every config error, those that need the data too, exits 2
-    before anything is written; the resolved config is printed last."""
+    before anything is written. It prints nothing: the step that writes a command's output prints the config."""
     cfg = load_config(args)
     synthetic = [mode for mode, (_, keys) in DATA_MODES.items() if not _paths(keys)]
     if command == "synth" and cfg["data"] not in synthetic:
@@ -356,9 +357,7 @@ def _start(args, command: str) -> tuple:
         runs = [_Resolved(cfg, combo=combo) for combo in ABLATION_LADDER]
         for run in runs:  # errors name a rung's combo as `rung <combo>`
             run.where = {**cfg.where, "combo": f"rung {run['combo']}"}
-    train_runs = [build_train_config(run, pair) for run in runs]
-    sys.stdout.write(format_config(cfg))
-    return cfg, pair, transform, train_runs
+    return cfg, pair, transform, [build_train_config(run, pair) for run in runs]
 
 
 def _run(train_run: tuple, pair: DomainPair, run_dir: Path, embeddings: bool, label: str = ""):
@@ -391,7 +390,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _, pair, _, _ = _start(args, "eval")
+    cfg, pair, _, _ = _start(args, "eval")
     params = load_checkpoint(args.checkpoint)
     if args.transform:
         tr = FeatureTransform.load(args.transform)
@@ -404,9 +403,9 @@ def cmd_eval(args) -> int:
     except ContractViolation as exc:  # a checkpoint that does not fit the data
         raise ConfigError(f"checkpoint {args.checkpoint} on the target test set: {exc}") from exc
     blob = json.dumps(report.to_json(), indent=2) + "\n"
-    sys.stdout.write(blob)
     if getattr(args, "out", None):
         Path(args.out).write_text(blob, encoding="utf-8")
+    sys.stdout.write(format_config(cfg) + blob)
     return 0
 
 

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import errno
 import fnmatch
 import hashlib
 import json
+import os
 import re
 import warnings
 from dataclasses import fields, replace
@@ -97,7 +99,9 @@ def test_resolve_config_rejects_unknown_keys():
 
 
 def test_config_defaults_are_the_dataclass_defaults():
-    assert build_train_config(resolve_config({})) == (TrainConfig(), None)
+    cfg = resolve_config({})
+    pair = build_pair(cfg)[0]
+    assert build_train_config(cfg, pair) == (TrainConfig(), pair)
 
 
 def test_resolve_config_rejects_bad_values():
@@ -177,7 +181,8 @@ def test_every_config_field_is_reachable_from_a_key():
         "fake_mode": "generator",
         "timing": "false",
     }
-    config, _ = build_train_config(resolve_config(raw))
+    cfg = resolve_config(raw)
+    config, _ = build_train_config(cfg, build_pair(cfg)[0])
 
     def at_default(obj, default):
         return [f.name for f in fields(obj) if getattr(obj, f.name) == getattr(default, f.name)]
@@ -380,20 +385,53 @@ def test_cmd_eval_matches_training_accuracy(tmp_path, capsys):
     assert blob["accuracy"] == final["accuracy"]
 
 
-def test_cmd_eval_feature_width_mismatch_is_exit_2(tmp_path):
+def test_cmd_eval_feature_width_mismatch_is_exit_2(tmp_path, capsys):
     path = small_train_cfg(tmp_path)
     assert main(["train", "--config", str(path)]) == 0
-    gauss = small_train_cfg(tmp_path, name="g.txt", data="gauss_shift")
-    code = main(
-        [
-            "eval",
-            "--config",
-            str(gauss),
-            "--checkpoint",
-            str(tmp_path / "out" / "model.ctdr"),
-        ]
-    )
+    checkpoint, report = tmp_path / "out" / "model.ctdr", tmp_path / "report.json"
+    gauss = small_train_cfg(tmp_path, name="g.txt", data="gauss_shift", gauss_classes=2)
+    capsys.readouterr()
+    code = main(["eval", "--config", str(gauss), "--checkpoint", str(checkpoint), "--out", str(report)])
     assert code == 2
+    message = f"checkpoint {checkpoint} on the target test set: forward: input width 8, model expects 2"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not report.exists()
+
+
+def os_error(code, path) -> str:
+    """main's stderr line for an OSError of errno `code` on `path`."""
+    return f"error: {OSError(code, os.strerror(code), str(path))}\n"
+
+
+@pytest.mark.parametrize(
+    "checkpoint, out, code, message",
+    [
+        ("absent.ctdr", "report.json", 4, lambda ckpt, out: os_error(errno.ENOENT, ckpt)),
+        ("cut.ctdr", "report.json", 2, lambda ckpt, out: f"error: {ckpt}: checkpoint truncated at byte 49 (wanted 128 more)\n"),
+        ("out/model.ctdr", "absent/report.json", 4, lambda ckpt, out: os_error(errno.ENOENT, out)),
+    ],
+    ids=["missing_checkpoint", "truncated_checkpoint", "out_in_a_missing_directory"],
+)
+def test_cmd_eval_that_fails_on_its_checkpoint_or_out_prints_nothing(tmp_path, capsys, checkpoint, out, code, message):
+    # eval prints the resolved config with its report, once --out is written
+    path = small_train_cfg(tmp_path)
+    assert main(["train", "--config", str(path)]) == 0
+    (tmp_path / "cut.ctdr").write_bytes((tmp_path / "out" / "model.ctdr").read_bytes()[:100])
+    checkpoint, out = tmp_path / checkpoint, tmp_path / out
+    capsys.readouterr()
+    assert main(["eval", "--config", str(path), "--checkpoint", str(checkpoint), "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", message(checkpoint, out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "synth"])
+def test_an_out_dir_that_is_a_file_is_exit_4_with_nothing_on_stdout(tmp_path, capsys, command):
+    # the resolved config is printed once out_dir and resolved_config.txt are written
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = small_train_cfg(tmp_path, out_dir=str(taken))
+    assert main([command, "--config", str(path)]) == 4
+    assert capsys.readouterr() == ("", os_error(errno.EEXIST, taken))
 
 
 @pytest.mark.parametrize(
@@ -414,7 +452,8 @@ def test_cmd_eval_class_count_mismatch_is_exit_2_naming_the_checkpoint(
     capsys.readouterr()
     code = main(["eval", "--config", str(data_cfg), "--checkpoint", str(checkpoint), "--out", str(report)])
     assert code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert str(checkpoint) in err
     assert f"the model has {k_model} classes, the dataset {k_data}" in err
     assert not report.exists() and not (tmp_path / "eval_out").exists()
@@ -425,11 +464,13 @@ def test_cmd_eval_transform_width_mismatch_names_the_transform_and_both_widths(t
     assert main(["train", "--config", str(path)]) == 0
     transform = tmp_path / "out" / "transform.json"
     gauss = small_train_cfg(tmp_path, name="g.txt", data="gauss_shift", gauss_dim=4)
+    report = tmp_path / "report.json"
     capsys.readouterr()
     code = main(["eval", "--config", str(gauss), "--checkpoint", str(tmp_path / "out" / "model.ctdr"),
-                 "--transform", str(transform)])
+                 "--transform", str(transform), "--out", str(report)])
     assert code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and not report.exists()
     assert err.startswith(f"error: transform {transform} ") and "the transform has width 2, the data 4" in err
 
 
@@ -612,11 +653,13 @@ def test_eval_of_a_checkpoint_whose_logits_overflow_is_exit_3_with_no_numpy_warn
     for tensor in params.tensors.values():
         tensor[...] = 1e300
     save_checkpoint(params, tmp_path / "big.ctdr")
+    report = tmp_path / "report.json"
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["eval", "--config", str(path), "--checkpoint", str(tmp_path / "big.ctdr")]) == 3
-    assert capsys.readouterr().err == "error: non-finite logits in term 'forward': inf\n"
+        assert main(["eval", "--config", str(path), "--checkpoint", str(tmp_path / "big.ctdr"), "--out", str(report)]) == 3
+    assert capsys.readouterr() == ("", "error: non-finite logits in term 'forward': inf\n")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -734,7 +777,7 @@ def test_a_hidden_layer_of_width_0_is_exit_2_under_every_command(tmp_path, capsy
 @pytest.mark.parametrize("command", ["train", "ablate", "eval", "synth"])
 @pytest.mark.parametrize("bad", ["prior=0.5,0.3,0.2", "hidden=0", "lr=0", "n=1", "gauss_dim=5", "data=imaginary"])
 def test_a_command_that_exits_2_on_its_config_writes_nothing_to_stdout(tmp_path, capsys, command, bad):
-    # the resolved config is printed only once every check, those on the data too, has passed
+    # _start prints nothing; the step that writes a command's output prints the resolved config
     path = small_train_cfg(tmp_path)
     assert main([command, "--config", str(path), "--set", bad, *absent_checkpoint(tmp_path, command)]) == 2
     assert capsys.readouterr().out == ""
@@ -1113,10 +1156,12 @@ def test_cmd_eval_transform_whose_map_overflows_is_exit_2_with_no_numpy_warning(
     transform = tmp_path / "t.json"
     transform.write_text(json.dumps({"mean": ["-1.7e308", "0.0"], "std": ["1e-300", "1.0"]}))
     capsys.readouterr()
-    checkpoint = tmp_path / "out" / "model.ctdr"
-    assert main(["eval", "--config", str(path), "--checkpoint", str(checkpoint), "--transform", str(transform)]) == 2
+    checkpoint, report = tmp_path / "out" / "model.ctdr", tmp_path / "report.json"
+    args = ["--checkpoint", str(checkpoint), "--transform", str(transform), "--out", str(report)]
+    assert main(["eval", "--config", str(path), *args]) == 2
     message = "features row 0 column 0 is not finite (inf)"
-    assert capsys.readouterr().err == f"error: transform {transform} on the configured data: {message}\n"
+    assert capsys.readouterr() == ("", f"error: transform {transform} on the configured data: {message}\n")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(
@@ -1162,7 +1207,8 @@ def test_config_error_names_the_first_given_key_at_fault(tmp_path):
     # is parsed, and fails, first
     path = small_train_cfg(tmp_path, lr="0")
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:\d+: lr must be finite"):
-        build_train_config(load_config(argparse.Namespace(config=str(path), seed=3, set=["prior=abc"])))
+        cfg = load_config(argparse.Namespace(config=str(path), seed=3, set=["prior=abc"]))
+        build_train_config(cfg, build_pair(cfg)[0])
 
 
 def test_a_fault_of_the_data_files_names_no_config_key(tmp_path, capsys):
@@ -1215,7 +1261,8 @@ def test_resolve_config_without_origins_names_none():
     with pytest.raises(ConfigError, match="^bad value for 'epochs'"):
         resolve_config({"epochs": "five"})
     with pytest.raises(ConfigError, match="^lr must be finite"):
-        build_train_config(resolve_config({"lr": "0"}))
+        cfg = resolve_config({"lr": "0"})
+        build_train_config(cfg, build_pair(cfg)[0])
 
 
 def test_set_override_rejects_unknown_key(tmp_path, capsys):

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 import pytest
 
-from ctdr.cli import build_train_config, load_config
+from ctdr.cli import _start
 from ctdr.data import FeatureTransform, load_idx, load_sparse, save_sparse, synth_two_moons
 from ctdr.errors import CtdrError
 from ctdr.model import Architecture, init_params, load_checkpoint, save_checkpoint
@@ -98,7 +98,8 @@ def config_case(tmp_path):
         "fake_mode = generator\n",
         encoding="utf-8",
     )
-    return [path], lambda: build_train_config(load_config(argparse.Namespace(config=str(path))))
+    # the whole checked path of `ctdr train`: scopes, the pair, and the run built on it
+    return [path], lambda: _start(argparse.Namespace(config=str(path), seed=None, set=None), "train")
 
 
 CASES = {

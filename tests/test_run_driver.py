@@ -13,7 +13,9 @@ counts the calls the table's builders get.)
 
 Every command starts through `_start`, which loads the config, checks it, builds
 the pair and checks each run on it. A command that called one of those steps
-itself could skip another, and accept a config that `train` rejects.
+itself could skip another, and accept a config that `train` rejects. `_start`
+writes nothing: the step that writes a command's output prints the resolved
+config, so a command that fails after its checks leaves stdout empty.
 """
 
 import ast
@@ -22,6 +24,8 @@ from pathlib import Path
 CLI = Path(__file__).resolve().parents[1] / "src" / "ctdr" / "cli.py"
 LOADERS = {"load_idx", "load_sparse"}
 START_STEPS = {"load_config", "_accept", "build_pair", "build_train_config"}
+RUN_BUILDS = {"build_pair", "build_train_config"}
+WRITES = {"print", "write", "write_text", "format_config"}
 
 
 def found(source: str, matches) -> list:
@@ -121,3 +125,27 @@ def test_scan_sees_every_command_that_starts_on_its_own():
     )
     assert commands(source) == ["cmd_train", "cmd_eval", "cmd_synth"]
     assert start_up_faults(source) == (["cmd_synth"], [(6, "cmd_eval"), (8, "cmd_eval"), (11, "cmd_synth"), (11, "cmd_synth")])
+
+
+def start_faults(source: str) -> tuple:
+    """(found() of each print, `.write(`, `.write_text(` or format_config call in `_start`,
+    found() of each build_pair or build_train_config call outside `_start`)."""
+    writes = [hit for hit in calls(source, WRITES) if hit[1] == "_start"]
+    builds = [hit for hit in calls(source, RUN_BUILDS) if hit[1] != "_start"]
+    return writes, builds
+
+
+def test_start_writes_nothing_and_alone_builds_the_pair_and_runs():
+    source = CLI.read_text(encoding="utf-8")
+    assert start_faults(source) == ([], [])
+    assert {name for _, name in calls(source, RUN_BUILDS)} == {"_start"}
+
+
+def test_scan_sees_every_write_in_start_and_every_run_built_outside_it():
+    source = (
+        "def _start(args, command):\n    cfg = load_config(args)\n    print(format_config(cfg))\n"
+        "    sys.stdout.write(cfg)\n    return cfg, build_pair(cfg)\n\n"
+        "def cmd_eval(args):\n    cfg, pair = _start(args, 'eval')\n    return cli.build_train_config(cfg, pair)\n\n"
+        "def _save_config(cfg):\n    Path(cfg).write_text(format_config(cfg))\n    print(cfg)\n"
+    )
+    assert start_faults(source) == ([(3, "_start"), (4, "_start"), (3, "_start")], [(9, "cmd_eval")])
