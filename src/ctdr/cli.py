@@ -11,7 +11,7 @@ them to out_dir/<combo>/ for each rung of its loss ladder, and appends the rung'
 summary.csv row as it finishes. A run that exits 3 ends its metrics.jsonl with
 an abort record.
 
-Exit codes: 0 ok, 2 config/parse error, 3 non-finite loss, logits or Adam state, 4 I/O error.
+Exit codes: 0 ok, 2 config/parse error, 3 non-finite loss, logits or Adam state, 4 I/O error or out of memory.
 """
 
 from __future__ import annotations
@@ -51,6 +51,12 @@ def _parse_bool(s):
     raise ValueError(f"expected true/false, got {s!r}")
 
 
+def _parse_path(s):
+    if "\0" in s:
+        raise ValueError("a path cannot hold a NUL byte")
+    return s
+
+
 def _parse_list(cast):
     return lambda s: tuple(cast(tok) for tok in s.split(",") if tok.strip())
 
@@ -78,7 +84,7 @@ def _choice(*options):
 _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_list(int)}
 
 _TRAIN = TrainConfig()
-_SPLITS = ("source", "target", "target_test")
+_SPLITS = ("source", "target", "target_test")  # data.SPLITS as the data keys spell them: target_images, n_target
 
 # data mode -> (builder, {config key: builder argument}), in the order `data`'s errors list them. A synthetic mode's
 # builder returns the DomainPair of its arguments and `seed`; a file mode's reads one split. A key with `{}` is one per
@@ -143,7 +149,7 @@ SCHEMA: dict = {
     **_data_keys({
         "n": (int, 500), "rotation": (float, 35.0), "noise": (float, 0.12), "skew": (_parse_list(float), ()),
         "gauss_classes": (int, 3), "gauss_dim": (int, 8), "gauss_mean_shift": (float, 1.0), "gauss_cov_scale": (float, 1.5),
-        "classes": (int, 10), **{path: (str, "") for _, args in DATA_MODES.values() for path in _paths(args)},
+        "classes": (int, 10), **{path: (_parse_path, "") for _, args in DATA_MODES.values() for path in _paths(args)},
         "resize": (str, ""), **{f"n_{split}": (int, 0) for split in _SPLITS},
     }),
     "standardize": (_parse_bool, True, None),
@@ -158,7 +164,7 @@ SCHEMA: dict = {
     # fake samples
     "fake_mode": (_choice(*FAKE_MODES), _TRAIN.fake.mode, ("ta", "sa")),
     # output
-    "out_dir": (str, "ctdr_out", None),
+    "out_dir": (_parse_path, "ctdr_out", None),
     "export_embeddings": (_parse_bool, False, None),
     "timing": _field("timing"),
 }
@@ -259,14 +265,13 @@ def build_pair(cfg: dict, fit_transform: bool = False) -> tuple:
 
 
 def _read_splits(cfg: dict) -> tuple | None:
-    """The (source, target_train, target_test) datasets in the files of a file-backed
+    """The datasets of a pair's splits, each named by its file, in the files of a file-backed
     data mode, whose paths must be set; None for a synthetic mode."""
     read, args = DATA_MODES[cfg["data"]]
     paths = _paths(args)
     if missing := [k for k in paths if not cfg[k]]:
         raise ConfigError(f"data={cfg['data']} needs paths for {', '.join(missing)}")
-    names = zip(_SPLITS, ("source", "target_train", "target_test"))
-    return tuple(read(**{a: cfg[k.format(s)] for k, a in args.items() if a}, name=n) for s, n in names) if paths else None
+    return tuple(read(**{a: cfg[k.format(s)] for k, a in args.items() if a}) for s in _SPLITS) if paths else None
 
 
 def _pair(cfg: dict, splits: tuple | None, fit_transform: bool) -> tuple:
@@ -372,8 +377,7 @@ def _run(train_run: tuple, pair: DomainPair, run_dir: Path, embeddings: bool, la
                 report = evaluate(params, pair.target_test)
                 (run_dir / "eval.json").write_text(json.dumps(report.to_json()) + "\n", encoding="utf-8")
                 if embeddings:
-                    named = [(split, getattr(pair, split)) for split in ("source", "target_train", "target_test")]
-                    export_embeddings(params, named, run_dir / "embeddings.csv")
+                    export_embeddings(params, pair, run_dir / "embeddings.csv")
         except NonFiniteLossError as exc:
             fh.write(json.dumps({"abort": {"term": exc.term, "epoch": exc.epoch, "step": exc.step}}) + "\n")
             exc.args = (f"{label}{exc}",)
@@ -430,10 +434,9 @@ def cmd_ablate(args) -> int:
 def cmd_synth(args) -> int:
     cfg, pair, _, _ = _start(args, "synth")
     out_dir = _save_config(cfg)
-    save_sparse(pair.source, out_dir / "source.txt")
-    save_sparse(pair.target_train_labeled(oracle=True), out_dir / "target_train.txt")
-    save_sparse(pair.target_test, out_dir / "target_test.txt")
-    print(f"[synth] wrote source.txt target_train.txt target_test.txt -> {out_dir}")
+    for split, ds in pair.splits():  # the oracle's labels go into the target-train file
+        save_sparse(pair.target_train_labeled(oracle=True) if ds is pair.target_train else ds, out_dir / f"{split}.txt")
+    print(f"[synth] wrote {' '.join(f'{split}.txt' for split, _ in pair.splits())} -> {out_dir}")
     return 0
 
 
@@ -443,30 +446,21 @@ def cmd_synth(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ctdr", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, func, help_text in (
+        ("train", cmd_train, "train a model and write metrics/checkpoint"),
+        ("eval", cmd_eval, "evaluate a checkpoint on the configured target test set"),
+        ("ablate", cmd_ablate, "run the loss-combo ladder and write summary.csv"),
+        ("synth", cmd_synth, "write the configured synthetic domain pair as sparse text files"),
+    ):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a `key = value` config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config key (repeatable)")
-
-    p_train = sub.add_parser("train", help="train a model and write metrics/checkpoint")
-    common(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the configured target test set")
-    common(p_eval)
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--transform", help="apply a saved feature transform instead of refitting")
-    p_eval.add_argument("--out", help="also write the report JSON here")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_ablate = sub.add_parser("ablate", help="run the loss-combo ladder and write summary.csv")
-    common(p_ablate)
-    p_ablate.set_defaults(func=cmd_ablate)
-
-    p_synth = sub.add_parser("synth", help="write the configured synthetic domain pair as sparse text files")
-    common(p_synth)
-    p_synth.set_defaults(func=cmd_synth)
+        if func is cmd_eval:
+            p.add_argument("--checkpoint", required=True)
+            p.add_argument("--transform", help="apply a saved feature transform instead of refitting")
+            p.add_argument("--out", help="also write the report JSON here")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -481,8 +475,8 @@ def main(argv=None) -> int:
     except CtdrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
 
 

@@ -25,6 +25,7 @@ from .numerics import STREAM_DATA, Rng, as_labels, as_matrix, column_stats, subs
 
 IDX_MAGIC_IMAGES = 2051
 IDX_MAGIC_LABELS = 2049
+SPLITS = ("source", "target_train", "target_test")  # a DomainPair's splits, in order
 
 
 @dataclass
@@ -62,23 +63,23 @@ class Dataset:
 
 
 class DomainPair:
-    """source (labeled), target_train (unlabeled), target_test (labeled).
-
-    If target-train labels are known, leave them on the target_train
-    dataset; they are moved aside, reachable only through
-    target_train_labeled(oracle=True).
+    """The SPLITS: source (labeled), target_train (unlabeled), target_test (labeled), each checked against the
+    source. An error names the split and, when it has one, its dataset's name: a loaded file's path. Known
+    target-train labels are moved aside, reachable only through target_train_labeled(oracle=True).
     """
 
     def __init__(self, source: Dataset, target_train: Dataset, target_test: Dataset):
-        for split, ds in (("source", source), ("target_train", target_train), ("target_test", target_test)):
+        def at(split, ds):
+            return f"the {split} split ({ds.name})" if ds.name else f"the {split} split"
+
+        for split, ds in zip(SPLITS, (source, target_train, target_test)):
             if ds.n == 0:
-                raise ContractViolation(f"the {split} split has no rows")
-        if not (source.dim == target_train.dim == target_test.dim):
-            raise ContractViolation("domain feature widths differ")
-        if not (source.num_classes == target_train.num_classes == target_test.num_classes):
-            raise ContractViolation("domain class counts differ")
-        if source.labels is None or target_test.labels is None:
-            raise ContractViolation("source and target_test must be labeled")
+                raise ContractViolation(f"{at(split, ds)} has no rows")
+            if (ds.dim, ds.num_classes) != (source.dim, source.num_classes):
+                raise ContractViolation(f"{at(split, ds)} is {ds.dim} wide with {ds.num_classes} classes, "
+                                        f"{at('source', source)} {source.dim} wide with {source.num_classes}")
+            if ds.labels is None and split != "target_train":
+                raise ContractViolation(f"{at(split, ds)} has no labels")
         self._target_train_labels = target_train.labels
         if target_train.labels is not None:
             target_train = replace(target_train, labels=None)
@@ -102,13 +103,15 @@ class DomainPair:
             raise ContractViolation("target-train labels are not available for this pair")
         return replace(self.target_train, labels=self._target_train_labels)
 
+    def splits(self) -> list:
+        """(name, Dataset) of each split, in SPLITS order; target_train without its labels."""
+        return [(split, getattr(self, split)) for split in SPLITS]
+
     def map_features(self, fn) -> "DomainPair":
         """New pair with fn applied to every feature matrix; labels untouched."""
-        return DomainPair(
-            replace(self.source, features=fn(self.source.features)),
-            replace(self.target_train, features=fn(self.target_train.features), labels=self._target_train_labels),
-            replace(self.target_test, features=fn(self.target_test.features)),
-        )
+        mapped = DomainPair(*(replace(ds, features=fn(ds.features)) for _, ds in self.splits()))
+        mapped._target_train_labels = self._target_train_labels
+        return mapped
 
 
 class Batcher:
@@ -185,7 +188,7 @@ def _read_idx(path, magic: int, n_dims: int, what: str, body: str):
 
 
 def load_idx(images_path, labels_path, num_classes: int = 10, name: str = "") -> Dataset:
-    """Read a big-endian IDX image/label file pair (gzip transparently).
+    """Read a big-endian IDX image/label file pair (gzip transparently), named `name` or else the images file.
 
     Pixel bytes are scaled to [0, 1]; rows are flattened images.
     """
@@ -197,11 +200,11 @@ def load_idx(images_path, labels_path, num_classes: int = 10, name: str = "") ->
         raise ParseError(labels_path, 0, f"label {labels.max()} out of range [0, {num_classes})")
     if label_count != count:
         raise ParseError(labels_path, 0, f"{label_count} labels for {count} images")
-    return Dataset(images, labels, num_classes, name=name, image_hw=(rows, cols))
+    return Dataset(images, labels, num_classes, name=name or str(images_path), image_hw=(rows, cols))
 
 
 def load_sparse(path, name: str = "") -> Dataset:
-    """Read the sparse text format.
+    """Read the sparse text format into a Dataset named `name`, or else the file.
 
     Header line: `width=<d> classes=<k>`. Data lines: `<label> idx:val ...`
     with 0-based indices; label -1 marks an unlabeled row (all-or-nothing:
@@ -216,9 +219,8 @@ def load_sparse(path, name: str = "") -> Dataset:
         if not line:
             continue
         if width is None:
-            parts = line.split()
             kv = {}
-            for part in parts:
+            for part in line.split():
                 if "=" not in part:
                     raise ParseError(path, line_no, f"bad header token {part!r}")
                 k, v = part.split("=", 1)
@@ -268,11 +270,9 @@ def load_sparse(path, name: str = "") -> Dataset:
     features = np.zeros((len(labels), width))
     features[np.asarray(rows), np.asarray(cols)] = np.asarray(vals)
     arr = np.asarray(labels)
-    if (arr == -1).all():
-        return Dataset(features, None, num_classes, name=name)
-    if (arr == -1).any():
+    if (arr == -1).any() and not (arr == -1).all():
         raise ParseError(path, 0, "mix of labeled and unlabeled rows (-1) is not allowed")
-    return Dataset(features, arr, num_classes, name=name)
+    return Dataset(features, None if (arr == -1).all() else arr, num_classes, name=name or str(path))
 
 
 def save_sparse(dataset: Dataset, path) -> None:
@@ -297,15 +297,15 @@ def _synth_pair(kind: str, num_classes: int, n: int, label_skew, seed: int, feat
     """
     balanced = np.full(num_classes, 1.0 / num_classes)
     skew = balanced if label_skew is None else make_prior(label_skew, num_classes, "label_skew")
-    splits = {}
-    for i, (split, prior) in enumerate((("source", balanced), ("target_train", skew), ("target_test", skew))):
+    splits = []
+    for i, (split, prior) in enumerate(zip(SPLITS, (balanced, skew, skew))):
         raw = prior * n  # largest remainder: the n - sum(floor) largest fractional parts take one more row each
         counts = np.floor(raw).astype(np.int64)
         counts[np.argsort(-(raw - counts), kind="stable")[: n - int(counts.sum())]] += 1
         labels = np.repeat(np.arange(num_classes), counts)
         rows = features(labels, split, Rng(seed, substream(STREAM_DATA, i)))
-        splits[split] = Dataset(rows, labels, num_classes, name=f"{kind}_{split}")
-    return DomainPair(**splits)
+        splits.append(Dataset(rows, labels, num_classes, name=f"{kind}_{split}"))
+    return DomainPair(*splits)
 
 
 def _moon_points(labels: np.ndarray, noise_std: float, rng: Rng) -> np.ndarray:
@@ -414,7 +414,10 @@ class FeatureTransform:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 blob = json.load(fh)
-            mean, std = (np.array([float(v) for v in blob[key]]) for key in ("mean", "std"))
+            values = [blob[key] for key in ("mean", "std")]
+            if not all(isinstance(v, list) for v in values) or any(isinstance(x, bool) for v in values for x in v):
+                raise TypeError("not a list, or a boolean entry")
+            mean, std = (np.array([float(x) for x in v]) for v in values)
         except json.JSONDecodeError as exc:
             raise ParseError(path, exc.lineno, f"bad JSON: {exc.msg}") from exc
         except (KeyError, TypeError, ValueError) as exc:  # ValueError covers non-UTF-8 bytes

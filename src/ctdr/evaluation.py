@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .errors import ConfigError, ContractViolation
+from .data import Dataset, DomainPair
+from .errors import ContractViolation
 from .model import ParamSet, forward, forward_logits
 from .numerics import softmax_rows
 
@@ -48,17 +48,14 @@ def evaluate(params: ParamSet, dataset: Dataset) -> EvalReport:
     return EvalReport(accuracy, per_class, confusion, dataset.n)
 
 
-def export_embeddings(params: ParamSet, named_datasets, path) -> None:
-    """CSV of embeddings and logits for (name, Dataset) pairs.
+def export_embeddings(params: ParamSet, pair: DomainPair, path) -> None:
+    """CSV of embeddings and logits of the pair's splits, in SPLITS order.
 
-    Columns: domain, row, label (-1 when unknown), e0..e{D-1}, l0..l{K-1}.
+    Columns: domain (the split), row, label (-1 when unknown), e0..e{D-1}, l0..l{K-1}.
     Deterministic byte-for-byte: floats are written with repr. Every forward
     runs before the file is opened, so overflowing logits leave no file.
     """
-    named_datasets = list(named_datasets)
-    if not named_datasets:
-        raise ConfigError("export_embeddings: no datasets given")
-    forwarded = [(name, ds, forward(params, ds.features)) for name, ds in named_datasets]
+    forwarded = [(name, ds, forward(params, ds.features)) for name, ds in pair.splits()]
     d = params.arch.embedding_dim
     k = params.arch.num_classes
     header = ["domain", "row", "label"] + [f"e{i}" for i in range(d)] + [f"l{i}" for i in range(k)]
@@ -67,6 +64,5 @@ def export_embeddings(params: ParamSet, named_datasets, path) -> None:
         writer.writerow(header)
         for name, ds, cache in forwarded:
             labels = ds.labels.tolist() if ds.labels is not None else [-1] * ds.n
-            rows = zip(labels, cache.embeddings.tolist(), cache.logits.tolist())
-            for i, (label, emb, logits) in enumerate(rows):
-                writer.writerow([name, i, label, *map(repr, emb), *map(repr, logits)])
+            rows = enumerate(zip(labels, cache.embeddings.tolist(), cache.logits.tolist()))
+            writer.writerows([name, i, label, *map(repr, emb), *map(repr, logits)] for i, (label, emb, logits) in rows)

@@ -40,6 +40,8 @@ class Architecture:
             object.__setattr__(self, key, tuple(map(operator.index, getattr(self, key))))
         if len(self.widths) < 2 or min((*self.widths, *self.generator)) < 1:
             raise ContractViolation(f"need >= 2 layer widths, each >= 1: got {self.widths}, generator {self.generator}")
+        if max((*self.widths, *self.generator)) >= 2**32:  # checkpoints store layer widths as u32
+            raise ContractViolation(f"layer widths must be < 2^32: got {self.widths}, generator {self.generator}")
 
     @property
     def feature_dim(self) -> int:

@@ -703,7 +703,8 @@ def test_a_fake_row_spread_that_overflows_is_exit_2_naming_the_combo_before_any_
         warnings.simplefilter("error")
         assert main(["train", "--config", str(path), "--set", "combo=ss,tu,ta"]) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: --set: the target_train rows: column 2 overflows float64 \(mean \S+, std inf\)\n", err)
+    rows = re.escape(str(tmp_path / "target.txt"))
+    assert re.fullmatch(rf"error: --set: the {rows} rows: column 2 overflows float64 \(mean \S+, std inf\)\n", err)
     assert not (tmp_path / "out").exists()
 
 
@@ -772,6 +773,30 @@ def test_a_hidden_layer_of_width_0_is_exit_2_under_every_command(tmp_path, capsy
     assert main([command, "--config", str(path), "--set", "hidden=0", *absent_checkpoint(tmp_path, command)]) == 2
     assert capsys.readouterr().err == "error: --set: need >= 2 layer widths, each >= 1: got (2, 0, 2), generator ()\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "synth"])
+def test_a_hidden_layer_too_wide_for_a_checkpoint_is_exit_2_under_every_command(tmp_path, capsys, command):
+    # checkpoints store layer widths as u32; the run is rejected before any weight is allocated
+    out = tmp_path / "out"
+    bad = ["--set", "n=10", "--set", "epochs=1", "--set", "hidden=1000000000000", "--set", f"out_dir={out}"]
+    assert main([command, *bad, *absent_checkpoint(tmp_path, command)]) == 2
+    message = "error: --set: layer widths must be < 2^32: got (2, 1000000000000, 2), generator ()\n"
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "raised, line", [(MemoryError("Unable to allocate 8.00 TiB"), "Unable to allocate 8.00 TiB"), (MemoryError(), "MemoryError")]
+)
+def test_a_memory_error_is_exit_4_with_one_error_line(tmp_path, monkeypatch, capsys, raised, line):
+    # fit is patched: a real allocation this large could succeed where memory is overcommitted, and then fill it
+    def fit(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(ctdr.cli, "fit", fit)
+    assert main(["train", "--config", str(small_train_cfg(tmp_path))]) == 4
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("command", ["train", "ablate", "eval", "synth"])
@@ -991,7 +1016,7 @@ def test_header_only_sparse_split_is_exit_2_naming_it_before_any_file(tmp_path, 
     bad = ["--config", str(path), "--set", f"target_test_sparse={empty}", "--set", f"out_dir={tmp_path / 'bad'}"]
     for command in (["train"], ["ablate"], ["eval", "--checkpoint", str(model), "--out", str(tmp_path / "e.json")]):
         assert main([*command, *bad]) == 2
-        assert capsys.readouterr().err == "error: the target_test split has no rows\n"
+        assert capsys.readouterr().err == f"error: the target_test split ({empty}) has no rows\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "empty.txt", "out", "source.txt", "target.txt", "test.txt"]
 
 
@@ -1215,7 +1240,66 @@ def test_a_fault_of_the_data_files_names_no_config_key(tmp_path, capsys):
     # the data files are read before the search for the key at fault, so a
     # fault that they give on their own is blamed on no config key
     assert main(["train", "--config", str(widths_cfg(tmp_path))]) == 2
-    assert capsys.readouterr().err == "error: domain feature widths differ\n"
+    wide, narrow = tmp_path / "wide.txt", tmp_path / "narrow.txt"
+    message = f"the target_train split ({narrow}) is 2 wide with 2 classes, the source split ({wide}) 3 wide with 2"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+SPARSE_FILES = {
+    "lab2": "width=2 classes=2\n0 0:1.0\n1 1:1.0\n",
+    "unl2": "width=2 classes=2\n-1 0:1.0\n-1 1:1.0\n",
+    "wide3": "width=3 classes=2\n0 0:1.0\n1 2:1.0\n",
+    "cls3": "width=2 classes=3\n0 0:1.0\n2 1:1.0\n",
+    "empty": "width=2 classes=2\n",
+}
+
+
+@pytest.mark.parametrize(
+    "files, message",
+    [
+        (("lab2", "unl2", "empty"), "the target_test split ({empty}) has no rows"),
+        (("wide3", "unl2", "lab2"), "the target_train split ({unl2}) is 2 wide with 2 classes, the source split ({wide3}) 3 wide with 2"),
+        (("lab2", "unl2", "cls3"), "the target_test split ({cls3}) is 2 wide with 3 classes, the source split ({lab2}) 2 wide with 2"),
+        (("unl2", "unl2", "lab2"), "the source split ({unl2}) has no labels"),
+    ],
+    ids=["header_only", "widths", "classes", "unlabeled_source"],
+)
+def test_a_fault_of_the_sparse_files_is_exit_2_naming_the_split_and_its_file(tmp_path, capsys, files, message):
+    paths = {name: tmp_path / f"{name}.txt" for name in SPARSE_FILES}
+    for name, text in SPARSE_FILES.items():
+        paths[name].write_text(text)
+    keys = dict(zip(("source_sparse", "target_sparse", "target_test_sparse"), (paths[f] for f in files)))
+    path = small_train_cfg(tmp_path, data="sparse", **keys)
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_idx_images_of_different_sizes_without_resize_is_exit_2_naming_both_image_files(tmp_path, capsys):
+    (tmp_path / "small").mkdir()
+    (tmp_path / "big").mkdir()
+    small, small_labels = write_idx_pair(tmp_path / "small", np.zeros((8, 3, 3), dtype=np.uint8), [0, 1, 2, 3] * 2)
+    big, big_labels = write_idx_pair(tmp_path / "big", np.zeros((8, 4, 4), dtype=np.uint8), [0, 1, 2, 3] * 2)
+    raw = {"data": "idx", "classes": "4", "source_images": small, "source_labels": small_labels}
+    for split in ("target", "target_test"):
+        raw[f"{split}_images"], raw[f"{split}_labels"] = big, big_labels
+    path = small_train_cfg(tmp_path, **raw)
+    assert main(["train", "--config", str(path)]) == 2
+    message = f"the target_train split ({big}) is 16 wide with 4 classes, the source split ({small}) 9 wide with 4"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate"], ["eval", "--checkpoint", "absent.ctdr"]])
+@pytest.mark.parametrize("key", ["out_dir", "source_sparse"])
+def test_a_path_holding_a_nul_byte_is_exit_2_naming_its_line_before_any_file(tmp_path, capsys, command, key):
+    path = small_train_cfg(tmp_path, data="sparse", source_sparse="s.txt", target_sparse="t.txt", target_test_sparse="u.txt")
+    text = path.read_text().replace(f"{key} = ", f"{key} = a\0")
+    path.write_text(text)
+    line = next(i for i, row in enumerate(text.splitlines(), start=1) if row.startswith(f"{key} = "))
+    assert main([*command, "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:{line}: bad value for {key!r}: a path cannot hold a NUL byte\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
 
 
 def idx_cfg(tmp_path, **extra):
@@ -1239,7 +1323,8 @@ def widths_cfg(tmp_path):
     [
         (lambda tmp: idx_cfg(tmp, resize="abc"), "{}:15: resize must look like 28x28, got 'abc'"),
         (lambda tmp: idx_cfg(tmp, n_source=999), "{}:15: subsample: n must be in [1, 20], got 999"),
-        (widths_cfg, "domain feature widths differ"),
+        (widths_cfg, "the target_train split ({0.parent}/narrow.txt) is 2 wide with 2 classes, "
+                     "the source split ({0.parent}/wide.txt) 3 wide with 2"),
     ],
     ids=["resize", "n_source", "widths"],
 )

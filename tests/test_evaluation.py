@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ctdr.data import Dataset, synth_two_moons
+from ctdr.data import Dataset, DomainPair, synth_two_moons
 from ctdr.errors import ContractViolation, NonFiniteLossError
 from ctdr.evaluation import EvalReport, evaluate, export_embeddings, predict
 from ctdr.model import Architecture, ParamSet, init_params
@@ -173,18 +173,13 @@ def test_export_embeddings_round_trip(tmp_path):
     cfg = TrainConfig(LossCombo.parse("ss"), epochs=2, hidden=(8,), timing=False)
     params, _ = fit(cfg, pair)
     path = tmp_path / "emb.csv"
-    named = [
-        ("source", pair.source),
-        ("target_train", pair.target_train),
-        ("target_test", pair.target_test),
-    ]
-    export_embeddings(params, named, path)
+    export_embeddings(params, pair, path)
 
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
     assert header[:3] == ["domain", "row", "label"]
-    assert len(body) == 45
+    assert [r[0] for r in body] == ["source"] * 15 + ["target_train"] * 15 + ["target_test"] * 15
     unlabeled = [r for r in body if r[0] == "target_train"]
     assert all(r[2] == "-1" for r in unlabeled)
 
@@ -195,7 +190,7 @@ def test_export_embeddings_round_trip(tmp_path):
     logits = np.array([[float(v) for v in r[3 + d :]] for r in src_rows])
     assert np.array_equal(logits.argmax(axis=1), predict(params, pair.source.features))
 
-    export_embeddings(params, named, tmp_path / "emb2.csv")
+    export_embeddings(params, pair, tmp_path / "emb2.csv")
     assert path.read_bytes() == (tmp_path / "emb2.csv").read_bytes()
 
 
@@ -205,7 +200,8 @@ def test_export_embeddings_whose_logits_overflow_writes_no_file(tmp_path):
     for tensor in params.tensors.values():
         tensor[...] = 1e300
     path = tmp_path / "emb.csv"
-    # the first split exports fine; the second one's logits overflow
+    # the first two splits export fine; the target_test split's logits overflow
+    big = DomainPair(pair.source, pair.target_train, Dataset(pair.target_test.features * 1e10, pair.target_test.labels, 2))
     with pytest.raises(NonFiniteLossError, match="non-finite logits in term 'forward'"):
-        export_embeddings(params, [("source", pair.source), ("big", Dataset(pair.source.features * 1e10, None, 2))], path)
+        export_embeddings(params, big, path)
     assert not path.exists()

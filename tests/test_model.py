@@ -52,6 +52,14 @@ def test_architecture_width_validation(widths, generator):
         Architecture(widths, generator)
 
 
+def test_architecture_widths_fit_in_u32():
+    # checkpoints store layer widths as u32; this only builds the architecture, it allocates no weights
+    assert Architecture((2, 2**32 - 1, 2), (2**32 - 1,)).widths == (2, 2**32 - 1, 2)
+    for widths, generator in (((2, 2**32, 2), ()), ((2, 2), (4, 2**32))):
+        with pytest.raises(ContractViolation, match=re.escape(f"layer widths must be < 2^32: got {widths}, generator {generator}")):
+            Architecture(widths, generator)
+
+
 def test_architecture_dims():
     arch = Architecture.mlp(7, (5, 4), 3).with_generator(6, (8,))
     assert arch.feature_dim == 7
