@@ -62,6 +62,8 @@ def _parse_list(cast):
 
 
 def _fmt(value):
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -121,46 +123,42 @@ def _field(key):
     return _PARSERS[type(value)], value, None
 
 
-def _terms(text: str) -> set:
-    return {t.strip() for t in text.replace("+", ",").split(",")} - {""}
-
-
-def _combo_run(text: str, pair: DomainPair | None = None) -> tuple:
-    """(LossCombo, the pair fit trains on: `pair`, or None without it) of a combo's text. `ts`, which combines
-    with nothing, is the oracle run: ss on the oracle pair, whose source split is target-train, labeled."""
-    terms = _terms(text)
+def _parse_combo(text: str) -> tuple:
+    """A combo's terms in TERMS order, or ("ts",): the oracle baseline, which combines with nothing."""
+    terms = {t.strip() for t in text.replace("+", ",").split(",")} - {""}
     if "ts" not in terms:
-        return LossCombo.parse(text), pair
+        return LossCombo.parse(text).names
     if len(terms) > 1:
-        raise ConfigError("ts is an exclusive baseline; combine it with nothing")
-    oracle = None if pair is None else DomainPair(pair.target_train_labeled(oracle=True), pair.target_train, pair.target_test)
-    return LossCombo(("ss",)), oracle
+        raise ValueError("ts is an exclusive baseline; combine it with nothing")
+    return ("ts",)
 
 
 # key -> (parser, default, scope). Insertion order is the printing order.
-# Training keys take their defaults from the config dataclasses; `prior` keeps
-# a text sentinel for TrainConfig's None, and `combo` its canonical text: `ts`,
-# or its terms in TERMS order.
+# Each parser gives its key the value the code that reads it takes: `combo` its
+# terms (see _parse_combo), `prior` a tuple of floats or `assume_source`,
+# TrainConfig's None, and `skew` a tuple of floats or None. `resize` alone stays
+# text, checked when idx resamples: its printed form, 28x28, is no list.
+# Training keys take their defaults from the config dataclasses.
 # Scope None: every run reads the key; else the tags of the runs that read it
 # (see _accept).
 SCHEMA: dict = {
     # data
     "data": (_choice(*DATA_MODES), next(iter(DATA_MODES)), None),
     **_data_keys({
-        "n": (int, 500), "rotation": (float, 35.0), "noise": (float, 0.12), "skew": (_parse_list(float), ()),
+        "n": (int, 500), "rotation": (float, 35.0), "noise": (float, 0.12), "skew": (lambda s: _parse_list(float)(s) or None, None),
         "gauss_classes": (int, 3), "gauss_dim": (int, 8), "gauss_mean_shift": (float, 1.0), "gauss_cov_scale": (float, 1.5),
         "classes": (int, 10), **{path: (_parse_path, "") for _, args in DATA_MODES.values() for path in _paths(args)},
         "resize": (str, ""), **{f"n_{split}": (int, 0) for split in _SPLITS},
     }),
     "standardize": (_parse_bool, True, None),
     # training
-    "combo": (lambda s: "ts" if _terms(s) == {"ts"} else _fmt(_combo_run(s)[0].names), _fmt(_TRAIN.combo.names), ("train",)),
+    "combo": (_parse_combo, _TRAIN.combo.names, ("train",)),
     "hidden": _field("hidden"),
     "epochs": _field("epochs"),
     "batch": _field("batch"),
     "lr": _field("lr"),
     "seed": _field("seed"),
-    "prior": (str, "assume_source", ("tu",)),
+    "prior": (lambda s: s if s == "assume_source" else _parse_list(float)(s), "assume_source", ("tu",)),
     # fake samples
     "fake_mode": (_choice(*FAKE_MODES), _TRAIN.fake.mode, ("ta", "sa")),
     # output
@@ -276,8 +274,8 @@ def _read_splits(cfg: dict) -> tuple | None:
 
 def _pair(cfg: dict, splits: tuple | None, fit_transform: bool) -> tuple:
     build, args = DATA_MODES[cfg["data"]]
-    if splits is None:  # skew's default, (), is the builders' None
-        pair = build(**{a: (cfg[k] or None) if k == "skew" else cfg[k] for k, a in args.items()}, seed=cfg["seed"])
+    if splits is None:
+        pair = build(**{a: cfg[k] for k, a in args.items()}, seed=cfg["seed"])
     else:
         pair = DomainPair(*(_idx_step(cfg, splits) if None in args.values() else splits))
     return standardize(pair) if fit_transform and cfg["standardize"] else (pair, None)
@@ -296,20 +294,18 @@ def _idx_step(cfg: dict, splits: tuple) -> list:
 
 
 def build_train_config(cfg: dict, pair: DomainPair) -> tuple:
-    """(the TrainConfig of resolve_config's values, the pair fit trains on, as _combo_run gives it),
-    checked by RunState.build on that pair. Errors as in _located."""
+    """(the TrainConfig of resolve_config's values, the pair fit trains on: `pair`, or under combo `ts` its
+    oracle pair, whose source split is target-train, labeled), checked by RunState.build on that pair.
+    Errors as in _located."""
     return _located(lambda c: _train_config(c, pair), cfg)
 
 
 def _train_config(cfg: dict, pair: DomainPair) -> tuple:
-    combo, fit_pair = _combo_run(cfg["combo"], pair)
-    prior = None
-    if cfg["prior"] != "assume_source":
-        try:
-            prior = _parse_list(float)(cfg["prior"])
-        except ValueError as exc:
-            raise ConfigError(f"prior must be `assume_source` or comma-separated floats: {exc}") from exc
+    oracle = cfg["combo"] == ("ts",)  # the ts baseline trains ss on the oracle pair
+    fit_pair = DomainPair(pair.target_train_labeled(oracle=True), pair.target_train, pair.target_test) if oracle else pair
+    prior = None if cfg["prior"] == "assume_source" else cfg["prior"]
     fields = {name: cfg[key] for key, name in _TRAIN_FIELDS.items()}
+    combo = LossCombo(("ss",) if oracle else cfg["combo"])
     train_cfg = TrainConfig(combo=combo, prior=prior, fake=FakeSourceConfig(cfg["fake_mode"]), **fields)
     RunState.build(train_cfg, fit_pair)
     return train_cfg, fit_pair
@@ -319,8 +315,8 @@ def _accept(cfg: dict, command: str) -> None:
     """Reject a given non-default key that no run of `command` reads, naming where it was given.
     A run reads a key whose SCHEMA scope has one of its tags: its data mode, `train` under ctdr
     train, a term of its combo. eval and synth train no run and check data modes only."""
-    combos = {"train": (cfg["combo"],), "ablate": ABLATION_LADDER}.get(command, ())
-    tags = {cfg["data"], command, *(term for combo in combos for term in _combo_run(combo)[0].names)}
+    combos = {"train": (cfg["combo"],), "ablate": ABLATION_LADDER.values()}.get(command, ())
+    tags = {cfg["data"], command, *(term for combo in combos for term in combo)}
     for key, at in cfg.where.items():
         _, default, scope = SCHEMA[key]
         if scope is None or cfg[key] == default or not (combos or scope[0] in DATA_MODES):
@@ -359,9 +355,9 @@ def _start(args, command: str) -> tuple:
     pair, transform = build_pair(cfg, fit_transform=command != "synth" and not getattr(args, "transform", None))
     runs = [cfg]
     if command == "ablate":
-        runs = [_Resolved(cfg, combo=combo) for combo in ABLATION_LADDER]
-        for run in runs:  # errors name a rung's combo as `rung <combo>`
-            run.where = {**cfg.where, "combo": f"rung {run['combo']}"}
+        runs = [_Resolved(cfg, combo=combo) for combo in ABLATION_LADDER.values()]
+        for run, rung in zip(runs, ABLATION_LADDER):  # errors name a rung's combo as `rung <combo>`
+            run.where = {**cfg.where, "combo": f"rung {rung}"}
     return cfg, pair, transform, [build_train_config(run, pair) for run in runs]
 
 
@@ -389,7 +385,7 @@ def cmd_train(args) -> int:
     cfg, pair, transform, (train_run,) = _start(args, "train")
     out_dir = _save_config(cfg, transform)
     _, report = _run(train_run, pair, out_dir, cfg["export_embeddings"])
-    print(f"[train] combo={cfg['combo'].replace(',', '+')} target_test_acc={report.accuracy:.4f} -> {out_dir}")
+    print(f"[train] combo={'+'.join(cfg['combo'])} target_test_acc={report.accuracy:.4f} -> {out_dir}")
     return 0
 
 
@@ -413,7 +409,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-ABLATION_LADDER = ("ss", "ss+tu", "ss+tu+su", "ss+tu+su+ta", "ss+tu+su+sa", "ss+tu+su+ta+sa", "ts")
+# rung -> its combo's terms
+ABLATION_LADDER = {rung: _parse_combo(rung) for rung in ("ss", "ss+tu", "ss+tu+su", "ss+tu+su+ta", "ss+tu+su+sa", "ss+tu+su+ta+sa", "ts")}
 
 
 def cmd_ablate(args) -> int:

@@ -187,8 +187,8 @@ def _read_idx(path, magic: int, n_dims: int, what: str, body: str):
     return dims, buf[head:]
 
 
-def load_idx(images_path, labels_path, num_classes: int = 10, name: str = "") -> Dataset:
-    """Read a big-endian IDX image/label file pair (gzip transparently), named `name` or else the images file.
+def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
+    """Read a big-endian IDX image/label file pair (gzip transparently), named by the images file.
 
     Pixel bytes are scaled to [0, 1]; rows are flattened images.
     """
@@ -200,11 +200,11 @@ def load_idx(images_path, labels_path, num_classes: int = 10, name: str = "") ->
         raise ParseError(labels_path, 0, f"label {labels.max()} out of range [0, {num_classes})")
     if label_count != count:
         raise ParseError(labels_path, 0, f"{label_count} labels for {count} images")
-    return Dataset(images, labels, num_classes, name=name or str(images_path), image_hw=(rows, cols))
+    return Dataset(images, labels, num_classes, name=str(images_path), image_hw=(rows, cols))
 
 
-def load_sparse(path, name: str = "") -> Dataset:
-    """Read the sparse text format into a Dataset named `name`, or else the file.
+def load_sparse(path) -> Dataset:
+    """Read the sparse text format into a Dataset named by the file.
 
     Header line: `width=<d> classes=<k>`. Data lines: `<label> idx:val ...`
     with 0-based indices; label -1 marks an unlabeled row (all-or-nothing:
@@ -272,7 +272,7 @@ def load_sparse(path, name: str = "") -> Dataset:
     arr = np.asarray(labels)
     if (arr == -1).any() and not (arr == -1).all():
         raise ParseError(path, 0, "mix of labeled and unlabeled rows (-1) is not allowed")
-    return Dataset(features, None if (arr == -1).all() else arr, num_classes, name=name or str(path))
+    return Dataset(features, None if (arr == -1).all() else arr, num_classes, name=str(path))
 
 
 def save_sparse(dataset: Dataset, path) -> None:
@@ -303,7 +303,8 @@ def _synth_pair(kind: str, num_classes: int, n: int, label_skew, seed: int, feat
         counts = np.floor(raw).astype(np.int64)
         counts[np.argsort(-(raw - counts), kind="stable")[: n - int(counts.sum())]] += 1
         labels = np.repeat(np.arange(num_classes), counts)
-        rows = features(labels, split, Rng(seed, substream(STREAM_DATA, i)))
+        with np.errstate(over="ignore", invalid="ignore"):  # Dataset rejects a non-finite row, with no numpy warning
+            rows = features(labels, split, Rng(seed, substream(STREAM_DATA, i)))
         splits.append(Dataset(rows, labels, num_classes, name=f"{kind}_{split}"))
     return DomainPair(*splits)
 

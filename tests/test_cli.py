@@ -87,7 +87,7 @@ def test_resolve_config_fills_defaults_and_types():
     assert cfg["epochs"] == 5
     assert cfg["lr"] == 0.01
     assert cfg["hidden"] == (16, 8)
-    assert cfg["combo"] == "ss,tu"
+    assert cfg["combo"] == ("ss", "tu")
     assert cfg["standardize"] is True
 
 
@@ -161,11 +161,33 @@ def test_default_config_text_and_data_choice_are_pinned():
     assert str(exc.value) == "bad value for 'data': expected one of ('two_moons', 'gauss_shift', 'idx', 'sparse'), got 'imaginary'"
 
 
-def test_format_config_round_trips():
-    cfg = resolve_config({"epochs": "7", "lr": "0.0125", "skew": "0.8,0.2"})
+# A value other than its default for every key but combo and prior, which each case sets
+NON_DEFAULT = {
+    "data": "gauss_shift", "n": "30", "rotation": "10", "noise": "0.3", "skew": "0.8,0.2", "gauss_classes": "4",
+    "gauss_dim": "5", "gauss_mean_shift": "2", "gauss_cov_scale": "2", "classes": "3",
+    **{f"{split}_{kind}": f"{split}.{kind}" for split in ("source", "target", "target_test") for kind in ("images", "labels", "sparse")},
+    "resize": "28x28", **{f"n_{split}": "5" for split in ("source", "target", "target_test")}, "standardize": "false",
+    "hidden": "16,8", "epochs": "7", "batch": "32", "lr": "0.0125", "seed": "9", "fake_mode": "generator",
+    "out_dir": "elsewhere", "export_embeddings": "true", "timing": "false",
+}
+
+
+@pytest.mark.parametrize(
+    "combo, prior, printed",
+    [("tu+ss", "1,0", ("ss,tu", "1.0,0.0")), ("ts", "0.25, .75", ("ts", "0.25,0.75")), ("ss", "assume_source", ("ss", "assume_source"))],
+    ids=["tu+ss", "ts", "assume_source"],
+)
+def test_format_config_round_trips(combo, prior, printed):
+    cfg = resolve_config({**NON_DEFAULT, "combo": combo, "prior": prior})
+    assert set(NON_DEFAULT) == set(ctdr.cli.SCHEMA) - {"combo", "prior"}
+    assert [key for key in NON_DEFAULT if cfg[key] == ctdr.cli.SCHEMA[key][1]] == []
     text = format_config(cfg)
+    assert [line for line in text.splitlines() if line.startswith(("combo =", "prior =", "skew ="))] == [
+        "skew = 0.8,0.2", f"combo = {printed[0]}", f"prior = {printed[1]}",
+    ]
     back = resolve_config(parse_config_text(text))
     assert back == cfg
+    assert format_config(back) == text
 
 
 def test_every_config_field_is_reachable_from_a_key():
@@ -1196,7 +1218,7 @@ def test_cmd_eval_transform_whose_map_overflows_is_exit_2_with_no_numpy_warning(
         ("data", "imaginary", "bad value for 'data'"),
         ("lr", "0", "lr must be finite and > 0"),
         ("combo", "ss,ts", "ts is an exclusive baseline"),
-        ("prior", "abc", "prior must be `assume_source`"),
+        ("prior", "abc", "bad value for 'prior': could not convert string to float: 'abc'"),
         ("batch", "0", "batch_size must be >= 1"),
         ("hidden", "4,0", "need >= 2 layer widths, each >= 1: got (2, 4, 0, 2), generator ()"),
         ("n_source", "-1", "n_source = -1 applies only to data = idx"),
@@ -1204,6 +1226,7 @@ def test_cmd_eval_transform_whose_map_overflows_is_exit_2_with_no_numpy_warning(
         ("rotation", "400", "rotation must be in [0, 360] degrees, got 400.0"),
         ("gauss_cov_scale", "-1", "cov_scale must be > 0"),
         ("gauss_cov_scale", "nan", "cov_scale must be > 0 and finite, got nan"),
+        ("gauss_cov_scale", "1e308", "is not finite (inf)"),
         ("gauss_mean_shift", "inf", "mean_shift must be finite, got inf"),
         ("noise", "nan", "noise_std must be >= 0 and finite, got nan"),
         ("skew", "0.5,0.6", "label_skew sums to 1.1, expected 1"),
@@ -1228,11 +1251,12 @@ def test_config_value_errors_name_where_the_value_was_given(tmp_path, capsys, ke
 
 
 def test_config_error_names_the_first_given_key_at_fault(tmp_path):
-    # the file's bad lr is given before --set's bad prior, though the prior
-    # is parsed, and fails, first
-    path = small_train_cfg(tmp_path, lr="0")
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:\d+: lr must be finite"):
-        cfg = load_config(argparse.Namespace(config=str(path), seed=3, set=["prior=abc"]))
+    # the file's bad lr is given before --set's bad batch, though TrainConfig
+    # checks batch_size, and fails on it, first
+    path = tmp_path / "cfg.txt"
+    path.write_text("lr = 0\nn = 40\nepochs = 2\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:1: lr must be finite"):
+        cfg = load_config(argparse.Namespace(config=str(path), seed=3, set=["batch=0"]))
         build_train_config(cfg, build_pair(cfg)[0])
 
 
@@ -1290,16 +1314,36 @@ def test_idx_images_of_different_sizes_without_resize_is_exit_2_naming_both_imag
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", [["train"], ["ablate"], ["eval", "--checkpoint", "absent.ctdr"]])
-@pytest.mark.parametrize("key", ["out_dir", "source_sparse"])
-def test_a_path_holding_a_nul_byte_is_exit_2_naming_its_line_before_any_file(tmp_path, capsys, command, key):
-    path = small_train_cfg(tmp_path, data="sparse", source_sparse="s.txt", target_sparse="t.txt", target_test_sparse="u.txt")
-    text = path.read_text().replace(f"{key} = ", f"{key} = a\0")
-    path.write_text(text)
-    line = next(i for i, row in enumerate(text.splitlines(), start=1) if row.startswith(f"{key} = "))
+@pytest.mark.parametrize("command", [["train"], ["ablate"], ["eval", "--checkpoint", "absent.ctdr"], ["synth"]], ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("out_dir", "a\0out", "a path cannot hold a NUL byte"),
+        ("source_sparse", "a\0s.txt", "a path cannot hold a NUL byte"),
+        ("prior", "0.5,abc", "could not convert string to float: 'abc'"),
+        ("combo", "ss+ts", "ts is an exclusive baseline; combine it with nothing"),
+    ],
+    ids=["out_dir", "source_sparse", "prior", "combo"],
+)
+def test_a_bad_value_is_exit_2_naming_its_line_before_any_file(tmp_path, capsys, command, key, value, message):
+    # the data files do not exist: the value is parsed, and rejected, before any is opened
+    files = {"source_sparse": "s.txt", "target_sparse": "t.txt", "target_test_sparse": "u.txt"}
+    path = small_train_cfg(tmp_path, data="sparse", **{**files, key: value})
+    line = next(i for i, row in enumerate(path.read_text().splitlines(), start=1) if row.startswith(f"{key} = "))
     assert main([*command, "--config", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {path}:{line}: bad value for {key!r}: a path cannot hold a NUL byte\n")
+    assert capsys.readouterr() == ("", f"error: {path}:{line}: bad value for {key!r}: {message}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
+
+
+def test_a_prior_prints_in_canonical_form_and_the_printed_config_reproduces_the_run(tmp_path, capsys):
+    path = small_train_cfg(tmp_path, prior=" .5 , 0.50,")
+    assert main(["train", "--config", str(path)]) == 0
+    assert "prior = 0.5,0.5\n" in capsys.readouterr().out
+    resolved = tmp_path / "out" / "resolved_config.txt"
+    assert "prior = 0.5,0.5\n" in resolved.read_text()
+    again = tmp_path / "again"
+    assert main(["train", "--config", str(resolved), "--set", f"out_dir={again}"]) == 0
+    assert (again / "model.ctdr").read_bytes() == (tmp_path / "out" / "model.ctdr").read_bytes()
 
 
 def idx_cfg(tmp_path, **extra):
