@@ -218,16 +218,24 @@ def format_config(cfg: dict) -> str:
 
 
 def load_config(args) -> dict:
+    """The config file's keys, then --seed, then each --set, resolved. An override joins `where` last,
+    in the order given, even when the file also set its key."""
     raw, where = {}, {}
     if args.config:
         raw = parse_config_text(read_utf8(args.config), origin=str(args.config), where=where)
+
+    def override(key, value, at):
+        raw.pop(key, None)
+        where.pop(key, None)
+        raw[key], where[key] = value, at
+
     if getattr(args, "seed", None) is not None:
-        raw["seed"], where["seed"] = str(args.seed), "--seed"
+        override("seed", str(args.seed), "--seed")
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
-        raw[key], where[key] = value, "--set"
+        override(key, value, "--set")
     return resolve_config(raw, where)
 
 

@@ -311,17 +311,14 @@ def _synth_pair(kind: str, num_classes: int, n: int, label_skew, seed: int, feat
 
 def _moon_points(labels: np.ndarray, noise_std: float, rng: Rng) -> np.ndarray:
     """One noisy point per label (0 or 1), in order, on two interleaved
-    crescents centered so class 1 = -(class 0) pointwise."""
-    feats = np.empty((labels.size, 2))
-    for pos, cls in enumerate(labels.tolist()):
-        t = rng.random() * math.pi
-        x = math.cos(t) - 0.5
-        y = math.sin(t) - 0.25
-        if cls == 1:
-            x, y = -x, -y
-        feats[pos, 0] = x + rng.normal() * noise_std
-        feats[pos, 1] = y + rng.normal() * noise_std
-    return feats
+    crescents centered so class 1 = -(class 0) pointwise. Point i takes row i
+    of rng.uniform_normal_rows: angle t = pi * uniform on the crescent, then
+    each coordinate adds its normal times noise_std."""
+    draws = rng.uniform_normal_rows(labels.size)
+    t = draws[:, 0] * math.pi
+    points = np.stack([np.cos(t) - 0.5, np.sin(t) - 0.25], axis=1)
+    points[labels == 1] *= -1.0
+    return points + draws[:, 1:] * noise_std
 
 
 def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_skew=None, seed: int = 0) -> DomainPair:

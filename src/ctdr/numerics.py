@@ -62,6 +62,18 @@ def _libm_log(u: np.ndarray) -> np.ndarray:
     return np.log(u[::-1])[::-1]
 
 
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r cos a, r sin a) of 1-D u1 in (0, 1) and u2: normal()'s pair for each (u1, u2), bit for bit.
+
+    numpy's SIMD log differs from math.log in the last bit, so log comes from _libm_log, numpy's scalar
+    libm loop; numpy's cos and sin give math's bytes. Tests guard both under each numpy dispatch target
+    the host has.
+    """
+    r = np.sqrt(-2.0 * _libm_log(u1))
+    a = (2.0 * math.pi) * u2
+    return r * np.cos(a), r * np.sin(a)
+
+
 class Rng:
     """PCG32: 64-bit LCG state, XSH-RR output, explicit stream selection.
 
@@ -69,10 +81,11 @@ class Rng:
     Output is 32 bits; doubles take 53 random bits from two outputs. The same
     (seed, stream) pair yields the same sequence on every platform.
 
-    uniform_matrix, normal_matrix and permutation take their outputs in
-    blocks by LCG jump-ahead. They give the same values, and leave the same
-    state, as one next_u32/random/normal/below call per draw; those stay the
-    reference and the path for the rare draw a block cannot take.
+    uniform_matrix, normal_matrix, uniform_normal_rows and permutation take
+    their outputs in blocks by LCG jump-ahead. They give the same values, and
+    leave the same state, as one next_u32/random/normal/below call per draw;
+    those stay the reference and the path for the rare draw a block cannot
+    take.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -142,10 +155,7 @@ class Rng:
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major block of standard normals, the same draws as rows*cols normal() calls.
 
-        Box-Muller runs on whole blocks in numpy calls, with no Python per value. numpy's SIMD log
-        differs from math.log in the last bit, so log comes from _libm_log, numpy's scalar libm
-        loop; numpy's cos and sin give math's bytes. Tests guard both under each numpy dispatch
-        target the host has.
+        Box-Muller (_box_muller) runs on whole blocks in numpy calls, with no Python per value.
         """
         n = rows * cols
         saved = self._state, self._spare_normal
@@ -161,17 +171,30 @@ class Rng:
             if (u1 <= 0.0).any():  # normal() would redraw u1: replay the call one draw at a time
                 self._state, self._spare_normal = saved
                 return np.fromiter((self.normal() for _ in range(n)), np.float64, count=n).reshape(rows, cols)
-            r = np.sqrt(-2.0 * _libm_log(u1))
-            a = (2.0 * math.pi) * u2
             z = np.empty(2 * pairs)
-            z[0::2] = r * np.cos(a)
-            z[1::2] = r * np.sin(a)
+            z[0::2], z[1::2] = _box_muller(u1, u2)
             take = min(2 * pairs, n - filled)
             out[filled : filled + take] = z[:take]
             if take < 2 * pairs:
                 self._spare_normal = float(z[-1])
             filled += take
         return out.reshape(rows, cols)
+
+    def uniform_normal_rows(self, n: int) -> np.ndarray:
+        """n rows of (uniform, normal, normal): the values, and end state, of n x (random(), normal(), normal()).
+
+        One uniform_matrix(n, 3, 0.0, 1.0) block (scaling by 1.0 and adding 0.0 leave each double as it is),
+        then Box-Muller on columns 1 and 2. A spare normal held at entry, or a u1 of 0, which normal() would
+        redraw, replays the calls one draw at a time, as normal_matrix does.
+        """
+        if self._spare_normal is None:
+            saved = self._state
+            rows = self.uniform_matrix(n, 3, 0.0, 1.0)
+            if (rows[:, 1] > 0.0).all():
+                rows[:, 1], rows[:, 2] = _box_muller(rows[:, 1], rows[:, 2])
+                return rows
+            self._state = saved
+        return np.array([(self.random(), self.normal(), self.normal()) for _ in range(n)]).reshape(n, 3)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), rejection-sampled to kill modulo bias."""

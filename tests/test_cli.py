@@ -1260,6 +1260,16 @@ def test_config_error_names_the_first_given_key_at_fault(tmp_path):
         build_train_config(cfg, build_pair(cfg)[0])
 
 
+@pytest.mark.parametrize("lines, line_no", [("batch = 16\nlr = 0\n", 2), ("lr = 0\n", 1)])
+def test_a_set_override_joins_after_the_file_keys(tmp_path, capsys, lines, line_no):
+    # --set is given after the file, so its batch joins after the file's lr, whether or not the file set batch
+    path = tmp_path / "cfg.txt"
+    path.write_text(lines + "n = 40\nepochs = 2\n")
+    assert main(["train", "--config", str(path), "--set", "batch=0", "--set", f"out_dir={tmp_path / 'out'}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:{line_no}: lr must be finite and > 0, got 0.0\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_fault_of_the_data_files_names_no_config_key(tmp_path, capsys):
     # the data files are read before the search for the key at fault, so a
     # fault that they give on their own is blamed on no config key

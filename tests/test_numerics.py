@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import ctdr.numerics
-from ctdr.data import synth_gauss_shift
+from ctdr.data import SPLITS, _moon_points, synth_gauss_shift, synth_two_moons
 from ctdr.errors import ContractViolation
 from ctdr.model import tensor_names
 from ctdr.numerics import (
     Rng,
+    STREAM_DATA,
     STREAM_WEIGHT_INIT,
     _libm_log,
     _pairwise_sq_dists,
@@ -214,8 +215,9 @@ def doubles_around(x: float, n: int = 2**20) -> np.ndarray:
 
 
 def test_libm_log_equals_math_log_bit_for_bit():
-    # normal_matrix takes log(u1) from _libm_log, normal() from math.log; each
-    # must give the same bytes on contiguous input and on the stride-2 u1 view
+    # normal_matrix and uniform_normal_rows take log(u1) from _libm_log, normal()
+    # from math.log; each must give the same bytes on contiguous input, on
+    # normal_matrix's stride-2 u1 view and on uniform_normal_rows' u1 column
     rng = Rng(0, HIGH_STREAM)
     k = np.arange(1, 2**20 + 1)
     cases = {
@@ -230,8 +232,11 @@ def test_libm_log_equals_math_log_bit_for_bit():
         want = np.fromiter(map(math.log, u.tolist()), np.float64, count=u.size).tobytes()
         pairs = np.empty(2 * u.size)
         pairs[0::2], pairs[1::2] = u, 0.5
+        rows = np.full((u.size, 3), 0.5)
+        rows[:, 1] = u
         assert _libm_log(u).tobytes() == want, f"{what}, contiguous ({numpy_kernels()})"
         assert _libm_log(pairs[0::2]).tobytes() == want, f"{what}, stride 2 ({numpy_kernels()})"
+        assert _libm_log(rows[:, 1]).tobytes() == want, f"{what}, column of 3 ({numpy_kernels()})"
 
 
 def test_u32_block_is_uint32_and_equals_next_u32_at_both_rotation_ends():
@@ -248,8 +253,8 @@ def test_u32_block_is_uint32_and_equals_next_u32_at_both_rotation_ends():
 
 
 # Run in a subprocess pinned to one dispatch target: the helper against math.log
-# on 2^18 draws, and a normal_matrix whose rows cross block boundaries against
-# scalar normal() calls.
+# on 2^18 draws, and a normal_matrix and a uniform_normal_rows whose rows cross
+# block boundaries against scalar calls.
 UNDER_TARGET = """
 import math, sys
 import numpy as np
@@ -265,6 +270,9 @@ assert _libm_log(u).tobytes() == want.tobytes(), "log"
 block, scalar = Rng(3, 9), Rng(3, 9)
 want = np.fromiter((scalar.normal() for _ in range(12297)), np.float64, count=12297)
 assert block.normal_matrix(3, 4099).tobytes() == want.tobytes(), "normal_matrix"
+block, scalar = Rng(5, 9), Rng(5, 9)
+want = np.array([(scalar.random(), scalar.normal(), scalar.normal()) for _ in range(3001)])
+assert block.uniform_normal_rows(3001).tobytes() == want.tobytes(), "uniform_normal_rows"
 """
 
 
@@ -410,6 +418,75 @@ def test_the_block_size_changes_no_byte_of_a_gaussian_fakes_fit(monkeypatch):
         assert getattr(tiny_pair, split).features.tobytes() == getattr(pair, split).features.tobytes()
     assert tiny_tensors == tensors
     assert tiny_records == records
+
+
+def scalar_moon_points(labels, noise_std, rng):
+    """The per-point reference for data._moon_points: random(), normal(), normal() per point."""
+    feats = np.empty((labels.size, 2))
+    for pos, cls in enumerate(labels.tolist()):
+        t = rng.random() * math.pi
+        x = math.cos(t) - 0.5
+        y = math.sin(t) - 0.25
+        if cls == 1:
+            x, y = -x, -y
+        feats[pos, 0] = x + rng.normal() * noise_std
+        feats[pos, 1] = y + rng.normal() * noise_std
+    return feats
+
+
+def assert_moon_points_equal_the_reference(labels, noise_std, seed, stream):
+    block, scalar = Rng(seed, stream), Rng(seed, stream)
+    got = _moon_points(labels, noise_std, block)
+    assert got.tobytes() == scalar_moon_points(labels, noise_std, scalar).tobytes()
+    assert_same_position(block, scalar)
+    return got
+
+
+@pytest.mark.parametrize("skew", [None, (0.8, 0.2)])
+@pytest.mark.parametrize("noise", [0.0, 0.1, 1.7])
+@pytest.mark.parametrize("n", [2, 3, 37, 500, 1001])
+def test_moon_points_equal_the_scalar_reference(n, noise, skew):
+    for seed in range(10):
+        pair = synth_two_moons(n, 0.0, noise, label_skew=skew, seed=seed)
+        splits = (pair.source, pair.target_train_labeled(oracle=True), pair.target_test)
+        for i, ds in enumerate(splits):
+            got = assert_moon_points_equal_the_reference(ds.labels, noise, seed, substream(STREAM_DATA, i))
+            assert ds.features.tobytes() == got.tobytes(), (seed, SPLITS[i])
+
+
+def test_moon_points_cross_block_boundaries(monkeypatch):
+    # 12 outputs: two points a block
+    use_block(monkeypatch, 12)
+    calls = patch_block(monkeypatch, lambda out: None)
+    for n in (1, 2, 3, 37):
+        assert_moon_points_equal_the_reference(np.arange(n) % 2, 0.3, n, HIGH_STREAM)
+    assert max(calls) == 12 and len(calls) == 1 + 1 + 2 + 19
+
+
+def test_moon_points_zero_u1_replays_the_scalar_calls(monkeypatch):
+    def zero_first_u1(out):
+        out[2:4] = 0  # the first point's u1 is exactly 0.0
+
+    calls = patch_block(monkeypatch, zero_first_u1)
+    assert_moon_points_equal_the_reference(np.array([0, 1, 1, 0, 1]), 0.1, 6, HIGH_STREAM)
+    assert calls == [30]
+
+
+def test_moon_points_replay_the_scalar_calls_with_a_spare_held(monkeypatch):
+    calls = patch_block(monkeypatch, lambda out: None)
+    labels = np.array([0, 1, 0, 1, 1])
+    block, scalar = Rng(7, HIGH_STREAM), Rng(7, HIGH_STREAM)
+    assert block.normal() == scalar.normal()
+    assert _moon_points(labels, 0.2, block).tobytes() == scalar_moon_points(labels, 0.2, scalar).tobytes()
+    assert_same_position(block, scalar)
+    assert calls == []
+
+
+def test_a_moons_split_takes_one_block_draw(monkeypatch):
+    # a silent fall back to scalar calls would make no block call
+    calls = patch_block(monkeypatch, lambda out: None)
+    synth_two_moons(500, 35.0, 0.1, seed=0)
+    assert calls == [6 * 500] * len(SPLITS)
 
 
 def test_substream_packs_purpose_and_index():
