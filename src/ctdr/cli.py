@@ -52,8 +52,11 @@ def _parse_bool(s):
 
 
 def _parse_path(s):
+    """A path that the printed config carries back as it is: one line of UTF-8 text, with no NUL and no `#`."""
     if "\0" in s:
         raise ValueError("a path cannot hold a NUL byte")
+    if "#" in s or s.splitlines() not in ([], [s]) or s.encode("utf-8", "replace").decode("utf-8") != s:
+        raise ValueError(f"a path in a config must be one line of UTF-8 text without '#': got {s!r}")
     return s
 
 

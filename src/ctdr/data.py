@@ -309,6 +309,14 @@ def _synth_pair(kind: str, num_classes: int, n: int, label_skew, seed: int, feat
     return DomainPair(*splits)
 
 
+def _check_synth_size(n: int, width: int, num_classes: int) -> None:
+    """Before any draw: largest-remainder counts are exact for n < 2^53, width and classes are u32 (as in
+    load_sparse and Dataset), and a split's n x width float64 rows must fit numpy's intp in bytes."""
+    if n >= 2**53 or max(width, num_classes) >= 2**32 or n * width * 8 > np.iinfo(np.intp).max:
+        raise ContractViolation(f"synthetic pair: need n < 2^53, width and classes < 2^32 and n*width*8 bytes in intp, "
+                                f"got n={n}, width={width}, classes={num_classes}")
+
+
 def _moon_points(labels: np.ndarray, noise_std: float, rng: Rng) -> np.ndarray:
     """One noisy point per label (0 or 1), in order, on two interleaved
     crescents centered so class 1 = -(class 0) pointwise. Point i takes row i
@@ -330,6 +338,7 @@ def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_ske
     """
     if n < 2:
         raise ContractViolation("synth_two_moons: need n >= 2")
+    _check_synth_size(n, 2, 2)
     if not (0.0 <= rotation_degrees <= 360.0):
         raise ContractViolation(f"rotation must be in [0, 360] degrees, got {rotation_degrees}")
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
@@ -366,6 +375,7 @@ def synth_gauss_shift(
         raise ContractViolation(f"synth_gauss_shift: cov_scale must be > 0 and finite, got {cov_scale}")
     if not math.isfinite(mean_shift):
         raise ContractViolation(f"synth_gauss_shift: mean_shift must be finite, got {mean_shift}")
+    _check_synth_size(n, dim, num_classes)
     means = Rng(seed, substream(STREAM_DATA, 3)).normal_matrix(num_classes, dim) * (3.0 / math.sqrt(dim))
 
     def features(labels, split, rng):

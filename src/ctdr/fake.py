@@ -49,7 +49,8 @@ def generator_step(params: ParamSet, real_embeddings, noise, opt_phi, lr: float)
     to fake rows, which are pushed through the (frozen) encoder and compared
     with `real_embeddings`, the encoder's embeddings of a real batch under the
     same params; the kernel bandwidth is the median heuristic on them. The
-    gradient flows back through the encoder into the generator, but only gen*
+    report's gradient, with respect to the fake embeddings, walks back through
+    the encoder record (`fake_cache.encoder`), then the generator's; only gen*
     tensors are updated. Returns (params, opt_phi, report, fake_cache):
     fake_cache is the forward pass of the rows the pre-update generator
     produced, which the returned params give too, as their encoder and
@@ -59,7 +60,7 @@ def generator_step(params: ParamSet, real_embeddings, noise, opt_phi, lr: float)
     fake_cache = forward(params, gen_cache.out)
     report = mmd_loss(fake_cache.embeddings, real_embeddings, None)
 
-    _, d_fake_rows = backward(params, fake_cache, grad_embeddings=report.grad_embeddings)
+    _, d_fake_rows = backward(params, fake_cache.encoder, report.grad)
     grads = generator_backward(params, gen_cache, d_fake_rows)
     params, opt_phi = adam_update(params, grads, opt_phi, lr)
     return params, opt_phi, report, fake_cache

@@ -1,10 +1,11 @@
 """Training objectives.
 
-All classifier-side losses take softmax probabilities and return the scalar
-value plus the gradient with respect to the logits, using sum (not mean)
-reduction over the batch. The kernel two-sample objective for the generator
-returns a gradient with respect to the fake embeddings instead. Logs are
-floored at EPS; so are the per-class probability masses.
+Each loss returns its scalar value plus the gradient with respect to its
+input: the classifier-side losses take softmax probabilities and give the
+gradient with respect to the logits, using sum (not mean) reduction over the
+batch; the kernel two-sample objective for the generator gives it with respect
+to the fake embeddings. Logs are floored at EPS; so are the per-class
+probability masses.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ def _check_probs(probs) -> np.ndarray:
 
 @dataclass
 class LossReport:
-    """One term's scalar value, its gradient, and diagnostic numbers."""
+    """One term's scalar value, its gradient with respect to the loss's input
+    (the logits, or the fake embeddings for mmd_loss), and diagnostic numbers."""
 
     value: float
-    grad_logits: np.ndarray | None = None
-    grad_embeddings: np.ndarray | None = None
+    grad: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -75,7 +76,7 @@ def source_ce(probs, labels) -> LossReport:
     value = -float(np.log(np.maximum(p[rows, y], EPS)).sum())
     grad = p.copy()
     grad[rows, y] -= 1.0
-    return LossReport(value, grad_logits=grad)
+    return LossReport(value, grad)
 
 
 def class_mass(probs) -> np.ndarray:
@@ -130,11 +131,7 @@ def contradist_loss(probs, labels, prior) -> LossReport:
     # d(-V)/d(logits); grouped so every term pairs with its exact cancel
     # partner when b=1 (weighted == onehot and srow == 1 there)
     grad = (p + weighted) - (onehot + p * srow)
-    return LossReport(
-        value,
-        grad_logits=grad,
-        diagnostics={"term_logprob": term1, "term_logprior": term2, "term_logmass": term3},
-    )
+    return LossReport(value, grad, {"term_logprob": term1, "term_logprior": term2, "term_logmass": term3})
 
 
 def adv_bce(probs_fake) -> LossReport:
@@ -147,7 +144,7 @@ def adv_bce(probs_fake) -> LossReport:
     k = p.shape[1]
     value = -float(np.log(np.maximum(p, EPS)).sum())
     grad = k * p - 1.0
-    return LossReport(value, grad_logits=grad)
+    return LossReport(value, grad)
 
 
 def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
@@ -178,11 +175,8 @@ def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
     row_fr = kfr.sum(axis=1, keepdims=True)
     grad = (-4.0 * gamma / (nf * nf)) * (f * row_ff - kff @ f)
     grad += (4.0 * gamma / (nf * nr)) * (f * row_fr - kfr @ r)
-    return LossReport(
-        value,
-        grad_embeddings=grad,
-        diagnostics={"gamma": float(gamma), "k_ff": float(kff.mean()), "k_rr": float(krr.mean()), "k_fr": float(kfr.mean())},
-    )
+    diagnostics = {"gamma": float(gamma), "k_ff": float(kff.mean()), "k_rr": float(krr.mean()), "k_fr": float(kfr.mean())}
+    return LossReport(value, grad, diagnostics)
 
 
 def median_heuristic_gamma(sq: np.ndarray) -> float:

@@ -152,7 +152,8 @@ def init_params(arch: Architecture, rng: Rng) -> ParamSet:
 class ForwardCache:
     """One walk's record, kept for the backward walk: the (prefix, (in, out), relu)
     layers, the input rows, each layer's output (a ReLU's mask is its output
-    > 0), and the softmax probabilities (classifier path only)."""
+    > 0), and the softmax probabilities (classifier path only). With no layers,
+    a record outputs its input."""
 
     layers: tuple
     x: np.ndarray
@@ -161,13 +162,18 @@ class ForwardCache:
 
     @property
     def out(self) -> np.ndarray:
-        return self.act[-1]
+        return self.act[-1] if self.act else self.x
 
     logits = out
 
     @property
-    def embeddings(self) -> np.ndarray:  # input rows of the last layer
-        return self.act[-2] if len(self.act) > 1 else self.x
+    def encoder(self) -> "ForwardCache":
+        """The record of every layer but the last: on the classifier path, its output is the embeddings."""
+        return ForwardCache(self.layers[:-1], self.x, self.act[:-1])
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        return self.encoder.out
 
 
 def _walk_forward(params: ParamSet, layers, x: np.ndarray, record: bool = True):
@@ -184,21 +190,6 @@ def _walk_forward(params: ParamSet, layers, x: np.ndarray, record: bool = True):
         if record:
             act.append(a)
     return a, (ForwardCache(layers, x, act) if record else None)
-
-
-def _walk_backward(params: ParamSet, layers, cache: ForwardCache, d: np.ndarray, input_grad: bool = True):
-    """(grads of `layers`, a leading run of cache.layers, in canonical order;
-    grad wrt the input rows, None without input_grad). ReLU passes d where its
-    output is > 0, which is where its input is (NaN too): none at exactly 0."""
-    grads = {}
-    for i in range(len(layers) - 1, -1, -1):
-        prefix, _, relu = layers[i]
-        if relu:
-            d = d * (cache.act[i] > 0.0)
-        grads[prefix + ".b"] = d.sum(axis=0)
-        grads[prefix + ".w"] = (cache.act[i - 1] if i > 0 else cache.x).T @ d
-        d = d @ params.tensors[prefix + ".w"].T if i or input_grad else None
-    return dict(reversed(grads.items())), d
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFiniteLossError below, with no numpy warning
@@ -228,24 +219,25 @@ def forward_logits(params: ParamSet, x) -> np.ndarray:
     return _path_forward(params, x, record=False)[0]
 
 
-def backward(params: ParamSet, cache: ForwardCache, grad_logits=None, grad_embeddings=None, input_grad=True):
-    """Backprop exactly one of grad_logits and grad_embeddings (then the
-    classifier's grads are zero) along the classifier path. Returns (grads
-    keyed like theta_names, grad wrt input rows or, without input_grad, None)."""
-    if (grad_logits is None) == (grad_embeddings is None):
-        raise ContractViolation("backward: pass exactly one of grad_logits and grad_embeddings")
-    if grad_logits is not None:
-        g = as_matrix(grad_logits, "grad_logits")
-        if g.shape != cache.logits.shape:
-            raise ContractViolation("backward: grad_logits shape mismatch")
-        return _walk_backward(params, cache.layers, cache, g, input_grad)
-    g = as_matrix(grad_embeddings, "grad_embeddings")
-    if g.shape != cache.embeddings.shape:
-        raise ContractViolation("backward: grad_embeddings shape mismatch")
-    grads, d_in = _walk_backward(params, cache.layers[:-1], cache, g, input_grad)
-    for name in _names(cache.layers[-1:]):
-        grads[name] = np.zeros_like(params.tensors[name])
-    return grads, d_in
+def backward(params: ParamSet, cache: ForwardCache, grad, input_grad=True):
+    """Backprop `grad`, d(loss)/d(cache.out), along the record's own layers: a
+    forward record for the logits, its `encoder` for the embeddings, a generator
+    record for its rows. Returns (grads of those layers' tensors, in canonical
+    order; grad wrt the record's input rows, None without input_grad). ReLU
+    passes d where its output is > 0, which is where its input is (NaN too):
+    none at exactly 0."""
+    d = as_matrix(grad, "grad")
+    if d.shape != cache.out.shape:
+        raise ContractViolation(f"backward: grad shape {d.shape}, the record's output is {cache.out.shape}")
+    grads = {}
+    for i in range(len(cache.layers) - 1, -1, -1):
+        prefix, _, relu = cache.layers[i]
+        if relu:
+            d = d * (cache.act[i] > 0.0)
+        grads[prefix + ".b"] = d.sum(axis=0)
+        grads[prefix + ".w"] = (cache.act[i - 1] if i > 0 else cache.x).T @ d
+        d = d @ params.tensors[prefix + ".w"].T if i or input_grad else None
+    return dict(reversed(grads.items())), (d if input_grad else None)
 
 
 def generator_forward_cache(params: ParamSet, noise) -> ForwardCache:
@@ -262,10 +254,7 @@ def generator_forward(params: ParamSet, noise) -> np.ndarray:
 
 def generator_backward(params: ParamSet, cache: ForwardCache, grad_out):
     """Grads of the generator tensors given d(loss)/d(generator output)."""
-    go = as_matrix(grad_out, "grad_out")
-    if go.shape != cache.out.shape:
-        raise ContractViolation("generator_backward: grad shape mismatch")
-    return _walk_backward(params, cache.layers, cache, go, input_grad=False)[0]
+    return backward(params, cache, grad_out, input_grad=False)[0]
 
 
 # --- checkpoint format -------------------------------------------------------

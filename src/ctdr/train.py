@@ -257,7 +257,7 @@ def train_step(
         cache = caches[spec.batch]
         rep = spec.loss(cache.probs, labels if spec.batch == "source" else None, run.priors.get(spec.prior))
         _check_finite(term, rep.value, epoch, step)
-        g, _ = backward(params, cache, grad_logits=rep.grad_logits, input_grad=False)
+        g, _ = backward(params, cache, rep.grad, input_grad=False)
         for name, gt in g.items():  # gt is this backward's own array: add in place
             if name in total:
                 total[name] += gt

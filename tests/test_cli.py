@@ -1132,7 +1132,7 @@ def test_ablate_abort_keeps_the_finished_rows_and_names_the_rung(tmp_path, monke
 
     def huge_adv_bce(probs):
         rep = real_adv_bce(probs)
-        return replace(rep, grad_logits=rep.grad_logits * 1e300)
+        return replace(rep, grad=rep.grad * 1e300)
 
     monkeypatch.setattr(ctdr.train, "adv_bce", huge_adv_bce)
     assert main(["ablate", "--config", str(path)]) == 3
@@ -1345,6 +1345,22 @@ def test_a_bad_value_is_exit_2_naming_its_line_before_any_file(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
 
 
+@pytest.mark.parametrize("command", [["train"], ["ablate"], ["eval", "--checkpoint", "absent.ctdr"], ["synth"]], ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "tail",
+    ["a#b", "a\nseed = 3", "a\rb", "a\udcffb"],  # "\udcff" is argv's form of the byte 0xff
+    ids=["hash", "newline", "return", "not_utf8"],
+)
+def test_a_set_path_the_printed_config_cannot_carry_is_exit_2_before_any_file(tmp_path, capsys, command, tail):
+    # a config file cannot hold these values: the printed config, fed back, would name another path
+    path = small_train_cfg(tmp_path)
+    out_dir = f"{tmp_path}/{tail}"
+    assert main([*command, "--config", str(path), "--set", f"out_dir={out_dir}"]) == 2
+    message = f"a path in a config must be one line of UTF-8 text without '#': got {out_dir!r}"
+    assert capsys.readouterr() == ("", f"error: --set: bad value for 'out_dir': {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
+
+
 def test_a_prior_prints_in_canonical_form_and_the_printed_config_reproduces_the_run(tmp_path, capsys):
     path = small_train_cfg(tmp_path, prior=" .5 , 0.50,")
     assert main(["train", "--config", str(path)]) == 0
@@ -1428,6 +1444,25 @@ def test_a_synthetic_key_at_zero_reaches_its_builder_as_zero(tmp_path, capsys):
         assert main(["synth", "--set", f"data={data}", "--set", "n=0", "--set", f"out_dir={tmp_path / 'out'}"]) == 2
         assert capsys.readouterr().err == f"error: --set: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "sets, got",
+    [
+        (["n=100000000000000000000000000000"], "n=100000000000000000000000000000, width=2, classes=2"),
+        (["n=9223372036854775808"], "n=9223372036854775808, width=2, classes=2"),
+        (["n=4611686018427387904"], "n=4611686018427387904, width=2, classes=2"),
+        (["data=gauss_shift", "gauss_dim=100000000000000000000000000000"], "n=500, width=100000000000000000000000000000, classes=3"),
+    ],
+    ids=["n_1e29", "n_2^63", "n_2^62", "gauss_dim_1e29"],
+)
+def test_a_synthetic_size_no_array_can_hold_is_exit_2_naming_set(tmp_path, capsys, sets, got):
+    # numpy would fail on each with a ValueError of its own; the builders reject it before any draw
+    sets = [f"out_dir={tmp_path / 'out'}", *sets]
+    assert main(["train", *(arg for s in sets for arg in ("--set", s))]) == 2
+    message = f"synthetic pair: need n < 2^53, width and classes < 2^32 and n*width*8 bytes in intp, got {got}"
+    assert capsys.readouterr() == ("", f"error: --set: {message}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_skew_applies_to_two_moons(tmp_path):

@@ -526,6 +526,14 @@ GAUSS_GOLDEN_DIGESTS = {
 }
 
 
+def test_a_synthetic_split_too_wide_for_one_array_is_rejected_before_any_draw():
+    # each bound alone holds (n < 2^53, dim < 2^32); the rows' bytes overflow intp
+    with pytest.raises(ContractViolation, match=r"in intp, got n=1099511627776, width=1073741824, classes=3$"):
+        synth_gauss_shift(2**40, dim=2**30)
+    with pytest.raises(ContractViolation, match=r"in intp, got n=8589934592, width=8, classes=4294967296$"):
+        synth_gauss_shift(2**33, num_classes=2**32)
+
+
 def test_gauss_shift_shapes_and_golden_row():
     pair = synth_gauss_shift(50, num_classes=3, dim=4, seed=1)
     assert pair.source.features.shape == (50, 4)

@@ -174,7 +174,7 @@ def test_generator_mmd_gradient_matches_finite_diff():
     gen_cache = generator_forward_cache(params, noise)
     cache_fake = forward(params, gen_cache.out)
     report = mmd_loss(cache_fake.embeddings, real_emb, gamma)
-    _, d_rows = backward(params, cache_fake, grad_embeddings=report.grad_embeddings)
+    _, d_rows = backward(params, cache_fake.encoder, report.grad)
     grads = generator_backward(params, gen_cache, d_rows)
     fd = finite_diff_param_grad(objective, params, names=phi_names(arch))
     for name in phi_names(arch):

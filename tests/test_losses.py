@@ -20,6 +20,7 @@ from ctdr.losses import (
     source_ce,
 )
 from ctdr.numerics import Rng, _pairwise_sq_dists, log_sum_exp, softmax_rows
+from ctdr.train import TERM_TABLE
 from gradcheck import finite_diff_grad, relative_error
 
 
@@ -84,7 +85,7 @@ def test_source_ce_hand_example():
     rep = source_ce(probs, np.array([0, 1]))
     assert rep.value == pytest.approx(-(math.log(0.9) + math.log(0.8)), abs=1e-12)
     onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert np.max(np.abs(rep.grad_logits - (probs - onehot))) < 1e-15
+    assert np.max(np.abs(rep.grad - (probs - onehot))) < 1e-15
 
 
 def test_source_ce_rejects_bad_labels_and_probs():
@@ -116,7 +117,7 @@ def test_source_ce_grad_matches_finite_diff():
         labels = np.array([rng.below(3) for _ in range(4)])
         rep = source_ce(softmax_rows(logits), labels)
         fd = finite_diff_grad(lambda z: source_ce(softmax_rows(z), labels).value, logits)
-        assert relative_error(rep.grad_logits, fd) <= 1e-6
+        assert relative_error(rep.grad, fd) <= 1e-6
 
 
 def test_class_mass_hand_example():
@@ -198,7 +199,7 @@ def test_contradist_single_sample_cancellation():
         out = pseudo_label_select(probs, prior)
         rep = contradist_loss(probs, out, prior)
         assert rep.value == math.log(prior[out[0]])
-        assert np.all(rep.grad_logits == 0.0)
+        assert np.all(rep.grad == 0.0)
 
 
 def test_contradist_uniform_hand_example():
@@ -232,7 +233,7 @@ def test_contradist_value_matches_direct_sum():
 
 
 def contradist_reference(p, y, prior):
-    """contradist_loss's (value, grad_logits), with one 1-D log_sum_exp per class."""
+    """contradist_loss's (value, grad), with one 1-D log_sum_exp per class."""
     b, k = p.shape
     rows = np.arange(b)
     logp = np.log(np.maximum(p, EPS))
@@ -259,7 +260,7 @@ def test_contradist_matches_per_class_reference_bytes():
         rep = contradist_loss(probs, pseudo, prior)
         value, grad = contradist_reference(probs, pseudo, prior)
         assert np.float64(rep.value).tobytes() == np.float64(value).tobytes()
-        assert rep.grad_logits.tobytes() == grad.tobytes()
+        assert rep.grad.tobytes() == grad.tobytes()
 
 
 def test_contradist_grad_matches_finite_diff():
@@ -277,7 +278,7 @@ def test_contradist_grad_matches_finite_diff():
             return -contradist_loss(softmax_rows(z), pseudo, prior).value
 
         fd = finite_diff_grad(negated, logits)
-        assert relative_error(rep.grad_logits, fd) <= 1e-6
+        assert relative_error(rep.grad, fd) <= 1e-6
 
 
 def test_contradist_prior_term_has_no_gradient():
@@ -286,7 +287,7 @@ def test_contradist_prior_term_has_no_gradient():
     pseudo = pseudo_label_select(probs, [1 / 3, 1 / 3, 1 / 3])
     a = contradist_loss(probs, pseudo, [1 / 3, 1 / 3, 1 / 3])
     b = contradist_loss(probs, pseudo, [0.6, 0.3, 0.1])
-    assert np.array_equal(a.grad_logits, b.grad_logits)
+    assert np.array_equal(a.grad, b.grad)
     assert a.value != b.value
 
 
@@ -295,7 +296,7 @@ def test_adv_bce_uniform_rows_hit_minimum():
         probs = np.full((3, k), 1.0 / k)
         rep = adv_bce(probs)
         assert rep.value == pytest.approx(3 * k * math.log(k), abs=1e-9)
-        assert np.max(np.abs(rep.grad_logits)) < 1e-12
+        assert np.max(np.abs(rep.grad)) < 1e-12
 
 
 def test_adv_bce_hand_example():
@@ -328,7 +329,7 @@ def test_adv_bce_grad_matches_finite_diff():
         logits = rng.uniform_matrix(3, 4, -2.0, 2.0)
         rep = adv_bce(softmax_rows(logits))
         fd = finite_diff_grad(lambda z: adv_bce(softmax_rows(z)).value, logits)
-        assert relative_error(rep.grad_logits, fd) <= 1e-6
+        assert relative_error(rep.grad, fd) <= 1e-6
 
 
 def test_mmd_identical_sets_is_zero():
@@ -368,7 +369,7 @@ def test_mmd_grad_matches_finite_diff():
         r = rng.normal_matrix(5, 3)
         rep = mmd_loss(f, r, 0.7)
         fd = finite_diff_grad(lambda z: mmd_loss(z, r, 0.7).value, f)
-        assert relative_error(rep.grad_embeddings, fd) <= 1e-6
+        assert relative_error(rep.grad, fd) <= 1e-6
 
 
 def test_mmd_grad_is_zero_at_identical_sets():
@@ -377,7 +378,7 @@ def test_mmd_grad_is_zero_at_identical_sets():
     x = Rng(74, 0).normal_matrix(4, 2)
     rep = mmd_loss(x.copy(), x, 1.1)
     fd = finite_diff_grad(lambda z: mmd_loss(z, x, 1.1).value, x.copy())
-    assert np.all(rep.grad_embeddings == 0.0)
+    assert np.all(rep.grad == 0.0)
     assert np.max(np.abs(fd)) < 1e-8
 
 
@@ -426,9 +427,23 @@ def test_mmd_none_gamma_is_the_median_heuristic(nr, identical, width):
     auto = mmd_loss(f, r, None)
     explicit = mmd_loss(f, r, median_heuristic_gamma(_pairwise_sq_dists(r)))
     assert same_bits(auto.value, explicit.value)
-    assert same_bits(auto.grad_embeddings, explicit.grad_embeddings)
+    assert same_bits(auto.grad, explicit.grad)
     assert auto.diagnostics.keys() == explicit.diagnostics.keys()
     for key in auto.diagnostics:
         assert same_bits(auto.diagnostics[key], explicit.diagnostics[key])
     if nr < 2 or identical:
         assert auto.diagnostics["gamma"] == 1.0
+
+
+@pytest.mark.parametrize("term", [*TERM_TABLE, "mmd"])
+def test_each_loss_returns_a_float64_grad_of_its_inputs_shape(term):
+    # a training term's input is its logits (the probs' shape); mmd_loss's is the fake embeddings
+    rng = Rng(77, 0)
+    probs, prior = rand_probs(rng, 5, 3), rand_prior(rng, 3)
+    if term == "mmd":
+        x = rng.normal_matrix(5, 4)
+        rep = mmd_loss(x, rng.normal_matrix(6, 4), None)
+    else:
+        x = probs
+        rep = TERM_TABLE[term].loss(probs, np.array([0, 1, 2, 0, 1]), prior)
+    assert rep.grad.dtype == np.float64 and rep.grad.shape == x.shape

@@ -202,7 +202,7 @@ def test_forward_overflowing_logits_raise_non_finite_loss():
 def test_backward_zero_grad_logits():
     arch, params = small_net()
     cache = forward(params, GOLDEN_X)
-    grads, grad_x = backward(params, cache, grad_logits=np.zeros_like(cache.logits))
+    grads, grad_x = backward(params, cache, np.zeros_like(cache.logits))
     for name in theta_names(arch):
         assert np.array_equal(grads[name], np.zeros_like(params.tensors[name]))
     assert np.array_equal(grad_x, np.zeros_like(GOLDEN_X))
@@ -212,7 +212,7 @@ def test_backward_rejects_shape_mismatch():
     _, params = small_net()
     cache = forward(params, GOLDEN_X)
     with pytest.raises(ContractViolation):
-        backward(params, cache, grad_logits=np.zeros((1, 2)))
+        backward(params, cache, np.zeros((1, 2)))
 
 
 def test_backward_linear_layer_matches_finite_diff():
@@ -225,7 +225,7 @@ def test_backward_linear_layer_matches_finite_diff():
         return float(np.sum(forward(p, x).logits * coeff))
 
     cache = forward(params, x)
-    grads, _ = backward(params, cache, grad_logits=coeff)
+    grads, _ = backward(params, cache, coeff)
     fd = finite_diff_param_grad(objective, params)
     for name in theta_names(arch):
         assert relative_error(grads[name], fd[name]) <= 1e-6
@@ -243,7 +243,7 @@ def test_backward_two_layer_relu_matches_finite_diff():
             return float(np.sum(forward(p, x).logits * coeff))
 
         cache = forward(params, x)
-        grads, _ = backward(params, cache, grad_logits=coeff)
+        grads, _ = backward(params, cache, coeff)
         fd = finite_diff_param_grad(objective, params)
         for name in theta_names(arch):
             assert relative_error(grads[name], fd[name]) <= 1e-4
@@ -254,32 +254,64 @@ def test_backward_embedding_grad_path():
     params = init_params(arch, Rng(31, STREAM_WEIGHT_INIT))
     x = Rng(32, 0).normal_matrix(4, 3)
 
-    # objective 0.5 * sum(embeddings^2), so grad_embeddings = embeddings
+    # objective 0.5 * sum(embeddings^2), so its gradient at the embeddings is the embeddings
     def objective(p):
         emb = forward(p, x).embeddings
         return float(0.5 * np.sum(emb * emb))
 
     cache = forward(params, x)
-    grads, _ = backward(params, cache, grad_embeddings=cache.embeddings)
+    grads, _ = backward(params, cache.encoder, cache.embeddings)
     fd = finite_diff_param_grad(objective, params)
+    assert list(grads) == ["enc0.w", "enc0.b"]
     for name in theta_names(arch):
-        # classifier gets no gradient from an embedding objective
-        if name.startswith("cls."):
-            assert np.array_equal(grads[name], np.zeros_like(params.tensors[name]))
-        assert relative_error(grads[name], fd[name]) <= 1e-4
+        # the classifier gets no gradient from an embedding objective, and the walk stops below it
+        want = grads.get(name, np.zeros_like(params.tensors[name]))
+        assert relative_error(want, fd[name]) <= 1e-4
 
 
-def test_backward_takes_exactly_one_gradient():
-    arch = Architecture.mlp(3, (5,), 2)
+def embedding_walk_reference(params, x, g, input_grad):
+    """The classifier path's walk back from a gradient `g` at its embeddings, in
+    plain numpy: each encoder layer's input and output are recomputed as the
+    forward walk computes them, then `g` passes back through the ReLU masks.
+    (grads of the encoder tensors; grad wrt x, or None without input_grad)."""
+    ins, outs, a = [], [], x
+    for i in range(len(params.arch.encoder)):
+        ins.append(a)
+        a = a @ params.tensors[f"enc{i}.w"]
+        a += params.tensors[f"enc{i}.b"]
+        np.maximum(a, 0.0, out=a)
+        outs.append(a)
+    grads, d = {}, g
+    for i in reversed(range(len(outs))):
+        d = d * (outs[i] > 0.0)
+        grads[f"enc{i}.b"] = d.sum(axis=0)
+        grads[f"enc{i}.w"] = ins[i].T @ d
+        if i or input_grad:
+            d = d @ params.tensors[f"enc{i}.w"].T
+    return grads, (d if input_grad else None)
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("hidden", [(), (5,), (6, 4)], ids=["0_hidden", "1_hidden", "2_hidden"])
+def test_backward_from_the_encoder_record_matches_a_plain_embedding_walk(hidden, input_grad):
+    arch = Architecture.mlp(3, hidden, 2)
     params = init_params(arch, Rng(33, STREAM_WEIGHT_INIT))
-    cache = forward(params, Rng(34, 0).normal_matrix(4, 3))
-    with pytest.raises(ContractViolation, match="exactly one"):
-        backward(params, cache, grad_logits=np.zeros((4, 2)), grad_embeddings=np.zeros((4, 5)))
-    with pytest.raises(ContractViolation, match="exactly one"):
-        backward(params, cache)
-    for one in ({"grad_logits": np.zeros((4, 2))}, {"grad_embeddings": np.zeros((4, 5))}):
-        grads, _ = backward(params, cache, **one)
-        assert list(grads) == theta_names(arch)
+    x = Rng(34, 0).normal_matrix(7, 3)
+    cache = forward(params, x)
+    encoder = cache.encoder
+    assert encoder.out.tobytes() == cache.embeddings.tobytes()
+    if not hidden:
+        assert encoder.out is x  # a record with no layers outputs its input
+    g = Rng(34, 1).normal_matrix(7, arch.embedding_dim)
+    want, want_x = embedding_walk_reference(params, x, g, input_grad)
+    got, got_x = backward(params, encoder, g, input_grad=input_grad)
+    assert list(got) == [n for n in theta_names(arch) if n.startswith("enc")]
+    for name in got:
+        assert got[name].tobytes() == want[name].tobytes()
+    if input_grad:
+        assert got_x.tobytes() == want_x.tobytes()
+    else:
+        assert got_x is None
 
 
 def test_backward_input_gradient_matches_finite_diff():
@@ -287,7 +319,7 @@ def test_backward_input_gradient_matches_finite_diff():
     x = Rng(35, 0).normal_matrix(3, 3)
     coeff = Rng(35, 1).normal_matrix(3, 2)
     cache = forward(params, x)
-    _, grad_x = backward(params, cache, grad_logits=coeff)
+    _, grad_x = backward(params, cache, coeff)
 
     flat = x.copy()
     h = 1e-6
@@ -314,8 +346,8 @@ def test_backward_without_input_gradient_gives_the_same_weight_gradients(net):
     x = Rng(36, 0).normal_matrix(5, 3)
     coeff = Rng(36, 1).normal_matrix(5, 2)
     cache = forward(params, x)
-    want, grad_x = backward(params, cache, grad_logits=coeff)
-    got, no_grad_x = backward(params, cache, grad_logits=coeff, input_grad=False)
+    want, grad_x = backward(params, cache, coeff)
+    got, no_grad_x = backward(params, cache, coeff, input_grad=False)
     assert grad_x.shape == x.shape and no_grad_x is None
     assert list(got) == list(want)
     for name in want:
@@ -361,7 +393,7 @@ def test_relu_subgradient_at_zero_is_zero():
     params = ParamSet(arch, tensors)
     cache = forward(params, np.array([[0.0]]))
     assert cache.logits[0, 0] == 0.0
-    grads, grad_x = backward(params, cache, grad_logits=np.array([[1.0]]))
+    grads, grad_x = backward(params, cache, np.array([[1.0]]))
     assert grads["enc0.w"][0, 0] == 0.0
     assert grad_x[0, 0] == 0.0
 
@@ -411,6 +443,20 @@ def test_generator_backward_matches_finite_diff():
     for name in phi_names(arch):
         assert relative_error(grads[name], fd[name]) <= 1e-4
     assert set(grads) == set(phi_names(arch))
+
+
+def test_backward_on_a_generator_record_equals_generator_backward():
+    arch = Architecture.mlp(3, (4,), 2).with_generator(2, (5, 3))
+    params = init_params(arch, Rng(48, STREAM_WEIGHT_INIT))
+    cache = generator_forward_cache(params, Rng(49, 0).normal_matrix(6, 2))
+    coeff = Rng(49, 1).normal_matrix(6, 3)
+    want = generator_backward(params, cache, coeff)
+    assert list(want) == phi_names(arch)
+    for input_grad in (True, False):
+        got, d_noise = backward(params, cache, coeff, input_grad=input_grad)
+        assert list(got) == list(want)
+        assert all(got[n].tobytes() == want[n].tobytes() for n in want)
+        assert d_noise.shape == (6, 2) if input_grad else d_noise is None
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

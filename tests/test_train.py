@@ -336,15 +336,15 @@ def test_train_step_leaves_batches_state_and_logit_grads_unchanged(monkeypatch):
     passed = []
     real_backward = ctdr.train.backward
 
-    def recording_backward(params, cache, grad_logits=None, grad_embeddings=None, input_grad=True):
-        passed.append((grad_logits, grad_logits.copy()))
-        return real_backward(params, cache, grad_logits=grad_logits, grad_embeddings=grad_embeddings, input_grad=input_grad)
+    def recording_backward(params, cache, grad, input_grad=True):
+        passed.append((grad, grad.copy()))
+        return real_backward(params, cache, grad, input_grad)
 
     monkeypatch.setattr(ctdr.train, "backward", recording_backward)
     train_step(params, opt, None, batches, labels, run, 0.01)
     assert len(passed) == 5
-    for grad_logits, copy in passed:
-        assert np.array_equal(grad_logits, copy)
+    for grad, copy in passed:
+        assert np.array_equal(grad, copy)
     assert all(np.array_equal(batches[b], rows) for b, rows in rows_before.items())
     for moments, before in zip((opt.m, opt.v), opt_before):
         assert all(np.array_equal(moments[n], before[n]) for n in before)
@@ -501,7 +501,7 @@ def test_nonfinite_loss_mid_run_leaves_no_thread_behind(monkeypatch):
     def poisoned(probs):
         calls.append(1)
         if len(calls) == 5:  # ta's fifth step: epoch 1, step 1
-            return LossReport(float("nan"), grad_logits=np.zeros_like(probs))
+            return LossReport(float("nan"), np.zeros_like(probs))
         return real_adv(probs)
 
     monkeypatch.setattr(ctdr.train, "adv_bce", poisoned)
@@ -622,7 +622,7 @@ def test_nonfinite_loss_aborts_with_term_name(monkeypatch):
     pair = tiny_pair()
 
     def poisoned(probs, labels):
-        return LossReport(float("nan"), grad_logits=np.zeros_like(probs))
+        return LossReport(float("nan"), np.zeros_like(probs))
 
     monkeypatch.setattr(ctdr.train, "source_ce", poisoned)
     with pytest.raises(NonFiniteLossError) as exc:
