@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 from .data import (
+    _PRE_DRAW_CHECKS,
     DomainPair,
     FeatureTransform,
     load_idx,
@@ -245,32 +246,36 @@ def load_config(args) -> dict:
 # --- config -> runtime objects ---------------------------------------------------
 
 
-def _located(build, cfg: dict):
+def _located(build, cfg: dict, check=None):
     """build(cfg). Its error names where the key at fault was given: `data`, then
     the given keys in the order given, join the defaults one at a time, and the first
     whose joining fails is named (under data = gauss_shift, of n = 5, then
-    gauss_classes = 8: gauss_classes). When `data` fails on its own, none is named."""
+    gauss_classes = 8: gauss_classes). When `data` fails on its own, none is named.
+    With `check`, the search runs check on each partial config first, and builds them
+    only when no check fails: a partial config can ask for far more than the full one
+    (a given gauss_dim under the default n)."""
     try:
         return build(cfg)
     except (ConfigError, ContractViolation) as exc:
-        held = resolve_config({})
-        for key, at in [("data", None), *cfg.where.items()]:
-            held[key] = cfg[key]
-            try:
-                build(held)
-            except (ConfigError, ContractViolation) as alone:
-                if at is None:
-                    break
-                raise ConfigError(f"{at}: {alone}") from exc
+        for attempt in (check, build) if check else (build,):
+            held = resolve_config({})
+            for key, at in [("data", None), *cfg.where.items()]:
+                held[key] = cfg[key]
+                try:
+                    attempt(held)
+                except (ConfigError, ContractViolation) as alone:
+                    if at is None:
+                        break
+                    raise ConfigError(f"{at}: {alone}") from exc
         raise
 
 
 def build_pair(cfg: dict, fit_transform: bool = False) -> tuple:
     """(the DomainPair of resolve_config's values, None), or with fit_transform and `standardize = true`,
-    standardize(that pair). Errors as in _located. The data files are read once, before the search, and
-    their faults name no key."""
+    standardize(that pair). Errors as in _located, whose search runs a synthetic builder's pre-draw checks
+    before it builds any pair. The data files are read once, before the search, and their faults name no key."""
     splits = _read_splits(cfg)
-    return _located(lambda c: _pair(c, splits, fit_transform), cfg)
+    return _located(lambda c: _pair(c, splits, fit_transform), cfg, lambda c: _pre_draw(c, splits))
 
 
 def _read_splits(cfg: dict) -> tuple | None:
@@ -290,6 +295,13 @@ def _pair(cfg: dict, splits: tuple | None, fit_transform: bool) -> tuple:
     else:
         pair = DomainPair(*(_idx_step(cfg, splits) if None in args.values() else splits))
     return standardize(pair) if fit_transform and cfg["standardize"] else (pair, None)
+
+
+def _pre_draw(cfg: dict, splits: tuple | None) -> None:
+    """The checks _pair's synthetic builder makes before its first draw; none for data read from files."""
+    build, args = DATA_MODES[cfg["data"]]
+    if splits is None:
+        _PRE_DRAW_CHECKS[build](**{a: cfg[k] for k, a in args.items()})
 
 
 def _idx_step(cfg: dict, splits: tuple) -> list:

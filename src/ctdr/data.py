@@ -289,14 +289,14 @@ def save_sparse(dataset: Dataset, path) -> None:
 # --- synthetic domain pairs ----------------------------------------------------
 
 
-def _synth_pair(kind: str, num_classes: int, n: int, label_skew, seed: int, features) -> DomainPair:
+def _synth_pair(kind: str, n: int, skew: np.ndarray, seed: int, features) -> DomainPair:
     """The source, target_train and target_test splits of a synthetic pair, n rows each, named `<kind>_<split>`.
 
     Split i draws its rows, features(labels, split, rng), from substream i of STREAM_DATA. Its labels are
-    sorted, in exact largest-remainder counts: balanced for the source, label_skew for both target splits.
+    sorted, in exact largest-remainder counts: balanced for the source, the prior `skew` for both target splits.
     """
+    num_classes = skew.size
     balanced = np.full(num_classes, 1.0 / num_classes)
-    skew = balanced if label_skew is None else make_prior(label_skew, num_classes, "label_skew")
     splits = []
     for i, (split, prior) in enumerate(zip(SPLITS, (balanced, skew, skew))):
         raw = prior * n  # largest remainder: the n - sum(floor) largest fractional parts take one more row each
@@ -307,6 +307,13 @@ def _synth_pair(kind: str, num_classes: int, n: int, label_skew, seed: int, feat
             rows = features(labels, split, Rng(seed, substream(STREAM_DATA, i)))
         splits.append(Dataset(rows, labels, num_classes, name=f"{kind}_{split}"))
     return DomainPair(*splits)
+
+
+def _target_prior(label_skew, num_classes: int) -> np.ndarray:
+    """The target splits' class prior: label_skew, checked, or balanced when None."""
+    if label_skew is None:
+        return np.full(num_classes, 1.0 / num_classes)
+    return make_prior(label_skew, num_classes, "label_skew")
 
 
 def _check_synth_size(n: int, width: int, num_classes: int) -> None:
@@ -329,13 +336,8 @@ def _moon_points(labels: np.ndarray, noise_std: float, rng: Rng) -> np.ndarray:
     return points + draws[:, 1:] * noise_std
 
 
-def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_skew=None, seed: int = 0) -> DomainPair:
-    """Two-moons source; target = same generator rotated about the origin.
-
-    n points per set (source, target-train, target-test). label_skew, when
-    given, fixes the target class proportions with exact largest-remainder
-    counts; the source stays balanced.
-    """
+def _two_moons_checks(n: int, rotation_degrees: float, noise_std: float, label_skew) -> np.ndarray:
+    """synth_two_moons's checks, all made before any draw; returns the target prior."""
     if n < 2:
         raise ContractViolation("synth_two_moons: need n >= 2")
     _check_synth_size(n, 2, 2)
@@ -343,6 +345,17 @@ def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_ske
         raise ContractViolation(f"rotation must be in [0, 360] degrees, got {rotation_degrees}")
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ContractViolation(f"noise_std must be >= 0 and finite, got {noise_std}")
+    return _target_prior(label_skew, 2)
+
+
+def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_skew=None, seed: int = 0) -> DomainPair:
+    """Two-moons source; target = same generator rotated about the origin.
+
+    n points per set (source, target-train, target-test). label_skew, when
+    given, fixes the target class proportions with exact largest-remainder
+    counts; the source stays balanced.
+    """
+    skew = _two_moons_checks(n, rotation_degrees, noise_std, label_skew)
     a = math.radians(rotation_degrees)
     rot = np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
 
@@ -350,7 +363,22 @@ def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_ske
         points = _moon_points(labels, noise_std, rng)
         return points if split == "source" else points @ rot
 
-    return _synth_pair("moons", 2, n, label_skew, seed, features)
+    return _synth_pair("moons", n, skew, seed, features)
+
+
+def _gauss_shift_checks(n: int, num_classes: int, dim: int, mean_shift: float, cov_scale: float,
+                        label_skew) -> np.ndarray:
+    """synth_gauss_shift's checks, all made before any draw; returns the target prior."""
+    if n < num_classes:
+        raise ContractViolation("synth_gauss_shift: need n >= num_classes")
+    if num_classes < 2 or dim < 1:
+        raise ContractViolation("synth_gauss_shift: need num_classes >= 2 and dim >= 1")
+    if not (math.isfinite(cov_scale) and cov_scale > 0):
+        raise ContractViolation(f"synth_gauss_shift: cov_scale must be > 0 and finite, got {cov_scale}")
+    if not math.isfinite(mean_shift):
+        raise ContractViolation(f"synth_gauss_shift: mean_shift must be finite, got {mean_shift}")
+    _check_synth_size(n, dim, num_classes)
+    return _target_prior(label_skew, num_classes)
 
 
 def synth_gauss_shift(
@@ -367,22 +395,18 @@ def synth_gauss_shift(
     mean_shift = 0 and cov_scale = 1 make target and source identically
     distributed (up to sampling noise).
     """
-    if n < num_classes:
-        raise ContractViolation("synth_gauss_shift: need n >= num_classes")
-    if num_classes < 2 or dim < 1:
-        raise ContractViolation("synth_gauss_shift: need num_classes >= 2 and dim >= 1")
-    if not (math.isfinite(cov_scale) and cov_scale > 0):
-        raise ContractViolation(f"synth_gauss_shift: cov_scale must be > 0 and finite, got {cov_scale}")
-    if not math.isfinite(mean_shift):
-        raise ContractViolation(f"synth_gauss_shift: mean_shift must be finite, got {mean_shift}")
-    _check_synth_size(n, dim, num_classes)
+    skew = _gauss_shift_checks(n, num_classes, dim, mean_shift, cov_scale, label_skew)
     means = Rng(seed, substream(STREAM_DATA, 3)).normal_matrix(num_classes, dim) * (3.0 / math.sqrt(dim))
 
     def features(labels, split, rng):
         shift, scale = (0.0, 1.0) if split == "source" else (mean_shift, cov_scale)
         return means[labels] + shift + scale * rng.normal_matrix(labels.size, dim)
 
-    return _synth_pair("gauss", num_classes, n, label_skew, seed, features)
+    return _synth_pair("gauss", n, skew, seed, features)
+
+
+# The checks each synthetic builder makes before its first draw, by builder.
+_PRE_DRAW_CHECKS = {synth_two_moons: _two_moons_checks, synth_gauss_shift: _gauss_shift_checks}
 
 
 # --- transforms ----------------------------------------------------------------

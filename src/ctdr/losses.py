@@ -10,6 +10,7 @@ probability masses.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +155,12 @@ def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
     respect to the fake embeddings only; the real side is a constant.
     gamma None takes median_heuristic_gamma of the real-real squared
     distances, the same matrix that k(r,r) is built from.
+
+    The fake-real distances, which need no gamma, are computed on a
+    one-worker pool made for this call, under the caller's numpy errstate
+    (errstate is per thread), while this thread builds k(r,r) and k(f,f).
+    The pool is joined before the call returns or raises. Every value is
+    the one the serial order gives.
     """
     f = as_matrix(emb_fake, "emb_fake")
     r = as_matrix(emb_real, "emb_real")
@@ -162,12 +169,20 @@ def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
     if f.shape[0] < 1 or r.shape[0] < 1:
         raise ContractViolation("mmd: inputs must be nonempty")
     nf, nr = f.shape[0], r.shape[0]
-    sq_rr = _pairwise_sq_dists(r)
-    if gamma is None:
-        gamma = median_heuristic_gamma(sq_rr)
-    kff = gaussian_kernel_matrix(f, f, gamma)
-    krr = np.exp(-gamma * sq_rr)  # gaussian_kernel_matrix(r, r, gamma); kff has checked gamma
-    kfr = gaussian_kernel_matrix(f, r, gamma)
+    err = np.geterr()
+
+    def cross_dists():
+        with np.errstate(**err):
+            return _pairwise_sq_dists(f, None if r is f else r)  # as gaussian_kernel_matrix(f, r, gamma) takes them
+
+    with ThreadPoolExecutor(1, thread_name_prefix="ctdr-mmd") as pool:
+        sq_fr = pool.submit(cross_dists)
+        sq_rr = _pairwise_sq_dists(r)
+        if gamma is None:
+            gamma = median_heuristic_gamma(sq_rr)
+        kff = gaussian_kernel_matrix(f, f, gamma)
+        krr = np.exp(-gamma * sq_rr)  # gaussian_kernel_matrix(r, r, gamma); kff has checked gamma
+        kfr = np.exp(-gamma * sq_fr.result())
     value = float(kff.sum()) / (nf * nf) + float(krr.sum()) / (nr * nr) - 2.0 * float(kfr.sum()) / (nf * nr)
 
     # d value / d f_i, using d k(a,b)/d a = -2 gamma (a - b) k(a,b)

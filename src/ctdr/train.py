@@ -290,7 +290,8 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     ahead, with the bytes of drawing them in each step: one
     run.draw_noise(), the only reader of run.streams, is in flight on a
     one-worker pool, which starts no thread when the run has no ta or sa
-    term or no steps. Each step takes its fakes (run.fakes_from) here,
+    term or no steps (a generator step's mmd_loss starts and joins one
+    thread of its own). Each step takes its fakes (run.fakes_from) here,
     before the next draw: this errstate covers the gaussian scaling, the
     one part that can overflow (numpy's errstate is per thread). No draw
     goes past the last step, runs while on_epoch does, or outlives fit; a

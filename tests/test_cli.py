@@ -32,6 +32,7 @@ from ctdr.data import Dataset, DomainPair, load_sparse, save_sparse, synth_gauss
 from ctdr.errors import ConfigError, NonFiniteLossError
 from ctdr.fake import FakeSourceConfig
 from ctdr.model import forward, load_checkpoint, save_checkpoint
+from ctdr.numerics import Rng
 from ctdr.train import LossCombo, TrainConfig, fit
 
 
@@ -1462,6 +1463,25 @@ def test_a_synthetic_size_no_array_can_hold_is_exit_2_naming_set(tmp_path, capsy
     assert main(["train", *(arg for s in sets for arg in ("--set", s))]) == 2
     message = f"synthetic pair: need n < 2^53, width and classes < 2^32 and n*width*8 bytes in intp, got {got}"
     assert capsys.readouterr() == ("", f"error: --set: {message}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_key_search_starts_no_draw_larger_than_the_full_config_allows(tmp_path, capsys, monkeypatch):
+    # the full config fails the size check on n; gauss_dim alone, under the default n = 500, passes
+    # it and would ask for 96 GiB of class means, so the search checks every partial config first
+    real = Rng.normal_matrix
+
+    def small_only(rng, rows, cols):
+        if rows * cols > 100_000:
+            raise AssertionError(f"normal_matrix({rows}, {cols})")
+        return real(rng, rows, cols)
+
+    monkeypatch.setattr(Rng, "normal_matrix", small_only)
+    sets = [f"out_dir={tmp_path / 'out'}", "data=gauss_shift", "gauss_dim=4294967295", "n=4503599627370495"]
+    assert main(["train", *(arg for s in sets for arg in ("--set", s))]) == 2
+    message = "synthetic pair: need n < 2^53, width and classes < 2^32 and n*width*8 bytes in intp"
+    got = "n=4503599627370495, width=4294967295, classes=3"
+    assert capsys.readouterr() == ("", f"error: --set: {message}, got {got}\n")
     assert not any(tmp_path.iterdir())
 
 

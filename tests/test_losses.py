@@ -2,11 +2,13 @@
 objective with pseudo-label selection, fake-sample BCE, and kernel MMD."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import ctdr.losses
 from ctdr.errors import ContractViolation, NonFiniteLossError
 from ctdr.losses import (
     EPS,
@@ -19,7 +21,7 @@ from ctdr.losses import (
     pseudo_label_select,
     source_ce,
 )
-from ctdr.numerics import Rng, _pairwise_sq_dists, log_sum_exp, softmax_rows
+from ctdr.numerics import Rng, _pairwise_sq_dists, gaussian_kernel_matrix, log_sum_exp, softmax_rows
 from ctdr.train import TERM_TABLE
 from gradcheck import finite_diff_grad, relative_error
 
@@ -433,6 +435,99 @@ def test_mmd_none_gamma_is_the_median_heuristic(nr, identical, width):
         assert same_bits(auto.diagnostics[key], explicit.diagnostics[key])
     if nr < 2 or identical:
         assert auto.diagnostics["gamma"] == 1.0
+
+
+def serial_mmd(f, r, gamma):
+    """mmd_loss with every distance pass on the calling thread, in the order mmd_loss takes them."""
+    nf, nr = f.shape[0], r.shape[0]
+    sq_rr = _pairwise_sq_dists(r)
+    if gamma is None:
+        gamma = median_heuristic_gamma(sq_rr)
+    kff = gaussian_kernel_matrix(f, f, gamma)
+    krr = np.exp(-gamma * sq_rr)
+    kfr = gaussian_kernel_matrix(f, r, gamma)
+    value = float(kff.sum()) / (nf * nf) + float(krr.sum()) / (nr * nr) - 2.0 * float(kfr.sum()) / (nf * nr)
+    grad = (-4.0 * gamma / (nf * nf)) * (f * kff.sum(axis=1, keepdims=True) - kff @ f)
+    grad += (4.0 * gamma / (nf * nr)) * (f * kfr.sum(axis=1, keepdims=True) - kfr @ r)
+    return value, grad, {"gamma": float(gamma), "k_ff": float(kff.mean()), "k_rr": float(krr.mean()), "k_fr": float(kfr.mean())}
+
+
+def assert_same_report(rep, serial):
+    value, grad, diagnostics = serial
+    assert same_bits(rep.value, value) and same_bits(rep.grad, grad)
+    assert rep.diagnostics.keys() == diagnostics.keys()
+    for key in diagnostics:
+        assert same_bits(rep.diagnostics[key], diagnostics[key]), key
+
+
+def mmd_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("ctdr-mmd")]
+
+
+@pytest.mark.parametrize("gamma", [None, 0.3])
+@pytest.mark.parametrize(
+    "nf, nr, width, same",
+    [(1, 1, 1, False), (1, 1, 3, False), (7, 130, 128, False), (130, 7, 16, False), (9, 4, 1, False), (6, 6, 5, True)],
+)
+def test_mmd_equals_the_serial_reference_bit_for_bit(nf, nr, width, same, gamma):
+    rng = Rng(78, nf * 1000 + nr)
+    f = rng.normal_matrix(nf, width)
+    r = f if same else rng.normal_matrix(nr, width) * 1.5 - 0.25  # same: one array on both sides
+    assert_same_report(mmd_loss(f, r, gamma), serial_mmd(f, r, gamma))
+
+
+def test_mmd_cross_distances_that_overflow_follow_the_callers_errstate():
+    # only the fake-real pass overflows: 1e308 - (-1e308) is inf, and k(f, r) is exp(-inf) = 0
+    f = np.array([[1e308, 0.0], [1e308, 1.0]])
+    r = np.array([[-1e308, 0.0], [-1e308, 2.0], [-1e308, 3.0]])
+    before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            rep = mmd_loss(f, r, 0.5)
+            serial = serial_mmd(f, r, 0.5)
+        assert_same_report(rep, serial)
+        assert rep.diagnostics["k_fr"] == 0.0
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            mmd_loss(f, r, 0.5)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            serial_mmd(f, r, 0.5)
+    assert threading.active_count() == before and not mmd_threads()
+
+
+@pytest.mark.parametrize(
+    "gamma, error",
+    [(-1.0, ContractViolation), (0.0, ContractViolation), (math.nan, ContractViolation), (math.inf, ContractViolation),
+     (None, NonFiniteLossError)],
+)
+def test_an_mmd_that_raises_leaves_no_thread_running(gamma, error):
+    f = Rng(79, 0).normal_matrix(40, 8)
+    r = Rng(79, 1).normal_matrix(50, 8) * (1e160 if gamma is None else 1.0)  # None: the median overflows
+    before = threading.active_count()
+    with pytest.raises(error):
+        mmd_loss(f, r, gamma)
+    assert threading.active_count() == before and not mmd_threads()
+
+
+def test_mmd_bandwidth_and_kernels_run_on_the_calling_thread(monkeypatch):
+    # only the fake-real distances go to the worker; the traced names run here
+    seen = {"median": [], "kernel": [], "dists": []}
+
+    def recording(name, real):
+        def call(*args):
+            seen[name].append(threading.get_ident())
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(ctdr.losses, "median_heuristic_gamma", recording("median", median_heuristic_gamma))
+    monkeypatch.setattr(ctdr.losses, "gaussian_kernel_matrix", recording("kernel", gaussian_kernel_matrix))
+    monkeypatch.setattr(ctdr.losses, "_pairwise_sq_dists", recording("dists", _pairwise_sq_dists))
+    rng = Rng(80, 0)
+    mmd_loss(rng.normal_matrix(5, 3), rng.normal_matrix(6, 3), None)
+    here = threading.get_ident()
+    assert seen["median"] == [here] and seen["kernel"] == [here]
+    assert sorted(ident == here for ident in seen["dists"]) == [False, True]
 
 
 @pytest.mark.parametrize("term", [*TERM_TABLE, "mmd"])

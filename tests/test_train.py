@@ -595,7 +595,8 @@ def test_generator_noise_is_drawn_on_the_worker_and_no_thread_outlives_fit(monke
     draws, started = record_draws_and_thread_starts(monkeypatch)
     before = threading.active_count()
     fit(quick_config(combo, fake=FakeSourceConfig(mode="generator")), tiny_pair())
-    assert started == ["ctdr-fake-rows_0"]
+    # the draw worker starts once; every other thread is mmd_loss's worker, one per generator step
+    assert started == ["ctdr-fake-rows_0", *["ctdr-mmd_0"] * 6]
     assert len(draws) == 6 and threading.get_ident() not in draws  # 3 steps an epoch
     assert threading.active_count() == before
 
