@@ -23,9 +23,10 @@ import sys
 from pathlib import Path
 
 from .data import (
-    _PRE_DRAW_CHECKS,
     DomainPair,
     FeatureTransform,
+    _gauss_shift_checks,
+    _two_moons_checks,
     load_idx,
     load_sparse,
     read_utf8,
@@ -92,15 +93,19 @@ _PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_list(int)}
 _TRAIN = TrainConfig()
 _SPLITS = ("source", "target", "target_test")  # data.SPLITS as the data keys spell them: target_images, n_target
 
-# data mode -> (builder, {config key: builder argument}), in the order `data`'s errors list them. A synthetic mode's
-# builder returns the DomainPair of its arguments and `seed`; a file mode's reads one split. A key with `{}` is one per
-# split, and a path that must be set if it is a builder argument. idx's own step, _idx_step, reads keys of argument None.
+# data mode -> (builder, pre-draw checks or None, {config key: builder argument}), in the order `data`'s errors list
+# them. A synthetic mode's builder returns the DomainPair of its arguments and `seed`; its checks take them but `seed`,
+# make each check the builder makes before its first draw, and return (target prior, values a split draws). A file
+# mode's builder reads one split. A key with `{}` is one per split, and a path that must be set if it is a builder
+# argument. idx's own step, _idx_step, reads keys of argument None.
 DATA_MODES: dict = {
-    "two_moons": (synth_two_moons, {"n": "n", "rotation": "rotation_degrees", "noise": "noise_std", "skew": "label_skew"}),
-    "gauss_shift": (synth_gauss_shift, {"n": "n", "gauss_classes": "num_classes", "gauss_dim": "dim",
-                                        "gauss_mean_shift": "mean_shift", "gauss_cov_scale": "cov_scale", "skew": "label_skew"}),
-    "idx": (load_idx, {"classes": "num_classes", "{}_images": "images_path", "{}_labels": "labels_path", "resize": None, "n_{}": None}),
-    "sparse": (load_sparse, {"{}_sparse": "path"}),
+    "two_moons": (synth_two_moons, _two_moons_checks,
+                  {"n": "n", "rotation": "rotation_degrees", "noise": "noise_std", "skew": "label_skew"}),
+    "gauss_shift": (synth_gauss_shift, _gauss_shift_checks, {"n": "n", "gauss_classes": "num_classes", "gauss_dim": "dim",
+                    "gauss_mean_shift": "mean_shift", "gauss_cov_scale": "cov_scale", "skew": "label_skew"}),
+    "idx": (load_idx, None,
+            {"classes": "num_classes", "{}_images": "images_path", "{}_labels": "labels_path", "resize": None, "n_{}": None}),
+    "sparse": (load_sparse, None, {"{}_sparse": "path"}),
 }
 
 
@@ -111,7 +116,7 @@ def _paths(args: dict) -> list:
 
 def _data_keys(entries: dict) -> dict:
     """SCHEMA entries of data keys from key -> (parser, default): a key's scope is the modes whose row lists it."""
-    listed = {mode: {key.format(split) for key in args for split in _SPLITS} for mode, (_, args) in DATA_MODES.items()}
+    listed = {mode: {key.format(split) for key in args for split in _SPLITS} for mode, (*_, args) in DATA_MODES.items()}
     return {key: (*entry, tuple(m for m, keys in listed.items() if key in keys)) for key, entry in entries.items()}
 
 
@@ -151,7 +156,7 @@ SCHEMA: dict = {
     **_data_keys({
         "n": (int, 500), "rotation": (float, 35.0), "noise": (float, 0.12), "skew": (lambda s: _parse_list(float)(s) or None, None),
         "gauss_classes": (int, 3), "gauss_dim": (int, 8), "gauss_mean_shift": (float, 1.0), "gauss_cov_scale": (float, 1.5),
-        "classes": (int, 10), **{path: (_parse_path, "") for _, args in DATA_MODES.values() for path in _paths(args)},
+        "classes": (int, 10), **{path: (_parse_path, "") for *_, args in DATA_MODES.values() for path in _paths(args)},
         "resize": (str, ""), **{f"n_{split}": (int, 0) for split in _SPLITS},
     }),
     "standardize": (_parse_bool, True, None),
@@ -251,13 +256,19 @@ def _located(build, cfg: dict, check=None):
     the given keys in the order given, join the defaults one at a time, and the first
     whose joining fails is named (under data = gauss_shift, of n = 5, then
     gauss_classes = 8: gauss_classes). When `data` fails on its own, none is named.
-    With `check`, the search runs check on each partial config first, and builds them
-    only when no check fails: a partial config can ask for far more than the full one
-    (a given gauss_dim under the default n)."""
+    With `check`, which returns how many values a config's pair draws, the search runs
+    check on each partial config first, and builds them only when no check fails; then
+    a partial config that draws more than both the full one and `data` alone (which the
+    search builds anyway) is not built and counts as passing: a partial can ask for far
+    more than either (a given gauss_dim under the default n)."""
     try:
         return build(cfg)
     except (ConfigError, ContractViolation) as exc:
-        for attempt in (check, build) if check else (build,):
+        attempts = (build,)
+        if check:
+            most = lambda: max(check(cfg), check(resolve_config({"data": cfg["data"]})))
+            attempts = (check, lambda held: check(held) > most() or build(held))
+        for attempt in attempts:
             held = resolve_config({})
             for key, at in [("data", None), *cfg.where.items()]:
                 held[key] = cfg[key]
@@ -272,16 +283,16 @@ def _located(build, cfg: dict, check=None):
 
 def build_pair(cfg: dict, fit_transform: bool = False) -> tuple:
     """(the DomainPair of resolve_config's values, None), or with fit_transform and `standardize = true`,
-    standardize(that pair). Errors as in _located, whose search runs a synthetic builder's pre-draw checks
+    standardize(that pair). Errors as in _located, whose search runs a synthetic mode's pre-draw checks
     before it builds any pair. The data files are read once, before the search, and their faults name no key."""
     splits = _read_splits(cfg)
-    return _located(lambda c: _pair(c, splits, fit_transform), cfg, lambda c: _pre_draw(c, splits))
+    return _located(lambda c: _pair(c, splits, fit_transform), cfg, _pre_draw)
 
 
 def _read_splits(cfg: dict) -> tuple | None:
     """The datasets of a pair's splits, each named by its file, in the files of a file-backed
     data mode, whose paths must be set; None for a synthetic mode."""
-    read, args = DATA_MODES[cfg["data"]]
+    read, _, args = DATA_MODES[cfg["data"]]
     paths = _paths(args)
     if missing := [k for k in paths if not cfg[k]]:
         raise ConfigError(f"data={cfg['data']} needs paths for {', '.join(missing)}")
@@ -289,7 +300,7 @@ def _read_splits(cfg: dict) -> tuple | None:
 
 
 def _pair(cfg: dict, splits: tuple | None, fit_transform: bool) -> tuple:
-    build, args = DATA_MODES[cfg["data"]]
+    build, _, args = DATA_MODES[cfg["data"]]
     if splits is None:
         pair = build(**{a: cfg[k] for k, a in args.items()}, seed=cfg["seed"])
     else:
@@ -297,11 +308,11 @@ def _pair(cfg: dict, splits: tuple | None, fit_transform: bool) -> tuple:
     return standardize(pair) if fit_transform and cfg["standardize"] else (pair, None)
 
 
-def _pre_draw(cfg: dict, splits: tuple | None) -> None:
-    """The checks _pair's synthetic builder makes before its first draw; none for data read from files."""
-    build, args = DATA_MODES[cfg["data"]]
-    if splits is None:
-        _PRE_DRAW_CHECKS[build](**{a: cfg[k] for k, a in args.items()})
+def _pre_draw(cfg: dict) -> int:
+    """The checks cfg's synthetic mode makes before its first draw; returns the values a split draws, 0 for data
+    read from files."""
+    _, checks, args = DATA_MODES[cfg["data"]]
+    return checks(**{a: cfg[k] for k, a in args.items()})[1] if checks else 0
 
 
 def _idx_step(cfg: dict, splits: tuple) -> list:
@@ -371,7 +382,7 @@ def _start(args, command: str) -> tuple:
     --transform. Each run is checked on that pair, so every config error, those that need the data too, exits 2
     before anything is written. It prints nothing: the step that writes a command's output prints the config."""
     cfg = load_config(args)
-    synthetic = [mode for mode, (_, keys) in DATA_MODES.items() if not _paths(keys)]
+    synthetic = [mode for mode, (_, checks, _) in DATA_MODES.items() if checks]
     if command == "synth" and cfg["data"] not in synthetic:
         raise ConfigError(f"synth writes synthetic data; set data = {' or '.join(synthetic)}")
     _accept(cfg, command)

@@ -316,12 +316,14 @@ def _target_prior(label_skew, num_classes: int) -> np.ndarray:
     return make_prior(label_skew, num_classes, "label_skew")
 
 
-def _check_synth_size(n: int, width: int, num_classes: int) -> None:
+def _check_synth_size(n: int, width: int, num_classes: int) -> int:
     """Before any draw: largest-remainder counts are exact for n < 2^53, width and classes are u32 (as in
-    load_sparse and Dataset), and a split's n x width float64 rows must fit numpy's intp in bytes."""
+    load_sparse and Dataset), and a split's n x width float64 rows must fit numpy's intp in bytes. Returns
+    n x width, the values a split draws."""
     if n >= 2**53 or max(width, num_classes) >= 2**32 or n * width * 8 > np.iinfo(np.intp).max:
         raise ContractViolation(f"synthetic pair: need n < 2^53, width and classes < 2^32 and n*width*8 bytes in intp, "
                                 f"got n={n}, width={width}, classes={num_classes}")
+    return n * width
 
 
 def _moon_points(labels: np.ndarray, noise_std: float, rng: Rng) -> np.ndarray:
@@ -336,16 +338,16 @@ def _moon_points(labels: np.ndarray, noise_std: float, rng: Rng) -> np.ndarray:
     return points + draws[:, 1:] * noise_std
 
 
-def _two_moons_checks(n: int, rotation_degrees: float, noise_std: float, label_skew) -> np.ndarray:
-    """synth_two_moons's checks, all made before any draw; returns the target prior."""
+def _two_moons_checks(n: int, rotation_degrees: float, noise_std: float, label_skew) -> tuple[np.ndarray, int]:
+    """synth_two_moons's checks, all made before any draw; returns the target prior and the values a split draws."""
     if n < 2:
         raise ContractViolation("synth_two_moons: need n >= 2")
-    _check_synth_size(n, 2, 2)
+    draws = _check_synth_size(n, 2, 2)
     if not (0.0 <= rotation_degrees <= 360.0):
         raise ContractViolation(f"rotation must be in [0, 360] degrees, got {rotation_degrees}")
     if not (math.isfinite(noise_std) and noise_std >= 0.0):
         raise ContractViolation(f"noise_std must be >= 0 and finite, got {noise_std}")
-    return _target_prior(label_skew, 2)
+    return _target_prior(label_skew, 2), draws
 
 
 def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_skew=None, seed: int = 0) -> DomainPair:
@@ -355,7 +357,7 @@ def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_ske
     given, fixes the target class proportions with exact largest-remainder
     counts; the source stays balanced.
     """
-    skew = _two_moons_checks(n, rotation_degrees, noise_std, label_skew)
+    skew, _ = _two_moons_checks(n, rotation_degrees, noise_std, label_skew)
     a = math.radians(rotation_degrees)
     rot = np.array([[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]])
 
@@ -367,8 +369,8 @@ def synth_two_moons(n: int, rotation_degrees: float, noise_std: float, label_ske
 
 
 def _gauss_shift_checks(n: int, num_classes: int, dim: int, mean_shift: float, cov_scale: float,
-                        label_skew) -> np.ndarray:
-    """synth_gauss_shift's checks, all made before any draw; returns the target prior."""
+                        label_skew) -> tuple[np.ndarray, int]:
+    """synth_gauss_shift's checks, all made before any draw; returns the target prior and the values a split draws."""
     if n < num_classes:
         raise ContractViolation("synth_gauss_shift: need n >= num_classes")
     if num_classes < 2 or dim < 1:
@@ -377,8 +379,8 @@ def _gauss_shift_checks(n: int, num_classes: int, dim: int, mean_shift: float, c
         raise ContractViolation(f"synth_gauss_shift: cov_scale must be > 0 and finite, got {cov_scale}")
     if not math.isfinite(mean_shift):
         raise ContractViolation(f"synth_gauss_shift: mean_shift must be finite, got {mean_shift}")
-    _check_synth_size(n, dim, num_classes)
-    return _target_prior(label_skew, num_classes)
+    draws = _check_synth_size(n, dim, num_classes)
+    return _target_prior(label_skew, num_classes), draws
 
 
 def synth_gauss_shift(
@@ -395,7 +397,7 @@ def synth_gauss_shift(
     mean_shift = 0 and cov_scale = 1 make target and source identically
     distributed (up to sampling noise).
     """
-    skew = _gauss_shift_checks(n, num_classes, dim, mean_shift, cov_scale, label_skew)
+    skew, _ = _gauss_shift_checks(n, num_classes, dim, mean_shift, cov_scale, label_skew)
     means = Rng(seed, substream(STREAM_DATA, 3)).normal_matrix(num_classes, dim) * (3.0 / math.sqrt(dim))
 
     def features(labels, split, rng):
@@ -403,10 +405,6 @@ def synth_gauss_shift(
         return means[labels] + shift + scale * rng.normal_matrix(labels.size, dim)
 
     return _synth_pair("gauss", n, skew, seed, features)
-
-
-# The checks each synthetic builder makes before its first draw, by builder.
-_PRE_DRAW_CHECKS = {synth_two_moons: _two_moons_checks, synth_gauss_shift: _gauss_shift_checks}
 
 
 # --- transforms ----------------------------------------------------------------

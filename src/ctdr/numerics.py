@@ -287,21 +287,12 @@ def log_sum_exp(values) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def gaussian_kernel_matrix(x, y, gamma: float) -> np.ndarray:
-    """k(a, b) = exp(-gamma * ||a - b||^2) for all row pairs.
-
-    Distances come from explicit differences, so k(x, x) has an exactly-unit
-    diagonal and is exactly symmetric.
-    """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape[1] != y.shape[1]:
-        raise ContractViolation(f"kernel: row widths differ ({x.shape[1]} vs {y.shape[1]})")
-    if x.shape[0] < 1 or y.shape[0] < 1:
-        raise ContractViolation("kernel: inputs must be nonempty")
+def gaussian_kernel_matrix(sq: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma * sq) of a matrix sq of squared row distances. Of _pairwise_sq_dists(x), k(x, x) is exactly
+    symmetric with an exactly-unit diagonal."""
     if not (gamma > 0.0) or not math.isfinite(gamma):
         raise ContractViolation(f"kernel: gamma must be finite and > 0, got {gamma}")
-    return np.exp(-gamma * _pairwise_sq_dists(x, None if y is x else y))
+    return np.exp(-gamma * sq)
 
 
 # Rows of x per difference block in _pairwise_sq_dists: the temporary is

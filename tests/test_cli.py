@@ -5,6 +5,7 @@ import errno
 import fnmatch
 import hashlib
 import json
+import math
 import os
 import re
 import warnings
@@ -29,7 +30,7 @@ from ctdr.cli import (
     resolve_config,
 )
 from ctdr.data import Dataset, DomainPair, load_sparse, save_sparse, synth_gauss_shift, synth_two_moons
-from ctdr.errors import ConfigError, NonFiniteLossError
+from ctdr.errors import ConfigError, ContractViolation, NonFiniteLossError
 from ctdr.fake import FakeSourceConfig
 from ctdr.model import forward, load_checkpoint, save_checkpoint
 from ctdr.numerics import Rng
@@ -616,7 +617,7 @@ def test_cmd_synth_output_feeds_sparse_training(tmp_path):
     assert (tmp_path / "strain" / "eval.json").exists()
 
 
-FILE_MODES = [mode for mode, (_, args) in ctdr.cli.DATA_MODES.items() if ctdr.cli._paths(args)]
+FILE_MODES = [mode for mode, (*_, args) in ctdr.cli.DATA_MODES.items() if ctdr.cli._paths(args)]
 
 
 @pytest.mark.parametrize("mode", FILE_MODES)
@@ -971,7 +972,7 @@ def test_every_scoped_key_is_rejected_where_no_run_reads_it_and_accepted_where_o
 
 def test_the_data_mode_table_lists_exactly_the_data_keys():
     """Each key a DATA_MODES row lists is a SCHEMA key whose scope is data modes, and each such key is listed."""
-    listed = {k.format(split) for _, args in ctdr.cli.DATA_MODES.values() for k in args for split in ctdr.cli._SPLITS}
+    listed = {k.format(split) for *_, args in ctdr.cli.DATA_MODES.values() for k in args for split in ctdr.cli._SPLITS}
     scoped = {k for k, (_, _, scope) in ctdr.cli.SCHEMA.items() if scope is not None and set(scope) <= set(ctdr.cli.DATA_MODES)}
     assert listed == scoped
     assert all(ctdr.cli.SCHEMA[k][2] for k in scoped)
@@ -1403,9 +1404,9 @@ def test_a_failing_config_reads_each_data_file_once(tmp_path, monkeypatch, capsy
     # the search for the key at fault re-derives the pair from the splits in
     # memory; it reads no file again
     calls = []
-    for mode, (build, args) in ctdr.cli.DATA_MODES.items():
+    for mode, (build, checks, args) in ctdr.cli.DATA_MODES.items():
         counted = lambda *a, build=build, **kw: calls.append(kw) or build(*a, **kw)
-        monkeypatch.setitem(ctdr.cli.DATA_MODES, mode, (counted, args))
+        monkeypatch.setitem(ctdr.cli.DATA_MODES, mode, (counted, checks, args))
     path = make(tmp_path)
     assert main(["train", "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message.format(path)}\n"
@@ -1483,6 +1484,69 @@ def test_the_key_search_starts_no_draw_larger_than_the_full_config_allows(tmp_pa
     got = "n=4503599627370495, width=4294967295, classes=3"
     assert capsys.readouterr() == ("", f"error: --set: {message}, got {got}\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_the_key_search_builds_no_partial_config_that_draws_more_than_the_full_one(tmp_path, capsys, monkeypatch):
+    # the full config passes every pre-draw check and fails on its drawn rows; gauss_dim alone, under the default
+    # n = 500, would draw (500, 2000) blocks, so the search skips that partial config and counts it as passing
+    real = Rng.normal_matrix
+
+    def small_only(rng, rows, cols):
+        if rows * cols > 3 * 2000:
+            raise AssertionError(f"normal_matrix({rows}, {cols})")
+        return real(rng, rows, cols)
+
+    monkeypatch.setattr(Rng, "normal_matrix", small_only)
+    sets = [f"out_dir={tmp_path / 'out'}", "data=gauss_shift", "gauss_dim=2000", "n=3", "gauss_cov_scale=1e308"]
+    assert main(["synth", *(arg for s in sets for arg in ("--set", s))]) == 2
+    assert capsys.readouterr() == ("", "error: --set: features row 0 column 7 is not finite (inf)\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_key_search_still_builds_a_partial_config_no_larger_than_data_alone(tmp_path, capsys):
+    # noise under the default n = 500 draws what `data` alone draws, more than the full config's n = 3: it is
+    # built, and noise is named
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"noise = 1e308\nn = 3\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["synth", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:1: features row 2 column 1 is not finite (inf)\n")
+    assert not (tmp_path / "out").exists()
+
+
+SYNTH_MODES = [mode for mode, (*_, args) in ctdr.cli.DATA_MODES.items() if not ctdr.cli._paths(args)]
+
+
+def test_every_data_mode_without_path_keys_names_its_pre_draw_checks():
+    for mode, (_, checks, args) in ctdr.cli.DATA_MODES.items():
+        assert (checks is None) == bool(ctdr.cli._paths(args)), mode
+
+
+# builder arguments that each fail one pre-draw check, over the SCHEMA defaults; a new synthetic mode needs a row
+BAD_SYNTH_ARGS = {
+    "two_moons": [{"n": 1}, {"n": 2**53}, {"rotation_degrees": 361.0}, {"noise_std": -0.1}, {"noise_std": math.nan},
+                  {"label_skew": (0.5, 0.6)}, {"label_skew": (0.2, 0.3, 0.5)}],
+    "gauss_shift": [{"n": 2}, {"num_classes": 1}, {"dim": 0}, {"dim": 2**32}, {"cov_scale": 0.0}, {"cov_scale": math.inf},
+                    {"mean_shift": math.nan}, {"label_skew": (1.0,)}],
+}
+
+
+@pytest.mark.parametrize("mode", SYNTH_MODES)
+def test_a_synthetic_rows_checks_fail_as_its_builder_does_before_any_draw(monkeypatch, mode):
+    build, checks, args = ctdr.cli.DATA_MODES[mode]
+    defaults = {a: ctdr.cli.SCHEMA[k][1] for k, a in args.items()}
+    assert checks(**defaults)[1] == build(**defaults, seed=0).source.features.size  # the values a split draws
+
+    def no_draw(*a, **kw):
+        raise AssertionError("a draw before the pre-draw checks")
+
+    for name in ("normal_matrix", "uniform_matrix", "uniform_normal_rows"):
+        monkeypatch.setattr(Rng, name, no_draw)
+    for bad in BAD_SYNTH_ARGS[mode]:
+        with pytest.raises(ContractViolation) as by_checks:
+            checks(**{**defaults, **bad})
+        with pytest.raises(ContractViolation) as by_builder:
+            build(**{**defaults, **bad}, seed=0)
+        assert str(by_checks.value) == str(by_builder.value), bad
 
 
 def test_skew_applies_to_two_moons(tmp_path):

@@ -443,9 +443,9 @@ def serial_mmd(f, r, gamma):
     sq_rr = _pairwise_sq_dists(r)
     if gamma is None:
         gamma = median_heuristic_gamma(sq_rr)
-    kff = gaussian_kernel_matrix(f, f, gamma)
+    kff = np.exp(-gamma * _pairwise_sq_dists(f))
     krr = np.exp(-gamma * sq_rr)
-    kfr = gaussian_kernel_matrix(f, r, gamma)
+    kfr = np.exp(-gamma * _pairwise_sq_dists(f, r))
     value = float(kff.sum()) / (nf * nf) + float(krr.sum()) / (nr * nr) - 2.0 * float(kfr.sum()) / (nf * nr)
     grad = (-4.0 * gamma / (nf * nf)) * (f * kff.sum(axis=1, keepdims=True) - kff @ f)
     grad += (4.0 * gamma / (nf * nr)) * (f * kfr.sum(axis=1, keepdims=True) - kfr @ r)
@@ -510,7 +510,7 @@ def test_an_mmd_that_raises_leaves_no_thread_running(gamma, error):
 
 
 def test_mmd_bandwidth_and_kernels_run_on_the_calling_thread(monkeypatch):
-    # only the fake-real distances go to the worker; the traced names run here
+    # only the fake-real distances go to the worker; the traced names, and the other two distance passes, run here
     seen = {"median": [], "kernel": [], "dists": []}
 
     def recording(name, real):
@@ -526,8 +526,8 @@ def test_mmd_bandwidth_and_kernels_run_on_the_calling_thread(monkeypatch):
     rng = Rng(80, 0)
     mmd_loss(rng.normal_matrix(5, 3), rng.normal_matrix(6, 3), None)
     here = threading.get_ident()
-    assert seen["median"] == [here] and seen["kernel"] == [here]
-    assert sorted(ident == here for ident in seen["dists"]) == [False, True]
+    assert seen["median"] == [here] and seen["kernel"] == [here] * 3
+    assert sorted(ident == here for ident in seen["dists"]) == [False, True, True]
 
 
 @pytest.mark.parametrize("term", [*TERM_TABLE, "mmd"])

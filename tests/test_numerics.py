@@ -577,34 +577,32 @@ def test_log_sum_exp_rows_match_each_row_alone():
 
 def test_kernel_diagonal_is_one():
     x = Rng(23, 0).uniform_matrix(6, 3, -2.0, 2.0)
-    k = gaussian_kernel_matrix(x, x, 0.7)
+    k = gaussian_kernel_matrix(_pairwise_sq_dists(x), 0.7)
     assert np.array_equal(np.diag(k), np.ones(6))
 
 
 def test_kernel_hand_example():
-    x = np.array([[0.0]])
-    y = np.array([[1.0]])
-    k = gaussian_kernel_matrix(x, y, 1.0)
+    sq = _pairwise_sq_dists(np.array([[0.0]]), np.array([[1.0]]))
+    k = gaussian_kernel_matrix(sq, 1.0)
     assert abs(k[0, 0] - math.exp(-1.0)) < 1e-15
 
 
 def test_kernel_large_gamma_limit():
-    x = np.array([[0.0, 0.0]])
-    y = np.array([[1.0, 1.0]])
-    k = gaussian_kernel_matrix(x, y, 1e6)
+    sq = _pairwise_sq_dists(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]))
+    k = gaussian_kernel_matrix(sq, 1e6)
     assert k[0, 0] < 1e-300 or k[0, 0] == 0.0
 
 
 def test_kernel_symmetry_bitwise():
     x = Rng(24, 0).uniform_matrix(7, 4, -1.0, 1.0)
-    k = gaussian_kernel_matrix(x, x, 1.3)
+    k = gaussian_kernel_matrix(_pairwise_sq_dists(x), 1.3)
     assert np.array_equal(k, k.T)
 
 
 def test_kernel_entries_in_unit_interval():
     x = Rng(25, 0).normal_matrix(5, 3)
     y = Rng(25, 1).normal_matrix(4, 3)
-    k = gaussian_kernel_matrix(x, y, 0.5)
+    k = gaussian_kernel_matrix(_pairwise_sq_dists(x, y), 0.5)
     assert np.all(k > 0.0) and np.all(k <= 1.0)
 
 
@@ -630,6 +628,7 @@ def test_pairwise_sq_dists_equals_full_difference_form(nx, ny, d):
     assert np.array_equal(_pairwise_sq_dists(x, y), full_difference_sq_dists(x, y))
     sq = _pairwise_sq_dists(x)
     assert np.array_equal(sq, full_difference_sq_dists(x, x))
+    assert sq.tobytes() == _pairwise_sq_dists(x, x).tobytes()  # the cross pass of one array is its self pass
     assert np.array_equal(sq, sq.T)
     assert np.all(np.diag(sq) == 0.0)
 
@@ -642,14 +641,14 @@ def test_pairwise_sq_dists_strided_input():
     assert np.array_equal(_pairwise_sq_dists(x, y), full_difference_sq_dists(x, y))
     sq = _pairwise_sq_dists(x)
     assert np.array_equal(sq, full_difference_sq_dists(x, x))
+    assert sq.tobytes() == _pairwise_sq_dists(x, x).tobytes()  # the cross pass of one array is its self pass
     assert np.array_equal(sq, sq.T) and np.all(np.diag(sq) == 0.0)
 
 
-def test_kernel_rejects_width_mismatch_and_bad_gamma():
-    with pytest.raises(ContractViolation):
-        gaussian_kernel_matrix(np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
-    with pytest.raises(ContractViolation):
-        gaussian_kernel_matrix(np.zeros((2, 3)), np.zeros((2, 3)), 0.0)
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_kernel_rejects_bad_gamma(gamma):
+    with pytest.raises(ContractViolation, match="kernel: gamma must be finite and > 0"):
+        gaussian_kernel_matrix(np.zeros((2, 3)), gamma)
 
 
 def test_finite_diff_quadratic():
