@@ -20,9 +20,11 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .data import (
+    Dataset,
     DomainPair,
     FeatureTransform,
     _gauss_shift_checks,
@@ -97,14 +99,14 @@ _SPLITS = ("source", "target", "target_test")  # data.SPLITS as the data keys sp
 # them. A synthetic mode's builder returns the DomainPair of its arguments and `seed`; its checks take them but `seed`,
 # make each check the builder makes before its first draw, and return (target prior, values a split draws). A file
 # mode's builder reads one split. A key with `{}` is one per split, and a path that must be set if it is a builder
-# argument. idx's own step, _idx_step, reads keys of argument None.
+# argument. idx's own step, _idx_step, reads keys of argument None; idx reads its files at uint8's 256 classes.
 DATA_MODES: dict = {
     "two_moons": (synth_two_moons, _two_moons_checks,
                   {"n": "n", "rotation": "rotation_degrees", "noise": "noise_std", "skew": "label_skew"}),
     "gauss_shift": (synth_gauss_shift, _gauss_shift_checks, {"n": "n", "gauss_classes": "num_classes", "gauss_dim": "dim",
                     "gauss_mean_shift": "mean_shift", "gauss_cov_scale": "cov_scale", "skew": "label_skew"}),
-    "idx": (load_idx, None,
-            {"classes": "num_classes", "{}_images": "images_path", "{}_labels": "labels_path", "resize": None, "n_{}": None}),
+    "idx": (partial(load_idx, num_classes=256), None,
+            {"classes": None, "{}_images": "images_path", "{}_labels": "labels_path", "resize": None, "n_{}": None}),
     "sparse": (load_sparse, None, {"{}_sparse": "path"}),
 }
 
@@ -286,7 +288,7 @@ def build_pair(cfg: dict, fit_transform: bool = False) -> tuple:
     standardize(that pair). Errors as in _located, whose search runs a synthetic mode's pre-draw checks
     before it builds any pair. The data files are read once, before the search, and their faults name no key."""
     splits = _read_splits(cfg)
-    return _located(lambda c: _pair(c, splits, fit_transform), cfg, _pre_draw)
+    return _located(lambda c: _pair(c, splits, fit_transform, cfg), cfg, _pre_draw)
 
 
 def _read_splits(cfg: dict) -> tuple | None:
@@ -299,12 +301,12 @@ def _read_splits(cfg: dict) -> tuple | None:
     return tuple(read(**{a: cfg[k.format(s)] for k, a in args.items() if a}) for s in _SPLITS) if paths else None
 
 
-def _pair(cfg: dict, splits: tuple | None, fit_transform: bool) -> tuple:
+def _pair(cfg: dict, splits: tuple | None, fit_transform: bool, read: dict) -> tuple:
     build, _, args = DATA_MODES[cfg["data"]]
     if splits is None:
         pair = build(**{a: cfg[k] for k, a in args.items()}, seed=cfg["seed"])
     else:
-        pair = DomainPair(*(_idx_step(cfg, splits) if None in args.values() else splits))
+        pair = DomainPair(*(_idx_step(cfg, splits, read) if None in args.values() else splits))
     return standardize(pair) if fit_transform and cfg["standardize"] else (pair, None)
 
 
@@ -315,8 +317,12 @@ def _pre_draw(cfg: dict) -> int:
     return checks(**{a: cfg[k] for k, a in args.items()})[1] if checks else 0
 
 
-def _idx_step(cfg: dict, splits: tuple) -> list:
-    """idx's splits as read, resampled to `resize`, then subsampled to `n_<split>` rows."""
+def _idx_step(cfg: dict, splits: tuple, read: dict) -> list:
+    """idx's splits as read from `read`'s files, of `classes` classes, resampled to `resize`, subsampled to `n_<split>`."""
+    for split, ds in zip(_SPLITS, splits):  # Dataset rejects a `classes` below 2; a label past it names its file
+        if 2 <= cfg["classes"] <= ds.labels.max(initial=0):
+            raise ContractViolation(f"{read[f'{split}_labels']}: label {ds.labels.max()} out of range [0, {cfg['classes']})")
+    splits = [Dataset(ds.features, ds.labels, cfg["classes"], ds.name, ds.image_hw) for ds in splits]
     if cfg["resize"]:
         try:
             oh, ow = (int(tok) for tok in cfg["resize"].lower().split("x"))

@@ -83,6 +83,8 @@ TERM_TABLE = {
     "sa": Term("fake_source", _adversarial),
 }
 TERMS = tuple(TERM_TABLE)
+# fake batch -> (the stream its normals draw on, the split of the real rows its gaussian rows mimic)
+FAKE_BATCHES = {"fake_target": (STREAM_FAKE_TARGET, "target_train"), "fake_source": (STREAM_FAKE_SOURCE, "source")}
 
 
 @dataclass(frozen=True)
@@ -153,20 +155,15 @@ class RunState:
     terms: the terms that run, in TERM_TABLE order
     arch: the network; it has a generator when generator fakes feed ta or sa
     reads: the batches a step reads (the generator's MMD step forwards "target" and "fake_target")
-    n_f: fake rows per fake batch, the batch size
     priors: prior name -> class prior of the enabled terms; "target" is config.prior, else the source's empirical one
-    fake_stats: fake batch -> (mean, std) per column of the real rows its gaussian rows mimic
-    widths: fake batch -> the width of its normals: the feature width, or the generator's NOISE_DIM
-    streams: fake batch -> the long-lived Rng its normals draw on
+    streams: fake batch the run reads -> (its long-lived Rng, the (batch_size, feature width or NOISE_DIM) of its
+      normals, the (mean, std) per column of the real rows its gaussian rows mimic, or None for generator noise)
     """
 
     terms: tuple
     arch: Architecture
     reads: frozenset
-    n_f: int
     priors: dict
-    fake_stats: dict
-    widths: dict
     streams: dict
 
     @classmethod
@@ -182,25 +179,29 @@ class RunState:
             priors["source"] = empirical_prior(pair.source)
         reads = {TERM_TABLE[t].batch for t in terms}
         arch = Architecture.mlp(pair.dim, config.hidden, pair.num_classes)
-        fake_stats = {}
-        if config.fake.mode == "generator" and reads & {"fake_target", "fake_source"}:
+        if config.fake.mode == "generator" and reads & FAKE_BATCHES.keys():
             arch = arch.with_generator(NOISE_DIM, GEN_HIDDEN)
             reads |= {"target", "fake_target"}  # the generator's MMD step forwards both
-        else:
-            real = {"fake_target": pair.target_train, "fake_source": pair.source}
-            fake_stats = {b: column_stats(ds.features, ds.name or b) for b, ds in real.items() if b in reads}
-        width = NOISE_DIM if arch.generator else pair.dim
-        widths = {b: width for b in ("fake_target", "fake_source") if b in reads}
-        streams = {"fake_target": Rng(config.seed, STREAM_FAKE_TARGET), "fake_source": Rng(config.seed, STREAM_FAKE_SOURCE)}
-        return cls(terms, arch, frozenset(reads), config.batch_size, priors, fake_stats, widths, streams)
+        streams = {}
+        for batch, (stream, split) in FAKE_BATCHES.items():
+            if batch in reads:
+                real = getattr(pair, split)
+                stats = None if arch.generator else column_stats(real.features, real.name or batch)
+                shape = (config.batch_size, NOISE_DIM if arch.generator else pair.dim)
+                streams[batch] = (Rng(config.seed, stream), shape, stats)
+        return cls(terms, arch, frozenset(reads), priors, streams)
 
-    def draw_noise(self) -> dict:
-        """One step's standard normals: fake batch -> (n_f, width), each on its own stream. Nothing else reads streams."""
-        return {b: self.streams[b].normal_matrix(self.n_f, w) for b, w in self.widths.items()}
-
-    def fakes_from(self, noise: dict) -> dict:
-        """A step's fakes of draw_noise()'s normals: gaussian rows written over them, else the normals."""
-        return {b: gaussian_fakes(*self.fake_stats[b], z) for b, z in noise.items()} if self.fake_stats else noise
+    def draw_fakes(self) -> dict:
+        """One step's fake batches, each of normals on its own stream: gaussian_fakes(mean, std, normals), or
+        generator noise as drawn. Nothing else reads streams. The scaling cannot overflow, so no errstate covers
+        it: column_stats passes only a finite std, so every |x - mean| < ~1.3e154, and a Box-Muller normal here
+        has |z| <= 8.6 (its uniform is at least 2^-53): |z * std| < ~1.2e155 can neither overflow nor move a
+        finite mean near the float64 maximum, whose half ulp is ~1e292."""
+        fakes = {}
+        for batch, (rng, shape, stats) in self.streams.items():
+            z = rng.normal_matrix(*shape)
+            fakes[batch] = z if stats is None else gaussian_fakes(*stats, z)
+        return fakes
 
 
 def _check_finite(term: str, value: float, epoch=None, step=None):
@@ -222,10 +223,8 @@ def train_step(
     """One optimization step over the enabled terms, in TERM_TABLE order.
 
     batches maps each batch name in run.reads to its rows: "source",
-    "target", and this step's run.fakes_from(run.draw_noise()) under
-    "fake_target" and "fake_source": the gaussian fake rows, or the
-    generator's noise. labels are the source rows' labels. The step draws
-    nothing.
+    "target", and the fake batches of this step's run.draw_fakes(). labels
+    are the source rows' labels. The step draws nothing.
     Each batch gets one forward, when the first term that reads it comes up;
     generator noise goes through the generator first.
     When the network has a generator, its one MMD step runs first: it
@@ -251,7 +250,7 @@ def train_step(
         if spec.batch not in caches:
             with blame(term, epoch, step):
                 rows = batches[spec.batch]
-                if generator and spec.batch.startswith("fake_"):
+                if generator and spec.batch in FAKE_BATCHES:
                     rows = generator_forward(params, rows)
                 caches[spec.batch] = forward(params, rows)
         cache = caches[spec.batch]
@@ -283,20 +282,14 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     (0.0 when config.timing is off).
     on_epoch, when given, receives each record as it is produced.
 
-    A step's batches are one mapping keyed by TERM_TABLE's batch names: rows
-    of pair.source (and their labels), of pair.target_train, and the fakes.
-
-    Each step's fake-row normals, gaussian or generator, are drawn one step
-    ahead, with the bytes of drawing them in each step: one
-    run.draw_noise(), the only reader of run.streams, is in flight on a
-    one-worker pool, which starts no thread when the run has no ta or sa
-    term or no steps (a generator step's mmd_loss starts and joins one
-    thread of its own). Each step takes its fakes (run.fakes_from) here,
-    before the next draw: this errstate covers the gaussian scaling, the
-    one part that can overflow (numpy's errstate is per thread). No draw
-    goes past the last step, runs while on_epoch does, or outlives fit; a
-    draw's exception is raised, the same object, at the step that takes its
-    rows.
+    A step's batches (see train_step) are rows of pair.source and of
+    pair.target_train, and fake batches made one step ahead, with the bytes
+    of making them in each step: one run.draw_fakes(), the only reader of
+    run.streams, is in flight on a one-worker pool, which starts no thread
+    when the run reads no fake batch or has no steps (a generator step's
+    mmd_loss starts and joins one thread of its own). No draw goes past the
+    last step, runs while on_epoch does, or outlives fit; a draw's exception
+    is raised, the same object, at the step that takes its rows.
     """
     run = RunState.build(config, pair)
     arch = run.arch
@@ -315,10 +308,10 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     reported = run.terms + (("gen",) if arch.generator else ())
     metrics = []
     steps = config.epochs * steps_per_epoch
-    drawn = None  # the Future of the next step's normals
+    drawn = None  # the Future of the next step's fake batches
     with ThreadPoolExecutor(1, thread_name_prefix="ctdr-fake-rows") as pool:
-        if run.widths and steps:
-            drawn = pool.submit(run.draw_noise)
+        if run.reads & FAKE_BATCHES.keys() and steps:
+            drawn = pool.submit(run.draw_fakes)
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
             lr = config.lr_at(epoch)
@@ -329,10 +322,10 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
                 if target_batcher:
                     batches["target"] = pair.target_train.features[target_batcher.take()]
                 if drawn:
-                    batches |= run.fakes_from(drawn.result())  # scaled here, with no draw in flight
+                    batches |= drawn.result()
                 steps -= 1
                 if drawn and steps:
-                    drawn = pool.submit(run.draw_noise)
+                    drawn = pool.submit(run.draw_fakes)
                 params, opt_theta, opt_phi, reports = train_step(
                     params, opt_theta, opt_phi, batches, pair.source.labels[i], run, lr, epoch, step
                 )

@@ -1027,7 +1027,28 @@ def test_idx_classes_from_2_to_the_32_is_exit_2_with_no_out_dir(tmp_path, capsys
     path = small_train_cfg(tmp_path, **raw)
     assert main(["train", "--config", str(path), "--set", f"classes={classes}"]) == 2
     assert not (tmp_path / "out").exists()
-    assert capsys.readouterr().err == f"error: num_classes must be in [2, 2^32), got {classes}\n"
+    assert capsys.readouterr().err == f"error: --set: num_classes must be in [2, 2^32), got {classes}\n"
+
+
+@pytest.mark.parametrize("given", ["file", "set"])
+@pytest.mark.parametrize(
+    "classes, message",
+    [("1", "num_classes must be in [2, 2^32), got 1"), ("2", "{labels}: label 2 out of range [0, 2)")],
+    ids=["one_class", "labels_past_classes"],
+)
+def test_a_bad_idx_classes_is_exit_2_naming_where_it_was_given(tmp_path, capsys, given, classes, message):
+    # the files are read once, at uint8's 256 classes; `classes` is applied in
+    # the idx step that the search for the key at fault runs
+    images, labels = write_idx_pair(tmp_path, np.zeros((6, 4, 4), dtype=np.uint8), [0, 1, 2, 0, 1, 2])
+    raw = {"data": "idx", **({"classes": classes} if given == "file" else {})}
+    for split in ("source", "target", "target_test"):
+        raw[f"{split}_images"], raw[f"{split}_labels"] = str(images), str(labels)
+    path = small_train_cfg(tmp_path, **raw)
+    override = ["--set", f"classes={classes}"] if given == "set" else []
+    assert main(["train", "--config", str(path), *override]) == 2
+    at = f"{path}:8" if given == "file" else "--set"
+    assert capsys.readouterr() == ("", f"error: {at}: {message.format(labels=labels)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "images.idx", "labels.idx"]
 
 
 def test_header_only_sparse_split_is_exit_2_naming_it_before_any_file(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Attributes that one place owns, checked on the source of every module in src/ctdr.
 
-A step's fake-row normals are drawn in one place: `RunState.draw_noise`.
-`fit` runs that method one step ahead on its worker thread, for gaussian and
-generator fakes alike, and a step only takes what it drew. A second reader of
-the long-lived fake-row streams would draw on them from another thread, or
-out of the order that keeps runs byte-identical.
+A step's fake batches are made in one place: `RunState.draw_fakes`, which
+draws their normals and turns them into gaussian rows or leaves them as
+generator noise. `fit` runs that method one step ahead on its worker thread,
+and a step only takes what it made. A second reader of the long-lived
+fake-row streams, in `fit` or `train_step` say, would draw on them from
+another thread, or out of the order that keeps runs byte-identical.
 
 Target-train labels are for the oracle run and for evaluation only. The CLI
 builds the oracle run's pair, so it is the one module that calls
@@ -24,7 +25,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ctdr"
 # attribute -> (the module that may touch it, the `Class.function` scope it
 # may touch it in, with the scopes nested in that; None: anywhere in the module)
 OWNERS = {
-    "streams": ("train.py", "RunState.draw_noise"),
+    "streams": ("train.py", "RunState.draw_fakes"),
     "target_train_labeled": ("cli.py", None),
     "_target_train_labels": ("data.py", "DomainPair"),
 }
@@ -68,13 +69,13 @@ def test_only_its_owner_touches_a_guarded_attribute(attr):
 def test_scan_sees_every_streams_access():
     source = (
         "class RunState:\n"
-        "    def draw_noise(self):\n        return self.streams\n\n"
+        "    def draw_fakes(self):\n        return self.streams\n\n"
         "    def other(self):\n        def inner():\n            return run.streams['x']\n        return inner\n\n"
         "def train_step(run):\n    streams = {}\n    run.streams = streams\n    return lambda: run.streams\n\n"
         "STREAMS = state.streams\n"
     )
     assert attribute_uses(source, "streams") == [
-        (3, "RunState.draw_noise"),
+        (3, "RunState.draw_fakes"),
         (7, "RunState.other.inner"),
         (12, "train_step"),
         (13, "train_step"),

@@ -15,12 +15,21 @@ from ctdr.cli import build_train_config, resolve_config
 from ctdr.data import Batcher, Dataset, DomainPair, synth_two_moons
 from ctdr.errors import ConfigError, ContractViolation, NonFiniteLossError
 from ctdr.evaluation import evaluate
-from ctdr.fake import FakeSourceConfig
+from ctdr.fake import FakeSourceConfig, gaussian_fakes
 from ctdr.losses import LossReport
 from ctdr.model import _layers, init_params, phi_names, tensor_names, theta_names
-from ctdr.numerics import Rng, STREAM_SOURCE_SHUFFLE, STREAM_TARGET_SHUFFLE, STREAM_WEIGHT_INIT
+from ctdr.numerics import (
+    Rng,
+    STREAM_FAKE_SOURCE,
+    STREAM_FAKE_TARGET,
+    STREAM_SOURCE_SHUFFLE,
+    STREAM_TARGET_SHUFFLE,
+    STREAM_WEIGHT_INIT,
+    column_stats,
+)
 from ctdr.optim import OptimizerState
 from ctdr.train import (
+    FAKE_BATCHES,
     LossCombo,
     RunState,
     TERMS,
@@ -142,35 +151,62 @@ def test_target_prior_rejects_wrong_length():
         RunState.build(quick_config(prior=(0.5, 0.3, 0.2)), pair_with_source_labels([0, 1, 0, 1]))
 
 
+def fake_shapes(run):
+    """fake batch -> the shape of its rows in one step's run.draw_fakes(), in the order drawn."""
+    return {b: rows.shape for b, rows in run.draw_fakes().items()}
+
+
 def test_run_state_builds_generator_only_when_needed():
     pair = tiny_pair()
     gaussian = RunState.build(quick_config("ss,tu,ta"), pair)
     assert gaussian.arch.generator == ()
     assert gaussian.reads == {"source", "target", "fake_target"}
-    assert gaussian.widths == {"fake_target": pair.dim}  # a step draws normals of the feature width
+    assert fake_shapes(gaussian) == {"fake_target": (16, pair.dim)}  # a step makes rows of the feature width
     gen_cfg = quick_config("ss,ta", fake=FakeSourceConfig(mode="generator"))
     run = RunState.build(gen_cfg, pair)
     # 32-d noise through ReLU layers of widths 64, 64 to the feature width
     assert [shape for _, shape, _ in _layers(run.arch)[1]] == [(32, 64), (64, 64), (64, pair.dim)]
     # the generator's MMD step reads the target batch, though no term does
     assert run.reads == {"source", "fake_target", "target"}
-    assert run.fake_stats == {}
-    assert run.widths == {"fake_target": 32}
+    # generator noise is its stream's 32-d normals as drawn, not gaussian rows
+    noise = run.draw_fakes()
+    assert list(noise) == ["fake_target"]
+    assert noise["fake_target"].tobytes() == Rng(gen_cfg.seed, STREAM_FAKE_TARGET).normal_matrix(16, 32).tobytes()
     # the MMD step forwards fake_target rows, though only sa reads fake rows
     sa_only = RunState.build(quick_config("ss,sa", fake=FakeSourceConfig(mode="generator")), pair)
     assert sa_only.reads == {"source", "target", "fake_target", "fake_source"}
-    assert sa_only.widths == {"fake_target": 32, "fake_source": 32}
+    assert fake_shapes(sa_only) == {"fake_target": (16, 32), "fake_source": (16, 32)}
     # generator mode without an adversarial term never builds a generator
     no_adv = RunState.build(quick_config("ss,tu", fake=FakeSourceConfig(mode="generator")), pair)
     assert no_adv.arch.generator == ()
     assert no_adv.reads == {"source", "target"}
-    assert no_adv.widths == {}
+    assert no_adv.draw_fakes() == {}
 
 
 def test_run_state_fake_rows_default_to_the_batch_size():
     pair = tiny_pair()
-    assert RunState.build(quick_config("ss,ta"), pair).n_f == 16
-    assert RunState.build(quick_config("ss,ta", batch_size=5), pair).n_f == 5
+    assert fake_shapes(RunState.build(quick_config("ss,ta"), pair)) == {"fake_target": (16, pair.dim)}
+    assert fake_shapes(RunState.build(quick_config("ss,ta", batch_size=5), pair)) == {"fake_target": (5, pair.dim)}
+
+
+@pytest.mark.parametrize(
+    "combo, batches",
+    [("ss,tu,su,ta,sa", ("fake_target", "fake_source")), ("ss,sa", ("fake_source",)), ("ss,ta", ("fake_target",))],
+)
+def test_gaussian_fake_rows_are_the_real_rows_stats_over_their_own_streams_normals(combo, batches):
+    # each fake batch draws on its own long-lived stream, step after step,
+    # whichever other fake batch the run reads
+    pair = tiny_pair()
+    cfg = quick_config(combo)
+    run = RunState.build(cfg, pair)
+    streams = {"fake_target": Rng(cfg.seed, STREAM_FAKE_TARGET), "fake_source": Rng(cfg.seed, STREAM_FAKE_SOURCE)}
+    real = {"fake_target": pair.target_train, "fake_source": pair.source}
+    for _ in range(2):
+        fakes = run.draw_fakes()
+        assert tuple(fakes) == batches
+        for b, rows in fakes.items():
+            normals = streams[b].normal_matrix(cfg.batch_size, pair.dim)
+            assert rows.tobytes() == gaussian_fakes(*column_stats(real[b].features, b), normals).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -186,6 +222,22 @@ def test_run_state_fake_rows_default_to_the_batch_size():
 def test_uses_generator_only_when_generator_fakes_feed_a_term(combo, mode, expected):
     cfg = quick_config(combo, fake=FakeSourceConfig(mode=mode))
     assert bool(RunState.build(cfg, tiny_pair()).arch.generator) is expected
+
+
+def test_gaussian_rows_of_the_widest_finite_stats_and_largest_normals_stay_finite(monkeypatch):
+    # draw_fakes' bound, why the worker needs no errstate: column_stats passes
+    # only a finite std, so |x - mean| < ~1.3e154, and a normal here has
+    # |z| <= 8.6, the Box-Muller radius of the smallest uniform, 2^-53
+    z = math.sqrt(-2.0 * math.log(2.0**-53))
+    monkeypatch.setattr(Rng, "normal_matrix", lambda rng, rows, cols: np.full((rows, cols), z) * (-1.0) ** np.arange(rows)[:, None])
+    rows = np.array([[9e153, 8.9e307], [-9e153, 8.9e307]])  # a wide spread; a mean near the float64 max
+    source = Dataset(rows, np.array([0, 1]), 2, "s")
+    run = RunState.build(quick_config("ss,ta,sa", batch_size=4), DomainPair(source, Dataset(rows, None, 2, "t"), source))
+    with np.errstate(all="raise"):
+        fakes = run.draw_fakes()
+    for rows_made in fakes.values():
+        assert np.isfinite(rows_made).all()
+        assert rows_made[0, 0] == 9e153 * z and rows_made[:, 1].tolist() == [8.9e307] * 4
 
 
 def test_fit_zero_epochs_returns_init():
@@ -331,7 +383,7 @@ def test_train_step_leaves_batches_state_and_logit_grads_unchanged(monkeypatch):
     opt = OptimizerState.for_params(params, theta_names(run.arch))
     opt_before = ({n: a.copy() for n, a in opt.m.items()}, {n: a.copy() for n, a in opt.v.items()})
     batches, labels = first_rows(pair)
-    batches |= run.fakes_from(run.draw_noise())
+    batches |= run.draw_fakes()
     rows_before = {b: rows.copy() for b, rows in batches.items()}
     passed = []
     real_backward = ctdr.train.backward
@@ -371,7 +423,7 @@ def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
         opt = OptimizerState.for_params(params, theta_names(arch))
         opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
         rows.clear()
-        step_batches = batches | run.fakes_from(run.draw_noise())
+        step_batches = batches | run.draw_fakes()
         _, _, _, reports = train_step(params, opt, opt_phi, step_batches, labels, run, 0.01)
         assert set(reports) == set(run.terms) | ({"gen"} if arch.generator else set())
         return list(rows)
@@ -407,7 +459,7 @@ def test_terms_of_a_combo_add_with_equal_weight(monkeypatch, combo):
         params = init_params(run.arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
         opt = OptimizerState.for_params(params, theta_names(run.arch))
         handed.clear()
-        _, _, _, reports = train_step(params, opt, None, batches | run.fakes_from(run.draw_noise()), labels, run, 0.01)
+        _, _, _, reports = train_step(params, opt, None, batches | run.draw_fakes(), labels, run, 0.01)
         return handed[0], reports
 
     total, reports = step(combo)
@@ -444,8 +496,8 @@ def test_gaussian_adversarial_terms_run():
     ids=["gaussian", "generator", "generator_sa", "ts"],
 )
 def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, combo, mode, oracle, draws):
-    # fit draws each step's normals one step ahead on a worker thread; the
-    # direct steps here take fakes drawn on the spot, in this thread. The
+    # fit makes each step's fake batches one step ahead on a worker thread;
+    # the direct steps here take fakes made on the spot, in this thread. The
     # skew gives target-train labels that differ from the source's.
     pair = tiny_pair(skew=(0.8, 0.2))
     if oracle:
@@ -453,13 +505,13 @@ def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, combo
     cfg = quick_config(combo, epochs=2, fake=FakeSourceConfig(mode=mode))
     here = threading.get_ident()
     drawn_here = []
-    real_draw = RunState.draw_noise
+    real_draw = RunState.draw_fakes
 
     def recording_draw(run):
         drawn_here.append(threading.get_ident() == here)
         return real_draw(run)
 
-    monkeypatch.setattr(RunState, "draw_noise", recording_draw)
+    monkeypatch.setattr(RunState, "draw_fakes", recording_draw)
     fitted, _ = fit(cfg, pair)
     by_fit = list(drawn_here)
     drawn_here.clear()
@@ -476,8 +528,8 @@ def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, combo
             batches = {"source": pair.source.features[i]}
             if tgt:
                 batches["target"] = pair.target_train.features[tgt.take()]
-            if run.widths:
-                batches |= run.fakes_from(run.draw_noise())
+            if run.reads & FAKE_BATCHES.keys():
+                batches |= run.draw_fakes()
             params, opt, opt_phi, _ = train_step(
                 params, opt, opt_phi, batches, pair.source.labels[i], run, cfg.lr_at(epoch), epoch, step
             )
@@ -513,7 +565,7 @@ def test_nonfinite_loss_mid_run_leaves_no_thread_behind(monkeypatch):
 
 
 def test_a_draw_error_comes_out_of_fit_at_the_step_that_takes_its_rows(monkeypatch):
-    real_draw = RunState.draw_noise
+    real_draw = RunState.draw_fakes
     raised = ContractViolation("the third draw fails")
     draws, steps = [], []
 
@@ -529,7 +581,7 @@ def test_a_draw_error_comes_out_of_fit_at_the_step_that_takes_its_rows(monkeypat
         steps.append(1)
         return real_step(*args, **kwargs)
 
-    monkeypatch.setattr(RunState, "draw_noise", failing_draw)
+    monkeypatch.setattr(RunState, "draw_fakes", failing_draw)
     monkeypatch.setattr(ctdr.train, "train_step", counting_step)
     before = threading.active_count()
     with pytest.raises(ContractViolation) as exc:
@@ -540,7 +592,7 @@ def test_a_draw_error_comes_out_of_fit_at_the_step_that_takes_its_rows(monkeypat
 
 
 def test_no_draw_is_in_flight_while_the_epoch_hook_runs(monkeypatch):
-    real_draw = RunState.draw_noise
+    real_draw = RunState.draw_fakes
     in_flight = []
 
     def slow_draw(run):
@@ -551,16 +603,16 @@ def test_no_draw_is_in_flight_while_the_epoch_hook_runs(monkeypatch):
         finally:
             in_flight.pop()
 
-    monkeypatch.setattr(RunState, "draw_noise", slow_draw)
+    monkeypatch.setattr(RunState, "draw_fakes", slow_draw)
     seen = []
     fit(quick_config("ss,tu,ta", epochs=3), tiny_pair(), on_epoch=lambda record: seen.append(len(in_flight)))
     assert seen == [0, 0, 0]
 
 
 def record_draws_and_thread_starts(monkeypatch):
-    """(thread ident of each RunState.draw_noise call, name of each started thread)."""
+    """(thread ident of each RunState.draw_fakes call, name of each started thread)."""
     draws, started = [], []
-    real_draw, real_start = RunState.draw_noise, threading.Thread.start
+    real_draw, real_start = RunState.draw_fakes, threading.Thread.start
 
     def recording_draw(run):
         draws.append(threading.get_ident())
@@ -570,7 +622,7 @@ def record_draws_and_thread_starts(monkeypatch):
         started.append(thread.name)
         return real_start(thread)
 
-    monkeypatch.setattr(RunState, "draw_noise", recording_draw)
+    monkeypatch.setattr(RunState, "draw_fakes", recording_draw)
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     return draws, started
 
@@ -598,6 +650,23 @@ def test_generator_noise_is_drawn_on_the_worker_and_no_thread_outlives_fit(monke
     # the draw worker starts once; every other thread is mmd_loss's worker, one per generator step
     assert started == ["ctdr-fake-rows_0", *["ctdr-mmd_0"] * 6]
     assert len(draws) == 6 and threading.get_ident() not in draws  # 3 steps an epoch
+    assert threading.active_count() == before
+
+
+def test_gaussian_fake_rows_are_made_on_the_worker_and_no_thread_outlives_fit(monkeypatch):
+    made = []
+    real_fakes = ctdr.train.gaussian_fakes
+
+    def recording_fakes(mean, std, z):
+        made.append((threading.get_ident(), threading.current_thread().name))
+        return real_fakes(mean, std, z)
+
+    monkeypatch.setattr(ctdr.train, "gaussian_fakes", recording_fakes)
+    before = threading.active_count()
+    fit(quick_config("ss,tu,ta,sa"), tiny_pair())
+    # 3 steps an epoch, 2 epochs, a fake_target and a fake_source batch a step
+    assert [name for _, name in made] == ["ctdr-fake-rows_0"] * 12
+    assert threading.get_ident() not in {ident for ident, _ in made}
     assert threading.active_count() == before
 
 
