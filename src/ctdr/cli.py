@@ -20,11 +20,10 @@ import argparse
 import csv
 import json
 import sys
-from functools import partial
+from dataclasses import replace
 from pathlib import Path
 
 from .data import (
-    Dataset,
     DomainPair,
     FeatureTransform,
     _gauss_shift_checks,
@@ -99,13 +98,13 @@ _SPLITS = ("source", "target", "target_test")  # data.SPLITS as the data keys sp
 # them. A synthetic mode's builder returns the DomainPair of its arguments and `seed`; its checks take them but `seed`,
 # make each check the builder makes before its first draw, and return (target prior, values a split draws). A file
 # mode's builder reads one split. A key with `{}` is one per split, and a path that must be set if it is a builder
-# argument. idx's own step, _idx_step, reads keys of argument None; idx reads its files at uint8's 256 classes.
+# argument. idx's own steps read keys of argument None: _read_splits `classes`, _idx_step the rest.
 DATA_MODES: dict = {
     "two_moons": (synth_two_moons, _two_moons_checks,
                   {"n": "n", "rotation": "rotation_degrees", "noise": "noise_std", "skew": "label_skew"}),
     "gauss_shift": (synth_gauss_shift, _gauss_shift_checks, {"n": "n", "gauss_classes": "num_classes", "gauss_dim": "dim",
                     "gauss_mean_shift": "mean_shift", "gauss_cov_scale": "cov_scale", "skew": "label_skew"}),
-    "idx": (partial(load_idx, num_classes=256), None,
+    "idx": (load_idx, None,
             {"classes": None, "{}_images": "images_path", "{}_labels": "labels_path", "resize": None, "n_{}": None}),
     "sparse": (load_sparse, None, {"{}_sparse": "path"}),
 }
@@ -288,25 +287,35 @@ def build_pair(cfg: dict, fit_transform: bool = False) -> tuple:
     standardize(that pair). Errors as in _located, whose search runs a synthetic mode's pre-draw checks
     before it builds any pair. The data files are read once, before the search, and their faults name no key."""
     splits = _read_splits(cfg)
-    return _located(lambda c: _pair(c, splits, fit_transform, cfg), cfg, _pre_draw)
+    return _located(lambda c: _pair(c, splits, fit_transform), cfg, _pre_draw)
 
 
 def _read_splits(cfg: dict) -> tuple | None:
-    """The datasets of a pair's splits, each named by its file, in the files of a file-backed
-    data mode, whose paths must be set; None for a synthetic mode."""
+    """The datasets of a pair's splits, each named by its file, in the files of a file-backed data mode, whose paths
+    must be set; None for a synthetic mode. idx's, read at 256 classes, take `classes` here; its errors name where it was given."""
     read, _, args = DATA_MODES[cfg["data"]]
     paths = _paths(args)
     if missing := [k for k in paths if not cfg[k]]:
         raise ConfigError(f"data={cfg['data']} needs paths for {', '.join(missing)}")
-    return tuple(read(**{a: cfg[k.format(s)] for k, a in args.items() if a}) for s in _SPLITS) if paths else None
+    splits = tuple(read(**{a: cfg[k.format(s)] for k, a in args.items() if a}) for s in _SPLITS) if paths else None
+    if "classes" not in args:
+        return splits
+    at, k = f"{cfg.where['classes']}: " if "classes" in cfg.where else "", cfg["classes"]
+    for split, ds in zip(_SPLITS, splits):
+        if 2 <= k <= ds.labels.max(initial=0):  # Dataset rejects a k outside [2, 2^32)
+            raise ConfigError(f"{at}{cfg[f'{split}_labels']}: label {ds.labels.max()} out of range [0, {k})")
+    try:
+        return tuple(replace(ds, num_classes=k) for ds in splits)
+    except ContractViolation as exc:
+        raise ConfigError(f"{at}{exc}") from exc
 
 
-def _pair(cfg: dict, splits: tuple | None, fit_transform: bool, read: dict) -> tuple:
+def _pair(cfg: dict, splits: tuple | None, fit_transform: bool) -> tuple:
     build, _, args = DATA_MODES[cfg["data"]]
     if splits is None:
         pair = build(**{a: cfg[k] for k, a in args.items()}, seed=cfg["seed"])
     else:
-        pair = DomainPair(*(_idx_step(cfg, splits, read) if None in args.values() else splits))
+        pair = DomainPair(*(_idx_step(cfg, splits) if None in args.values() else splits))
     return standardize(pair) if fit_transform and cfg["standardize"] else (pair, None)
 
 
@@ -317,12 +326,8 @@ def _pre_draw(cfg: dict) -> int:
     return checks(**{a: cfg[k] for k, a in args.items()})[1] if checks else 0
 
 
-def _idx_step(cfg: dict, splits: tuple, read: dict) -> list:
-    """idx's splits as read from `read`'s files, of `classes` classes, resampled to `resize`, subsampled to `n_<split>`."""
-    for split, ds in zip(_SPLITS, splits):  # Dataset rejects a `classes` below 2; a label past it names its file
-        if 2 <= cfg["classes"] <= ds.labels.max(initial=0):
-            raise ContractViolation(f"{read[f'{split}_labels']}: label {ds.labels.max()} out of range [0, {cfg['classes']})")
-    splits = [Dataset(ds.features, ds.labels, cfg["classes"], ds.name, ds.image_hw) for ds in splits]
+def _idx_step(cfg: dict, splits: tuple) -> list:
+    """idx's splits as read, resampled to `resize`, then subsampled to `n_<split>` rows."""
     if cfg["resize"]:
         try:
             oh, ow = (int(tok) for tok in cfg["resize"].lower().split("x"))
@@ -506,12 +511,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonFiniteLossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except CtdrError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NonFiniteLossError) else 2
     except (OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4

@@ -187,20 +187,18 @@ def _read_idx(path, magic: int, n_dims: int, what: str, body: str):
     return dims, buf[head:]
 
 
-def load_idx(images_path, labels_path, num_classes: int = 10) -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Read a big-endian IDX image/label file pair (gzip transparently), named by the images file.
 
-    Pixel bytes are scaled to [0, 1]; rows are flattened images.
+    Pixel bytes are scaled to [0, 1]; rows are flattened images; label bytes are of uint8's 256 classes.
     """
     (count, rows, cols), raw = _read_idx(images_path, IDX_MAGIC_IMAGES, 3, "image", "pixel data")
     images = np.frombuffer(raw, dtype=np.uint8).astype(np.float64).reshape(count, rows * cols) / 255.0
     (label_count,), raw = _read_idx(labels_path, IDX_MAGIC_LABELS, 1, "label", "labels")
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    if labels.size and labels.max() >= num_classes:
-        raise ParseError(labels_path, 0, f"label {labels.max()} out of range [0, {num_classes})")
     if label_count != count:
         raise ParseError(labels_path, 0, f"{label_count} labels for {count} images")
-    return Dataset(images, labels, num_classes, name=str(images_path), image_hw=(rows, cols))
+    return Dataset(images, labels, 256, name=str(images_path), image_hw=(rows, cols))
 
 
 def load_sparse(path) -> Dataset:

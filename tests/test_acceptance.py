@@ -361,10 +361,11 @@ def test_c08_digit_image_pair_adaptation():
         _skip(8, f"missing under {root}: {', '.join(missing)}")
 
     t0 = time.perf_counter()
-    source = subsample(load_idx(paths["source_images"], paths["source_labels"]), 2000, seed=0)
-    target = load_idx(paths["target_images"], paths["target_labels"])
+    digits = lambda split: replace(load_idx(paths[f"{split}_images"], paths[f"{split}_labels"]), num_classes=10)
+    source = subsample(digits("source"), 2000, seed=0)
+    target = digits("target")
     target = subsample(resize_bilinear(target, (28, 28)), min(2000, target.n), seed=0, variant=1)
-    test = resize_bilinear(load_idx(paths["test_images"], paths["test_labels"]), (28, 28))
+    test = resize_bilinear(digits("test"), (28, 28))
     pair = DomainPair(source, target, test)
 
     acc = {}

@@ -1031,15 +1031,17 @@ def test_idx_classes_from_2_to_the_32_is_exit_2_with_no_out_dir(tmp_path, capsys
 
 
 @pytest.mark.parametrize("given", ["file", "set"])
+@pytest.mark.parametrize("top", [2, 11], ids=lambda top: f"labels_0_{top}")
 @pytest.mark.parametrize(
     "classes, message",
-    [("1", "num_classes must be in [2, 2^32), got 1"), ("2", "{labels}: label 2 out of range [0, 2)")],
+    [("1", "num_classes must be in [2, 2^32), got 1"), ("2", "{labels}: label {top} out of range [0, 2)")],
     ids=["one_class", "labels_past_classes"],
 )
-def test_a_bad_idx_classes_is_exit_2_naming_where_it_was_given(tmp_path, capsys, given, classes, message):
-    # the files are read once, at uint8's 256 classes; `classes` is applied in
-    # the idx step that the search for the key at fault runs
-    images, labels = write_idx_pair(tmp_path, np.zeros((6, 4, 4), dtype=np.uint8), [0, 1, 2, 0, 1, 2])
+def test_a_bad_idx_classes_is_exit_2_naming_where_it_was_given(tmp_path, capsys, given, top, classes, message):
+    # the files are read once, at uint8's 256 classes, and `classes` is applied
+    # to the splits once, before the search for the key at fault; labels that
+    # reach the default classes = 10 do not hide where it was given
+    images, labels = write_idx_pair(tmp_path, np.zeros((top + 1, 4, 4), dtype=np.uint8), list(range(top + 1)))
     raw = {"data": "idx", **({"classes": classes} if given == "file" else {})}
     for split in ("source", "target", "target_test"):
         raw[f"{split}_images"], raw[f"{split}_labels"] = str(images), str(labels)
@@ -1047,7 +1049,18 @@ def test_a_bad_idx_classes_is_exit_2_naming_where_it_was_given(tmp_path, capsys,
     override = ["--set", f"classes={classes}"] if given == "set" else []
     assert main(["train", "--config", str(path), *override]) == 2
     at = f"{path}:8" if given == "file" else "--set"
-    assert capsys.readouterr() == ("", f"error: {at}: {message.format(labels=labels)}\n")
+    assert capsys.readouterr() == ("", f"error: {at}: {message.format(labels=labels, top=top)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "images.idx", "labels.idx"]
+
+
+def test_an_idx_label_past_the_default_classes_names_its_labels_file_and_no_key(tmp_path, capsys):
+    images, labels = write_idx_pair(tmp_path, np.zeros((12, 4, 4), dtype=np.uint8), list(range(12)))
+    raw = {"data": "idx"}
+    for split in ("source", "target", "target_test"):
+        raw[f"{split}_images"], raw[f"{split}_labels"] = str(images), str(labels)
+    path = small_train_cfg(tmp_path, **raw)
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {labels}: label 11 out of range [0, 10)\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt", "images.idx", "labels.idx"]
 
 
@@ -1395,10 +1408,10 @@ def test_a_prior_prints_in_canonical_form_and_the_printed_config_reproduces_the_
     assert (again / "model.ctdr").read_bytes() == (tmp_path / "out" / "model.ctdr").read_bytes()
 
 
-def idx_cfg(tmp_path, **extra):
-    """An idx config of 15 lines over one 20-row image/label file pair."""
-    images, labels = write_idx_pair(tmp_path, np.zeros((20, 4, 4), dtype=np.uint8), [0, 1, 2, 3] * 5)
-    raw = {"data": "idx", "classes": "4"}
+def idx_cfg(tmp_path, classes=4, **extra):
+    """An idx config of 15 lines over one 20-row image/label file pair whose labels are 0 to classes - 1."""
+    images, labels = write_idx_pair(tmp_path, np.zeros((20, 4, 4), dtype=np.uint8), [i % classes for i in range(20)])
+    raw = {"data": "idx", "classes": str(classes)}
     for split in ("source", "target", "target_test"):
         raw[f"{split}_images"], raw[f"{split}_labels"] = str(images), str(labels)
     return small_train_cfg(tmp_path, **raw, **extra)
@@ -1416,10 +1429,13 @@ def widths_cfg(tmp_path):
     [
         (lambda tmp: idx_cfg(tmp, resize="abc"), "{}:15: resize must look like 28x28, got 'abc'"),
         (lambda tmp: idx_cfg(tmp, n_source=999), "{}:15: subsample: n must be in [1, 20], got 999"),
+        # labels past the default classes = 10: every partial config the search builds keeps classes = 12
+        (lambda tmp: idx_cfg(tmp, classes=12, resize="abc"), "{}:15: resize must look like 28x28, got 'abc'"),
+        (lambda tmp: idx_cfg(tmp, classes=12, n_source=999), "{}:15: subsample: n must be in [1, 20], got 999"),
         (widths_cfg, "the target_train split ({0.parent}/narrow.txt) is 2 wide with 2 classes, "
                      "the source split ({0.parent}/wide.txt) 3 wide with 2"),
     ],
-    ids=["resize", "n_source", "widths"],
+    ids=["resize", "n_source", "resize_12_classes", "n_source_12_classes", "widths"],
 )
 def test_a_failing_config_reads_each_data_file_once(tmp_path, monkeypatch, capsys, make, message):
     # the search for the key at fault re-derives the pair from the splits in

@@ -236,11 +236,10 @@ def test_load_idx_trailing_bytes_are_a_parse_error_naming_the_file(tmp_path, gz,
     assert exc.value.path == str(path)
 
 
-def test_load_idx_label_out_of_range_names_the_label_file(tmp_path):
-    ip, lp = write_idx_pair(tmp_path, [[[0]]], [10])
-    with pytest.raises(ParseError, match=r"label 10 out of range \[0, 10\)") as exc:
-        load_idx(ip, lp)
-    assert exc.value.path == str(lp)
+def test_load_idx_reads_every_label_byte_at_256_classes(tmp_path):
+    # `classes` is applied by the CLI, which names the labels file of a label that reaches it
+    ds = load_idx(*write_idx_pair(tmp_path, [[[0]], [[0]]], [0, 255]))
+    assert (ds.num_classes, ds.labels.tolist()) == (256, [0, 255])
 
 
 def test_load_sparse_direct_parse(tmp_path):

@@ -76,7 +76,7 @@ def idx_case(tmp_path, gz):
     paths = [tmp_path / name for name in blobs]
     for path, blob in zip(paths, blobs.values()):
         path.write_bytes(gzip.compress(blob, mtime=0) if gz else blob)
-    return paths, lambda: load_idx(*paths, num_classes=2)
+    return paths, lambda: load_idx(*paths)
 
 
 def sparse_case(tmp_path):
