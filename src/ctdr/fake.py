@@ -8,6 +8,7 @@ classifier are never touched by generator training.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +43,24 @@ def gaussian_fakes(mean: np.ndarray, std: np.ndarray, z: np.ndarray) -> np.ndarr
     return z
 
 
-def generator_step(params: ParamSet, real_embeddings, noise, opt_phi, lr: float):
+def generator_step(params: ParamSet, real_embeddings, noise, opt_phi, lr: float, pool: Executor):
     """One MMD descent step on the generator tensors only.
 
     The generator maps `noise`, the caller's (n_f, noise_dim) standard normals,
     to fake rows, which are pushed through the (frozen) encoder and compared
     with `real_embeddings`, the encoder's embeddings of a real batch under the
-    same params; the kernel bandwidth is the median heuristic on them. The
-    report's gradient, with respect to the fake embeddings, walks back through
-    the encoder record (`fake_cache.encoder`), then the generator's; only gen*
-    tensors are updated. Returns (params, opt_phi, report, fake_cache):
+    same params; the kernel bandwidth is the median heuristic on them, and
+    mmd_loss runs its fake-real distance pass on `pool`, fit's one worker.
+    The report's gradient, with respect to the fake embeddings, walks back
+    through the encoder record (`fake_cache.encoder`), then the generator's;
+    only gen* tensors are updated. Returns (params, opt_phi, report, fake_cache):
     fake_cache is the forward pass of the rows the pre-update generator
     produced, which the returned params give too, as their encoder and
     classifier are unchanged.
     """
     gen_cache = generator_forward_cache(params, noise)
     fake_cache = forward(params, gen_cache.out)
-    report = mmd_loss(fake_cache.embeddings, real_embeddings, None)
+    report = mmd_loss(fake_cache.embeddings, real_embeddings, None, pool)
 
     _, d_fake_rows = backward(params, fake_cache.encoder, report.grad)
     grads = generator_backward(params, gen_cache, d_fake_rows)

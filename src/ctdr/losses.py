@@ -10,7 +10,7 @@ probability masses.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,7 +148,7 @@ def adv_bce(probs_fake) -> LossReport:
     return LossReport(value, grad)
 
 
-def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
+def mmd_loss(emb_fake, emb_real, gamma: float | None, pool: Executor) -> LossReport:
     """Biased (V-statistic) squared MMD with a Gaussian kernel.
 
     value = mean k(f,f) + mean k(r,r) - 2 mean k(f,r). The gradient is with
@@ -157,10 +157,11 @@ def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
     distances, the same matrix that k(r,r) is built from.
 
     Each kernel is gaussian_kernel_matrix of squared distances. The fake-real
-    ones, which need no gamma, come from a one-worker pool made for this call,
-    under the caller's numpy errstate (errstate is per thread), while this
-    thread builds k(r,r), the bandwidth and k(f,f). The pool is joined before
-    the call returns or raises. Every value is the one the serial order gives.
+    ones, which need no gamma, are submitted to `pool` (fit's one worker),
+    under the numpy errstate of this call (errstate is per thread), while this
+    thread builds k(r,r), the bandwidth and k(f,f). The submitted pass is done
+    before the call returns or raises. Every value is the one the serial
+    order gives.
     """
     f = as_matrix(emb_fake, "emb_fake")
     r = as_matrix(emb_real, "emb_real")
@@ -175,14 +176,16 @@ def mmd_loss(emb_fake, emb_real, gamma: float | None) -> LossReport:
         with np.errstate(**err):
             return _pairwise_sq_dists(f, r)
 
-    with ThreadPoolExecutor(1, thread_name_prefix="ctdr-mmd") as pool:
-        sq_fr = pool.submit(cross_dists)
+    sq_fr = pool.submit(cross_dists)
+    try:
         sq_rr = _pairwise_sq_dists(r)
         if gamma is None:
             gamma = median_heuristic_gamma(sq_rr)
         kff = gaussian_kernel_matrix(_pairwise_sq_dists(f), gamma)
         krr = gaussian_kernel_matrix(sq_rr, gamma)
         kfr = gaussian_kernel_matrix(sq_fr.result(), gamma)
+    finally:
+        wait((sq_fr,))
     value = float(kff.sum()) / (nf * nf) + float(krr.sum()) / (nr * nr) - 2.0 * float(kfr.sum()) / (nf * nr)
 
     # d value / d f_i, using d k(a,b)/d a = -2 gamma (a - b) k(a,b)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numbers
 import operator
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -213,6 +213,7 @@ def train_step(
     params: ParamSet,
     opt_theta: OptimizerState,
     opt_phi: OptimizerState | None,
+    pool: Executor | None,
     batches: dict,
     labels: np.ndarray,
     run: RunState,
@@ -231,6 +232,9 @@ def train_step(
     forwards the target batch and steps on its embeddings, and the forward
     of its fake rows is the fake_target batch's, which ta reads. The step
     changes only gen* tensors, so every other forward is the same after it.
+    opt_phi and pool, the executor of the MMD's fake-real distance pass
+    (fit's one worker), are read only then: a network with no generator
+    may take None for both.
     Returns (params, opt_theta, opt_phi, reports).
     """
     generator = bool(params.arch.generator)
@@ -241,7 +245,7 @@ def train_step(
         with blame("gen", epoch, step):
             caches["target"] = forward(params, batches["target"])
             params, opt_phi, reports["gen"], caches["fake_target"] = generator_step(
-                params, caches["target"].embeddings, batches["fake_target"], opt_phi, lr
+                params, caches["target"].embeddings, batches["fake_target"], opt_phi, lr, pool
             )
         _check_finite("gen", reports["gen"].value, epoch, step)
 
@@ -285,11 +289,12 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     A step's batches (see train_step) are rows of pair.source and of
     pair.target_train, and fake batches made one step ahead, with the bytes
     of making them in each step: one run.draw_fakes(), the only reader of
-    run.streams, is in flight on a one-worker pool, which starts no thread
-    when the run reads no fake batch or has no steps (a generator step's
-    mmd_loss starts and joins one thread of its own). No draw goes past the
-    last step, runs while on_epoch does, or outlives fit; a draw's exception
-    is raised, the same object, at the step that takes its rows.
+    run.streams, is in flight on a one-worker pool, the run's only worker
+    thread. A generator step's mmd_loss runs its fake-real distance pass on
+    the same pool, queued behind that draw, and waits for it. The pool starts
+    no thread when the run reads no fake batch or has no steps. No draw goes
+    past the last step, runs while on_epoch does, or outlives fit; a draw's
+    exception is raised, the same object, at the step that takes its rows.
     """
     run = RunState.build(config, pair)
     arch = run.arch
@@ -309,7 +314,7 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
     metrics = []
     steps = config.epochs * steps_per_epoch
     drawn = None  # the Future of the next step's fake batches
-    with ThreadPoolExecutor(1, thread_name_prefix="ctdr-fake-rows") as pool:
+    with ThreadPoolExecutor(1, thread_name_prefix="ctdr-worker") as pool:
         if run.reads & FAKE_BATCHES.keys() and steps:
             drawn = pool.submit(run.draw_fakes)
         for epoch in range(config.epochs):
@@ -327,7 +332,7 @@ def fit(config: TrainConfig, pair: DomainPair, on_epoch=None):
                 if drawn and steps:
                     drawn = pool.submit(run.draw_fakes)
                 params, opt_theta, opt_phi, reports = train_step(
-                    params, opt_theta, opt_phi, batches, pair.source.labels[i], run, lr, epoch, step
+                    params, opt_theta, opt_phi, pool, batches, pair.source.labels[i], run, lr, epoch, step
                 )
                 for t, rep in reports.items():
                     sums[t] += rep.value

@@ -112,7 +112,7 @@ def _relu_margin(params, inputs):
     return min(vals)
 
 
-def test_c01_analytic_gradients_match_finite_differences():
+def test_c01_analytic_gradients_match_finite_differences(pool):
     t0 = time.perf_counter()
     target_configs, max_attempts, tol = 24, 48, 1e-4
     checked, attempts, worst = 0, 0, 0.0
@@ -142,7 +142,7 @@ def test_c01_analytic_gradients_match_finite_differences():
         checked += 1
 
         real_emb = forward(params, x_real).embeddings.copy()
-        gamma = mmd_loss(real_emb, real_emb, None).diagnostics["gamma"]
+        gamma = mmd_loss(real_emb, real_emb, None, pool).diagnostics["gamma"]
         pseudo = pseudo_label_select(forward(params, x_tgt).probs, prior)
 
         for loss_name in ("supervised", "contradist", "adversarial", "mmd"):
@@ -165,9 +165,9 @@ def test_c01_analytic_gradients_match_finite_differences():
                 grads, _ = backward(params, cache, rep.grad)
             else:
                 # the real-side embeddings enter as constants, as in training
-                f = lambda p: mmd_loss(forward(p, x_fake).embeddings, real_emb, gamma).value
+                f = lambda p: mmd_loss(forward(p, x_fake).embeddings, real_emb, gamma, pool).value
                 cache = forward(params, x_fake)
-                rep = mmd_loss(cache.embeddings, real_emb, gamma)
+                rep = mmd_loss(cache.embeddings, real_emb, gamma, pool)
                 grads, _ = backward(params, cache.encoder, rep.grad)
 
             fd = finite_diff_param_grad(f, params, names, h=1e-5)
@@ -278,7 +278,7 @@ def test_c04_single_sample_batch_collapses_to_prior():
     _report(4, ok, f"100 one-row batches: |value - log prior| <= {worst:.1e} (tol 1e-12), gradients exactly zero, {elapsed:.1f}s")
 
 
-def test_c05_discrepancy_term_sanity():
+def test_c05_discrepancy_term_sanity(pool):
     t0 = time.perf_counter()
     rng = Rng(55, STREAM_DATA)
     worst_self, worst_neg = 0.0, 0.0
@@ -288,8 +288,8 @@ def test_c05_discrepancy_term_sanity():
         x = rng.normal_matrix(n, d)
         y = rng.normal_matrix(1 + rng.below(8), d)
         gamma = rng.uniform(0.1, 2.0)
-        worst_self = max(worst_self, abs(mmd_loss(x, x, gamma).value))
-        worst_neg = min(worst_neg, mmd_loss(x, y, gamma).value)
+        worst_self = max(worst_self, abs(mmd_loss(x, x, gamma, pool).value))
+        worst_neg = min(worst_neg, mmd_loss(x, y, gamma, pool).value)
     uniform_ok = True
     above_ok = True
     for _ in range(200):

@@ -83,51 +83,51 @@ def test_gaussian_fakes_sample_mean_near_target_mean():
     assert np.all(np.abs(out.mean(axis=0) - mean) < bound)
 
 
-def test_generator_step_requires_generator():
+def test_generator_step_requires_generator(pool):
     arch = Architecture.mlp(3, (5,), 2)
     params = init_params(arch, Rng(5, STREAM_WEIGHT_INIT))
     real = forward(params, Rng(81, 0).normal_matrix(4, 3)).embeddings
     with pytest.raises(ConfigError, match="architecture has no generator"):
-        generator_step(params, real, Rng(0, 0).normal_matrix(2, 4), None, 0.01)
+        generator_step(params, real, Rng(0, 0).normal_matrix(2, 4), None, 0.01, pool)
 
 
-def test_generator_step_zero_lr_is_noop():
+def test_generator_step_zero_lr_is_noop(pool):
     arch, params = gen_net()
     real = Rng(81, 0).normal_matrix(8, 3)
     opt = OptimizerState.for_params(params, phi_names(arch))
     noise = Rng(82, STREAM_FAKE_TARGET).normal_matrix(4, arch.noise_dim)
-    new, _, report, fakes = generator_step(params, forward(params, real).embeddings, noise, opt, 0.0)
+    new, _, report, fakes = generator_step(params, forward(params, real).embeddings, noise, opt, 0.0, pool)
     assert np.isfinite(report.value)
     assert fakes.x.shape == (4, 3)
     for name in params.tensors:
         assert np.array_equal(new.tensors[name], params.tensors[name])
 
 
-def test_generator_step_bandwidth_is_the_median_heuristic_on_the_real_embeddings():
+def test_generator_step_bandwidth_is_the_median_heuristic_on_the_real_embeddings(pool):
     arch, params = gen_net()
     real = forward(params, Rng(95, 0).normal_matrix(8, 3)).embeddings
     opt = OptimizerState.for_params(params, phi_names(arch))
-    _, _, report, _ = generator_step(params, real, Rng(96, STREAM_FAKE_TARGET).normal_matrix(4, arch.noise_dim), opt, 0.01)
+    _, _, report, _ = generator_step(params, real, Rng(96, STREAM_FAKE_TARGET).normal_matrix(4, arch.noise_dim), opt, 0.01, pool)
     gamma = median_heuristic_gamma(_pairwise_sq_dists(real))
     assert gamma != 1.0  # not the fallback of a batch with no spread
     assert report.diagnostics["gamma"] == gamma
 
 
-def test_generator_step_never_touches_classifier_path():
+def test_generator_step_never_touches_classifier_path(pool):
     arch, params = gen_net()
     real = Rng(83, 0).normal_matrix(8, 3)
     opt = OptimizerState.for_params(params, phi_names(arch))
     rng = Rng(84, STREAM_FAKE_TARGET)
     cur = params
     for _ in range(5):
-        cur, opt, _, _ = generator_step(cur, forward(cur, real).embeddings, rng.normal_matrix(4, arch.noise_dim), opt, 0.01)
+        cur, opt, _, _ = generator_step(cur, forward(cur, real).embeddings, rng.normal_matrix(4, arch.noise_dim), opt, 0.01, pool)
     for name in theta_names(arch):
         assert np.array_equal(cur.tensors[name], params.tensors[name])
     moved = [n for n in phi_names(arch) if not np.array_equal(cur.tensors[n], params.tensors[n])]
     assert moved
 
 
-def test_generator_step_reduces_mmd():
+def test_generator_step_reduces_mmd(pool):
     arch, params = gen_net(seed=85)
     real = Rng(86, 0).normal_matrix(16, 3) + np.array([1.0, -1.0, 0.5])
     opt = OptimizerState.for_params(params, phi_names(arch))
@@ -135,23 +135,23 @@ def test_generator_step_reduces_mmd():
     values = []
     for _ in range(50):
         noise = rng.normal_matrix(16, arch.noise_dim)
-        params, opt, report, _ = generator_step(params, forward(params, real).embeddings, noise, opt, 0.01)
+        params, opt, report, _ = generator_step(params, forward(params, real).embeddings, noise, opt, 0.01, pool)
         values.append(report.value)
     head = float(np.mean(values[:10]))
     tail = float(np.mean(values[-10:]))
     assert tail < head
 
 
-def test_generator_step_fakes_come_from_pre_update_params():
+def test_generator_step_fakes_come_from_pre_update_params(pool):
     arch, params = gen_net(seed=88)
     real = Rng(89, 0).normal_matrix(6, 3)
     opt = OptimizerState.for_params(params, phi_names(arch))
     noise = Rng(90, STREAM_FAKE_TARGET).normal_matrix(3, arch.noise_dim)
-    _, _, _, fakes = generator_step(params, forward(params, real).embeddings, noise, opt, 0.05)
+    _, _, _, fakes = generator_step(params, forward(params, real).embeddings, noise, opt, 0.05, pool)
     assert np.array_equal(fakes.x, generator_forward(params, noise))
 
 
-def test_generator_mmd_gradient_matches_finite_diff():
+def test_generator_mmd_gradient_matches_finite_diff(pool):
     arch, params = gen_net(seed=91)
     # fresh init has all-zero biases, which parks dead generator rows exactly
     # on the encoder's ReLU kink; jitter every tensor off the kinks first
@@ -169,11 +169,11 @@ def test_generator_mmd_gradient_matches_finite_diff():
     def objective(p):
         fakes = generator_forward(p, noise)
         emb = forward(p, fakes).embeddings
-        return mmd_loss(emb, real_emb, gamma).value
+        return mmd_loss(emb, real_emb, gamma, pool).value
 
     gen_cache = generator_forward_cache(params, noise)
     cache_fake = forward(params, gen_cache.out)
-    report = mmd_loss(cache_fake.embeddings, real_emb, gamma)
+    report = mmd_loss(cache_fake.embeddings, real_emb, gamma, pool)
     _, d_rows = backward(params, cache_fake.encoder, report.grad)
     grads = generator_backward(params, gen_cache, d_rows)
     fd = finite_diff_param_grad(objective, params, names=phi_names(arch))

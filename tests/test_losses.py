@@ -3,6 +3,7 @@ objective with pseudo-label selection, fake-sample BCE, and kernel MMD."""
 
 import math
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -334,18 +335,18 @@ def test_adv_bce_grad_matches_finite_diff():
         assert relative_error(rep.grad, fd) <= 1e-6
 
 
-def test_mmd_identical_sets_is_zero():
+def test_mmd_identical_sets_is_zero(pool):
     x = Rng(71, 0).normal_matrix(6, 3)
-    rep = mmd_loss(x, x, 0.8)
+    rep = mmd_loss(x, x, 0.8, pool)
     assert abs(rep.value) <= 1e-9
 
 
-def test_mmd_single_points_hand_example():
-    rep = mmd_loss(np.array([[0.0]]), np.array([[1.0]]), 1.0)
+def test_mmd_single_points_hand_example(pool):
+    rep = mmd_loss(np.array([[0.0]]), np.array([[1.0]]), 1.0, pool)
     assert rep.value == pytest.approx(2.0 - 2.0 * math.exp(-1.0), abs=1e-12)
 
 
-def test_mmd_nonnegative_on_random_pairs():
+def test_mmd_nonnegative_on_random_pairs(pool):
     rng = Rng(72, 0)
     for _ in range(50):
         nf = 1 + rng.below(6)
@@ -353,33 +354,33 @@ def test_mmd_nonnegative_on_random_pairs():
         d = 1 + rng.below(4)
         f = rng.normal_matrix(nf, d)
         r = rng.normal_matrix(nr, d)
-        rep = mmd_loss(f, r, 0.5)
+        rep = mmd_loss(f, r, 0.5, pool)
         assert rep.value >= -1e-9
 
 
-def test_mmd_rejects_mismatch_and_empty():
+def test_mmd_rejects_mismatch_and_empty(pool):
     with pytest.raises(ContractViolation):
-        mmd_loss(np.zeros((2, 3)), np.zeros((2, 4)), 1.0)
+        mmd_loss(np.zeros((2, 3)), np.zeros((2, 4)), 1.0, pool)
     with pytest.raises(ContractViolation):
-        mmd_loss(np.zeros((0, 3)), np.zeros((2, 3)), 1.0)
+        mmd_loss(np.zeros((0, 3)), np.zeros((2, 3)), 1.0, pool)
 
 
-def test_mmd_grad_matches_finite_diff():
+def test_mmd_grad_matches_finite_diff(pool):
     rng = Rng(73, 0)
     for _ in range(5):
         f = rng.normal_matrix(4, 3)
         r = rng.normal_matrix(5, 3)
-        rep = mmd_loss(f, r, 0.7)
-        fd = finite_diff_grad(lambda z: mmd_loss(z, r, 0.7).value, f)
+        rep = mmd_loss(f, r, 0.7, pool)
+        fd = finite_diff_grad(lambda z: mmd_loss(z, r, 0.7, pool).value, f)
         assert relative_error(rep.grad, fd) <= 1e-6
 
 
-def test_mmd_grad_is_zero_at_identical_sets():
+def test_mmd_grad_is_zero_at_identical_sets(pool):
     # symmetric stationary point of the V-statistic; compare absolutely
     # because finite differences only reach the rounding floor here
     x = Rng(74, 0).normal_matrix(4, 2)
-    rep = mmd_loss(x.copy(), x, 1.1)
-    fd = finite_diff_grad(lambda z: mmd_loss(z, x, 1.1).value, x.copy())
+    rep = mmd_loss(x.copy(), x, 1.1, pool)
+    fd = finite_diff_grad(lambda z: mmd_loss(z, x, 1.1, pool).value, x.copy())
     assert np.all(rep.grad == 0.0)
     assert np.max(np.abs(fd)) < 1e-8
 
@@ -401,14 +402,14 @@ def test_median_heuristic_deterministic():
     assert median_heuristic_gamma(_pairwise_sq_dists(emb)) == median_heuristic_gamma(_pairwise_sq_dists(emb.copy()))
 
 
-def test_mmd_whose_median_distance_overflows_raises_non_finite_with_no_numpy_warning():
+def test_mmd_whose_median_distance_overflows_raises_non_finite_with_no_numpy_warning(pool):
     # finite rows whose squared distances overflow: gamma would be 1 / inf = 0
     f = Rng(77, 0).normal_matrix(5, 3)
     r = Rng(77, 1).normal_matrix(6, 3) * 1e160
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteLossError) as exc:
-            mmd_loss(f, r, None)
+            mmd_loss(f, r, None, pool)
     assert (exc.value.term, exc.value.value, exc.value.what) == ("mmd", math.inf, "median squared distance")
 
 
@@ -420,14 +421,14 @@ def same_bits(a, b):
     "nr, identical, width",
     [(1, False, 3), (2, False, 3), (5, True, 3), (9, False, 1), (33, False, 16), (130, False, 128)],
 )
-def test_mmd_none_gamma_is_the_median_heuristic(nr, identical, width):
+def test_mmd_none_gamma_is_the_median_heuristic(nr, identical, width, pool):
     rng = Rng(76, nr)
     f = rng.normal_matrix(7, width)
     r = rng.normal_matrix(nr, width) * 2.0 + 0.5
     if identical:
         r = np.repeat(r[:1], nr, axis=0)
-    auto = mmd_loss(f, r, None)
-    explicit = mmd_loss(f, r, median_heuristic_gamma(_pairwise_sq_dists(r)))
+    auto = mmd_loss(f, r, None, pool)
+    explicit = mmd_loss(f, r, median_heuristic_gamma(_pairwise_sq_dists(r)), pool)
     assert same_bits(auto.value, explicit.value)
     assert same_bits(auto.grad, explicit.grad)
     assert auto.diagnostics.keys() == explicit.diagnostics.keys()
@@ -460,8 +461,20 @@ def assert_same_report(rep, serial):
         assert same_bits(rep.diagnostics[key], diagnostics[key]), key
 
 
-def mmd_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("ctdr-mmd")]
+class DelayedPool:
+    """An executor that delays each task it is handed and keeps its future: a caller that did not wait for
+    the task would get back while it still runs."""
+
+    def __init__(self, pool):
+        self.pool, self.futures = pool, []
+
+    def submit(self, fn, *args, **kwargs):
+        def delayed():
+            time.sleep(0.05)
+            return fn(*args, **kwargs)
+
+        self.futures.append(self.pool.submit(delayed))
+        return self.futures[-1]
 
 
 @pytest.mark.parametrize("gamma", [None, 0.3])
@@ -469,30 +482,31 @@ def mmd_threads():
     "nf, nr, width, same",
     [(1, 1, 1, False), (1, 1, 3, False), (7, 130, 128, False), (130, 7, 16, False), (9, 4, 1, False), (6, 6, 5, True)],
 )
-def test_mmd_equals_the_serial_reference_bit_for_bit(nf, nr, width, same, gamma):
+def test_mmd_equals_the_serial_reference_bit_for_bit(nf, nr, width, same, gamma, pool):
     rng = Rng(78, nf * 1000 + nr)
     f = rng.normal_matrix(nf, width)
     r = f if same else rng.normal_matrix(nr, width) * 1.5 - 0.25  # same: one array on both sides
-    assert_same_report(mmd_loss(f, r, gamma), serial_mmd(f, r, gamma))
+    assert_same_report(mmd_loss(f, r, gamma, pool), serial_mmd(f, r, gamma))
 
 
-def test_mmd_cross_distances_that_overflow_follow_the_callers_errstate():
-    # only the fake-real pass overflows: 1e308 - (-1e308) is inf, and k(f, r) is exp(-inf) = 0
+def test_mmd_cross_distances_that_overflow_follow_the_callers_errstate(pool):
+    # only the fake-real pass overflows: 1e308 - (-1e308) is inf, and k(f, r) is exp(-inf) = 0. One worker
+    # runs all three passes, so each must run under its own call's errstate, not the first task's
     f = np.array([[1e308, 0.0], [1e308, 1.0]])
     r = np.array([[-1e308, 0.0], [-1e308, 2.0], [-1e308, 3.0]])
-    before = threading.active_count()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with np.errstate(over="ignore"):
-            rep = mmd_loss(f, r, 0.5)
-            serial = serial_mmd(f, r, 0.5)
-        assert_same_report(rep, serial)
-        assert rep.diagnostics["k_fr"] == 0.0
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            mmd_loss(f, r, 0.5)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            serial_mmd(f, r, 0.5)
-    assert threading.active_count() == before and not mmd_threads()
+        for over in ("ignore", "raise", "ignore"):
+            with np.errstate(over=over):
+                if over == "raise":
+                    with pytest.raises(FloatingPointError):
+                        mmd_loss(f, r, 0.5, pool)
+                    with pytest.raises(FloatingPointError):
+                        serial_mmd(f, r, 0.5)
+                else:
+                    rep = mmd_loss(f, r, 0.5, pool)
+                    assert_same_report(rep, serial_mmd(f, r, 0.5))
+                    assert rep.diagnostics["k_fr"] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -500,16 +514,16 @@ def test_mmd_cross_distances_that_overflow_follow_the_callers_errstate():
     [(-1.0, ContractViolation), (0.0, ContractViolation), (math.nan, ContractViolation), (math.inf, ContractViolation),
      (None, NonFiniteLossError)],
 )
-def test_an_mmd_that_raises_leaves_no_thread_running(gamma, error):
+def test_an_mmd_that_raises_leaves_no_task_in_flight(gamma, error, pool):
     f = Rng(79, 0).normal_matrix(40, 8)
     r = Rng(79, 1).normal_matrix(50, 8) * (1e160 if gamma is None else 1.0)  # None: the median overflows
-    before = threading.active_count()
+    delayed = DelayedPool(pool)
     with pytest.raises(error):
-        mmd_loss(f, r, gamma)
-    assert threading.active_count() == before and not mmd_threads()
+        mmd_loss(f, r, gamma, delayed)
+    assert len(delayed.futures) == 1 and delayed.futures[0].done()
 
 
-def test_mmd_bandwidth_and_kernels_run_on_the_calling_thread(monkeypatch):
+def test_mmd_bandwidth_and_kernels_run_on_the_calling_thread(monkeypatch, pool):
     # only the fake-real distances go to the worker; the traced names, and the other two distance passes, run here
     seen = {"median": [], "kernel": [], "dists": []}
 
@@ -524,20 +538,20 @@ def test_mmd_bandwidth_and_kernels_run_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(ctdr.losses, "gaussian_kernel_matrix", recording("kernel", gaussian_kernel_matrix))
     monkeypatch.setattr(ctdr.losses, "_pairwise_sq_dists", recording("dists", _pairwise_sq_dists))
     rng = Rng(80, 0)
-    mmd_loss(rng.normal_matrix(5, 3), rng.normal_matrix(6, 3), None)
+    mmd_loss(rng.normal_matrix(5, 3), rng.normal_matrix(6, 3), None, pool)
     here = threading.get_ident()
     assert seen["median"] == [here] and seen["kernel"] == [here] * 3
     assert sorted(ident == here for ident in seen["dists"]) == [False, True, True]
 
 
 @pytest.mark.parametrize("term", [*TERM_TABLE, "mmd"])
-def test_each_loss_returns_a_float64_grad_of_its_inputs_shape(term):
+def test_each_loss_returns_a_float64_grad_of_its_inputs_shape(term, pool):
     # a training term's input is its logits (the probs' shape); mmd_loss's is the fake embeddings
     rng = Rng(77, 0)
     probs, prior = rand_probs(rng, 5, 3), rand_prior(rng, 3)
     if term == "mmd":
         x = rng.normal_matrix(5, 4)
-        rep = mmd_loss(x, rng.normal_matrix(6, 4), None)
+        rep = mmd_loss(x, rng.normal_matrix(6, 4), None, pool)
     else:
         x = probs
         rep = TERM_TABLE[term].loss(probs, np.array([0, 1, 2, 0, 1]), prior)

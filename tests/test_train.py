@@ -1,17 +1,22 @@
 """Tests for the joint training loop: configuration, term combination, the
 learning-rate schedule, and determinism contracts."""
 
+import functools
+import json
 import math
 import re
+import sys
 import threading
 import time
+import types
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ctdr.cli import build_train_config, resolve_config
+from ctdr.cli import build_train_config, main, resolve_config
 from ctdr.data import Batcher, Dataset, DomainPair, synth_two_moons
 from ctdr.errors import ConfigError, ContractViolation, NonFiniteLossError
 from ctdr.evaluation import evaluate
@@ -39,6 +44,7 @@ from ctdr.train import (
 )
 
 import ctdr.fake
+import ctdr.losses
 import ctdr.train
 
 
@@ -354,7 +360,7 @@ def test_train_step_zero_lr_keeps_params():
     params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     opt = OptimizerState.for_params(params, theta_names(arch))
     batches, labels = first_rows(pair)
-    new, _, _, reports = train_step(params, opt, None, batches, labels, run, 0.0)
+    new, _, _, reports = train_step(params, opt, None, None, batches, labels, run, 0.0)
     assert set(reports) == {"ss", "tu"}
     assert all(np.isfinite(rep.value) for rep in reports.values())
     for name in tensor_names(arch):
@@ -368,7 +374,7 @@ def test_train_step_does_not_mutate_inputs():
     params = init_params(arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
     before = {n: t.copy() for n, t in params.tensors.items()}
     opt = OptimizerState.for_params(params, theta_names(arch))
-    train_step(params, opt, None, {"source": pair.source.features[:8]}, pair.source.labels[:8], RunState.build(cfg, pair), 0.01)
+    train_step(params, opt, None, None, {"source": pair.source.features[:8]}, pair.source.labels[:8], RunState.build(cfg, pair), 0.01)
     for name, t in before.items():
         assert np.array_equal(params.tensors[name], t)
 
@@ -393,7 +399,7 @@ def test_train_step_leaves_batches_state_and_logit_grads_unchanged(monkeypatch):
         return real_backward(params, cache, grad, input_grad)
 
     monkeypatch.setattr(ctdr.train, "backward", recording_backward)
-    train_step(params, opt, None, batches, labels, run, 0.01)
+    train_step(params, opt, None, None, batches, labels, run, 0.01)
     assert len(passed) == 5
     for grad, copy in passed:
         assert np.array_equal(grad, copy)
@@ -402,7 +408,7 @@ def test_train_step_leaves_batches_state_and_logit_grads_unchanged(monkeypatch):
         assert all(np.array_equal(moments[n], before[n]) for n in before)
 
 
-def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
+def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch, pool):
     pair = tiny_pair()
     batches, labels = first_rows(pair, n_target=5)
     rows = []
@@ -424,7 +430,7 @@ def test_train_step_forwards_only_the_batches_its_terms_read(monkeypatch):
         opt_phi = OptimizerState.for_params(params, phi_names(arch)) if arch.generator else None
         rows.clear()
         step_batches = batches | run.draw_fakes()
-        _, _, _, reports = train_step(params, opt, opt_phi, step_batches, labels, run, 0.01)
+        _, _, _, reports = train_step(params, opt, opt_phi, pool, step_batches, labels, run, 0.01)
         assert set(reports) == set(run.terms) | ({"gen"} if arch.generator else set())
         return list(rows)
 
@@ -459,7 +465,7 @@ def test_terms_of_a_combo_add_with_equal_weight(monkeypatch, combo):
         params = init_params(run.arch, Rng(cfg.seed, STREAM_WEIGHT_INIT))
         opt = OptimizerState.for_params(params, theta_names(run.arch))
         handed.clear()
-        _, _, _, reports = train_step(params, opt, None, batches | run.draw_fakes(), labels, run, 0.01)
+        _, _, _, reports = train_step(params, opt, None, None, batches | run.draw_fakes(), labels, run, 0.01)
         return handed[0], reports
 
     total, reports = step(combo)
@@ -495,7 +501,7 @@ def test_gaussian_adversarial_terms_run():
     ],
     ids=["gaussian", "generator", "generator_sa", "ts"],
 )
-def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, combo, mode, oracle, draws):
+def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, combo, mode, oracle, draws, pool):
     # fit makes each step's fake batches one step ahead on a worker thread;
     # the direct steps here take fakes made on the spot, in this thread. The
     # skew gives target-train labels that differ from the source's.
@@ -531,7 +537,7 @@ def test_fit_equals_direct_steps_that_draw_their_fakes_inline(monkeypatch, combo
             if run.reads & FAKE_BATCHES.keys():
                 batches |= run.draw_fakes()
             params, opt, opt_phi, _ = train_step(
-                params, opt, opt_phi, batches, pair.source.labels[i], run, cfg.lr_at(epoch), epoch, step
+                params, opt, opt_phi, pool, batches, pair.source.labels[i], run, cfg.lr_at(epoch), epoch, step
             )
     assert by_fit == [False] * draws and drawn_here == [True] * draws
     assert ("target" in run.reads) is not oracle
@@ -643,14 +649,93 @@ def test_a_fit_with_no_draws_to_make_starts_no_thread(monkeypatch, combo, mode, 
 
 
 @pytest.mark.parametrize("combo", ["ss,tu,ta", "ss,sa"])
-def test_generator_noise_is_drawn_on_the_worker_and_no_thread_outlives_fit(monkeypatch, combo):
+def test_a_generator_fit_starts_one_thread_for_its_draws_and_cross_passes(monkeypatch, combo):
     draws, started = record_draws_and_thread_starts(monkeypatch)
+    passes = []  # (arrays passed, thread name) of each distance pass
+    real_dists = ctdr.losses._pairwise_sq_dists
+
+    def recording_dists(*arrays):
+        passes.append((len(arrays), threading.current_thread().name))
+        return real_dists(*arrays)
+
+    monkeypatch.setattr(ctdr.losses, "_pairwise_sq_dists", recording_dists)
     before = threading.active_count()
     fit(quick_config(combo, fake=FakeSourceConfig(mode="generator")), tiny_pair())
-    # the draw worker starts once; every other thread is mmd_loss's worker, one per generator step
-    assert started == ["ctdr-fake-rows_0", *["ctdr-mmd_0"] * 6]
-    assert len(draws) == 6 and threading.get_ident() not in draws  # 3 steps an epoch
+    # fit's one worker draws each step's noise and runs each generator step's fake-real pass; 3 steps an epoch
+    assert started == ["ctdr-worker_0"]
+    assert len(draws) == 6 and threading.get_ident() not in draws
+    assert [name for n, name in passes if n == 2] == ["ctdr-worker_0"] * 6
+    assert [name for n, name in passes if n == 1] == [threading.current_thread().name] * 12  # both self passes
     assert threading.active_count() == before
+
+
+def test_a_generator_fit_that_aborts_in_gen_leaves_no_thread_running_and_no_task_pending(monkeypatch, tmp_path):
+    submitted = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(super().submit(fn, *args, **kwargs))
+            return submitted[-1]
+
+    monkeypatch.setattr(ctdr.train, "ThreadPoolExecutor", RecordingPool)
+    keys = {
+        "data": "two_moons", "n": 40, "noise": 0.1, "epochs": 2, "hidden": 8, "batch": 16, "lr": "1e200",
+        "combo": "ss,tu,ta", "fake_mode": "generator", "timing": "false", "out_dir": tmp_path / "out",
+    }
+    path = tmp_path / "cfg.txt"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(path)]) == 3
+    last = json.loads((tmp_path / "out" / "metrics.jsonl").read_text().splitlines()[-1])
+    assert last["abort"]["term"] == "gen"
+    # the first step's draw, then each generator step's cross pass and the next step's draw
+    assert len(submitted) > 2 and all(future.done() for future in submitted)
+    assert threading.active_count() == before
+
+
+def test_a_generator_fit_runs_only_its_draws_and_cross_passes_off_the_calling_thread(monkeypatch):
+    # perfbench's Tracer keeps one span stack for all threads, so a traced name that ran on the worker would
+    # corrupt a traced run. Every ctdr function and method is wrapped; a call off the calling thread may only
+    # be a draw, or the MMD's cross pass, or a call that one of those two makes.
+    here = threading.get_ident()
+    depth = threading.local()
+    calls = []  # (qualified name, on the calling thread, outermost wrapped call on its thread)
+
+    def recording(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            level = getattr(depth, "level", 0)
+            calls.append((fn.__qualname__, threading.get_ident() == here, level == 0))
+            depth.level = level + 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth.level = level
+
+        return call
+
+    modules = [m for name, m in list(sys.modules.items()) if name == "ctdr" or name.startswith("ctdr.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if getattr(value, "__module__", "").startswith("ctdr"):
+                if isinstance(value, types.FunctionType):
+                    monkeypatch.setattr(module, attr, recording(value))
+                elif isinstance(value, type) and value.__module__ == module.__name__:
+                    for method, fn in list(vars(value).items()):
+                        if isinstance(fn, types.FunctionType) and not method.startswith("__"):
+                            monkeypatch.setattr(value, method, recording(fn))
+    fit(quick_config("ss,tu,su,ta,sa", fake=FakeSourceConfig(mode="generator")), tiny_pair())
+    off = {name for name, on_caller, outermost in calls if not on_caller and outermost}
+    assert off == {"RunState.draw_fakes", "_pairwise_sq_dists"}
+    here_only = (
+        "forward", "backward", "adam_update", "source_ce", "pseudo_label_select", "contradist_loss", "adv_bce",
+        "mmd_loss", "median_heuristic_gamma", "gaussian_kernel_matrix",
+    )
+    for name in here_only:
+        on_caller = [here for n, here, _ in calls if n == name]
+        assert on_caller and all(on_caller), name
 
 
 def test_gaussian_fake_rows_are_made_on_the_worker_and_no_thread_outlives_fit(monkeypatch):
@@ -665,7 +750,7 @@ def test_gaussian_fake_rows_are_made_on_the_worker_and_no_thread_outlives_fit(mo
     before = threading.active_count()
     fit(quick_config("ss,tu,ta,sa"), tiny_pair())
     # 3 steps an epoch, 2 epochs, a fake_target and a fake_source batch a step
-    assert [name for _, name in made] == ["ctdr-fake-rows_0"] * 12
+    assert [name for _, name in made] == ["ctdr-worker_0"] * 12
     assert threading.get_ident() not in {ident for ident, _ in made}
     assert threading.active_count() == before
 
